@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegreeCapError, InvariantViolationError, SizeMismatchError
-from .partitions import Partition, as_partition, conjugate, partitions_of, z_value
+from .partitions import Partition, as_partition, partitions_of, z_value
 from .ring import (
     H,
     P,
@@ -117,7 +117,9 @@ def character_table(n: int) -> list[list[int]]:
     """Character table of S_n: rows are the irreducibles lam in canonical
     descending-lex order, columns the classes mu from the identity class
     (1^n) upward (ascending lex), so column 0 holds the degrees f^lam."""
-    if not 1 <= n <= _table_cap:
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    if n > _table_cap:
         raise DegreeCapError(f"character tables are capped at n <= {_table_cap}")
     cols = table_columns(n)
     return [[character_row(lam)[mu] for mu in cols] for lam in partitions_of(n)]
@@ -236,7 +238,3 @@ def pointwise_product(f: ClassFunction, g: ClassFunction) -> ClassFunction:
         raise SizeMismatchError(f"class functions of degrees {f.n} != {g.n}")
     fd, gd = f.as_dict(), g.as_dict()
     return class_function(f.n, {mu: fd[mu] * gd[mu] for mu in partitions_of(f.n)})
-
-
-def conjugate_irreducible(lam) -> Partition:
-    return conjugate(as_partition(lam))

@@ -490,7 +490,8 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument(
         "--max-degree",
         type=int,
-        default=int(os.environ.get("SYMF_MAX_DEGREE", "0")) or None,
+        # a string default goes through type=int, so a bad value is a usage error
+        default=os.environ.get("SYMF_MAX_DEGREE", "0"),
         help="raise every degree cap to this value",
     )
     sub = top.add_subparsers(dest="command", required=True)
@@ -670,6 +671,9 @@ def main(argv=None) -> int:
         ring.set_max_degree(max(args.max_degree, ring.get_max_degree()))
         characters.set_caps(
             table=max(args.max_degree, 8), coefficient=max(args.max_degree, 12)
+        )
+        matrixreps.set_rep_caps(
+            *(max(args.max_degree, cap) for cap in matrixreps.get_rep_caps())
         )
     try:
         text, obj = args.handler(args)

@@ -27,6 +27,7 @@ from .ring import (
     PExpansion,
     PolynomialValue,
     SymElement,
+    _add_scaled,
     _p_mul,
     basis_element,
     evaluate,
@@ -219,12 +220,7 @@ def coproduct_sum(f: SymElement) -> TensorElement:
     """Delta f = f evaluated on the sum of two alphabets."""
     out: dict[PairKey, Fraction] = {}
     for lam, c in to_p_terms(f).items():
-        for key, ways in _sum_coproduct_of_p(lam).items():
-            c2 = out.get(key, 0) + c * ways
-            if c2:
-                out[key] = c2
-            elif key in out:
-                del out[key]
+        _add_scaled(out, c, _sum_coproduct_of_p(lam))
     return TensorElement((P, P), out)
 
 
@@ -302,12 +298,7 @@ def plethysm(f: SymElement, g: SymElement, scale: int = 1) -> SymElement:
                 elif key in sub:
                     del sub[key]
             term = _p_mul(term, sub)
-        for key, coeff in term.items():
-            c2 = out.get(key, 0) + c * coeff
-            if c2:
-                out[key] = c2
-            elif key in out:
-                del out[key]
+        _add_scaled(out, c, term)
     return sym_element(P, out)
 
 

@@ -31,12 +31,8 @@ def mat_vec(a: Matrix, v) -> list:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a)) if a else ()
-
 def kron(a: Matrix, b: Matrix) -> Matrix:
     rows = []
-    db = len(b)
     for ra in a:
         for rb in b:
             rows.append(tuple(x * y for x in ra for y in rb))
@@ -44,7 +40,6 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 
 def block_diag(a: Matrix, b: Matrix) -> Matrix:
-    da, db = len(a), len(b)
     wa = len(a[0]) if a else 0
     wb = len(b[0]) if b else 0
     rows = [tuple(row) + (0,) * wb for row in a]

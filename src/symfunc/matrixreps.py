@@ -54,6 +54,11 @@ def set_rep_caps(regular: int | None = None, specht: int | None = None,
         _YOUNG_CAP = young
 
 
+def get_rep_caps() -> tuple[int, int, int]:
+    """The (regular, specht, young) degree caps."""
+    return _REGULAR_CAP, _SPECHT_CAP, _YOUNG_CAP
+
+
 @dataclass(frozen=True)
 class SubgroupSpec:
     """An explicit subgroup of S_n: the ambient degree and the full element

@@ -11,13 +11,14 @@ The other bases reach p through cached per-degree transition matrices:
     extended multiplicatively to h_lambda, e_lambda;
   * Schur via the Jacobi-Trudi determinant det(h_{lambda_i - i + j}),
     expanded by a subset-DP Laplace expansion (2^len ring operations
-    instead of len! permutation terms);
-  * monomial by exact inversion of the Kostka matrix, which is
-    unitriangular in the canonical descending-lex order.
+    instead of len! permutation terms) over the h table;
+  * monomial by back-substitution in p_mu = sum of <p_mu, h_lam> m_lam,
+    which is triangular in the canonical descending-lex order.
 
-Inverse transitions are exact Gaussian elimination. The per-degree cache is
-compute-then-publish: concurrent readers never observe a partial table and
-each (basis, degree) table is computed at most once.
+No table is inverted: [b_lam] p_mu = z_mu [p_mu] b*_lam for the Hall dual
+basis b*. The per-degree cache is compute-then-publish: concurrent readers
+never observe a partial table and each (basis, degree) table is computed at
+most once.
 """
 
 from __future__ import annotations
@@ -27,17 +28,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegreeCapError, InvariantViolationError
-from .linalg import invert
 from .partitions import (
     Partition,
     as_partition,
+    conjugate,
     contains,
     format_partition,
     parse_partition,
     partitions_of,
     z_value,
 )
-from .tableaux import kostka
 
 M, E, H, P, S = "m", "e", "h", "p", "s"
 BASES = (M, E, H, P, S)
@@ -129,6 +129,11 @@ def _e_in_p(n: int) -> PExpansion:
     }
 
 
+def _omega_sign(mu: Partition) -> int:
+    """The sign omega puts on p_mu: (-1)^(|mu| - len(mu))."""
+    return -1 if (sum(mu) - len(mu)) % 2 else 1
+
+
 def _multiplicative_in_p(lam: Partition, gen) -> PExpansion:
     out: PExpansion = {(): Fraction(1)}
     for part in lam:
@@ -167,16 +172,14 @@ def _jacobi_trudi_h(lam: Partition) -> dict[Partition, int]:
     return expansion
 
 
-def _s_in_p(lam: Partition) -> PExpansion:
-    out: PExpansion = {}
-    for mu, c in _jacobi_trudi_h(lam).items():
-        for key, coeff in _multiplicative_in_p(mu, _h_in_p).items():
-            c2 = out.get(key, 0) + c * coeff
-            if c2:
-                out[key] = c2
-            elif key in out:
-                del out[key]
-    return out
+def _add_scaled(acc: dict, c, vec: dict) -> None:
+    """acc += c * vec on sparse coefficient dicts, dropping keys that cancel."""
+    for key, coeff in vec.items():
+        c2 = acc.get(key, 0) + c * coeff
+        if c2:
+            acc[key] = c2
+        elif key in acc:
+            del acc[key]
 
 
 def _to_p_table(basis: str, degree: int) -> dict[Partition, PExpansion]:
@@ -188,28 +191,32 @@ def _to_p_table(basis: str, degree: int) -> dict[Partition, PExpansion]:
         return {lam: _multiplicative_in_p(lam, _h_in_p) for lam in lams}
     if basis == E:
         return {lam: _multiplicative_in_p(lam, _e_in_p) for lam in lams}
-    if basis == S:
-        return {lam: _s_in_p(lam) for lam in lams}
-    # monomial: invert the Kostka matrix (unitriangular in canonical order)
-    s_table = _cached_to_p(S, degree)
-    kost = tuple(
-        tuple(Fraction(kostka(lp, mq)) for lp in lams) for mq in lams
-    )
-    inv = invert(kost)
+    h_table = _cached_to_p(H, degree)
     table: dict[Partition, PExpansion] = {}
-    for k, mu in enumerate(lams):
-        acc: PExpansion = {}
-        for j, lam in enumerate(lams):
-            c = inv[j][k]
-            if not c:
+    if basis == S:
+        # s_lam = omega(s_lam'): expand the shape with fewer rows, which
+        # comes first in canonical order, and twist it for its conjugate
+        for lam in lams:
+            conj = conjugate(lam)
+            if len(conj) < len(lam):
+                table[lam] = {mu: _omega_sign(mu) * c for mu, c in table[conj].items()}
                 continue
-            for key, coeff in s_table[lam].items():
-                c2 = acc.get(key, 0) + c * coeff
-                if c2:
-                    acc[key] = c2
-                elif key in acc:
-                    del acc[key]
-        table[mu] = acc
+            acc: PExpansion = {}
+            for nu, c in _jacobi_trudi_h(lam).items():
+                _add_scaled(acc, c, h_table[nu])
+            table[lam] = acc
+        return table
+    # monomial: p_mu - sum over lam coarser than mu of <p_mu, h_lam> m_lam is
+    # <p_mu, h_mu> m_mu, and the coarser lam come earlier in canonical order
+    for mu in lams:
+        z = z_value(mu)
+        acc = {mu: Fraction(1)}
+        for lam, m_lam in table.items():
+            c = h_table[lam].get(mu)
+            if c:
+                _add_scaled(acc, -z * c, m_lam)
+        diag = z * h_table[mu][mu]
+        table[mu] = {key: c / diag for key, c in acc.items()}
     return table
 
 
@@ -218,18 +225,26 @@ def _cached_to_p(basis: str, degree: int) -> dict[Partition, PExpansion]:
     return _cache.get(("to_p", basis, degree), lambda: _to_p_table(basis, degree))
 
 
+# The Hall dual of each basis other than p; that of e is omega(m).
+_DUAL = {S: S, H: M, M: H, E: M}
+
+
 def _cached_from_p(basis: str, degree: int):
     """Inverse transition at one degree: matrix C with (target coords) =
-    C . (p coords), both over the canonical partition list."""
+    C . (p coords), both over the canonical partition list. Entry
+    C[lam][mu] = <p_mu, b*_lam> = z_mu [p_mu] b*_lam for the dual basis b*."""
     _degree_guard(degree)
 
     def compute():
         lams = partitions_of(degree)
-        table = _cached_to_p(basis, degree)
-        b = tuple(
-            tuple(table[lam].get(mu, Fraction(0)) for lam in lams) for mu in lams
+        dual = _cached_to_p(_DUAL[basis], degree)
+        weights = [
+            z_value(mu) * (_omega_sign(mu) if basis == E else 1) for mu in lams
+        ]
+        return tuple(
+            tuple(w * dual[lam].get(mu, Fraction(0)) for w, mu in zip(weights, lams))
+            for lam in lams
         )
-        return invert(b)
 
     return _cache.get(("from_p", basis, degree), compute)
 
@@ -349,13 +364,7 @@ def to_p_terms(f: SymElement) -> PExpansion:
         return dict(f.terms)
     out: PExpansion = {}
     for lam, c in f.terms.items():
-        vec = _cached_to_p(f.basis, sum(lam))[lam]
-        for key, coeff in vec.items():
-            c2 = out.get(key, 0) + c * coeff
-            if c2:
-                out[key] = c2
-            elif key in out:
-                del out[key]
+        _add_scaled(out, c, _cached_to_p(f.basis, sum(lam))[lam])
     return out
 
 
@@ -412,10 +421,7 @@ def omega(f: SymElement) -> SymElement:
     On power sums it multiplies p_n by (-1)^(n-1), extended
     multiplicatively; the sign rule is forced by the two identities above.
     """
-    out = {
-        lam: c * ((-1) ** ((sum(lam) - len(lam)) % 2))
-        for lam, c in to_p_terms(f).items()
-    }
+    out = {lam: c * _omega_sign(lam) for lam, c in to_p_terms(f).items()}
     return sym_element(P, out)
 
 
@@ -457,12 +463,7 @@ def perp(mu, f: SymElement) -> SymElement:
     for lam, c in fs.terms.items():
         if not contains(mu, lam):
             continue
-        for nu, coeff in skew_schur(lam, mu).terms.items():
-            c2 = out.get(nu, 0) + c * coeff
-            if c2:
-                out[nu] = c2
-            elif nu in out:
-                del out[nu]
+        _add_scaled(out, c, skew_schur(lam, mu).terms)
     return SymElement(S, out)
 
 

@@ -3,9 +3,19 @@ import os
 
 import pytest
 
+from symfunc import characters, matrixreps
 from symfunc.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.fixture(autouse=True)
+def default_caps():
+    """--max-degree raises module-level caps; later tests see the defaults."""
+    rep_caps = matrixreps.get_rep_caps()
+    yield
+    characters.set_caps(table=8, coefficient=12)
+    matrixreps.set_rep_caps(*rep_caps)
 
 
 def run(capsys, *argv):
@@ -134,19 +144,33 @@ def test_max_degree_flag_raises_caps(capsys):
     assert code == 1 and "capped" in err
     code, out, _ = run(capsys, "--max-degree", "9", "chartable", "9")
     assert code == 0 and out.splitlines()[1].split()[0] == "9"
-    # reset so later tests see the defaults
-    from symfunc import characters
 
-    characters.set_caps(table=8, coefficient=12)
+
+def test_max_degree_flag_raises_rep_caps(capsys):
+    code, _, err = run(capsys, "rep", "specht", "3,2,1")
+    assert code == 1 and "capped" in err
+    code, out, _ = run(capsys, "--max-degree", "6", "--format", "json",
+                       "rep", "specht", "3,2,1")
+    assert code == 0 and json.loads(out)["dim"] == 16
 
 
 def test_max_degree_env_override(capsys, monkeypatch):
     monkeypatch.setenv("SYMF_MAX_DEGREE", "9")
     code, out, _ = run(capsys, "chartable", "9")
     assert code == 0
-    from symfunc import characters
 
-    characters.set_caps(table=8, coefficient=12)
+
+def test_bad_max_degree_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("SYMF_MAX_DEGREE", "abc")
+    code, out, err = run(capsys, "kostka", "2,1", "1,1,1")
+    assert code == 2 and out == ""
+    assert err.startswith("usage:") and "invalid int value: 'abc'" in err
+
+
+def test_chartable_below_range_names_it(capsys):
+    code, out, err = run(capsys, "chartable", "0")
+    assert code == 1 and out == ""
+    assert "at least 1" in err and "capped" not in err
 
 
 def test_ch_of_trivial_character_is_h(capsys):

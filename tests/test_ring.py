@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from symfunc.errors import DegreeCapError
+from symfunc.linalg import identity, invert, mat_mul
 from symfunc.partitions import conjugate, partitions_of, z_value
 from symfunc.ring import (
     BASES,
@@ -68,11 +69,28 @@ def test_convert_h_and_e_to_schur():
 
 
 def test_schur_to_monomial_is_kostka():
-    for n in range(8):
+    for n in range(9):
         for lam in partitions_of(n):
             expansion = convert(basis_element(S, lam), M).terms
             for mu in partitions_of(n):
                 assert expansion.get(mu, 0) == kostka(lam, mu)
+
+
+@pytest.mark.parametrize("basis", [M, E, H, S])
+def test_from_p_tables_invert_to_p_tables(basis):
+    """The duality-built inverse tables agree with Gauss-Jordan inversion of
+    the forward tables, the route they replaced."""
+    from symfunc import ring
+
+    for d in range(9):
+        lams = partitions_of(d)
+        table = ring._cached_to_p(basis, d)
+        forward = tuple(
+            tuple(table[lam].get(mu, Fraction(0)) for lam in lams) for mu in lams
+        )
+        inverse = ring._cached_from_p(basis, d)
+        assert mat_mul(inverse, forward) == identity(len(lams))
+        assert inverse == invert(forward)
 
 
 def test_convert_roundtrips():
