@@ -58,6 +58,17 @@ def test_json_output_deterministic(capsys):
     assert obj["table"][0] == [1] * 7
 
 
+# mixed signs and denominators, one degree-8 term per shape family
+CONVERT_D8 = "s:3/7*4,2,1,1+-5/2*3,3,2+2*8+-1/3*2,2,2,1,1+9/11*1,1,1,1,1,1,1,1+-4*5,3"
+
+
+@pytest.mark.parametrize("basis", ["m", "e", "h", "p", "s"])
+def test_convert_golden_byte_identical(capsys, basis):
+    code, out, err = run(capsys, "--format", "json", "convert", CONVERT_D8, basis)
+    assert code == 0 and err == ""
+    assert out.encode() == golden(f"convert_d8_{basis}.json")
+
+
 def test_format_env_override(capsys, monkeypatch):
     monkeypatch.setenv("SYMF_FORMAT", "json")
     code, out, _ = run(capsys, "kostka", "3,2", "2,2,1")
