@@ -1,10 +1,10 @@
 """Symmetric-group characters via the Frobenius characteristic, and the
 Littlewood-Richardson, Kronecker and Young's-rule coefficient families.
 
-Irreducible characters are read off the Schur-to-power-sum transition:
-chi^lam(mu) = z_mu * [p_mu] s_lam. No recursive character rule is used; the
-explicit polynomial modules in matrixreps provide the independent
-cross-check.
+Irreducible characters are rows of ring's Schur pairing table:
+chi^lam(mu) = <s_lam, p_mu> = z_mu * [p_mu] s_lam. No recursive character
+rule is used; the explicit polynomial modules in matrixreps provide the
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .ring import (
     P,
     S,
     SymElement,
-    _cache,
+    _pairing,
     basis_element,
     convert,
     hall_inner,
@@ -89,14 +89,8 @@ def character_row(lam) -> dict[Partition, int]:
     n = sum(lam)
     _coeff_guard(n)
 
-    def compute():
-        pexp = to_p_terms(basis_element(S, lam))
-        return {
-            mu: _int(z_value(mu) * pexp.get(mu, Fraction(0)), f"chi^{lam}({mu})")
-            for mu in partitions_of(n)
-        }
-
-    return _cache.get(("char_row", lam), compute)
+    row = _pairing(S, n)[lam]
+    return {mu: row.get(mu, 0) for mu in partitions_of(n)}
 
 
 def character(lam, mu) -> int:

@@ -680,7 +680,14 @@ def main(argv=None) -> int:
     except (ValueError, InvariantViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(args, text, obj)
+    try:
+        _emit(args, text, obj)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early; send what is still buffered to devnull so
+        # that the flush at interpreter exit stays silent too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

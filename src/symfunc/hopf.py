@@ -28,6 +28,9 @@ from .ring import (
     PolynomialValue,
     SymElement,
     _add_scaled,
+    _clear,
+    _format_terms,
+    _over,
     _p_mul,
     basis_element,
     evaluate,
@@ -51,12 +54,7 @@ class TensorElement:
     def __add__(self, other: "TensorElement") -> "TensorElement":
         other = tensor_convert(other, self.bases)
         out = dict(self.terms)
-        for k, c in other.terms.items():
-            c2 = out.get(k, 0) + c
-            if c2:
-                out[k] = c2
-            elif k in out:
-                del out[k]
+        _add_scaled(out, 1, other.terms)
         return TensorElement(self.bases, out)
 
     def __rmul__(self, scalar) -> "TensorElement":
@@ -71,16 +69,11 @@ class TensorElement:
         b = _to_pp(other)
         out: dict[PairKey, Fraction] = {}
         for (la, ra), ca in a.items():
-            for (lb, rb), cb in b.items():
-                key = (
-                    tuple(sorted(la + lb, reverse=True)),
-                    tuple(sorted(ra + rb, reverse=True)),
-                )
-                c = out.get(key, 0) + ca * cb
-                if c:
-                    out[key] = c
-                elif key in out:
-                    del out[key]
+            shifted = {
+                (tuple(sorted(la + lb, reverse=True)), tuple(sorted(ra + rb, reverse=True))): cb
+                for (lb, rb), cb in b.items()
+            }
+            _add_scaled(out, ca, shifted)
         return TensorElement((P, P), out)
 
     def __eq__(self, other) -> bool:
@@ -92,20 +85,12 @@ class TensorElement:
         return not self.terms
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         bl, br = self.bases
-        pieces = []
-        for lam, mu in sorted(self.terms, key=lambda k: (sum(k[0]) + sum(k[1]), k)):
-            c = self.terms[(lam, mu)]
-            mono = f"{bl}[{format_partition(lam) if lam else ''}](x){br}[{format_partition(mu) if mu else ''}]"
-            mag = abs(c)
-            body = mono if mag == 1 else f"{format_coeff(mag)}*{mono}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
+        return _format_terms(
+            (self.terms[(lam, mu)],
+             f"{bl}[{format_partition(lam) if lam else ''}](x){br}[{format_partition(mu) if mu else ''}]")
+            for lam, mu in sorted(self.terms, key=lambda k: (sum(k[0]) + sum(k[1]), k))
+        )
 
     __repr__ = __str__
 
@@ -130,13 +115,8 @@ def _to_pp(t: TensorElement) -> dict[PairKey, Fraction]:
     for (lam, mu), c in t.terms.items():
         left = to_p_terms(basis_element(t.bases[0], lam))
         right = to_p_terms(basis_element(t.bases[1], mu))
-        for (kl, cl), (kr, cr) in _cartesian(left.items(), right.items()):
-            key = (kl, kr)
-            c2 = out.get(key, 0) + c * cl * cr
-            if c2:
-                out[key] = c2
-            elif key in out:
-                del out[key]
+        for kl, cl in left.items():
+            _add_scaled(out, c * cl, {(kl, kr): cr for kr, cr in right.items()})
     return out
 
 
@@ -218,10 +198,11 @@ def _sum_coproduct_of_p(lam: Partition) -> dict[PairKey, int]:
 
 def coproduct_sum(f: SymElement) -> TensorElement:
     """Delta f = f evaluated on the sum of two alphabets."""
-    out: dict[PairKey, Fraction] = {}
-    for lam, c in to_p_terms(f).items():
-        _add_scaled(out, c, _sum_coproduct_of_p(lam))
-    return TensorElement((P, P), out)
+    den, nums = _clear(to_p_terms(f))
+    acc: dict[PairKey, int] = {}
+    for lam, n in nums.items():
+        _add_scaled(acc, n, _sum_coproduct_of_p(lam))
+    return TensorElement((P, P), _over(acc, den))
 
 
 def coproduct_prod(f: SymElement) -> TensorElement:
@@ -289,14 +270,8 @@ def plethysm(f: SymElement, g: SymElement, scale: int = 1) -> SymElement:
     for lam, c in to_p_terms(f).items():
         term: PExpansion = {(): Fraction(1)}
         for part in lam:
-            sub: PExpansion = {}
-            for mu, cg in gp.items():
-                key = tuple(sorted((part * m for m in mu), reverse=True))
-                c2 = sub.get(key, 0) + scale * cg
-                if c2:
-                    sub[key] = c2
-                elif key in sub:
-                    del sub[key]
+            # p_part[g]: mu -> part * mu is one to one and keeps parts sorted
+            sub = {tuple(part * m for m in mu): scale * cg for mu, cg in gp.items()}
             term = _p_mul(term, sub)
         _add_scaled(out, c, term)
     return sym_element(P, out)
@@ -334,9 +309,5 @@ def plethysm_alphabet_oracle(f: SymElement, g: SymElement, nvars: int):
             sum(e * mono[i] for e, mono in zip(expvec, alphabet))
             for i in range(nvars)
         )
-        c2 = out.get(key, 0) + coeff
-        if c2:
-            out[key] = c2
-        elif key in out:
-            del out[key]
+        _add_scaled(out, coeff, {key: 1})
     return PolynomialValue(nvars, out)

@@ -35,7 +35,7 @@ from .partitions import (
     partitions_of,
     sign as perm_sign,
 )
-from .ring import PolynomialValue, S, basis_element, evaluate
+from .ring import PolynomialValue, S, _add_scaled, basis_element, evaluate
 from .tableaux import Tableau, count_ssyt, f_lambda, standard_tableaux
 
 _REGULAR_CAP = 6
@@ -345,12 +345,7 @@ def specht_polynomial(tab: Tableau) -> dict[tuple[int, ...], int]:
         exps = [0] * n
         for x, e in enumerate(base, start=1):
             exps[word[x - 1] - 1] = e
-        key = tuple(exps)
-        c = out.get(key, 0) + sgn
-        if c:
-            out[key] = c
-        elif key in out:
-            del out[key]
+        _add_scaled(out, sgn, {tuple(exps): 1})
     return out
 
 

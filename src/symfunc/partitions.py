@@ -107,6 +107,7 @@ def dominates(lam: Partition, mu: Partition) -> bool:
     return True
 
 
+@lru_cache(maxsize=4096)
 def z_value(lam: Partition) -> int:
     """prod_i i^{m_i} m_i! over the part multiplicities m_i; 1 for ()."""
     z = 1

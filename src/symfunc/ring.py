@@ -4,28 +4,40 @@ Five classical bases (monomial m, elementary e, complete homogeneous h,
 power sum p, Schur s). Internally everything is routed through the power-sum
 basis, where multiplication is part concatenation, the Hall product is
 diagonal with weights z_lambda, and the omega involution is a sign twist.
-The other bases reach p through cached per-degree transition matrices:
 
-  * h_n = sum over lambda |- n of p_lambda / z_lambda,
-    e_n = sum of (-1)^(n + len(lambda)) p_lambda / z_lambda,
-    extended multiplicatively to h_lambda, e_lambda;
-  * Schur via the Jacobi-Trudi determinant det(h_{lambda_i - i + j}),
-    expanded by a subset-DP Laplace expansion (2^len ring operations
-    instead of len! permutation terms) over the h table;
-  * monomial by back-substitution in p_mu = sum of <p_mu, h_lam> m_lam,
-    which is triangular in the canonical descending-lex order.
+Every other basis b is carried by one integer table per degree, its Hall
+pairing with the power sums, A_b[lam][mu] = <b_lam, p_mu> (integral, since
+m, e, h, s are integral bases and p_mu is integral), stored as sparse rows:
 
-No table is inverted: [b_lam] p_mu = z_mu [p_mu] b*_lam for the Hall dual
-basis b*. The per-degree cache is compute-then-publish: concurrent readers
-never observe a partial table and each (basis, degree) table is computed at
-most once.
+  * h: <h_lam, p_mu> counts the ways to deal mu's parts into rows of lengths
+    lam; row lam extends row lam[1:] one degree lower, because
+    <h_a f, p_mu> = sum over alpha |- a with alpha + beta = mu of
+    z_mu / (z_alpha z_beta) <f, p_beta>;
+  * e: the h table twisted by eps_mu = (-1)^(|mu| - len(mu)) (omega);
+  * s: the Jacobi-Trudi determinant det(h_{lam_i - i + j}) in the h basis,
+    a subset-DP Laplace expansion (2^len terms, not len!) summed over the h
+    table, for the shape of each conjugate pair with fewer rows; the other
+    is its eps twist;
+  * m: <m_lam, p_mu> = [h_lam] p_mu, the product over the parts k of mu of
+    Newton's p_k = sum over lam |- k of (-1)^(len-1) k (len-1)! /
+    prod m_i(lam)! h_lam, multiplied in h by part concatenation.
+
+No table is inverted: [p_mu] b_lam = A_b[lam][mu] / z_mu, and [b_lam] f is
+<f, b*_lam>, a row of the table of the Hall dual basis b* (s for s, h for
+m, m for h, and omega(m), the eps twist of the m table, for e). The kernels
+clear each degree to one denominator, sum in ints and build one Fraction
+per output coefficient. The per-degree cache is compute-then-publish:
+concurrent readers never observe a partial table and each (basis, degree)
+table is computed at most once.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, lcm, prod
 
 from .errors import DegreeCapError, InvariantViolationError
 from .partitions import (
@@ -43,6 +55,8 @@ M, E, H, P, S = "m", "e", "h", "p", "s"
 BASES = (M, E, H, P, S)
 
 PExpansion = dict[Partition, Fraction]
+# A_b[lam][mu] = <b_lam, p_mu>, zero entries left out
+PairingTable = dict[Partition, dict[Partition, int]]
 
 _DEFAULT_MAX_DEGREE = 20
 _max_degree = _DEFAULT_MAX_DEGREE
@@ -102,31 +116,71 @@ def _validate_basis(b: str) -> str:
     return b
 
 
-# --- power-sum primitives ----------------------------------------------------
+def _require_integer(c: Fraction, what: str) -> int:
+    if c.denominator != 1:
+        raise InvariantViolationError(f"{what} came out non-integral: {c}")
+    return int(c)
 
 
-def _p_mul(a: PExpansion, b: PExpansion) -> PExpansion:
-    out: PExpansion = {}
+# --- integer kernels ---------------------------------------------------------
+
+
+def _add_scaled(acc: dict, c, vec: dict) -> None:
+    """acc += c * vec on sparse coefficient dicts, dropping keys that cancel."""
+    for key, coeff in vec.items():
+        c2 = acc.get(key, 0) + c * coeff
+        if c2:
+            acc[key] = c2
+        elif key in acc:
+            del acc[key]
+
+
+def _clear(terms: dict) -> tuple[int, dict]:
+    """(D, D * terms) for D the lcm of the denominators of the values, so
+    that every value of the second is an int."""
+    den = 1
+    for c in terms.values():
+        if den % c.denominator:
+            den = lcm(den, c.denominator)
+    return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
+
+
+def _over(nums: dict, den: int) -> dict:
+    """nums / den as Fractions, zeros left out."""
+    return {k: Fraction(v, den) for k, v in nums.items() if v}
+
+
+def _dot(a: dict, b: dict):
+    """sum over shared keys of a[k] * b[k], walking the shorter dict."""
+    if len(b) < len(a):
+        a, b = b, a
+    return sum(c * b[k] for k, c in a.items() if k in b)
+
+
+def _by_degree(terms: dict) -> dict[int, dict]:
+    """The nonzero terms split into homogeneous chunks, keyed by degree."""
+    chunks: dict[int, dict] = {}
+    for lam, c in terms.items():
+        if c:
+            chunks.setdefault(sum(lam), {})[lam] = c
+    return chunks
+
+
+def _concat_mul(a: dict, b: dict) -> dict:
+    """Product in a basis multiplied by part concatenation (p, or h);
+    cancelled keys may stay as zeros."""
+    out: dict = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
             key = tuple(sorted(ka + kb, reverse=True))
-            c = out.get(key, 0) + ca * cb
-            if c:
-                out[key] = c
-            elif key in out:
-                del out[key]
+            out[key] = out.get(key, 0) + ca * cb
     return out
 
 
-def _h_in_p(n: int) -> PExpansion:
-    return {mu: Fraction(1, z_value(mu)) for mu in partitions_of(n)}
-
-
-def _e_in_p(n: int) -> PExpansion:
-    return {
-        mu: Fraction((-1) ** ((n + len(mu)) % 2), z_value(mu))
-        for mu in partitions_of(n)
-    }
+def _p_mul(a: PExpansion, b: PExpansion) -> PExpansion:
+    da, na = _clear(a)
+    db, nb = _clear(b)
+    return _over(_concat_mul(na, nb), da * db)
 
 
 def _omega_sign(mu: Partition) -> int:
@@ -134,11 +188,11 @@ def _omega_sign(mu: Partition) -> int:
     return -1 if (sum(mu) - len(mu)) % 2 else 1
 
 
-def _multiplicative_in_p(lam: Partition, gen) -> PExpansion:
-    out: PExpansion = {(): Fraction(1)}
-    for part in lam:
-        out = _p_mul(out, gen(part))
-    return out
+def _omega_twist(terms: dict) -> dict:
+    return {mu: _omega_sign(mu) * c for mu, c in terms.items()}
+
+
+# --- the pairing tables ------------------------------------------------------
 
 
 def _jacobi_trudi_h(lam: Partition) -> dict[Partition, int]:
@@ -159,94 +213,86 @@ def _jacobi_trudi_h(lam: Partition) -> dict[Partition, int]:
                 if k < 0:
                     continue
                 sgn = -1 if (i + bin(mask & (bit - 1)).count("1")) % 2 else 1
-                target = nxt.setdefault(mask | bit, {})
-                for mu, c in exp.items():
-                    key = mu if k == 0 else tuple(sorted(mu + (k,), reverse=True))
-                    c2 = target.get(key, 0) + sgn * c
-                    if c2:
-                        target[key] = c2
-                    elif key in target:
-                        del target[key]
+                row = exp if k == 0 else {
+                    tuple(sorted(mu + (k,), reverse=True)): c for mu, c in exp.items()
+                }
+                _add_scaled(nxt.setdefault(mask | bit, {}), sgn, row)
         state = nxt
     (expansion,) = state.values()
     return expansion
 
 
-def _add_scaled(acc: dict, c, vec: dict) -> None:
-    """acc += c * vec on sparse coefficient dicts, dropping keys that cancel."""
-    for key, coeff in vec.items():
-        c2 = acc.get(key, 0) + c * coeff
-        if c2:
-            acc[key] = c2
-        elif key in acc:
-            del acc[key]
+def _newton_in_h(k: int) -> dict[Partition, int]:
+    """p_k in the h basis: (-1)^(len - 1) k (len - 1)! / prod m_i(lam)! at
+    h_lam, where prod m_i(lam)! = z_lam / prod(lam)."""
+    return {
+        lam: (-1) ** (len(lam) - 1) * _require_integer(
+            Fraction(k * factorial(len(lam) - 1) * prod(lam), z_value(lam)),
+            f"Newton coefficient of h_{lam} in p_{k}",
+        )
+        for lam in partitions_of(k)
+    }
 
 
-def _to_p_table(basis: str, degree: int) -> dict[Partition, PExpansion]:
-    """p-expansions of every degree-``degree`` element of ``basis``."""
+def _pairing_table(basis: str, degree: int) -> PairingTable:
+    """A_b[lam][mu] = <b_lam, p_mu> for every lam, mu |- ``degree``."""
+    if not degree:
+        return {(): {(): 1}}
     lams = partitions_of(degree)
-    if basis == P:
-        return {lam: {lam: Fraction(1)} for lam in lams}
     if basis == H:
-        return {lam: _multiplicative_in_p(lam, _h_in_p) for lam in lams}
+        table: PairingTable = {}
+        for lam in lams:
+            row: dict[Partition, int] = {}
+            for beta, c in _pairing(H, degree - lam[0])[lam[1:]].items():
+                zc = z_value(beta)
+                for alpha in partitions_of(lam[0]):
+                    mu = tuple(sorted(alpha + beta, reverse=True))
+                    row[mu] = row.get(mu, 0) + c * z_value(mu) // (z_value(alpha) * zc)
+            table[lam] = row
+        return table
     if basis == E:
-        return {lam: _multiplicative_in_p(lam, _e_in_p) for lam in lams}
-    h_table = _cached_to_p(H, degree)
-    table: dict[Partition, PExpansion] = {}
+        return {lam: _omega_twist(row) for lam, row in _pairing(H, degree).items()}
     if basis == S:
         # s_lam = omega(s_lam'): expand the shape with fewer rows, which
         # comes first in canonical order, and twist it for its conjugate
+        h_table = _pairing(H, degree)
+        table = {}
         for lam in lams:
             conj = conjugate(lam)
             if len(conj) < len(lam):
-                table[lam] = {mu: _omega_sign(mu) * c for mu, c in table[conj].items()}
+                table[lam] = _omega_twist(table[conj])
                 continue
-            acc: PExpansion = {}
+            row = {}
             for nu, c in _jacobi_trudi_h(lam).items():
-                _add_scaled(acc, c, h_table[nu])
-            table[lam] = acc
+                _add_scaled(row, c, h_table[nu])
+            table[lam] = row
         return table
-    # monomial: p_mu - sum over lam coarser than mu of <p_mu, h_lam> m_lam is
-    # <p_mu, h_mu> m_mu, and the coarser lam come earlier in canonical order
+    # monomial: column mu is p_mu = p_(mu_1) p_(mu_2) ... in the h basis
+    newton = {k: _newton_in_h(k) for k in range(1, degree + 1)}
+    cols: dict[Partition, dict[Partition, int]] = {(): {(): 1}}
+
+    def column(mu: Partition) -> dict[Partition, int]:
+        if mu not in cols:
+            cols[mu] = _concat_mul(newton[mu[0]], column(mu[1:]))
+        return cols[mu]
+
+    table = {lam: {} for lam in lams}
     for mu in lams:
-        z = z_value(mu)
-        acc = {mu: Fraction(1)}
-        for lam, m_lam in table.items():
-            c = h_table[lam].get(mu)
+        for lam, c in column(mu).items():
             if c:
-                _add_scaled(acc, -z * c, m_lam)
-        diag = z * h_table[mu][mu]
-        table[mu] = {key: c / diag for key, c in acc.items()}
+                table[lam][mu] = c
     return table
 
 
-def _cached_to_p(basis: str, degree: int) -> dict[Partition, PExpansion]:
+def _pairing(basis: str, degree: int) -> PairingTable:
+    """The cached pairing table of ``basis`` (not p) at one degree."""
     _degree_guard(degree)
-    return _cache.get(("to_p", basis, degree), lambda: _to_p_table(basis, degree))
+    return _cache.get(("pairing", basis, degree), lambda: _pairing_table(basis, degree))
 
 
-# The Hall dual of each basis other than p; that of e is omega(m).
+# The Hall dual of each basis other than p; that of e is omega(m), whose
+# table is the eps twist of the m table.
 _DUAL = {S: S, H: M, M: H, E: M}
-
-
-def _cached_from_p(basis: str, degree: int):
-    """Inverse transition at one degree: matrix C with (target coords) =
-    C . (p coords), both over the canonical partition list. Entry
-    C[lam][mu] = <p_mu, b*_lam> = z_mu [p_mu] b*_lam for the dual basis b*."""
-    _degree_guard(degree)
-
-    def compute():
-        lams = partitions_of(degree)
-        dual = _cached_to_p(_DUAL[basis], degree)
-        weights = [
-            z_value(mu) * (_omega_sign(mu) if basis == E else 1) for mu in lams
-        ]
-        return tuple(
-            tuple(w * dual[lam].get(mu, Fraction(0)) for w, mu in zip(weights, lams))
-            for lam in lams
-        )
-
-    return _cache.get(("from_p", basis, degree), compute)
 
 
 # --- elements ----------------------------------------------------------------
@@ -287,12 +333,7 @@ class SymElement:
     def __add__(self, other: "SymElement") -> "SymElement":
         other = convert(other, self.basis)
         out = dict(self.terms)
-        for lam, c in other.terms.items():
-            c2 = out.get(lam, 0) + c
-            if c2:
-                out[lam] = c2
-            elif lam in out:
-                del out[lam]
+        _add_scaled(out, 1, other.terms)
         return SymElement(self.basis, out)
 
     def __sub__(self, other: "SymElement") -> "SymElement":
@@ -318,20 +359,10 @@ class SymElement:
         return to_p_terms(self) == to_p_terms(other)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        keys = sorted(self.terms, key=_canonical_sort_key)
-        pieces = []
-        for lam in keys:
-            c = self.terms[lam]
-            mono = f"{self.basis}[{format_partition(lam) if lam else ''}]"
-            mag = abs(c)
-            body = mono if mag == 1 else f"{format_coeff(mag)}*{mono}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
+        return _format_terms(
+            (self.terms[lam], f"{self.basis}[{format_partition(lam) if lam else ''}]")
+            for lam in sorted(self.terms, key=_canonical_sort_key)
+        )
 
     __repr__ = __str__
 
@@ -359,33 +390,38 @@ def one(basis: str = P) -> SymElement:
 
 
 def to_p_terms(f: SymElement) -> PExpansion:
-    """The power-sum expansion of ``f`` as a plain dict."""
+    """The power-sum expansion of ``f`` as a plain dict:
+    [p_mu] f = sum over lam of f_lam A_b[lam][mu] / z_mu."""
     if f.basis == P:
         return dict(f.terms)
     out: PExpansion = {}
-    for lam, c in f.terms.items():
-        _add_scaled(out, c, _cached_to_p(f.basis, sum(lam))[lam])
+    for d, chunk in _by_degree(f.terms).items():
+        table = _pairing(f.basis, d)
+        den, nums = _clear(chunk)
+        acc: dict[Partition, int] = {}
+        for lam, n in nums.items():
+            _add_scaled(acc, n, table[lam])
+        for mu, v in acc.items():
+            out[mu] = Fraction(v, den * z_value(mu))
     return out
 
 
 def from_p_terms(basis: str, pexp: PExpansion) -> SymElement:
-    """Re-express a power-sum expansion in ``basis``."""
+    """Re-express a power-sum expansion in ``basis``: [b_lam] f is
+    <f, b*_lam> = sum over mu of [p_mu] f A_b*[lam][mu]."""
     _validate_basis(basis)
     if basis == P:
         return sym_element(P, pexp)
-    by_degree: dict[int, PExpansion] = {}
-    for lam, c in pexp.items():
-        if c:
-            by_degree.setdefault(sum(lam), {})[lam] = c
     out: dict[Partition, Fraction] = {}
-    for d, chunk in by_degree.items():
-        lams = partitions_of(d)
-        inv = _cached_from_p(basis, d)
-        vec = [chunk.get(mu, Fraction(0)) for mu in lams]
-        for i, lam in enumerate(lams):
-            c = sum(inv[i][j] * vec[j] for j in range(len(lams)))
-            if c:
-                out[lam] = c
+    for d, chunk in _by_degree(pexp).items():
+        den, nums = _clear(chunk)
+        if basis == E:
+            nums = _omega_twist(nums)
+        dual = _pairing(_DUAL[basis], d)
+        for lam in partitions_of(d):
+            v = _dot(dual[lam], nums)
+            if v:
+                out[lam] = Fraction(v, den)
     return SymElement(basis, out)
 
 
@@ -400,19 +436,17 @@ def convert(f: SymElement, target: str) -> SymElement:
 def multiply(f: SymElement, g: SymElement) -> SymElement:
     """Ring product; reported in the p basis, where it is part
     concatenation."""
-    return sym_element(P, _p_mul(to_p_terms(f), to_p_terms(g)))
+    return SymElement(P, _p_mul(to_p_terms(f), to_p_terms(g)))
 
 
 def hall_inner(f: SymElement, g: SymElement) -> Fraction:
     """Hall scalar product: diagonal in p with <p_lam, p_lam> = z_lam."""
-    fp = to_p_terms(f)
-    gp = to_p_terms(g)
+    df, fp = _clear(to_p_terms(f))
+    dg, gp = _clear(to_p_terms(g))
     if len(gp) < len(fp):
         fp, gp = gp, fp
-    return sum(
-        (c * gp[lam] * z_value(lam) for lam, c in fp.items() if lam in gp),
-        Fraction(0),
-    )
+    total = sum(c * gp[lam] * z_value(lam) for lam, c in fp.items() if lam in gp)
+    return Fraction(total, df * dg)
 
 
 def omega(f: SymElement) -> SymElement:
@@ -421,36 +455,41 @@ def omega(f: SymElement) -> SymElement:
     On power sums it multiplies p_n by (-1)^(n-1), extended
     multiplicatively; the sign rule is forced by the two identities above.
     """
-    out = {lam: c * _omega_sign(lam) for lam, c in to_p_terms(f).items()}
-    return sym_element(P, out)
-
-
-def _require_integer(c: Fraction, what: str) -> int:
-    if c.denominator != 1:
-        raise InvariantViolationError(f"{what} came out non-integral: {c}")
-    return int(c)
+    return SymElement(P, _omega_twist(to_p_terms(f)))
 
 
 def skew_schur(lam, mu) -> SymElement:
     """The skew Schur function as a Schur expansion,
-    sum over nu of <s_lam, s_mu s_nu> s_nu; zero if mu is not inside lam."""
+    sum over nu of <s_lam, s_mu s_nu> s_nu; zero if mu is not inside lam.
+
+    It is s_mu^perp s_lam, and p_alpha^perp p_rho = z_rho / z_beta p_beta
+    when rho = alpha + beta, so its pairing with p_beta is the sum over
+    alpha |- |mu| of <s_mu, p_alpha> <s_lam, p_(alpha + beta)> / z_alpha."""
     lam = as_partition(lam)
     mu = as_partition(mu)
     if not contains(mu, lam):
         return zero(S)
-    n = sum(lam) - sum(mu)
-    s_lam = basis_element(S, lam)
-    s_mu = basis_element(S, mu)
+    m = sum(mu)
+    row_lam = _pairing(S, sum(lam))[lam]
+    row_mu = _pairing(S, m)[mu]
+    pexp: PExpansion = {}
+    for beta in partitions_of(sum(lam) - m):
+        # scaled by m!, which every z_alpha divides
+        w = sum(
+            c * row_lam.get(tuple(sorted(alpha + beta, reverse=True)), 0)
+            * (factorial(m) // z_value(alpha))
+            for alpha, c in row_mu.items()
+        )
+        if w:
+            pexp[beta] = Fraction(w, factorial(m) * z_value(beta))
     terms: dict[Partition, Fraction] = {}
-    for nu in partitions_of(n):
-        c = hall_inner(s_lam, multiply(s_mu, basis_element(S, nu)))
-        if c:
-            val = _require_integer(c, f"skew Schur coefficient ({lam}/{mu}, {nu})")
-            if val < 0:
-                raise InvariantViolationError(
-                    f"negative skew Schur coefficient {val} at {nu}"
-                )
-            terms[nu] = Fraction(val)
+    for nu, c in from_p_terms(S, pexp).terms.items():
+        val = _require_integer(c, f"skew Schur coefficient ({lam}/{mu}, {nu})")
+        if val < 0:
+            raise InvariantViolationError(
+                f"negative skew Schur coefficient {val} at {nu}"
+            )
+        terms[nu] = Fraction(val)
     return SymElement(S, terms)
 
 
@@ -482,12 +521,7 @@ class PolynomialValue:
         if self.nvars != other.nvars:
             raise ValueError("variable counts differ")
         out = dict(self.terms)
-        for k, c in other.terms.items():
-            c2 = out.get(k, 0) + c
-            if c2:
-                out[k] = c2
-            elif k in out:
-                del out[k]
+        _add_scaled(out, 1, other.terms)
         return PolynomialValue(self.nvars, out)
 
     def __mul__(self, other: "PolynomialValue") -> "PolynomialValue":
@@ -495,20 +529,9 @@ class PolynomialValue:
             raise ValueError("variable counts differ")
         out: dict = {}
         for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                key = tuple(a + b for a, b in zip(ka, kb))
-                c = out.get(key, 0) + ca * cb
-                if c:
-                    out[key] = c
-                elif key in out:
-                    del out[key]
+            shifted = {tuple(a + b for a, b in zip(ka, kb)): cb for kb, cb in other.terms.items()}
+            _add_scaled(out, ca, shifted)
         return PolynomialValue(self.nvars, out)
-
-    def scale(self, c) -> "PolynomialValue":
-        c = Fraction(c)
-        if not c:
-            return PolynomialValue(self.nvars, {})
-        return PolynomialValue(self.nvars, {k: c * v for k, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolynomialValue):
@@ -522,53 +545,44 @@ class PolynomialValue:
         return sum(self.terms.values(), Fraction(0))
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for key in sorted(self.terms, key=lambda k: (-sum(k),) + tuple(-x for x in k)):
-            c = self.terms[key]
-            factors = [
-                f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
-                for i, e in enumerate(key)
-                if e
-            ]
-            mono = "*".join(factors) if factors else "1"
-            mag = abs(c)
-            body = mono if mag == 1 and factors else (
-                f"{format_coeff(mag)}" if not factors else f"{format_coeff(mag)}*{mono}"
-            )
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
+        return _format_terms(
+            (self.terms[key], "*".join(
+                f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}" for i, e in enumerate(key) if e
+            ))
+            for key in sorted(self.terms, key=lambda k: (-sum(k),) + tuple(-x for x in k))
+        )
 
     __repr__ = __str__
 
 
-def poly_one(nvars: int) -> PolynomialValue:
-    return PolynomialValue(nvars, {(0,) * nvars: Fraction(1)})
-
-
-def _p_power_poly(k: int, nvars: int) -> PolynomialValue:
-    terms = {}
-    for i in range(nvars):
-        key = tuple(k if j == i else 0 for j in range(nvars))
-        terms[key] = Fraction(1)
-    return PolynomialValue(nvars, terms)
+def _arrangements(counts: dict[int, int], slots: int):
+    """Every distinct word of length ``slots`` using each value v exactly
+    counts[v] times (the counts sum to ``slots``)."""
+    if not slots:
+        yield ()
+        return
+    for v in list(counts):
+        if counts[v]:
+            counts[v] -= 1
+            for rest in _arrangements(counts, slots - 1):
+                yield (v,) + rest
+            counts[v] += 1
 
 
 def evaluate(f: SymElement, nvars: int) -> PolynomialValue:
-    """The polynomial f(x_1, ..., x_nvars, 0, 0, ...)."""
+    """The polynomial f(x_1, ..., x_nvars, 0, 0, ...): each m_lam with at
+    most nvars parts is the sum of the distinct monomials x^alpha over the
+    rearrangements alpha of lam padded with zeros."""
     if nvars < 0:
         raise ValueError("variable count must be >= 0")
-    out = PolynomialValue(nvars, {})
-    for lam, c in to_p_terms(f).items():
-        term = poly_one(nvars)
-        for part in lam:
-            term = term * _p_power_poly(part, nvars)
-        out = out + term.scale(c)
-    return out
+    out: dict[tuple[int, ...], Fraction] = {}
+    for lam, c in convert(f, M).terms.items():
+        if len(lam) <= nvars:
+            counts = Counter(lam)
+            counts[0] = nvars - len(lam)
+            for alpha in _arrangements(counts, nvars):
+                out[alpha] = c
+    return PolynomialValue(nvars, out)
 
 
 # --- text / JSON forms --------------------------------------------------------
@@ -577,6 +591,18 @@ def evaluate(f: SymElement, nvars: int) -> PolynomialValue:
 def format_coeff(c) -> str:
     c = Fraction(c)
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+
+
+def _format_terms(terms) -> str:
+    """Join (coefficient, monomial) pairs as ``c*mono + ... - mono``: a unit
+    coefficient is left out, an empty monomial (a constant) shows it."""
+    pieces = []
+    for c, mono in terms:
+        mag = format_coeff(abs(c))
+        body = mag if not mono else mono if mag == "1" else f"{mag}*{mono}"
+        sign = ("" if c > 0 else "-") if not pieces else ("+ " if c > 0 else "- ")
+        pieces.append(sign + body)
+    return " ".join(pieces) or "0"
 
 
 def parse_coeff(text: str) -> Fraction:

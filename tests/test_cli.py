@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -7,6 +9,7 @@ from symfunc import characters, matrixreps
 from symfunc.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 @pytest.fixture(autouse=True)
@@ -204,3 +207,21 @@ def test_induced_matrix_via_cli_is_valid_permutation_matrix(capsys):
     obj = json.loads(out)
     m = obj["matrix"]
     assert sorted(sum(1 for x in row if x == "1") for row in m) == [1, 1, 1]
+
+
+def test_closed_reader_gets_no_traceback():
+    """A reader that stops early, as ``| head -c 10`` does, sees exit 1 and
+    an empty stderr. The output (about 290 kB) overfills the pipe, so the
+    writer is still writing when the reader closes."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "symfunc.cli", "--format", "json", "rep", "regular", "5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(10) == b'{"n": 5, "'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""

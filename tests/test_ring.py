@@ -78,19 +78,91 @@ def test_schur_to_monomial_is_kostka():
 
 @pytest.mark.parametrize("basis", [M, E, H, S])
 def test_from_p_tables_invert_to_p_tables(basis):
-    """The duality-built inverse tables agree with Gauss-Jordan inversion of
-    the forward tables, the route they replaced."""
+    """The inverse transition read off the Hall dual's pairing table agrees
+    with Gauss-Jordan inversion of the forward table, and from_p_terms reads
+    exactly that matrix."""
     from symfunc import ring
 
     for d in range(9):
         lams = partitions_of(d)
-        table = ring._cached_to_p(basis, d)
+        table = ring._pairing(basis, d)
         forward = tuple(
-            tuple(table[lam].get(mu, Fraction(0)) for lam in lams) for mu in lams
+            tuple(Fraction(table[lam].get(mu, 0), z_value(mu)) for lam in lams)
+            for mu in lams
         )
-        inverse = ring._cached_from_p(basis, d)
+        dual = ring._pairing(ring._DUAL[basis], d)
+        sign = {mu: (-1) ** (d - len(mu)) if basis == E else 1 for mu in lams}
+        inverse = tuple(
+            tuple(Fraction(sign[mu] * dual[lam].get(mu, 0)) for mu in lams)
+            for lam in lams
+        )
         assert mat_mul(inverse, forward) == identity(len(lams))
         assert inverse == invert(forward)
+        for j, mu in enumerate(lams):
+            column = {lam: inverse[i][j] for i, lam in enumerate(lams) if inverse[i][j]}
+            assert ring.from_p_terms(basis, {mu: Fraction(1)}).terms == column
+
+
+def _murnaghan_nakayama(lam, mu):
+    """chi^lam(mu) by removing border strips of length mu[0], on beta-sets:
+    a strip of length k moves one bead from b to the free position b - k,
+    with the sign (-1)^(beads strictly between)."""
+    if not mu:
+        return 1 if not lam else 0
+    k, ell = mu[0], len(lam)
+    beta = [p + ell - 1 - i for i, p in enumerate(lam)]
+    total = 0
+    for b in beta:
+        if b - k < 0 or b - k in beta:
+            continue
+        sign = (-1) ** sum(1 for c in beta if b - k < c < b)
+        moved = sorted([c for c in beta if c != b] + [b - k], reverse=True)
+        nu = tuple(p for p in (c - (ell - 1 - i) for i, c in enumerate(moved)) if p)
+        total += sign * _murnaghan_nakayama(nu, mu[1:])
+    return total
+
+
+def test_schur_pairing_table_is_murnaghan_nakayama():
+    from symfunc import ring
+
+    for n in range(1, 9):
+        table = ring._pairing(S, n)
+        for lam in partitions_of(n):
+            chars = {mu: _murnaghan_nakayama(lam, mu) for mu in partitions_of(n)}
+            assert table[lam] == {mu: v for mu, v in chars.items() if v}
+
+
+def test_pairing_tables_are_integers_and_e_twists_h():
+    from symfunc import ring
+
+    for d in range(11):
+        for basis in (M, E, H, S):
+            table = ring._pairing(basis, d)
+            assert tuple(table) == partitions_of(d)
+            for row in table.values():
+                assert all(type(v) is int and v for v in row.values())
+        h_table = ring._pairing(H, d)
+        assert ring._pairing(E, d) == {
+            lam: {mu: (-1) ** (d - len(mu)) * c for mu, c in row.items()}
+            for lam, row in h_table.items()
+        }
+
+
+def test_convert_roundtrips_mixed_degrees_and_large_denominators():
+    terms = {
+        (): Fraction(1, 10007),
+        (2, 1): Fraction(3, 65537),
+        (3, 3, 1): Fraction(-7, 3),
+        (5,): Fraction(2),
+        (1, 1, 1, 1, 1, 1): Fraction(5, 10007 * 65537),
+    }
+    for src in BASES:
+        f = sym_element(src, terms)
+        for dst in BASES:
+            g = convert(f, dst)
+            assert g.basis == dst and g.degrees() == f.degrees()
+            assert convert(g, src).terms == f.terms
+            assert convert(zero(src), dst).terms == {}
 
 
 def test_convert_roundtrips():
@@ -366,7 +438,7 @@ def test_transition_cache_concurrent_and_once():
     from symfunc import ring
 
     # degree 11 in the monomial basis is unlikely to be warmed by other tests
-    key = ("to_p", M, 11)
+    key = ("pairing", M, 11)
     ring._cache.compute_counts.pop(key, None)
     ring._cache._data.pop(key, None)
     results = []
