@@ -244,10 +244,11 @@ def _pairing_table(basis: str, degree: int) -> PairingTable:
         for lam in lams:
             row: dict[Partition, int] = {}
             for beta, c in _pairing(H, degree - lam[0])[lam[1:]].items():
-                zc = z_value(beta)
                 for alpha in partitions_of(lam[0]):
                     mu = tuple(sorted(alpha + beta, reverse=True))
-                    row[mu] = row.get(mu, 0) + c * z_value(mu) // (z_value(alpha) * zc)
+                    # z_mu / (z_alpha z_beta) is a product of binomials
+                    ways = z_value(mu) // (z_value(alpha) * z_value(beta))
+                    row[mu] = row.get(mu, 0) + c * ways
             table[lam] = row
         return table
     if basis == E:
