@@ -72,6 +72,16 @@ def test_convert_golden_byte_identical(capsys, basis):
     assert out.encode() == golden(f"convert_d8_{basis}.json")
 
 
+@pytest.mark.parametrize("argv, fname", [
+    (("--format", "json", "rep", "specht", "3,2"), "rep_specht_32.json"),
+    (("rep", "specht", "2,2,1", "--at", "3 1 5 2 4"), "rep_specht_221_at.txt"),
+])
+def test_specht_golden_byte_identical(capsys, argv, fname):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.encode() == golden(fname)
+
+
 def test_format_env_override(capsys, monkeypatch):
     monkeypatch.setenv("SYMF_FORMAT", "json")
     code, out, _ = run(capsys, "kostka", "3,2", "2,2,1")

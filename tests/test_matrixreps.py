@@ -246,6 +246,34 @@ def test_specht_irreducibility_criterion_to_5():
         assert (char_inner(dfn, dfn) == 1) == (n == 1)
 
 
+def _act(pi, poly):
+    """pi . F: the exponent of x_i moves to x_{pi(i)}."""
+    out = {}
+    for key, c in poly.items():
+        moved = [0] * len(key)
+        for i, e in enumerate(key):
+            moved[pi[i] - 1] = e
+        out[tuple(moved)] = c
+    return out
+
+
+def test_specht_matrices_expand_the_moved_polynomials_to_5():
+    # column i of M_pi holds the coordinates of pi . F_{T_i} in the F_{T_j}
+    for lam in partitions_of(5):
+        rep = specht_module(lam)
+        polys = [specht_polynomial(t) for t in standard_tableaux(lam)]
+        for pi in all_permutations(5):
+            m = rep.matrix(pi)
+            assert all(type(x) is int for row in m for x in row), (lam, pi)
+            for i, poly in enumerate(polys):
+                total = {}
+                for j, other in enumerate(polys):
+                    for key, c in other.items():
+                        total[key] = total.get(key, 0) + m[j][i] * c
+                total = {k: c for k, c in total.items() if c}
+                assert total == _act(pi, poly), (lam, pi, i)
+
+
 def test_specht_cap():
     with pytest.raises(DegreeCapError):
         specht_module((3, 2, 1))
