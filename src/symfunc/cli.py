@@ -12,6 +12,7 @@ e.g. s:1*2,1 or p:1/2*2+-1/2*1,1 (a bare partition means coefficient 1).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -477,21 +478,19 @@ def _cmd_schur_weyl(args):
 # --- parser -------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once on first use; main sets the defaults that
+    come from the environment on every call."""
     top = argparse.ArgumentParser(
         prog="symfunc",
         description="Exact symmetric functions and S_n representations",
     )
-    top.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default=os.environ.get("SYMF_FORMAT", "text"),
-    )
+    top.add_argument("--format", choices=("text", "json"), default="text")
     top.add_argument(
         "--max-degree",
         type=int,
-        # a string default goes through type=int, so a bad value is a usage error
-        default=os.environ.get("SYMF_MAX_DEGREE", "0"),
+        default="0",
         help="raise every degree cap to this value",
     )
     sub = top.add_subparsers(dest="command", required=True)
@@ -663,6 +662,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    parser.set_defaults(
+        format=os.environ.get("SYMF_FORMAT", "text"),
+        # a string default goes through type=int, so a bad value is a usage error
+        max_degree=os.environ.get("SYMF_MAX_DEGREE", "0"),
+    )
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,15 +1,15 @@
-"""Dense exact linear algebra over the rationals.
+"""Dense exact matrices for the representations in matrixreps.
 
-Everything is Fraction-or-int valued; matrices are tuples of row tuples.
-Sizes here are small (under ~100 rows at the default degree caps), so plain
-Gaussian elimination is the right tool.
+Matrices are tuples of row tuples with int or Fraction entries. The
+operations are the ones a representation needs: products (homomorphism and
+generator-relation checks), Kronecker products (inner tensor products) and
+block sums (direct sums). No route in the package solves a linear system;
+``invert`` is kept only as an independent oracle for the tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .errors import InvariantViolationError
 
 Matrix = tuple[tuple, ...]
 
@@ -25,10 +25,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
-
-
-def mat_vec(a: Matrix, v) -> list:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -50,7 +46,8 @@ def block_diag(a: Matrix, b: Matrix) -> Matrix:
 def invert(a: Matrix) -> Matrix:
     """Inverse of a square matrix by Gauss-Jordan elimination.
 
-    Raises ValueError on a singular input.
+    Raises ValueError on a singular input. No route in the package calls it:
+    tests/test_ring.py uses it as an oracle for the inverse transition rows.
     """
     d = len(a)
     aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(d)]
@@ -67,44 +64,3 @@ def invert(a: Matrix) -> Matrix:
                 factor = aug[r][col]
                 aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
     return tuple(tuple(row[d:]) for row in aug)
-
-
-class ColumnSpaceSolver:
-    """Repeated exact solves of A x = b for a fixed full-column-rank A.
-
-    Picks a set of pivot rows once, inverts the square subsystem, and checks
-    every solve against the full system so an inconsistent right-hand side
-    raises instead of silently projecting.
-    """
-
-    def __init__(self, a: Matrix):
-        self.a = a
-        self.ncols = len(a[0]) if a else 0
-        self.pivot_rows = self._pick_pivot_rows()
-        square = tuple(a[r] for r in self.pivot_rows)
-        self.inv = invert(square)
-
-    def _pick_pivot_rows(self) -> list[int]:
-        work: list[list[Fraction]] = []
-        chosen: list[int] = []
-        for ridx, row in enumerate(self.a):
-            cand = [Fraction(x) for x in row]
-            for prow in work:
-                lead = next((j for j, x in enumerate(prow) if x != 0))
-                if cand[lead] != 0:
-                    factor = cand[lead] / prow[lead]
-                    cand = [x - factor * y for x, y in zip(cand, prow)]
-            if any(x != 0 for x in cand):
-                work.append(cand)
-                chosen.append(ridx)
-            if len(chosen) == self.ncols:
-                return chosen
-        raise InvariantViolationError("matrix does not have full column rank")
-
-    def solve(self, b) -> list[Fraction]:
-        bsub = [b[r] for r in self.pivot_rows]
-        x = mat_vec(self.inv, bsub)
-        for row, target in zip(self.a, b):
-            if sum(c * xi for c, xi in zip(row, x)) != target:
-                raise InvariantViolationError("inconsistent linear system")
-        return x

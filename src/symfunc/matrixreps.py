@@ -1,10 +1,18 @@
 """Explicit matrix representations of S_n over exact rationals.
 
 Classical representations (trivial, sign, defining, regular, standard),
-Young permutation modules on row-sorted injective tableaux, Specht modules
-spanned by column-antisymmetrized tableau polynomials, induction and
-restriction along subgroups, sums/tensors, exterior-square characters, and
-the GL-side character/dimension checks.
+Young permutation modules on row-sorted injective tableaux, Specht modules,
+induction and restriction along subgroups, sums/tensors, exterior-square
+characters, and the GL-side character/dimension checks.
+
+The Specht module S^lam is spanned by the column-antisymmetrized tableau
+polynomials F_T of the standard tableaux T, which are the standard
+polytabloids e_T written in monomials. These are unitriangular: the tabloid
+{T} dominates every other tabloid of e_T and has coefficient 1 (Sagan, The
+Symmetric Group, 2.5, the standard basis theorem), and dominance implies the
+lexicographic order of exponent vectors. So the matrix of pi is found by
+straightening each pi . F_T in integers along the lexicographically smallest
+monomials, with no linear solve; its entries are ints.
 
 A MatrixRep carries a rule producing the exact matrix of any permutation in
 its domain; matrices are memoized compute-then-publish, so values are
@@ -18,11 +26,11 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations as _perms, product as _cartesian
-from math import factorial
+from math import factorial, prod
 
 from .characters import ClassFunction, char_inner, character_row, class_function, _int
 from .errors import DegreeCapError, InvariantViolationError
-from .linalg import ColumnSpaceSolver, Matrix, block_diag, identity, kron, mat_mul
+from .linalg import Matrix, block_diag, identity, kron, mat_mul
 from .partitions import (
     Partition,
     Permutation,
@@ -36,7 +44,7 @@ from .partitions import (
     sign as perm_sign,
 )
 from .ring import PolynomialValue, S, _add_scaled, basis_element, evaluate
-from .tableaux import Tableau, count_ssyt, f_lambda, standard_tableaux
+from .tableaux import Tableau, f_lambda, hook_content_cells, standard_tableaux
 
 _REGULAR_CAP = 6
 _SPECHT_CAP = 5
@@ -314,52 +322,53 @@ def _column_groups(tab: Tableau) -> list[tuple[int, ...]]:
     return [tuple(v) for _, v in sorted(cols.items())]
 
 
-def specht_polynomial(tab: Tableau) -> dict[tuple[int, ...], int]:
-    """The column antisymmetrization of the injective-tableau monomial
-    x^t = prod over cells of x_{entry}^(row index): a polynomial in
-    x_1..x_n as exponent-vector -> integer."""
-    n = tab.size
-    base = [0] * n
-    for r, row in enumerate(tab.rows):
-        for v in row:
-            base[v - 1] = r
-    out: dict[tuple[int, ...], int] = {}
-    groups = _column_groups(tab)
-    for images in _cartesian(*[_perms(g) for g in groups]):
-        word = list(range(1, n + 1))
-        sgn = 1
-        for src_group, img_group in zip(groups, images):
-            for src, img in zip(src_group, img_group):
-                word[src - 1] = img
-        # sign of the column permutation = product of block signs
-        for src_group, img_group in zip(groups, images):
-            seen = list(img_group)
-            # count inversions relative to src_group order
-            inv = sum(
-                1
-                for a in range(len(seen))
-                for b in range(a + 1, len(seen))
-                if src_group.index(seen[a]) > src_group.index(seen[b])
-            )
-            sgn *= -1 if inv % 2 else 1
-        exps = [0] * n
-        for x, e in enumerate(base, start=1):
-            exps[word[x - 1] - 1] = e
-        _add_scaled(out, sgn, {tuple(exps): 1})
+def _signed_permutations(k: int) -> list[tuple[tuple[int, ...], int]]:
+    """Every permutation of range(k) with its sign (-1)^inversions."""
+    out = []
+    for p in _perms(range(k)):
+        inv = sum(p[a] > p[b] for a in range(k) for b in range(a + 1, k))
+        out.append((p, -1 if inv % 2 else 1))
     return out
 
 
-def _act_exponents(pi: Permutation, key: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(key)
-    for i, e in enumerate(key, start=1):
-        out[pi[i - 1] - 1] = e
-    return tuple(out)
+def specht_polynomial(tab: Tableau) -> dict[tuple[int, ...], int]:
+    """The column antisymmetrization of the injective-tableau monomial
+    x^t = prod over cells of x_{entry}^(row index): a polynomial in
+    x_1..x_n as exponent-vector -> integer. The entries of a column sit in
+    distinct rows, so each column permutation has a monomial of its own."""
+    n = tab.size
+    row_of = [0] * n
+    for r, row in enumerate(tab.rows):
+        for v in row:
+            row_of[v - 1] = r
+    groups = _column_groups(tab)
+    out: dict[tuple[int, ...], int] = {}
+    for choice in _cartesian(*[_signed_permutations(len(g)) for g in groups]):
+        exps = [0] * n
+        sgn = 1
+        for g, (p, s) in zip(groups, choice):
+            sgn *= s
+            for t, pt in enumerate(p):
+                exps[g[pt] - 1] = row_of[g[t] - 1]
+        out[tuple(exps)] = sgn
+    return out
 
 
 def specht_module(lam) -> MatrixRep:
-    """The irreducible module spanned by the standard column-antisymmetrized
-    tableau polynomials; matrices come from exact linear solves in monomial
-    coordinates, dimension = number of standard tableaux."""
+    """The irreducible module S^lam spanned by the polynomials F_T of the
+    standard tableaux T of shape lam; dimension = number of standard tableaux.
+
+    F_T antisymmetrizes x^T, in which the exponent of x_v is the row of v
+    in T; reading each monomial as a tabloid, F_T is the polytabloid e_T.
+    For standard T the tabloid {T} dominates every other tabloid of e_T and
+    has coefficient 1 (Sagan, The Symmetric Group, 2.5). Dominance implies
+    the lexicographic order of exponent vectors: at the first entry where
+    two tabloids differ, the dominant one has it in an earlier row, a
+    smaller exponent. So the lead min(F_T) is {T}, the standard F_T are
+    unitriangular in that order, and pi . F_{T_i} is straightened in
+    integers by one walk through the leads in increasing order. A nonzero
+    residual means pi . F_{T_i} left the span, which raises.
+    """
     lam = as_partition(lam)
     n = sum(lam)
     if n > _SPECHT_CAP:
@@ -369,29 +378,25 @@ def specht_module(lam) -> MatrixRep:
     dim = len(tabs)
     if dim != f_lambda(lam):
         raise InvariantViolationError("Specht dimension != standard tableau count")
-    monomials = sorted(set().union(*polys)) if polys else []
-    mono_index = {m: i for i, m in enumerate(monomials)}
-    a_matrix = tuple(
-        tuple(Fraction(poly.get(m, 0)) for poly in polys) for m in monomials
-    )
-    solver = ColumnSpaceSolver(a_matrix)
+    leads = [min(poly) for poly in polys]
+    order = sorted(range(dim), key=leads.__getitem__)
 
     def fn(pi):
-        cols = []
-        for poly in polys:
-            moved: dict[tuple[int, ...], int] = {}
-            for key, c in poly.items():
-                moved[_act_exponents(pi, key)] = c
-            b = [Fraction(0)] * len(monomials)
-            for key, c in moved.items():
-                idx = mono_index.get(key)
-                if idx is None:
-                    raise InvariantViolationError(
-                        "permuted Specht polynomial left the monomial span"
-                    )
-                b[idx] = Fraction(c)
-            cols.append(solver.solve(b))
-        return tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim))
+        # pi . x^a moves the exponent of x_v to x_{pi(v)}
+        source = [v - 1 for v in inverse_perm(pi)]
+        rows = [[0] * dim for _ in range(dim)]
+        for i, poly in enumerate(polys):
+            residual = {tuple([key[v] for v in source]): c for key, c in poly.items()}
+            for j in order:
+                c = residual.get(leads[j])
+                if c:
+                    rows[j][i] = c
+                    _add_scaled(residual, -c, polys[j])
+            if residual:
+                raise InvariantViolationError(
+                    "permuted Specht polynomial left the span of the standard ones"
+                )
+        return tuple(tuple(row) for row in rows)
 
     return MatrixRep(n, dim, fn, label=f"specht({lam})")
 
@@ -556,11 +561,14 @@ def gl_character(lam, nvars: int) -> PolynomialValue:
 
 def gl_dimension(lam, nvars: int) -> int:
     """Dimension: the number of semistandard tableaux of shape lam with
-    entries at most nvars (zero when the shape has too many rows)."""
+    entries at most nvars, by the hook-content formula
+    prod over cells u of (nvars + c(u)) / h(u) (zero when the shape has too
+    many rows)."""
     lam = as_partition(lam)
     if len(lam) > nvars:
         return 0
-    return count_ssyt(lam, nvars)
+    cells = hook_content_cells(lam)
+    return prod(nvars + c for _, c in cells) // prod(h for h, _ in cells)
 
 
 def schur_weyl_check(n: int, m: int) -> bool:

@@ -10,8 +10,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial, prod
 
-from .partitions import Partition, as_partition, contains
+from .partitions import Partition, as_partition, conjugate, contains
 
 __all__ = [
     "SkewShape",
@@ -20,6 +21,7 @@ __all__ = [
     "count_ssyt",
     "kostka",
     "f_lambda",
+    "hook_content_cells",
     "standard_tableaux",
     "rsk",
     "rsk_inverse",
@@ -164,43 +166,11 @@ def enumerate_ssyt(shape, max_entry: int, content: tuple[int, ...] | None = None
 
 
 def count_ssyt(shape, max_entry: int, content: tuple[int, ...] | None = None) -> int:
-    """Count without materializing (same backtracking as enumerate_ssyt)."""
-    skew = _as_skew(shape)
-    cells = skew.cells()
-    ncells = len(cells)
-    if content is not None and sum(content) != ncells:
-        return 0
-    remaining = list(content) if content is not None else None
-    grid: dict[tuple[int, int], int] = {}
-
-    def backtrack(k: int) -> int:
-        if k == ncells:
-            return 1
-        r, c = cells[k]
-        lo = 1
-        left = grid.get((r, c - 1))
-        if left is not None:
-            lo = max(lo, left)
-        above = grid.get((r - 1, c))
-        if above is not None:
-            lo = max(lo, above + 1)
-        total = 0
-        for v in range(lo, max_entry + 1):
-            if remaining is not None:
-                if v > len(remaining) or remaining[v - 1] == 0:
-                    continue
-                remaining[v - 1] -= 1
-            grid[(r, c)] = v
-            total += backtrack(k + 1)
-            del grid[(r, c)]
-            if remaining is not None:
-                remaining[v - 1] += 1
-        return total
-
-    return backtrack(0)
+    """Number of fillings that enumerate_ssyt streams for the same arguments."""
+    return sum(1 for _ in enumerate_ssyt(shape, max_entry, content))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def kostka(lam: Partition, mu: Partition) -> int:
     """Number of semistandard tableaux of shape ``lam`` and content ``mu``.
 
@@ -216,13 +186,20 @@ def kostka(lam: Partition, mu: Partition) -> int:
     return count_ssyt(lam, len(mu), mu)
 
 
-def f_lambda(lam: Partition) -> int:
-    """Number of standard tableaux of shape ``lam`` (direct enumeration)."""
+def hook_content_cells(lam: Partition) -> list[tuple[int, int]]:
+    """(hook length, content) of every cell of ``lam``, row by row; the
+    content of the cell in row r and column c is c - r."""
     lam = as_partition(lam)
-    n = sum(lam)
-    if n == 0:
-        return 1
-    return kostka(lam, (1,) * n)
+    lam_t = conjugate(lam)
+    return [(lam[r] - c + lam_t[c] - r - 1, c - r)
+            for r in range(len(lam)) for c in range(lam[r])]
+
+
+def f_lambda(lam: Partition) -> int:
+    """Number of standard tableaux of shape ``lam``, by the hook-length
+    formula n! / prod of the hook lengths."""
+    lam = as_partition(lam)
+    return factorial(sum(lam)) // prod(h for h, _ in hook_content_cells(lam))
 
 
 def standard_tableaux(lam: Partition) -> list[Tableau]:

@@ -82,11 +82,26 @@ def test_specht_golden_byte_identical(capsys, argv, fname):
     assert out.encode() == golden(fname)
 
 
+def test_flambda_of_a_large_staircase(capsys):
+    code, out, err = run(capsys, "flambda", "8,7,6,5,4,3,2,1")
+    assert code == 0 and err == ""
+    assert out == "29258366996258488320\n"
+
+
 def test_format_env_override(capsys, monkeypatch):
     monkeypatch.setenv("SYMF_FORMAT", "json")
     code, out, _ = run(capsys, "kostka", "3,2", "2,2,1")
     assert code == 0
     assert json.loads(out) == 2
+
+
+def test_env_defaults_are_read_on_every_call(capsys, monkeypatch):
+    monkeypatch.setenv("SYMF_FORMAT", "json")
+    code, out, _ = run(capsys, "conjugate", "3,1")
+    assert code == 0 and json.loads(out) == [2, 1, 1]
+    monkeypatch.setenv("SYMF_FORMAT", "text")
+    code, out, _ = run(capsys, "conjugate", "3,1")
+    assert code == 0 and out == "2,1,1\n"
 
 
 def test_usage_error_exit_2(capsys):

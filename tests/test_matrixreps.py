@@ -25,11 +25,13 @@ from symfunc.matrixreps import (
     direct_sum,
     exterior_square_character,
     gl_character,
+    get_rep_caps,
     gl_dimension,
     induce,
     lex_transversal,
     restrict,
     schur_weyl_check,
+    set_rep_caps,
     sign_of,
     specht_module,
     specht_polynomial,
@@ -257,21 +259,39 @@ def _act(pi, poly):
     return out
 
 
-def test_specht_matrices_expand_the_moved_polynomials_to_5():
+def _check_expands_moved_polynomials(lam, perms):
     # column i of M_pi holds the coordinates of pi . F_{T_i} in the F_{T_j}
+    rep = specht_module(lam)
+    polys = [specht_polynomial(t) for t in standard_tableaux(lam)]
+    for pi in perms:
+        m = rep.matrix(pi)
+        assert all(type(x) is int for row in m for x in row), (lam, pi)
+        for i, poly in enumerate(polys):
+            total = {}
+            for j, other in enumerate(polys):
+                for key, c in other.items():
+                    total[key] = total.get(key, 0) + m[j][i] * c
+            total = {k: c for k, c in total.items() if c}
+            assert total == _act(pi, poly), (lam, pi, i)
+
+
+def test_specht_matrices_expand_the_moved_polynomials_to_5():
     for lam in partitions_of(5):
-        rep = specht_module(lam)
-        polys = [specht_polynomial(t) for t in standard_tableaux(lam)]
-        for pi in all_permutations(5):
-            m = rep.matrix(pi)
-            assert all(type(x) is int for row in m for x in row), (lam, pi)
-            for i, poly in enumerate(polys):
-                total = {}
-                for j, other in enumerate(polys):
-                    for key, c in other.items():
-                        total[key] = total.get(key, 0) + m[j][i] * c
-                total = {k: c for k, c in total.items() if c}
-                assert total == _act(pi, poly), (lam, pi, i)
+        _check_expands_moved_polynomials(lam, all_permutations(5))
+
+
+def test_specht_matrices_expand_the_moved_polynomials_at_321():
+    # (3,2,1) is the smallest shape whose standard tableaux, in row-major
+    # order, are not sorted by their leading monomials
+    caps = get_rep_caps()
+    set_rep_caps(specht=6)
+    try:
+        rng = random.Random(61)
+        perms = [adjacent_transposition(6, i) for i in range(1, 6)]
+        perms += [tuple(rng.sample(range(1, 7), 6)) for _ in range(4)]
+        _check_expands_moved_polynomials((3, 2, 1), perms)
+    finally:
+        set_rep_caps(*caps)
 
 
 def test_specht_cap():
@@ -514,6 +534,13 @@ def test_gl_character_and_dimension():
     for lam in partitions_of(4):
         for m in range(1, 5):
             assert gl_character(lam, m).at_ones() == gl_dimension(lam, m)
+
+
+def test_gl_dimension_hook_content_matches_ssyt_count():
+    for n in range(0, 7):
+        for lam in partitions_of(n):
+            for m in range(0, 7):
+                assert gl_dimension(lam, m) == count_ssyt(lam, m), (lam, m)
 
 
 def test_schur_weyl_fixtures():

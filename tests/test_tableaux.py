@@ -112,6 +112,13 @@ def test_f_lambda_squares_sum_to_factorial():
         assert sum(f_lambda(lam) ** 2 for lam in partitions_of(n)) == factorial(n)
 
 
+def test_f_lambda_hook_length_matches_enumeration_to_8():
+    # the hook-length formula against the standard tableaux it counts
+    for n in range(0, 9):
+        for lam in partitions_of(n):
+            assert f_lambda(lam) == len(standard_tableaux(lam)) == kostka(lam, (1,) * n)
+
+
 def test_rsk_trivial_cases():
     p, q = rsk(())
     assert p.rows == () and q.rows == ()
