@@ -96,6 +96,7 @@ def test_format_env_override(capsys, monkeypatch):
 
 
 def test_env_defaults_are_read_on_every_call(capsys, monkeypatch):
+    # the parser is built once; the environment is read on every call
     monkeypatch.setenv("SYMF_FORMAT", "json")
     code, out, _ = run(capsys, "conjugate", "3,1")
     assert code == 0 and json.loads(out) == [2, 1, 1]

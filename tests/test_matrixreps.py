@@ -24,8 +24,8 @@ from symfunc.matrixreps import (
     decompose,
     direct_sum,
     exterior_square_character,
-    gl_character,
     get_rep_caps,
+    gl_character,
     gl_dimension,
     induce,
     lex_transversal,
