@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegreeCapError, InvariantViolationError, SizeMismatchError
+from . import limits
+from .errors import InvariantViolationError, SizeMismatchError
 from .partitions import Partition, as_partition, partitions_of, z_value
 from .ring import (
     H,
@@ -27,26 +28,6 @@ from .ring import (
     sym_element,
     to_p_terms,
 )
-
-_table_cap = 8
-_coefficient_cap = 12
-
-
-def set_caps(table: int | None = None, coefficient: int | None = None) -> None:
-    """Adjust the degree caps (defaults: tables n<=8, coefficients n<=12)."""
-    global _table_cap, _coefficient_cap
-    if table is not None:
-        _table_cap = table
-    if coefficient is not None:
-        _coefficient_cap = coefficient
-
-
-def _coeff_guard(n: int) -> None:
-    if n > _coefficient_cap:
-        raise DegreeCapError(
-            f"degree {n} exceeds the coefficient cap {_coefficient_cap}"
-        )
-
 
 @dataclass(frozen=True, eq=True)
 class ClassFunction:
@@ -87,7 +68,7 @@ def character_row(lam) -> dict[Partition, int]:
     """All values of the irreducible character chi^lam, keyed by class."""
     lam = as_partition(lam)
     n = sum(lam)
-    _coeff_guard(n)
+    limits.check("coefficient", n)
 
     row = _pairing(S, n)[lam]
     return {mu: row.get(mu, 0) for mu in partitions_of(n)}
@@ -113,8 +94,7 @@ def character_table(n: int) -> list[list[int]]:
     (1^n) upward (ascending lex), so column 0 holds the degrees f^lam."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    if n > _table_cap:
-        raise DegreeCapError(f"character tables are capped at n <= {_table_cap}")
+    limits.check("table", n)
     cols = table_columns(n)
     return [[character_row(lam)[mu] for mu in cols] for lam in partitions_of(n)]
 
@@ -157,7 +137,7 @@ def littlewood_richardson(lam, mu, nu) -> int:
     lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
     if sum(lam) != sum(mu) + sum(nu):
         return 0
-    _coeff_guard(sum(lam))
+    limits.check("coefficient", sum(lam))
     c = hall_inner(
         basis_element(S, lam), multiply(basis_element(S, mu), basis_element(S, nu))
     )
@@ -175,7 +155,7 @@ def kronecker(lam, mu, nu) -> int:
     n = sum(lam)
     if sum(mu) != n or sum(nu) != n:
         return 0
-    _coeff_guard(n)
+    limits.check("coefficient", n)
     rows = (character_row(lam), character_row(mu), character_row(nu))
     total = sum(
         Fraction(rows[0][rho] * rows[1][rho] * rows[2][rho], z_value(rho))
@@ -207,7 +187,7 @@ def youngs_rule(mu) -> dict[Partition, int]:
     module indexed by mu; equals the Schur expansion of h_mu, i.e. the
     Kostka numbers K_{lam,mu}."""
     mu = as_partition(mu)
-    _coeff_guard(sum(mu))
+    limits.check("coefficient", sum(mu))
     expansion = convert(basis_element(H, mu), S)
     return {
         lam: _int(c, f"Young's-rule multiplicity of {lam} in H^{mu}")

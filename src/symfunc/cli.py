@@ -16,9 +16,8 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
-from . import characters, hopf, matrixreps, ring, tableaux
+from . import characters, hopf, limits, matrixreps, ring, tableaux
 from .errors import InvariantViolationError
 from .partitions import (
     cycle_type,
@@ -129,6 +128,21 @@ def _elem(text: str) -> ring.SymElement:
     return ring.parse_sym_element(text)
 
 
+def _sym_out(f: ring.SymElement, basis: str):
+    out = ring.convert(f, basis)
+    return str(out), ring.sym_to_json(out)
+
+
+def _poly_out(poly: ring.PolynomialValue):
+    return str(poly), {
+        "variables": poly.nvars,
+        "terms": [
+            {"exponents": list(k), "coeff": ring.format_coeff(c)}
+            for k, c in sorted(poly.terms.items())
+        ],
+    }
+
+
 def _emit(args, text: str, obj) -> None:
     if args.format == "json":
         print(json.dumps(obj))
@@ -206,19 +220,19 @@ def _cmd_rsk(args):
 
 def _tableau_from_json(text: str) -> tableaux.Tableau:
     rows = json.loads(text)
-    shape = tuple(len(r) for r in rows)
-    return tableaux.Tableau(shape, tuple(tuple(int(x) for x in r) for r in rows))
+    if not isinstance(rows, list) or not all(
+        isinstance(r, list) and all(type(x) is int for x in r) for r in rows
+    ):
+        raise ValueError(f"tableau must be a JSON list of lists of integers: {text!r}")
+    return tableaux.Tableau(tuple(map(len, rows)), tuple(map(tuple, rows)))
 
 
 def _cmd_convert(args):
-    out = ring.convert(_elem(args.element), args.basis)
-    return str(out), ring.sym_to_json(out)
+    return _sym_out(_elem(args.element), args.basis)
 
 
 def _cmd_multiply(args):
-    out = ring.multiply(_elem(args.f), _elem(args.g))
-    out = ring.convert(out, args.basis)
-    return str(out), ring.sym_to_json(out)
+    return _sym_out(ring.multiply(_elem(args.f), _elem(args.g)), args.basis)
 
 
 def _cmd_inner(args):
@@ -227,32 +241,21 @@ def _cmd_inner(args):
 
 
 def _cmd_omega(args):
-    out = ring.convert(ring.omega(_elem(args.element)), args.basis)
-    return str(out), ring.sym_to_json(out)
+    return _sym_out(ring.omega(_elem(args.element)), args.basis)
 
 
 def _cmd_skew(args):
     out = ring.skew_schur(parse_partition(args.lam), parse_partition(args.mu))
-    out = ring.convert(out, args.basis)
-    return str(out), ring.sym_to_json(out)
+    return _sym_out(out, args.basis)
 
 
 def _cmd_perp(args):
     out = ring.perp(parse_partition(args.mu), _elem(args.element))
-    out = ring.convert(out, args.basis)
-    return str(out), ring.sym_to_json(out)
+    return _sym_out(out, args.basis)
 
 
 def _cmd_evaluate(args):
-    poly = ring.evaluate(_elem(args.element), args.nvars)
-    obj = {
-        "variables": args.nvars,
-        "terms": [
-            {"exponents": list(k), "coeff": ring.format_coeff(c)}
-            for k, c in sorted(poly.terms.items())
-        ],
-    }
-    return str(poly), obj
+    return _poly_out(ring.evaluate(_elem(args.element), args.nvars))
 
 
 def _cmd_char(args):
@@ -297,10 +300,9 @@ def _cmd_ch(args):
         key, sep, val = pair.partition("=")
         if not sep:
             raise ValueError(f"class value must look like MU=VALUE: {pair!r}")
-        values[parse_partition(key)] = Fraction(val)
+        values[parse_partition(key)] = ring.parse_coeff(val)
     cf = characters.class_function(args.n, values)
-    out = ring.convert(characters.frobenius_ch(cf), args.basis)
-    return str(out), ring.sym_to_json(out)
+    return _sym_out(characters.frobenius_ch(cf), args.basis)
 
 
 def _cmd_ch_inverse(args):
@@ -308,24 +310,22 @@ def _cmd_ch_inverse(args):
     return _classfn_text(cf), _classfn_json(cf)
 
 
-def _cmd_lr(args):
-    v = characters.littlewood_richardson(
-        parse_partition(args.lam), parse_partition(args.mu), parse_partition(args.nu)
-    )
+def _coefficient(fn, args):
+    v = fn(*(parse_partition(x) for x in (args.lam, args.mu, args.nu)))
     return str(v), v
+
+
+def _cmd_lr(args):
+    return _coefficient(characters.littlewood_richardson, args)
 
 
 def _cmd_kronecker(args):
-    v = characters.kronecker(
-        parse_partition(args.lam), parse_partition(args.mu), parse_partition(args.nu)
-    )
-    return str(v), v
+    return _coefficient(characters.kronecker, args)
 
 
 def _cmd_kron_product(args):
     out = characters.kronecker_product(_elem(args.f), _elem(args.g))
-    out = ring.convert(out, args.basis)
-    return str(out), ring.sym_to_json(out)
+    return _sym_out(out, args.basis)
 
 
 def _cmd_youngs_rule(args):
@@ -333,27 +333,25 @@ def _cmd_youngs_rule(args):
     return _mults_text(mults), _mults_json(mults)
 
 
-def _cmd_coproduct(args):
+def _coproduct(coproduct, counit, args):
     f = _elem(args.element)
     if args.counit:
-        v = hopf.counit(f)
+        v = counit(f)
         return ring.format_coeff(v), ring.format_coeff(v)
-    t = hopf.tensor_convert(hopf.coproduct_sum(f), tuple(args.bases.split(",")))
+    t = hopf.tensor_convert(coproduct(f), tuple(args.bases.split(",")))
     return str(t), hopf.tensor_to_json(t)
+
+
+def _cmd_coproduct(args):
+    return _coproduct(hopf.coproduct_sum, hopf.counit, args)
 
 
 def _cmd_coproduct_star(args):
-    f = _elem(args.element)
-    if args.counit:
-        v = hopf.counit_star(f)
-        return ring.format_coeff(v), ring.format_coeff(v)
-    t = hopf.tensor_convert(hopf.coproduct_prod(f), tuple(args.bases.split(",")))
-    return str(t), hopf.tensor_to_json(t)
+    return _coproduct(hopf.coproduct_prod, hopf.counit_star, args)
 
 
 def _cmd_antipode(args):
-    out = ring.convert(hopf.antipode(_elem(args.element)), args.basis)
-    return str(out), ring.sym_to_json(out)
+    return _sym_out(hopf.antipode(_elem(args.element)), args.basis)
 
 
 def _cmd_cauchy(args):
@@ -364,8 +362,7 @@ def _cmd_cauchy(args):
 
 def _cmd_plethysm(args):
     out = hopf.plethysm(_elem(args.f), _elem(args.g), scale=args.scale)
-    out = ring.convert(out, args.basis)
-    return str(out), ring.sym_to_json(out)
+    return _sym_out(out, args.basis)
 
 
 def _cmd_rep(args):
@@ -454,15 +451,7 @@ def _cmd_ext2(args):
 
 
 def _cmd_gl_char(args):
-    poly = matrixreps.gl_character(parse_partition(args.lam), args.nvars)
-    obj = {
-        "variables": args.nvars,
-        "terms": [
-            {"exponents": list(k), "coeff": ring.format_coeff(c)}
-            for k, c in sorted(poly.terms.items())
-        ],
-    }
-    return str(poly), obj
+    return _poly_out(matrixreps.gl_character(parse_partition(args.lam), args.nvars))
 
 
 def _cmd_gl_dim(args):
@@ -671,16 +660,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.max_degree:
-        ring.set_max_degree(max(args.max_degree, ring.get_max_degree()))
-        characters.set_caps(
-            table=max(args.max_degree, 8), coefficient=max(args.max_degree, 12)
-        )
-        matrixreps.set_rep_caps(
-            *(max(args.max_degree, cap) for cap in matrixreps.get_rep_caps())
-        )
     try:
-        text, obj = args.handler(args)
+        with limits.scoped(limits.current().raised(args.max_degree)):
+            text, obj = args.handler(args)
     except (ValueError, InvariantViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -28,8 +28,9 @@ from fractions import Fraction
 from itertools import combinations, permutations as _perms, product as _cartesian
 from math import factorial, prod
 
+from . import limits
 from .characters import ClassFunction, char_inner, character_row, class_function, _int
-from .errors import DegreeCapError, InvariantViolationError
+from .errors import InvariantViolationError
 from .linalg import Matrix, block_diag, identity, kron, mat_mul
 from .partitions import (
     Partition,
@@ -46,25 +47,11 @@ from .partitions import (
 from .ring import PolynomialValue, S, _add_scaled, basis_element, evaluate
 from .tableaux import Tableau, f_lambda, hook_content_cells, standard_tableaux
 
-_REGULAR_CAP = 6
-_SPECHT_CAP = 5
-_YOUNG_CAP = 6
-
-
-def set_rep_caps(regular: int | None = None, specht: int | None = None,
-                 young: int | None = None) -> None:
-    global _REGULAR_CAP, _SPECHT_CAP, _YOUNG_CAP
-    if regular is not None:
-        _REGULAR_CAP = regular
-    if specht is not None:
-        _SPECHT_CAP = specht
-    if young is not None:
-        _YOUNG_CAP = young
-
-
-def get_rep_caps() -> tuple[int, int, int]:
-    """The (regular, specht, young) degree caps."""
-    return _REGULAR_CAP, _SPECHT_CAP, _YOUNG_CAP
+def set_rep_caps(**caps: int) -> None:
+    """Replace caps of the library-wide default, as limits.set_default does.
+    Kept under this name because the reps benchmark raises the Specht cap
+    through it; new code calls symfunc.limits directly."""
+    limits.set_default(**caps)
 
 
 @dataclass(frozen=True)
@@ -160,9 +147,9 @@ class MatrixRep:
                 self._memo[pi] = self._matrix_fn(pi)
             return self._memo[pi]
 
-    def trace(self, perm) -> Fraction:
+    def trace(self, perm) -> int:
         m = self.matrix(perm)
-        return sum((m[i][i] for i in range(self.dim)), Fraction(0))
+        return sum(m[i][i] for i in range(self.dim))
 
     def generator_matrices(self) -> dict[int, Matrix]:
         """Matrices of the adjacent transpositions s_1..s_{n-1} (full-group
@@ -201,11 +188,9 @@ def classical_rep(kind: str, n: int) -> MatrixRep:
     if n < 1:
         raise ValueError("n must be >= 1")
     if kind == "trivial":
-        return MatrixRep(n, 1, lambda pi: ((Fraction(1),),), label=f"trivial(S_{n})")
+        return MatrixRep(n, 1, lambda pi: ((1,),), label=f"trivial(S_{n})")
     if kind == "sign":
-        return MatrixRep(
-            n, 1, lambda pi: ((Fraction(perm_sign(pi)),),), label=f"sign(S_{n})"
-        )
+        return MatrixRep(n, 1, lambda pi: ((perm_sign(pi),),), label=f"sign(S_{n})")
     if kind == "defining":
         return MatrixRep(
             n,
@@ -214,8 +199,7 @@ def classical_rep(kind: str, n: int) -> MatrixRep:
             label=f"defining(S_{n})",
         )
     if kind == "regular":
-        if n > _REGULAR_CAP:
-            raise DegreeCapError(f"regular representation capped at n <= {_REGULAR_CAP}")
+        limits.check("regular", n)
         basis = list(all_permutations(n))
         index = {g: i for i, g in enumerate(basis)}
 
@@ -294,8 +278,7 @@ def young_module(lam) -> MatrixRep:
     shape lam; dimension n! / prod(lam_i!)."""
     lam = as_partition(lam)
     n = sum(lam)
-    if n > _YOUNG_CAP:
-        raise DegreeCapError(f"Young modules capped at n <= {_YOUNG_CAP}")
+    limits.check("young", n)
     basis = young_basis(lam)
     index = {b: i for i, b in enumerate(basis)}
     dim = factorial(n)
@@ -371,8 +354,7 @@ def specht_module(lam) -> MatrixRep:
     """
     lam = as_partition(lam)
     n = sum(lam)
-    if n > _SPECHT_CAP:
-        raise DegreeCapError(f"Specht modules capped at n <= {_SPECHT_CAP}")
+    limits.check("specht", n)
     tabs = standard_tableaux(lam)
     polys = [specht_polynomial(t) for t in tabs]
     dim = len(tabs)
@@ -436,7 +418,7 @@ def induce(rep: MatrixRep, n: int, transversal=None) -> MatrixRep:
             raise ValueError("not a transversal of the subgroup")
     k = len(ts)
     d = rep.dim
-    zero_block = tuple(tuple(Fraction(0) for _ in range(d)) for _ in range(d))
+    zero_block = ((0,) * d,) * d
     sub_set = set(sub.elements)
     t_invs = [inverse_perm(t) for t in ts]
 
@@ -472,14 +454,14 @@ def restrict(rep: MatrixRep, subgroup: SubgroupSpec) -> MatrixRep:
 
 def trivial_of(subgroup: SubgroupSpec) -> MatrixRep:
     return MatrixRep(
-        subgroup.n, 1, lambda pi: ((Fraction(1),),), domain=subgroup,
+        subgroup.n, 1, lambda pi: ((1,),), domain=subgroup,
         label=f"trivial({subgroup.n})",
     )
 
 
 def sign_of(subgroup: SubgroupSpec) -> MatrixRep:
     return MatrixRep(
-        subgroup.n, 1, lambda pi: ((Fraction(perm_sign(pi)),),), domain=subgroup,
+        subgroup.n, 1, lambda pi: ((perm_sign(pi),),), domain=subgroup,
         label=f"sign({subgroup.n})",
     )
 

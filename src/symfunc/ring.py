@@ -39,7 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm, prod
 
-from .errors import DegreeCapError, InvariantViolationError
+from . import limits
+from .errors import InvariantViolationError
 from .partitions import (
     Partition,
     as_partition,
@@ -57,29 +58,6 @@ BASES = (M, E, H, P, S)
 PExpansion = dict[Partition, Fraction]
 # A_b[lam][mu] = <b_lam, p_mu>, zero entries left out
 PairingTable = dict[Partition, dict[Partition, int]]
-
-_DEFAULT_MAX_DEGREE = 20
-_max_degree = _DEFAULT_MAX_DEGREE
-
-
-def set_max_degree(n: int) -> None:
-    """Raise or lower the transition-cache degree bound (default 20)."""
-    global _max_degree
-    if n < 0:
-        raise ValueError("max degree must be >= 0")
-    _max_degree = n
-
-
-def get_max_degree() -> int:
-    return _max_degree
-
-
-def _degree_guard(d: int) -> None:
-    if d > _max_degree:
-        raise DegreeCapError(
-            f"degree {d} exceeds the configured cap {_max_degree}; "
-            "raise it with set_max_degree()"
-        )
 
 
 class _OnceCache:
@@ -287,7 +265,7 @@ def _pairing_table(basis: str, degree: int) -> PairingTable:
 
 def _pairing(basis: str, degree: int) -> PairingTable:
     """The cached pairing table of ``basis`` (not p) at one degree."""
-    _degree_guard(degree)
+    limits.check("ring", degree)
     return _cache.get(("pairing", basis, degree), lambda: _pairing_table(basis, degree))
 
 
@@ -318,9 +296,6 @@ class SymElement:
 
     def degrees(self) -> set[int]:
         return {sum(lam) for lam in self.terms}
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
 
     def degree(self) -> int:
         return max((sum(lam) for lam in self.terms), default=0)
@@ -607,7 +582,12 @@ def _format_terms(terms) -> str:
 
 
 def parse_coeff(text: str) -> Fraction:
-    return Fraction(text)
+    """A rational literal such as ``3`` or ``-1/2``; a zero denominator is a
+    ValueError like any other malformed literal."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in coefficient {text!r}") from None
 
 
 def sym_to_json(f: SymElement) -> dict:
@@ -643,7 +623,7 @@ def parse_sym_element(text: str) -> SymElement:
             raise ValueError(f"empty term in element literal {text!r}")
         if "*" in tok:
             coeff_s, part_s = tok.split("*", 1)
-            coeff = Fraction(coeff_s.strip())
+            coeff = parse_coeff(coeff_s.strip())
         else:
             coeff, part_s = Fraction(1), tok
         lam = parse_partition(part_s.strip())

@@ -5,20 +5,10 @@ import sys
 
 import pytest
 
-from symfunc import characters, matrixreps
 from symfunc.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-
-
-@pytest.fixture(autouse=True)
-def default_caps():
-    """--max-degree raises module-level caps; later tests see the defaults."""
-    rep_caps = matrixreps.get_rep_caps()
-    yield
-    characters.set_caps(table=8, coefficient=12)
-    matrixreps.set_rep_caps(*rep_caps)
 
 
 def run(capsys, *argv):
@@ -194,6 +184,20 @@ def test_max_degree_flag_raises_rep_caps(capsys):
     assert code == 0 and json.loads(out)["dim"] == 16
 
 
+@pytest.mark.parametrize("raise_argv, probe_argv", [
+    (("--max-degree", "10", "chartable", "9"), ("chartable", "10")),
+    (("--max-degree", "10", "rep", "specht", "3,2,1"), ("rep", "specht", "3,2,1")),
+    (("--max-degree", "25", "chartable", "3"), ("convert", "s:21", "p")),
+])
+def test_max_degree_ends_with_its_call(capsys, raise_argv, probe_argv):
+    """A raised cap holds for its own call only; the next call in the same
+    process sees the default caps again."""
+    code, _, err = run(capsys, *raise_argv)
+    assert code == 0, err
+    code, out, err = run(capsys, *probe_argv)
+    assert code == 1 and out == "" and "capped" in err
+
+
 def test_max_degree_env_override(capsys, monkeypatch):
     monkeypatch.setenv("SYMF_MAX_DEGREE", "9")
     code, out, _ = run(capsys, "chartable", "9")
@@ -205,6 +209,20 @@ def test_bad_max_degree_env_is_usage_error(capsys, monkeypatch):
     code, out, err = run(capsys, "kostka", "2,1", "1,1,1")
     assert code == 2 and out == ""
     assert err.startswith("usage:") and "invalid int value: 'abc'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("convert", "s:1/0*2", "m"),
+    ("ch", "3", "3=1/0"),
+    ("rsk", "--inverse", "5", "5"),
+    ("rsk", "--inverse", "[1]", "[1]"),
+    ("rsk", "--inverse", "[[1,null]]", "[[1,2]]"),
+    ("rsk", "--inverse", "{}", "{}"),
+])
+def test_malformed_input_is_a_one_line_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_chartable_below_range_names_it(capsys):

@@ -5,6 +5,7 @@ from math import comb, factorial
 
 import pytest
 
+from symfunc import limits
 from symfunc.characters import (
     char_inner,
     character,
@@ -24,14 +25,12 @@ from symfunc.matrixreps import (
     decompose,
     direct_sum,
     exterior_square_character,
-    get_rep_caps,
     gl_character,
     gl_dimension,
     induce,
     lex_transversal,
     restrict,
     schur_weyl_check,
-    set_rep_caps,
     sign_of,
     specht_module,
     specht_polynomial,
@@ -283,15 +282,11 @@ def test_specht_matrices_expand_the_moved_polynomials_to_5():
 def test_specht_matrices_expand_the_moved_polynomials_at_321():
     # (3,2,1) is the smallest shape whose standard tableaux, in row-major
     # order, are not sorted by their leading monomials
-    caps = get_rep_caps()
-    set_rep_caps(specht=6)
-    try:
-        rng = random.Random(61)
-        perms = [adjacent_transposition(6, i) for i in range(1, 6)]
-        perms += [tuple(rng.sample(range(1, 7), 6)) for _ in range(4)]
+    rng = random.Random(61)
+    perms = [adjacent_transposition(6, i) for i in range(1, 6)]
+    perms += [tuple(rng.sample(range(1, 7), 6)) for _ in range(4)]
+    with limits.scoped(limits.current().raised(6)):
         _check_expands_moved_polynomials((3, 2, 1), perms)
-    finally:
-        set_rep_caps(*caps)
 
 
 def test_specht_cap():
@@ -313,11 +308,16 @@ def test_matrix_map_is_a_homomorphism():
     rng = random.Random(311)
     from symfunc.linalg import mat_mul
 
+    sub = SubgroupSpec.young((2, 2))
     reps = [
+        classical_rep("trivial", 4),
+        classical_rep("sign", 4),
         classical_rep("standard", 4),
         specht_module((3, 2)),
         young_module((2, 2, 1)),
         classical_rep("regular", 4),
+        induce(trivial_of(sub), 4),
+        induce(sign_of(sub), 4),
     ]
     for rep in reps:
         n = rep.n
@@ -325,6 +325,8 @@ def test_matrix_map_is_a_homomorphism():
             p = tuple(rng.sample(range(1, n + 1), n))
             q = tuple(rng.sample(range(1, n + 1), n))
             assert rep.matrix(compose(p, q)) == mat_mul(rep.matrix(p), rep.matrix(q))
+            assert all(type(x) is int for row in rep.matrix(p) for x in row)
+            assert type(rep.trace(p)) is int
 
 
 def test_large_permutation_modules_act_homomorphically():

@@ -5,8 +5,9 @@ from itertools import product
 
 import pytest
 
+from symfunc import limits
 from symfunc.errors import DegreeCapError
-from symfunc.linalg import identity, invert, mat_mul
+from symfunc.linalg import identity, mat_mul
 from symfunc.partitions import conjugate, partitions_of, z_value
 from symfunc.ring import (
     BASES,
@@ -32,6 +33,27 @@ from symfunc.ring import (
     zero,
 )
 from symfunc.tableaux import enumerate_ssyt, kostka, weight_monomial
+
+
+def invert(a):
+    """Inverse of a square matrix by Gauss-Jordan elimination: the
+    independent oracle for the inverse transitions, which the package reads
+    off the Hall dual's pairing table without solving anything."""
+    d = len(a)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(d)]
+           for i, row in enumerate(a)]
+    for col in range(d):
+        pivot = next((r for r in range(col, d) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("singular matrix")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for r in range(d):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[d:]) for row in aug)
 
 
 def random_element(rng, max_degree=6, nterms=3, basis=None):
@@ -421,15 +443,9 @@ def test_parse_sym_element():
 
 
 def test_degree_cap_enforced():
-    from symfunc import ring
-
-    old = ring.get_max_degree()
-    try:
-        ring.set_max_degree(5)
-        with pytest.raises(DegreeCapError):
+    with limits.scoped(limits.Limits(ring=5)):
+        with pytest.raises(DegreeCapError, match="--max-degree or symfunc.limits"):
             convert(basis_element(S, (4, 2)), M)
-    finally:
-        ring.set_max_degree(old)
 
 
 def test_transition_cache_concurrent_and_once():
