@@ -72,6 +72,24 @@ def test_specht_golden_byte_identical(capsys, argv, fname):
     assert out.encode() == golden(fname)
 
 
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+@pytest.mark.parametrize("argv, stem", [
+    (("decompose", "young", "2,2,1"), "decompose_young_221"),
+    (("decompose", "regular", "5"), "decompose_regular_5"),
+    (("induce", "2,1,2", "sign"), "induce_212_sign"),
+    (("induce", "4,2", "trivial"), "induce_42_trivial"),
+    (("induce", "2,2,1", "sign", "--at", "2 3 1 5 4"), "induce_221_sign_at"),
+    (("tensor", "specht", "3,1,1", "specht", "2,2,1"), "tensor_specht_311_specht_221"),
+    (("tensor", "young", "3,2", "defining", "5", "--sum"),
+     "tensor_young_32_defining_5_sum"),
+    (("ext2", "young", "3,2"), "ext2_young_32"),
+])
+def test_character_golden_byte_identical(capsys, argv, stem, fmt):
+    code, out, err = run(capsys, *(("--format", "json") if fmt == "json" else ()), *argv)
+    assert code == 0 and err == ""
+    assert out.encode() == golden(f"{stem}.{fmt}")
+
+
 def test_flambda_of_a_large_staircase(capsys):
     code, out, err = run(capsys, "flambda", "8,7,6,5,4,3,2,1")
     assert code == 0 and err == ""
