@@ -1,9 +1,16 @@
-"""Explicit matrix representations of S_n over exact rationals.
+"""Explicit integer matrix representations of S_n and their characters.
 
 Classical representations (trivial, sign, defining, regular, standard),
 Young permutation modules on row-sorted injective tableaux, Specht modules,
 induction and restriction along subgroups, sums/tensors, exterior-square
 characters, and the GL-side character/dimension checks.
+
+Characters come from a trace rule, not a dense matrix: permutation modules
+count the basis vectors their images rule fixes, an induced module sums the
+inner traces over its diagonal blocks (Frobenius), tensor products multiply
+traces, direct sums add them and restrictions keep the parent's rule; only
+Specht, standard, trivial and sign modules sum a diagonal. decompose pairs
+class traces with irreducible characters in integers, dividing by n! once.
 
 The Specht module S^lam is spanned by the column-antisymmetrized tableau
 polynomials F_T of the standard tableaux T, which are the standard
@@ -15,9 +22,10 @@ straightening each pi . F_T in integers along the lexicographically smallest
 monomials, with no linear solve; its entries are ints.
 
 A MatrixRep carries a rule producing the exact matrix of any permutation in
-its domain; matrices are memoized compute-then-publish, so values are
-immutable once visible. matrix(pi sigma) == matrix(pi) . matrix(sigma) under
-the package-wide convention (pi sigma)(i) = pi(sigma(i)).
+its domain; matrices are built only by matrix() and memoized
+compute-then-publish, so values are immutable once visible.
+matrix(pi sigma) == matrix(pi) . matrix(sigma) under the package-wide
+convention (pi sigma)(i) = pi(sigma(i)).
 """
 
 from __future__ import annotations
@@ -25,11 +33,12 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations as _perms, product as _cartesian
 from math import factorial, prod
 
 from . import limits
-from .characters import ClassFunction, char_inner, character_row, class_function, _int
+from .characters import ClassFunction, character_row, class_function
 from .errors import InvariantViolationError
 from .linalg import Matrix, block_diag, identity, kron, mat_mul
 from .partitions import (
@@ -39,6 +48,7 @@ from .partitions import (
     as_partition,
     class_representative,
     compose,
+    count_of_type,
     identity_perm,
     inverse_perm,
     partitions_of,
@@ -103,8 +113,12 @@ class SubgroupSpec:
     def order(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def _members(self) -> frozenset:
+        return frozenset(self.elements)
+
     def __contains__(self, perm) -> bool:
-        return tuple(perm) in set(self.elements)
+        return tuple(perm) in self._members
 
     def conjugacy_classes(self) -> list[tuple[Permutation, ...]]:
         """Brute-force conjugacy classes, each sorted, smallest rep first."""
@@ -122,22 +136,28 @@ class SubgroupSpec:
 @dataclass(eq=False)
 class MatrixRep:
     """A representation: degree n, dimension, and an exact matrix for every
-    permutation in the domain (None = all of S_n)."""
+    permutation in the domain (None = all of S_n). An optional trace rule
+    gives the character without building the matrix."""
 
     n: int
     dim: int
     _matrix_fn: object
     domain: SubgroupSpec | None = None
     label: str = ""
+    _trace_fn: object = field(default=None, repr=False)
     _memo: dict = field(default_factory=dict, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
-    def matrix(self, perm) -> Matrix:
+    def _checked(self, perm) -> Permutation:
         pi = tuple(perm)
         if len(pi) != self.n:
             raise ValueError(f"permutation degree {len(pi)} != {self.n}")
         if self.domain is not None and pi not in self.domain:
             raise ValueError(f"{pi} is outside this representation's domain")
+        return pi
+
+    def matrix(self, perm) -> Matrix:
+        pi = self._checked(perm)
         try:
             return self._memo[pi]
         except KeyError:
@@ -148,7 +168,10 @@ class MatrixRep:
             return self._memo[pi]
 
     def trace(self, perm) -> int:
-        m = self.matrix(perm)
+        pi = self._checked(perm)
+        if self._trace_fn is not None:
+            return self._trace_fn(pi)
+        m = self.matrix(pi)
         return sum(m[i][i] for i in range(self.dim))
 
     def generator_matrices(self) -> dict[int, Matrix]:
@@ -181,6 +204,15 @@ def _perm_matrix(images: list[int], dim: int) -> Matrix:
     return tuple(tuple(r) for r in rows)
 
 
+def _permutation_module(n: int, dim: int, images, label: str) -> MatrixRep:
+    """The module permuting its basis by images(pi); the trace of pi is the
+    number of basis vectors it fixes."""
+    return MatrixRep(
+        n, dim, lambda pi: _perm_matrix(images(pi), dim), label=label,
+        _trace_fn=lambda pi: sum(j == i for j, i in enumerate(images(pi))),
+    )
+
+
 def classical_rep(kind: str, n: int) -> MatrixRep:
     """One of the classical representations: trivial, sign, defining
     (dimension n), regular (n!, capped), standard (n-1, the orthogonal
@@ -192,21 +224,17 @@ def classical_rep(kind: str, n: int) -> MatrixRep:
     if kind == "sign":
         return MatrixRep(n, 1, lambda pi: ((perm_sign(pi),),), label=f"sign(S_{n})")
     if kind == "defining":
-        return MatrixRep(
-            n,
-            n,
-            lambda pi: _perm_matrix([pi[j] - 1 for j in range(n)], n),
-            label=f"defining(S_{n})",
+        return _permutation_module(
+            n, n, lambda pi: [v - 1 for v in pi], f"defining(S_{n})"
         )
     if kind == "regular":
         limits.check("regular", n)
         basis = list(all_permutations(n))
         index = {g: i for i, g in enumerate(basis)}
-
-        def fn(pi):
-            return _perm_matrix([index[compose(pi, h)] for h in basis], len(basis))
-
-        return MatrixRep(n, factorial(n), fn, label=f"regular(S_{n})")
+        return _permutation_module(
+            n, len(basis), lambda pi: [index[compose(pi, h)] for h in basis],
+            f"regular(S_{n})",
+        )
     if kind == "standard":
         dim = n - 1
 
@@ -225,25 +253,33 @@ def classical_rep(kind: str, n: int) -> MatrixRep:
     raise ValueError(f"unknown classical representation {kind!r}")
 
 
+def _class_traces(rep: MatrixRep) -> dict[Partition, int]:
+    if rep.domain is not None:
+        raise ValueError("character_of needs a full-S_n representation")
+    return {mu: rep.trace(class_representative(mu)) for mu in partitions_of(rep.n)}
+
+
 def character_of(rep: MatrixRep) -> ClassFunction:
     """Trace at one canonical representative per cycle type (full-group
     representations; for subgroup domains use rep.trace per element)."""
-    if rep.domain is not None:
-        raise ValueError("character_of needs a full-S_n representation")
-    return class_function(
-        rep.n,
-        {mu: rep.trace(class_representative(mu)) for mu in partitions_of(rep.n)},
-    )
+    return class_function(rep.n, _class_traces(rep))
 
 
 def decompose(rep: MatrixRep) -> dict[Partition, int]:
-    """Multiplicity of each irreducible, via the character inner product;
-    raises if any multiplicity fails to be a nonnegative integer."""
-    chi = character_of(rep)
+    """Multiplicity of each irreducible lam, the character inner product
+    sum over classes rho of chi(rho) chi^lam(rho) |class of rho|, divided by
+    n! once; raises if any multiplicity fails to be a nonnegative integer."""
+    traces = _class_traces(rep)
+    order = factorial(rep.n)
     out: dict[Partition, int] = {}
     for lam in partitions_of(rep.n):
-        m = char_inner(chi, class_function(rep.n, character_row(lam)))
-        val = _int(m, f"multiplicity of {lam}")
+        row = character_row(lam)
+        total = sum(t * row[mu] * count_of_type(mu) for mu, t in traces.items() if t)
+        val, rem = divmod(total, order)
+        if rem:
+            raise InvariantViolationError(
+                f"multiplicity of {lam} is non-integral: {Fraction(total, order)}"
+            )
         if val < 0:
             raise InvariantViolationError(f"negative multiplicity {val} at {lam}")
         if val:
@@ -280,21 +316,20 @@ def young_module(lam) -> MatrixRep:
     n = sum(lam)
     limits.check("young", n)
     basis = young_basis(lam)
-    index = {b: i for i, b in enumerate(basis)}
-    dim = factorial(n)
-    for part in lam:
-        dim //= factorial(part)
+    dim = factorial(n) // prod(factorial(part) for part in lam)
     if dim != len(basis):
         raise InvariantViolationError("Young module dimension mismatch")
+    # a tabloid as its row word: entry v - 1 holds the row of v
+    rows_of = [{v: r for r, row in enumerate(b) for v in row} for b in basis]
+    words = [[rows[v] for v in range(1, n + 1)] for rows in rows_of]
+    index = {tuple(w): i for i, w in enumerate(words)}
 
-    def fn(pi):
-        images = []
-        for b in basis:
-            moved = tuple(tuple(sorted(pi[x - 1] for x in row)) for row in b)
-            images.append(index[moved])
-        return _perm_matrix(images, dim)
+    def images(pi):
+        # pi moves v to row word position pi(v), as in specht_module
+        source = [v - 1 for v in inverse_perm(pi)]
+        return [index[tuple([w[v] for v in source])] for w in words]
 
-    return MatrixRep(n, dim, fn, label=f"young({lam})")
+    return _permutation_module(n, dim, images, f"young({lam})")
 
 
 def _column_groups(tab: Tableau) -> list[tuple[int, ...]]:
@@ -306,11 +341,13 @@ def _column_groups(tab: Tableau) -> list[tuple[int, ...]]:
 
 
 def _signed_permutations(k: int) -> list[tuple[tuple[int, ...], int]]:
-    """Every permutation of range(k) with its sign (-1)^inversions."""
-    out = []
-    for p in _perms(range(k)):
-        inv = sum(p[a] > p[b] for a in range(k) for b in range(a + 1, k))
-        out.append((p, -1 if inv % 2 else 1))
+    """Every permutation of range(k) with its sign (-1)^inversions, built by
+    inserting letters in increasing order: m put at position i of a word in
+    range(m) adds m - i inversions, one with each letter after it."""
+    out = [((), 1)]
+    for m in range(k):
+        out = [(p[:i] + (m,) + p[i:], -s if (m - i) % 2 else s)
+               for p, s in out for i in range(m + 1)]
     return out
 
 
@@ -386,84 +423,80 @@ def specht_module(lam) -> MatrixRep:
 # --- induction / restriction / sums / tensors ---------------------------------
 
 
-def lex_transversal(subgroup: SubgroupSpec) -> list[Permutation]:
-    """Left-coset representatives found by scanning S_n in lexicographic
-    word order and keeping each minimal unseen representative."""
-    seen: set[Permutation] = set()
-    reps = []
+def _lex_cosets(subgroup: SubgroupSpec) -> tuple[list[Permutation], dict]:
+    """Left-coset representatives t_i found by scanning S_n in lexicographic
+    word order and keeping each minimal unseen one, with the coset table
+    {t_i h: (i, h)}."""
+    reps: list[Permutation] = []
+    where: dict = {}
     for g in all_permutations(subgroup.n):
-        if g in seen:
-            continue
-        reps.append(g)
-        for h in subgroup.elements:
-            seen.add(compose(g, h))
-    return reps
+        if g not in where:
+            for h in subgroup.elements:
+                where[compose(g, h)] = (len(reps), h)
+            reps.append(g)
+    return reps, where
+
+
+def lex_transversal(subgroup: SubgroupSpec) -> list[Permutation]:
+    return _lex_cosets(subgroup)[0]
 
 
 def induce(rep: MatrixRep, n: int, transversal=None) -> MatrixRep:
     """Induction from the subgroup domain of ``rep`` up to S_n, as the block
     matrix with (i, j) block Y(t_i^{-1} g t_j) (zero when the argument falls
-    outside the subgroup)."""
+    outside the subgroup). Block column j has exactly one nonzero block: the
+    i and h with g t_j = t_i h, read from the coset table {t_i h: (i, h)}.
+    The trace is the Frobenius sum of Y.trace(h) over the j with i = j."""
     if rep.domain is None:
         raise ValueError("induce needs a representation with a subgroup domain")
     if rep.n != n:
         raise ValueError("subgroup must sit inside S_n (same word degree)")
     sub = rep.domain
     if transversal is None:
-        ts = lex_transversal(sub)
+        ts, where = _lex_cosets(sub)
     else:
         ts = [tuple(t) for t in transversal]
-        covered = {compose(t, h) for t in ts for h in sub.elements}
-        if len(covered) != len(ts) * sub.order or len(covered) != factorial(n):
+        where = {compose(t, h): (i, h) for i, t in enumerate(ts) for h in sub.elements}
+        if len(where) != len(ts) * sub.order or len(where) != factorial(n):
             raise ValueError("not a transversal of the subgroup")
     k = len(ts)
     d = rep.dim
-    zero_block = ((0,) * d,) * d
-    sub_set = set(sub.elements)
-    t_invs = [inverse_perm(t) for t in ts]
 
     def fn(g):
-        blocks = []
-        for i in range(k):
-            row_blocks = []
-            for j in range(k):
-                u = compose(t_invs[i], compose(g, ts[j]))
-                row_blocks.append(rep.matrix(u) if u in sub_set else zero_block)
-            blocks.append(row_blocks)
-        rows = []
-        for i in range(k):
-            for r in range(d):
-                rows.append(tuple(x for j in range(k) for x in blocks[i][j][r]))
-        return tuple(rows)
+        rows = [[0] * (k * d) for _ in range(k * d)]
+        for j, t in enumerate(ts):
+            i, h = where[compose(g, t)]
+            for r, block_row in enumerate(rep.matrix(h)):
+                rows[i * d + r][j * d:(j + 1) * d] = block_row
+        return tuple(tuple(row) for row in rows)
 
-    return MatrixRep(n, k * d, fn, label=f"induced({rep.label})")
+    def trace(g):
+        cells = (where[compose(g, t)] + (j,) for j, t in enumerate(ts))
+        return sum(rep.trace(h) for i, h, j in cells if i == j)
+
+    return MatrixRep(n, k * d, fn, label=f"induced({rep.label})", _trace_fn=trace)
 
 
 def restrict(rep: MatrixRep, subgroup: SubgroupSpec) -> MatrixRep:
     """Same matrices, domain cut down to the subgroup."""
     if rep.n != subgroup.n:
         raise ValueError("subgroup degree differs from the representation's")
-    if rep.domain is not None:
-        missing = set(subgroup.elements) - set(rep.domain.elements)
-        if missing:
-            raise ValueError("new domain is not a subgroup of the current one")
+    if rep.domain is not None and not all(h in rep.domain for h in subgroup.elements):
+        raise ValueError("new domain is not a subgroup of the current one")
     return MatrixRep(
-        rep.n, rep.dim, rep.matrix, domain=subgroup, label=f"restricted({rep.label})"
+        rep.n, rep.dim, rep.matrix, domain=subgroup, label=f"restricted({rep.label})",
+        _trace_fn=rep.trace,
     )
 
 
 def trivial_of(subgroup: SubgroupSpec) -> MatrixRep:
-    return MatrixRep(
-        subgroup.n, 1, lambda pi: ((1,),), domain=subgroup,
-        label=f"trivial({subgroup.n})",
-    )
+    n = subgroup.n
+    return MatrixRep(n, 1, lambda pi: ((1,),), subgroup, f"trivial({n})")
 
 
 def sign_of(subgroup: SubgroupSpec) -> MatrixRep:
-    return MatrixRep(
-        subgroup.n, 1, lambda pi: ((perm_sign(pi),),), domain=subgroup,
-        label=f"sign({subgroup.n})",
-    )
+    n = subgroup.n
+    return MatrixRep(n, 1, lambda pi: ((perm_sign(pi),),), subgroup, f"sign({n})")
 
 
 def _check_same_domain(a: MatrixRep, b: MatrixRep):
@@ -483,6 +516,7 @@ def direct_sum(a: MatrixRep, b: MatrixRep) -> MatrixRep:
         lambda pi: block_diag(a.matrix(pi), b.matrix(pi)),
         domain=a.domain,
         label=f"({a.label})+({b.label})",
+        _trace_fn=lambda pi: a.trace(pi) + b.trace(pi),
     )
 
 
@@ -496,15 +530,14 @@ def tensor_product(a: MatrixRep, b: MatrixRep) -> MatrixRep:
         lambda pi: kron(a.matrix(pi), b.matrix(pi)),
         domain=a.domain,
         label=f"({a.label})x({b.label})",
+        _trace_fn=lambda pi: a.trace(pi) * b.trace(pi),
     )
 
 
 def subgroup_char_inner(subgroup: SubgroupSpec, f, g) -> Fraction:
     """<f, g>_H = (1/|H|) sum over H of f(h) g(h) for element-wise
     character values (callables on permutations)."""
-    total = sum((Fraction(f(h)) * Fraction(g(h)) for h in subgroup.elements),
-                Fraction(0))
-    return total / subgroup.order
+    return Fraction(sum(f(h) * g(h) for h in subgroup.elements), subgroup.order)
 
 
 def square_class(mu) -> Partition:

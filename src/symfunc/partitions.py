@@ -162,7 +162,7 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     """(p q)(i) = p(q(i)): apply ``q`` first, then ``p``."""
     if len(p) != len(q):
         raise ValueError("permutations of different degree")
-    return tuple(p[q[i] - 1] for i in range(len(p)))
+    return tuple([p[i - 1] for i in q])
 
 
 def inverse_perm(p: Permutation) -> Permutation:

@@ -565,6 +565,8 @@ def evaluate(f: SymElement, nvars: int) -> PolynomialValue:
 
 
 def format_coeff(c) -> str:
+    if type(c) is int:
+        return str(c)
     c = Fraction(c)
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 

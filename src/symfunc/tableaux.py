@@ -244,8 +244,12 @@ def rsk(word) -> tuple[Tableau, Tableau]:
 
 def rsk_inverse(p_tab: Tableau, q_tab: Tableau) -> tuple[int, ...]:
     """The unique word with rsk(word) == (p_tab, q_tab)."""
-    if p_tab.shape != q_tab.shape or p_tab.inner or q_tab.inner:
+    shape = tuple(map(len, p_tab.rows))
+    if (p_tab.shape != q_tab.shape or p_tab.inner or q_tab.inner
+            or shape != tuple(map(len, q_tab.rows))):
         raise ValueError("P and Q must be straight tableaux of equal shape")
+    if any(a < b for a, b in zip(shape, shape[1:])) or 0 in shape:
+        raise ValueError(f"row lengths {shape} of P and Q are not a partition")
     if not p_tab.is_semistandard():
         raise ValueError("P is not semistandard")
     if not q_tab.is_standard():

@@ -15,7 +15,7 @@ from symfunc.characters import (
     irreducible_character,
     kronecker,
 )
-from symfunc.errors import DegreeCapError
+from symfunc.errors import DegreeCapError, InvariantViolationError
 from symfunc.matrixreps import (
     MatrixRep,
     SubgroupSpec,
@@ -44,8 +44,10 @@ from symfunc.matrixreps import (
 )
 from symfunc.partitions import (
     all_permutations,
+    class_representative,
     compose,
     cycle_type,
+    identity_perm,
     inverse_perm,
     partitions_of,
     sign as perm_sign,
@@ -340,6 +342,83 @@ def test_large_permutation_modules_act_homomorphically():
         q = tuple(rng.sample(range(1, 6), 5))
         for h in rng.sample(basis, 8):
             assert compose(compose(p, q), h) == compose(p, compose(q, h))
+
+
+# --- character rules against the dense route ----------------------------------
+
+
+def compositions(n):
+    if n == 0:
+        return [()]
+    return [(k,) + rest for k in range(1, n + 1) for rest in compositions(n - k)]
+
+
+def decompose_by_char_inner(rep):
+    """The dense route: traces as diagonal sums, multiplicities as Fraction
+    inner products with the irreducible characters."""
+    traces = {}
+    for mu in partitions_of(rep.n):
+        m = rep.matrix(class_representative(mu))
+        traces[mu] = sum(m[i][i] for i in range(rep.dim))
+    chi = class_function(rep.n, traces)
+    out = {}
+    for lam in partitions_of(rep.n):
+        m = char_inner(chi, irreducible_character(lam))
+        assert m.denominator == 1 and m >= 0
+        if m:
+            out[lam] = int(m)
+    return out
+
+
+def character_rule_reps():
+    reps = [classical_rep(k, n) for k in ("defining", "regular") for n in range(1, 5)]
+    reps += [young_module(mu) for n in range(1, 6) for mu in partitions_of(n)]
+    for n in (4, 5):
+        for comp in compositions(n):
+            sub = SubgroupSpec.young(comp)
+            reps += [induce(trivial_of(sub), n), induce(sign_of(sub), n)]
+    s31, y22 = specht_module((3, 1)), young_module((2, 2))
+    reg4, def4 = classical_rep("regular", 4), classical_rep("defining", 4)
+    ind = induce(sign_of(SubgroupSpec.young((1, 2, 1))), 4)
+    reps += [tensor_product(s31, y22), tensor_product(def4, reg4),
+             tensor_product(ind, def4), direct_sum(y22, ind),
+             direct_sum(reg4, tensor_product(s31, def4))]
+    return reps
+
+
+def test_trace_rules_match_the_diagonal_sum():
+    reps = character_rule_reps()
+    sub = SubgroupSpec.young((2, 2))
+    full = [r for r in reps if r.n == 4]
+    reps += [restrict(r, sub) for r in full]
+    reps += [restrict(restrict(r, sub), SubgroupSpec.young((2, 1, 1))) for r in full[:3]]
+    reps.append(restrict(induce(sign_of(SubgroupSpec.young((2, 3))), 5),
+                         SubgroupSpec.young((4, 1))))
+    for rep in reps:
+        assert rep._trace_fn is not None, rep.label
+        for pi in rep.elements():
+            m = rep.matrix(pi)
+            tr = rep.trace(pi)
+            assert type(tr) is int
+            assert tr == sum(m[i][i] for i in range(rep.dim)), (rep.label, pi)
+
+
+def test_decompose_matches_the_char_inner_route():
+    for rep in character_rule_reps():
+        assert decompose(rep) == decompose_by_char_inner(rep), rep.label
+    for lam in [(3, 2), (2, 2, 1), (3, 1, 1)]:
+        rep = specht_module(lam)
+        assert decompose(rep) == decompose_by_char_inner(rep) == {lam: 1}
+
+
+def test_decompose_rejects_a_trace_that_is_not_a_character():
+    e = identity_perm(3)
+    delta = MatrixRep(3, 1, lambda pi: ((1 if pi == e else 0,),))
+    with pytest.raises(InvariantViolationError, match=r"multiplicity of \(3,\) is non-integral: 1/6"):
+        decompose(delta)
+    negative = MatrixRep(3, 1, lambda pi: ((-1,),))
+    with pytest.raises(InvariantViolationError, match=r"negative multiplicity -1 at \(3,\)"):
+        decompose(negative)
 
 
 # --- induction ------------------------------------------------------------
