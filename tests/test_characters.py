@@ -144,6 +144,20 @@ def test_lr_symmetry_and_skew_consistency_to_5():
                         assert c >= 0
 
 
+def test_lr_matches_the_hall_product_oracle_to_7():
+    """Every c^lam_(mu,nu) with |lam| <= 7 equals <s_lam, s_mu s_nu>,
+    computed in p by multiplying and pairing."""
+    for n in range(8):
+        for lam in partitions_of(n):
+            s_lam = basis_element(S, lam)
+            for k in range(n + 1):
+                for mu in partitions_of(k):
+                    s_mu = basis_element(S, mu)
+                    for nu in partitions_of(n - k):
+                        oracle = hall_inner(s_lam, multiply(s_mu, basis_element(S, nu)))
+                        assert littlewood_richardson(lam, mu, nu) == oracle
+
+
 def test_lr_matches_schur_product_expansion():
     s21 = basis_element(S, (2, 1))
     s1 = basis_element(S, (1,))

@@ -83,6 +83,13 @@ def test_specht_golden_byte_identical(capsys, argv, fname):
     (("tensor", "young", "3,2", "defining", "5", "--sum"),
      "tensor_young_32_defining_5_sum"),
     (("ext2", "young", "3,2"), "ext2_young_32"),
+    (("skew", "6,4,3,1", "3,1"), "skew_6431_31"),
+    (("perp", "2,1", "h:3/2*4,2+-2*3,3,1+1/3*2,1+5*1+7*3"), "perp_21_h_mixed"),
+    (("perp", "3,1", "p:3/2*4,2+-2*3,3,1+1/3*2,2+5*1+7*3,2,1,1", "--basis", "m"),
+     "perp_31_p_mixed_m"),
+    (("lr", "5,4,2,1", "3,2,1", "3,2,1"), "lr_5421_321_321"),
+    (("coproduct", "h:2,1+-1/2*3,2+2/3*1", "--bases", "s,s"), "coproduct_h_mixed_ss"),
+    (("cauchy", "6", "s,s"), "cauchy_6_ss"),
 ])
 def test_character_golden_byte_identical(capsys, argv, stem, fmt):
     code, out, err = run(capsys, *(("--format", "json") if fmt == "json" else ()), *argv)
