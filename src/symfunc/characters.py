@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from . import limits
 from .errors import InvariantViolationError, SizeMismatchError
@@ -20,11 +21,14 @@ from .ring import (
     P,
     S,
     SymElement,
+    _dot,
+    _omega_sign,
     _pairing,
+    _require_integer,
+    _schur_p,
+    _skew_p,
     basis_element,
     convert,
-    hall_inner,
-    multiply,
     sym_element,
     to_p_terms,
 )
@@ -38,8 +42,7 @@ class ClassFunction:
     values: tuple
 
     def value(self, mu) -> Fraction:
-        mu = as_partition(mu)
-        return dict(zip(partitions_of(self.n), self.values))[mu]
+        return self.values[partitions_of(self.n).index(as_partition(mu))]
 
     def as_dict(self) -> dict[Partition, Fraction]:
         return dict(zip(partitions_of(self.n), self.values))
@@ -56,12 +59,6 @@ def class_function(n: int, values) -> ClassFunction:
     return ClassFunction(
         n, tuple(vals.get(mu, Fraction(0)) for mu in partitions_of(n))
     )
-
-
-def _int(c: Fraction, what: str) -> int:
-    if Fraction(c).denominator != 1:
-        raise InvariantViolationError(f"{what} is non-integral: {c}")
-    return int(c)
 
 
 def character_row(lam) -> dict[Partition, int]:
@@ -105,20 +102,12 @@ def table_columns(n: int) -> list[Partition]:
 
 def sign_of_class(mu) -> int:
     """Sign of any permutation of cycle type mu."""
-    mu = as_partition(mu)
-    return -1 if (sum(mu) - len(mu)) % 2 else 1
+    return _omega_sign(as_partition(mu))
 
 
 def frobenius_ch(f: ClassFunction) -> SymElement:
     """Frobenius characteristic: sum over classes of f(mu) p_mu / z_mu."""
-    return sym_element(
-        P,
-        {
-            mu: Fraction(v, 1) / z_value(mu)
-            for mu, v in f.as_dict().items()
-            if v
-        },
-    )
+    return sym_element(P, {mu: Fraction(v, z_value(mu)) for mu, v in f.as_dict().items()})
 
 
 def frobenius_inverse(f: SymElement, n: int) -> ClassFunction:
@@ -133,15 +122,19 @@ def frobenius_inverse(f: SymElement, n: int) -> ClassFunction:
 
 
 def littlewood_richardson(lam, mu, nu) -> int:
-    """c^lam_{mu,nu} = <s_lam, s_mu s_nu>; zero unless |lam|=|mu|+|nu|."""
+    """c^lam_{mu,nu} = <s_mu^perp s_lam, s_nu>, the power-sum coefficients
+    of the skew function paired with the character row of nu; zero unless
+    |lam|=|mu|+|nu|."""
     lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
     if sum(lam) != sum(mu) + sum(nu):
         return 0
     limits.check("coefficient", sum(lam))
-    c = hall_inner(
-        basis_element(S, lam), multiply(basis_element(S, mu), basis_element(S, nu))
+    order, nums = _schur_p(lam)
+    val = _require_integer(
+        _dot(_skew_p(mu, nums), _pairing(S, sum(nu))[nu]),
+        f"LR coefficient c^{lam}_({mu},{nu})",
+        order,
     )
-    val = _int(c, f"LR coefficient c^{lam}_({mu},{nu})")
     if val < 0:
         raise InvariantViolationError(f"negative LR coefficient {val}")
     return val
@@ -149,19 +142,20 @@ def littlewood_richardson(lam, mu, nu) -> int:
 
 def kronecker(lam, mu, nu) -> int:
     """gamma^lam_{mu,nu} = sum over classes rho of
-    chi^lam(rho) chi^mu(rho) chi^nu(rho) / z_rho; zero unless all three
-    partitions have the same size."""
+    chi^lam(rho) chi^mu(rho) chi^nu(rho) / z_rho, summed over the common
+    denominator n!; zero unless all three partitions have the same size."""
     lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
     n = sum(lam)
     if sum(mu) != n or sum(nu) != n:
         return 0
     limits.check("coefficient", n)
+    order = factorial(n)
     rows = (character_row(lam), character_row(mu), character_row(nu))
     total = sum(
-        Fraction(rows[0][rho] * rows[1][rho] * rows[2][rho], z_value(rho))
+        rows[0][rho] * rows[1][rho] * rows[2][rho] * (order // z_value(rho))
         for rho in partitions_of(n)
     )
-    val = _int(total, f"Kronecker coefficient gamma^{lam}_({mu},{nu})")
+    val = _require_integer(total, f"Kronecker coefficient gamma^{lam}_({mu},{nu})", order)
     if val < 0:
         raise InvariantViolationError(f"negative Kronecker coefficient {val}")
     return val
@@ -171,15 +165,10 @@ def kronecker_product(f: SymElement, g: SymElement) -> SymElement:
     """The internal (Kronecker) product, diagonal on power sums:
     p_lam * p_mu = delta z_lam p_lam. Degree-preserving; distinct degrees
     annihilate."""
-    fp = to_p_terms(f)
     gp = to_p_terms(g)
-    out = {}
-    for lam, c in fp.items():
-        if lam in gp:
-            v = c * gp[lam] * z_value(lam)
-            if v:
-                out[lam] = v
-    return sym_element(P, out)
+    return sym_element(
+        P, {lam: c * gp[lam] * z_value(lam) for lam, c in to_p_terms(f).items() if lam in gp}
+    )
 
 
 def youngs_rule(mu) -> dict[Partition, int]:
@@ -190,7 +179,7 @@ def youngs_rule(mu) -> dict[Partition, int]:
     limits.check("coefficient", sum(mu))
     expansion = convert(basis_element(H, mu), S)
     return {
-        lam: _int(c, f"Young's-rule multiplicity of {lam} in H^{mu}")
+        lam: _require_integer(c, f"Young's-rule multiplicity of {lam} in H^{mu}")
         for lam, c in sorted(expansion.terms.items(), reverse=True)
     }
 

@@ -415,11 +415,12 @@ def _cmd_restrict(args):
     comp = _parse_composition(args.composition)
     if sum(comp) != sum(lam):
         raise ValueError("composition must sum to |lam|")
-    sub = matrixreps.SubgroupSpec.young(comp)
-    rows = []
-    for cls in sub.conjugacy_classes():
-        rep_word = cls[0]
-        rows.append((rep_word, len(cls), characters.character(lam, cycle_type(rep_word))))
+    # the capped row first: the subgroup's classes enumerate its elements
+    chi = characters.character_row(lam)
+    rows = [
+        (cls[0], len(cls), chi[cycle_type(cls[0])])
+        for cls in matrixreps.SubgroupSpec.young(comp).conjugacy_classes()
+    ]
     text = "\n".join(
         f"{' '.join(str(i) for i in w)}\t{size}\t{v}" for w, size, v in rows
     )

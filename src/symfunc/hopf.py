@@ -107,17 +107,27 @@ def tensor_element(bases, terms) -> TensorElement:
     return TensorElement((bl, br), out)
 
 
+def _map_leg(terms: dict, leg: int, fn) -> dict[PairKey, Fraction]:
+    """Apply fn, a linear map on one-leg term dicts, to leg ``leg`` (0 or 1)
+    of a tensor: the terms are grouped by their other leg's partition and
+    each group is mapped in one call."""
+    groups: dict[Partition, dict] = {}
+    for key, c in terms.items():
+        groups.setdefault(key[1 - leg], {})[key[leg]] = c
+    out: dict[PairKey, Fraction] = {}
+    for other, chunk in groups.items():
+        for lam, c in fn(chunk).items():
+            out[(lam, other) if leg == 0 else (other, lam)] = c
+    return out
+
+
 def _to_pp(t: TensorElement) -> dict[PairKey, Fraction]:
     """Expansion of a tensor in the (p, p) pair, as a plain dict."""
     if t.bases == (P, P):
         return dict(t.terms)
-    out: dict[PairKey, Fraction] = {}
-    for (lam, mu), c in t.terms.items():
-        left = to_p_terms(basis_element(t.bases[0], lam))
-        right = to_p_terms(basis_element(t.bases[1], mu))
-        for kl, cl in left.items():
-            _add_scaled(out, c * cl, {(kl, kr): cr for kr, cr in right.items()})
-    return out
+    bl, br = t.bases
+    half = _map_leg(t.terms, 0, lambda chunk: to_p_terms(SymElement(bl, chunk)))
+    return _map_leg(half, 1, lambda chunk: to_p_terms(SymElement(br, chunk)))
 
 
 def tensor_convert(t: TensorElement, bases) -> TensorElement:
@@ -127,23 +137,8 @@ def tensor_convert(t: TensorElement, bases) -> TensorElement:
         raise ValueError(f"unknown basis pair {bases!r}")
     if t.bases == (bl, br):
         return t
-    pp = _to_pp(t)
-    # left leg: group by right partition, convert the left expansions
-    half: dict[PairKey, Fraction] = {}
-    by_right: dict[Partition, PExpansion] = {}
-    for (lam, mu), c in pp.items():
-        by_right.setdefault(mu, {})[lam] = c
-    for mu, chunk in by_right.items():
-        for lam, c in from_p_terms(bl, chunk).terms.items():
-            half[(lam, mu)] = c
-    out: dict[PairKey, Fraction] = {}
-    by_left: dict[Partition, PExpansion] = {}
-    for (lam, mu), c in half.items():
-        by_left.setdefault(lam, {})[mu] = c
-    for lam, chunk in by_left.items():
-        for mu, c in from_p_terms(br, chunk).terms.items():
-            out[(lam, mu)] = c
-    return TensorElement((bl, br), out)
+    half = _map_leg(_to_pp(t), 0, lambda chunk: from_p_terms(bl, chunk).terms)
+    return TensorElement((bl, br), _map_leg(half, 1, lambda chunk: from_p_terms(br, chunk).terms))
 
 
 def tensor_inner(t: TensorElement, g: SymElement, h: SymElement) -> Fraction:

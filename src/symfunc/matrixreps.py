@@ -30,7 +30,6 @@ convention (pi sigma)(i) = pi(sigma(i)).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -54,7 +53,7 @@ from .partitions import (
     partitions_of,
     sign as perm_sign,
 )
-from .ring import PolynomialValue, S, _add_scaled, basis_element, evaluate
+from .ring import PolynomialValue, S, _add_scaled, _OnceCache, basis_element, evaluate
 from .tableaux import Tableau, f_lambda, hook_content_cells, standard_tableaux
 
 def set_rep_caps(**caps: int) -> None:
@@ -145,8 +144,7 @@ class MatrixRep:
     domain: SubgroupSpec | None = None
     label: str = ""
     _trace_fn: object = field(default=None, repr=False)
-    _memo: dict = field(default_factory=dict, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    _matrices: _OnceCache = field(default_factory=_OnceCache, repr=False)
 
     def _checked(self, perm) -> Permutation:
         pi = tuple(perm)
@@ -158,14 +156,7 @@ class MatrixRep:
 
     def matrix(self, perm) -> Matrix:
         pi = self._checked(perm)
-        try:
-            return self._memo[pi]
-        except KeyError:
-            pass
-        with self._lock:
-            if pi not in self._memo:
-                self._memo[pi] = self._matrix_fn(pi)
-            return self._memo[pi]
+        return self._matrices.get(pi, lambda: self._matrix_fn(pi))
 
     def trace(self, perm) -> int:
         pi = self._checked(perm)

@@ -28,7 +28,9 @@ m, m for h, and omega(m), the eps twist of the m table, for e). The kernels
 clear each degree to one denominator, sum in ints and build one Fraction
 per output coefficient. The per-degree cache is compute-then-publish:
 concurrent readers never observe a partial table and each (basis, degree)
-table is computed at most once.
+table is computed at most once. One kernel, _skew_p, applies s_mu^perp in
+integers; perp, skew_schur (s_(lam/mu) = s_mu^perp s_lam) and the LR
+coefficients <s_mu^perp s_lam, s_nu> of characters all go through it.
 """
 
 from __future__ import annotations
@@ -94,10 +96,12 @@ def _validate_basis(b: str) -> str:
     return b
 
 
-def _require_integer(c: Fraction, what: str) -> int:
-    if c.denominator != 1:
-        raise InvariantViolationError(f"{what} came out non-integral: {c}")
-    return int(c)
+def _require_integer(c, what: str, den: int = 1) -> int:
+    """c / den as an int (c an int or a Fraction), or raise."""
+    q, r = divmod(c.numerator, c.denominator * den)
+    if r:
+        raise InvariantViolationError(f"{what} is non-integral: {Fraction(c, den)}")
+    return q
 
 
 # --- integer kernels ---------------------------------------------------------
@@ -434,52 +438,68 @@ def omega(f: SymElement) -> SymElement:
     return SymElement(P, _omega_twist(to_p_terms(f)))
 
 
-def skew_schur(lam, mu) -> SymElement:
-    """The skew Schur function as a Schur expansion,
-    sum over nu of <s_lam, s_mu s_nu> s_nu; zero if mu is not inside lam.
+def _skew_p(mu: Partition, nums: dict[Partition, int]) -> dict[Partition, int]:
+    """s_mu^perp on power-sum coefficients over a common denominator, which
+    the result keeps: [p_beta] s_mu^perp f is the sum over alpha |- |mu| of
+    <s_mu, p_alpha> z_(alpha + beta) / (z_alpha z_beta) [p_(alpha + beta)] f,
+    the weight a product of binomials. Degrees below |mu| drop out."""
+    m = sum(mu)
+    degrees = {d for d in map(sum, nums) if d >= m}
+    if not degrees:
+        return {}
+    alphas = [(alpha, c, z_value(alpha)) for alpha, c in _pairing(S, m)[mu].items()]
+    out: dict[Partition, int] = {}
+    for d in degrees:
+        for beta in partitions_of(d - m):
+            zb = z_value(beta)
+            v = 0
+            for alpha, c, za in alphas:
+                rho = tuple(sorted(alpha + beta, reverse=True))
+                n = nums.get(rho)
+                if n:
+                    v += c * n * (z_value(rho) // (za * zb))
+            if v:
+                out[beta] = v
+    return out
 
-    It is s_mu^perp s_lam, and p_alpha^perp p_rho = z_rho / z_beta p_beta
-    when rho = alpha + beta, so its pairing with p_beta is the sum over
-    alpha |- |mu| of <s_mu, p_alpha> <s_lam, p_(alpha + beta)> / z_alpha."""
+
+def _schur_p(lam: Partition) -> tuple[int, dict[Partition, int]]:
+    """(n!, n! [p_rho] s_lam) for lam |- n: [p_rho] s_lam is
+    <s_lam, p_rho> / z_rho, and every z_rho divides n!."""
+    order = factorial(sum(lam))
+    row = _pairing(S, sum(lam))[lam]
+    return order, {rho: c * (order // z_value(rho)) for rho, c in row.items()}
+
+
+def skew_schur(lam, mu) -> SymElement:
+    """The skew Schur function s_(lam/mu) = s_mu^perp s_lam as a Schur
+    expansion, sum over nu of <s_lam, s_mu s_nu> s_nu; zero if mu is not
+    inside lam."""
     lam = as_partition(lam)
     mu = as_partition(mu)
     if not contains(mu, lam):
         return zero(S)
-    m = sum(mu)
-    row_lam = _pairing(S, sum(lam))[lam]
-    row_mu = _pairing(S, m)[mu]
-    pexp: PExpansion = {}
-    for beta in partitions_of(sum(lam) - m):
-        # scaled by m!, which every z_alpha divides
-        w = sum(
-            c * row_lam.get(tuple(sorted(alpha + beta, reverse=True)), 0)
-            * (factorial(m) // z_value(alpha))
-            for alpha, c in row_mu.items()
-        )
-        if w:
-            pexp[beta] = Fraction(w, factorial(m) * z_value(beta))
-    terms: dict[Partition, Fraction] = {}
-    for nu, c in from_p_terms(S, pexp).terms.items():
-        val = _require_integer(c, f"skew Schur coefficient ({lam}/{mu}, {nu})")
-        if val < 0:
+    order, nums = _schur_p(lam)
+    out = from_p_terms(S, _over(_skew_p(mu, nums), order))
+    for nu, c in out.terms.items():
+        if c.denominator != 1 or c < 0:
             raise InvariantViolationError(
-                f"negative skew Schur coefficient {val} at {nu}"
+                f"skew Schur coefficient ({lam}/{mu}, {nu}) is not a nonnegative integer: {c}"
             )
-        terms[nu] = Fraction(val)
-    return SymElement(S, terms)
+    return out
 
 
 def perp(mu, f: SymElement) -> SymElement:
     """Adjoint of multiplication by s_mu: on the Schur basis it sends
-    s_lam to the skew function s_(lam/mu)."""
+    s_lam to the skew function s_(lam/mu). Reported in the s basis."""
     mu = as_partition(mu)
-    fs = convert(f, S)
-    out: dict[Partition, Fraction] = {}
-    for lam, c in fs.terms.items():
-        if not contains(mu, lam):
-            continue
-        _add_scaled(out, c, skew_schur(lam, mu).terms)
-    return SymElement(S, out)
+    if f.basis == S:
+        # s_mu^perp s_lam is zero unless mu is inside lam
+        f = SymElement(S, {lam: c for lam, c in f.terms.items() if contains(mu, lam)})
+    for d in f.degrees():  # capped as a conversion of f is, whatever its basis
+        limits.check("ring", d)
+    den, nums = _clear(to_p_terms(f))
+    return from_p_terms(S, _over(_skew_p(mu, nums), den))
 
 
 # --- evaluation in finitely many variables -----------------------------------

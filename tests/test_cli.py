@@ -1,11 +1,14 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from symfunc.cli import main
+from symfunc import matrixreps
+from symfunc.cli import _build_parser, main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -194,6 +197,17 @@ def test_every_subcommand_smoke(capsys):
         assert code_json2 == 0 and out_json2 == out_json  # deterministic JSON
 
 
+def test_readme_lists_every_subcommand():
+    """The README's ``Subcommands:`` list names exactly the parser's
+    subcommands, in the parser's order."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        readme = fh.read()
+    listed = re.search(r"Subcommands: `([^`]*)`", readme).group(1).split()
+    (action,) = [a for a in _build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    assert listed == list(action.choices)
+
+
 def test_max_degree_flag_raises_caps(capsys):
     code, _, err = run(capsys, "chartable", "9")
     assert code == 1 and "capped" in err
@@ -249,6 +263,17 @@ def test_malformed_input_is_a_one_line_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_restrict_above_the_cap_exits_before_enumerating(capsys, monkeypatch):
+    """restrict reads the capped character row before it builds the Young
+    subgroup, whose classes would enumerate all 13! permutations."""
+    def no_subgroup(comp):
+        pytest.fail(f"SubgroupSpec.young({comp}) was built above the cap")
+
+    monkeypatch.setattr(matrixreps.SubgroupSpec, "young", staticmethod(no_subgroup))
+    code, out, err = run(capsys, "restrict", "13", "13")
+    assert code == 1 and out == "" and "capped" in err
 
 
 def test_chartable_below_range_names_it(capsys):

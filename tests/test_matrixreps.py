@@ -1,4 +1,7 @@
 import random
+import threading
+import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial
@@ -662,3 +665,38 @@ def test_young_subgroup_order():
         assert SubgroupSpec.young(comp).order == int(
             __import__("math").prod(factorial(c) for c in comp)
         )
+
+
+def test_matrix_memo_concurrent_and_once():
+    """Concurrent matrix() calls agree and build each permutation's matrix
+    exactly once."""
+    base = specht_module((2, 2))
+    calls = Counter()
+    guard = threading.Lock()
+
+    def counted(pi):
+        with guard:
+            calls[pi] += 1
+        time.sleep(0.001)  # widen the window between the miss and the publish
+        return base.matrix(pi)
+
+    rep = MatrixRep(4, base.dim, counted)
+    perms = list(all_permutations(4))
+    results = []
+    errors = []
+
+    def work():
+        try:
+            results.append([rep.matrix(pi) for pi in perms])
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert not errors
+    assert all(r == results[0] for r in results)
+    assert calls == Counter(perms)
+    assert all(rep.matrix(pi) is m for pi, m in zip(perms, results[0]))
