@@ -93,6 +93,11 @@ def test_specht_golden_byte_identical(capsys, argv, fname):
     (("lr", "5,4,2,1", "3,2,1", "3,2,1"), "lr_5421_321_321"),
     (("coproduct", "h:2,1+-1/2*3,2+2/3*1", "--bases", "s,s"), "coproduct_h_mixed_ss"),
     (("cauchy", "6", "s,s"), "cauchy_6_ss"),
+    (("coproduct-star", "e:2,1+-1/2*3,1+2/3*2+3*()+5/7*2,2,1", "--bases", "e,m"),
+     "coproduct_star_e_mixed_em"),
+    (("coproduct", "p:3/2*2,1+-2*3+1/5*1,1+4*()+-7/3*3,2,1", "--bases", "m,e"),
+     "coproduct_p_mixed_me"),
+    (("cauchy", "6", "h,m"), "cauchy_6_hm"),
 ])
 def test_character_golden_byte_identical(capsys, argv, stem, fmt):
     code, out, err = run(capsys, *(("--format", "json") if fmt == "json" else ()), *argv)
