@@ -415,11 +415,9 @@ def _cmd_restrict(args):
     comp = _parse_composition(args.composition)
     if sum(comp) != sum(lam):
         raise ValueError("composition must sum to |lam|")
-    # the capped row first: the subgroup's classes enumerate its elements
     chi = characters.character_row(lam)
     rows = [
-        (cls[0], len(cls), chi[cycle_type(cls[0])])
-        for cls in matrixreps.SubgroupSpec.young(comp).conjugacy_classes()
+        (w, size, chi[cycle_type(w)]) for w, size in matrixreps.young_classes(comp)
     ]
     text = "\n".join(
         f"{' '.join(str(i) for i in w)}\t{size}\t{v}" for w, size, v in rows

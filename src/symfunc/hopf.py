@@ -7,6 +7,11 @@ the sum coproduct sends p_n to p_n x 1 + 1 x p_n, the product coproduct
 sends p_n to p_n x p_n. Tensors are stored as (partition, partition) ->
 rational in a chosen basis pair, with arithmetic implemented only as far
 as the coproducts and the Cauchy kernel need.
+
+A tensor is converted in one integer pass: its (p, p) expansion is cleared
+to one denominator, each leg is mapped as sparse integer row combinations
+over every partner partition at once, and one Fraction is built per output
+coefficient.
 """
 
 from __future__ import annotations
@@ -15,27 +20,30 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _cartesian
-from math import comb
+from math import comb, prod
 
+from . import limits
 from .partitions import Partition, as_partition, format_partition, z_value
 from .ring import (
     BASES,
+    E,
     H,
     M,
     P,
     S,
     PExpansion,
-    PolynomialValue,
     SymElement,
+    _DUAL,
     _add_scaled,
+    _by_degree,
+    _cache,
     _clear,
     _format_terms,
-    _over,
+    _omega_twist,
     _p_mul,
+    _pairing,
     basis_element,
-    evaluate,
     format_coeff,
-    from_p_terms,
     sym_element,
     to_p_terms,
 )
@@ -107,49 +115,78 @@ def tensor_element(bases, terms) -> TensorElement:
     return TensorElement((bl, br), out)
 
 
-def _map_leg(terms: dict, leg: int, fn) -> dict[PairKey, Fraction]:
-    """Apply fn, a linear map on one-leg term dicts, to leg ``leg`` (0 or 1)
-    of a tensor: the terms are grouped by their other leg's partition and
-    each group is mapped in one call."""
-    groups: dict[Partition, dict] = {}
-    for key, c in terms.items():
-        groups.setdefault(key[1 - leg], {})[key[leg]] = c
-    out: dict[PairKey, Fraction] = {}
-    for other, chunk in groups.items():
-        for lam, c in fn(chunk).items():
-            out[(lam, other) if leg == 0 else (other, lam)] = c
+def _transpose(rows: dict[Partition, dict]) -> dict[Partition, dict]:
+    """Rows keyed by one leg, each over the other leg, keyed by the other."""
+    out: dict[Partition, dict] = {}
+    for key, row in rows.items():
+        for other, n in row.items():
+            out.setdefault(other, {})[key] = n
     return out
 
 
+def _map_legs(nums: dict[PairKey, int], bases, to_p: bool) -> dict[Partition, dict]:
+    """Each leg of an integer tensor mapped in turn, one degree at a time:
+    out[key] = sum over k of table[key][k] rows[k], every row a dict over
+    the partner partitions of the other leg. To p the table is A_b
+    transposed (A_p is z on the diagonal; the 1 / z is left to the caller),
+    from p it is A_b*, eps-twisted for e, as in from_p_terms. Returns rows
+    keyed by the right leg; entries that cancel stay as zeros."""
+    rows: dict[Partition, dict] = {}
+    for (lam, mu), n in nums.items():
+        rows.setdefault(lam, {})[mu] = n
+    for leg, basis in enumerate(bases):
+        out: dict[Partition, dict] = {}
+        for d, chunk in _by_degree(rows).items():
+            if basis == P:
+                table = {alpha: {alpha: z_value(alpha) if to_p else 1} for alpha in chunk}
+            elif to_p:
+                table = _transpose(_pairing(basis, d))
+            else:
+                table = _pairing(_DUAL[basis], d)
+                if basis == E:
+                    table = {lam: _omega_twist(row) for lam, row in table.items()}
+            for key, coeffs in table.items():
+                acc: dict[Partition, int] = {}
+                for k, a in coeffs.items():
+                    for other, n in chunk[k].items() if k in chunk else ():
+                        acc[other] = acc.get(other, 0) + a * n
+                out[key] = acc
+        rows = out if leg else _transpose(out)
+    return rows
+
+
 def _to_pp(t: TensorElement) -> dict[PairKey, Fraction]:
-    """Expansion of a tensor in the (p, p) pair, as a plain dict."""
+    """Expansion of a tensor in the (p, p) pair, as a plain dict, summed in
+    integers and divided by den z_alpha z_beta once per pair."""
     if t.bases == (P, P):
         return dict(t.terms)
-    bl, br = t.bases
-    half = _map_leg(t.terms, 0, lambda chunk: to_p_terms(SymElement(bl, chunk)))
-    return _map_leg(half, 1, lambda chunk: to_p_terms(SymElement(br, chunk)))
+    den, nums = _clear(t.terms)
+    return {(alpha, beta): Fraction(n, den * z_value(alpha) * z_value(beta))
+            for beta, row in _map_legs(nums, t.bases, True).items()
+            for alpha, n in row.items() if n}
 
 
 def tensor_convert(t: TensorElement, bases) -> TensorElement:
-    """Re-express a tensor in another basis pair, one leg at a time."""
+    """Re-express a tensor in another basis pair in one integer pass."""
     bl, br = bases
     if bl not in BASES or br not in BASES:
         raise ValueError(f"unknown basis pair {bases!r}")
     if t.bases == (bl, br):
         return t
-    half = _map_leg(_to_pp(t), 0, lambda chunk: from_p_terms(bl, chunk).terms)
-    return TensorElement((bl, br), _map_leg(half, 1, lambda chunk: from_p_terms(br, chunk).terms))
+    den, nums = _clear(_to_pp(t))
+    return TensorElement((bl, br), {(lam, mu): Fraction(n, den)
+                                    for mu, row in _map_legs(nums, bases, False).items()
+                                    for lam, n in row.items() if n})
 
 
 def tensor_inner(t: TensorElement, g: SymElement, h: SymElement) -> Fraction:
-    """<t, g x h> with the componentwise Hall product."""
-    gp = to_p_terms(g)
-    hp = to_p_terms(h)
-    total = Fraction(0)
-    for (lam, mu), c in _to_pp(t).items():
-        if lam in gp and mu in hp:
-            total += c * gp[lam] * z_value(lam) * hp[mu] * z_value(mu)
-    return total
+    """<t, g x h> with the componentwise Hall product, one integer sum."""
+    dt, tn = _clear(_to_pp(t))
+    dg, gn = _clear(to_p_terms(g))
+    dh, hn = _clear(to_p_terms(h))
+    total = sum(c * gn[lam] * z_value(lam) * hn[mu] * z_value(mu)
+                for (lam, mu), c in tn.items() if lam in gn and mu in hn)
+    return Fraction(total, dt * dg * dh)
 
 
 def simple_tensor(f: SymElement, g: SymElement) -> TensorElement:
@@ -167,37 +204,28 @@ def simple_tensor(f: SymElement, g: SymElement) -> TensorElement:
 # --- the two coproducts -------------------------------------------------------
 
 
-def _sum_coproduct_of_p(lam: Partition) -> dict[PairKey, int]:
+def _sum_coproduct_of_p(lam: Partition, memo: bool = True) -> dict[PairKey, int]:
     """Coproduct of p_lam under p_n -> p_n x 1 + 1 x p_n: each sub-multiset
-    of parts goes left, with the multiset binomial as multiplicity."""
-    mult = sorted(Counter(lam).items())
-    choices_per_value = [
-        [(k, comb(m, k)) for k in range(m + 1)] for _, m in mult
-    ]
+    alpha of the parts goes left, the rest beta right, with multiplicity
+    z_lam / (z_alpha z_beta), a product of binomials. Memoized per
+    partition up to the ring cap."""
+    if memo and sum(lam) <= limits.current().ring:
+        return _cache.get(("coproduct", lam), lambda: _sum_coproduct_of_p(lam, False))
+    mult = Counter(lam)  # keys in decreasing order, as the parts of lam
     out: dict[PairKey, int] = {}
-    for picks in _cartesian(*choices_per_value):
-        left: list[int] = []
-        right: list[int] = []
-        ways = 1
-        for (value, m), (k, binom) in zip(mult, picks):
-            left.extend([value] * k)
-            right.extend([value] * (m - k))
-            ways *= binom
-        key = (
-            tuple(sorted(left, reverse=True)),
-            tuple(sorted(right, reverse=True)),
-        )
-        out[key] = out.get(key, 0) + ways
+    for ks in _cartesian(*(range(m + 1) for m in mult.values())):
+        alpha = tuple(v for v, k in zip(mult, ks) for _ in range(k))
+        beta = tuple(v for (v, m), k in zip(mult.items(), ks) for _ in range(m - k))
+        out[(alpha, beta)] = prod(comb(m, k) for m, k in zip(mult.values(), ks))
     return out
 
 
 def coproduct_sum(f: SymElement) -> TensorElement:
-    """Delta f = f evaluated on the sum of two alphabets."""
+    """Delta f = f evaluated on the sum of two alphabets. Each pair
+    (alpha, beta) comes from p_(alpha + beta) alone, so nothing cancels."""
     den, nums = _clear(to_p_terms(f))
-    acc: dict[PairKey, int] = {}
-    for lam, n in nums.items():
-        _add_scaled(acc, n, _sum_coproduct_of_p(lam))
-    return TensorElement((P, P), _over(acc, den))
+    return TensorElement((P, P), {key: Fraction(n * ways, den) for lam, n in nums.items() if n
+                                  for key, ways in _sum_coproduct_of_p(lam).items()})
 
 
 def coproduct_prod(f: SymElement) -> TensorElement:
@@ -282,27 +310,3 @@ def tensor_to_json(t: TensorElement) -> list[dict]:
         }
         for lam, mu in keys
     ]
-
-
-def plethysm_alphabet_oracle(f: SymElement, g: SymElement, nvars: int):
-    """Independent check of f[g] in finitely many variables: list g's
-    monomials (with positive integral multiplicities) as a new alphabet,
-    evaluate f on that alphabet, and expand back into x_1..x_nvars.
-
-    Only valid when g evaluates with nonnegative integer coefficients."""
-    gpoly = evaluate(g, nvars)
-    alphabet = []
-    for expvec, coeff in sorted(gpoly.terms.items()):
-        c = Fraction(coeff)
-        if c.denominator != 1 or c < 0:
-            raise ValueError("oracle needs a nonnegative-integer inner alphabet")
-        alphabet.extend([expvec] * int(c))
-    fpoly = evaluate(f, len(alphabet))
-    out: dict[tuple, Fraction] = {}
-    for expvec, coeff in fpoly.terms.items():
-        key = tuple(
-            sum(e * mono[i] for e, mono in zip(expvec, alphabet))
-            for i in range(nvars)
-        )
-        _add_scaled(out, coeff, {key: 1})
-    return PolynomialValue(nvars, out)

@@ -132,6 +132,25 @@ class SubgroupSpec:
         return classes
 
 
+def young_classes(composition) -> list[tuple[Permutation, int]]:
+    """(representative, size) of each conjugacy class of the Young subgroup
+    S_{n_1} x ... x S_{n_r}, sorted by representative, without listing its
+    elements: a class is one cycle type rho_i per block, of size
+    prod n_i! / z_(rho_i), and its lex-smallest element puts each block's
+    cycles in increasing length on consecutive letters, a -> a+1 -> ... -> a."""
+    blocks = [int(x) for x in composition]
+    if any(b < 1 for b in blocks):
+        raise ValueError("composition parts must be positive")
+    rows = []
+    for types in _cartesian(*[partitions_of(b) for b in blocks]):
+        word: list[int] = []
+        for rho in types:
+            base = len(word)
+            word.extend(base + i for i in class_representative(rho[::-1]))
+        rows.append((tuple(word), prod(count_of_type(rho) for rho in types)))
+    return sorted(rows)
+
+
 @dataclass(eq=False)
 class MatrixRep:
     """A representation: degree n, dimension, and an exact matrix for every

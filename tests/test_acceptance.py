@@ -39,7 +39,6 @@ from symfunc.hopf import (
     coproduct_sum,
     counit,
     plethysm,
-    plethysm_alphabet_oracle,
     tensor_convert,
     tensor_inner,
 )
@@ -90,6 +89,8 @@ from symfunc.tableaux import (
     rsk,
     rsk_inverse,
 )
+
+from plethysm_oracle import plethysm_alphabet_oracle
 
 YOUNG_RULE_321 = {
     (3, 2, 1): 1,

@@ -271,14 +271,29 @@ def test_malformed_input_is_a_one_line_error(capsys, argv):
 
 
 def test_restrict_above_the_cap_exits_before_enumerating(capsys, monkeypatch):
-    """restrict reads the capped character row before it builds the Young
-    subgroup, whose classes would enumerate all 13! permutations."""
+    """restrict reads the capped character row first and never lists the
+    Young subgroup's 13! elements."""
     def no_subgroup(comp):
         pytest.fail(f"SubgroupSpec.young({comp}) was built above the cap")
 
     monkeypatch.setattr(matrixreps.SubgroupSpec, "young", staticmethod(no_subgroup))
     code, out, err = run(capsys, "restrict", "13", "13")
     assert code == 1 and out == "" and "capped" in err
+
+
+def test_restrict_reads_young_classes_in_closed_form(capsys, monkeypatch):
+    """restrict 9 9 lists none of the 9! elements of S_9: it prints one row
+    per cycle type, and the class sizes sum to the group order."""
+    def no_subgroup(comp):
+        pytest.fail(f"SubgroupSpec.young({comp}) was built")
+
+    monkeypatch.setattr(matrixreps.SubgroupSpec, "young", staticmethod(no_subgroup))
+    code, out, err = run(capsys, "restrict", "9", "9")
+    assert code == 0 and err == ""
+    rows = [line.split("\t") for line in out.splitlines()]
+    assert len(rows) == 30 and all(v == "1" for _, _, v in rows)
+    assert sum(int(size) for _, size, _ in rows) == 362880
+    assert rows[0] == ["1 2 3 4 5 6 7 8 9", "1", "1"]
 
 
 def test_chartable_below_range_names_it(capsys):

@@ -5,6 +5,8 @@ import pytest
 
 from symfunc.characters import kronecker_product, littlewood_richardson
 from symfunc.hopf import (
+    TensorElement,
+    _to_pp,
     antipode,
     cauchy_kernel,
     coproduct_prod,
@@ -12,7 +14,6 @@ from symfunc.hopf import (
     counit,
     counit_star,
     plethysm,
-    plethysm_alphabet_oracle,
     simple_tensor,
     tensor_convert,
     tensor_element,
@@ -27,8 +28,10 @@ from symfunc.ring import (
     M,
     P,
     S,
+    SymElement,
     basis_element,
     evaluate,
+    from_p_terms,
     hall_inner,
     multiply,
     omega,
@@ -36,6 +39,8 @@ from symfunc.ring import (
     sym_element,
     to_p_terms,
 )
+
+from plethysm_oracle import plethysm_alphabet_oracle
 
 
 def random_homogeneous(rng, degree, basis=None):
@@ -311,3 +316,64 @@ def test_simple_tensor_inner_matches_products():
         assert tensor_inner(simple_tensor(a, b), g, h) == hall_inner(a, g) * hall_inner(
             b, h
         )
+
+
+# --- the per-partner leg map, kept as an oracle for the integer pass ----------
+
+
+def _map_leg_oracle(terms, leg, fn):
+    """Apply fn, a linear map on one-leg term dicts, to one leg of a tensor,
+    one call per partition of the other leg."""
+    groups = {}
+    for key, c in terms.items():
+        groups.setdefault(key[1 - leg], {})[key[leg]] = c
+    out = {}
+    for other, chunk in groups.items():
+        for lam, c in fn(chunk).items():
+            out[(lam, other) if leg == 0 else (other, lam)] = c
+    return out
+
+
+def _to_pp_oracle(t):
+    if t.bases == (P, P):
+        return dict(t.terms)
+    bl, br = t.bases
+    half = _map_leg_oracle(t.terms, 0, lambda chunk: to_p_terms(SymElement(bl, chunk)))
+    return _map_leg_oracle(half, 1, lambda chunk: to_p_terms(SymElement(br, chunk)))
+
+
+def _convert_oracle(t, bases):
+    bl, br = bases
+    half = _map_leg_oracle(_to_pp_oracle(t), 0, lambda chunk: from_p_terms(bl, chunk).terms)
+    return _map_leg_oracle(half, 1, lambda chunk: from_p_terms(br, chunk).terms)
+
+
+def _random_tensor(rng, bases):
+    """Mixed-degree terms, degree-0 legs included, with coefficients over
+    small and large coprime denominators."""
+    terms = {}
+    for _ in range(rng.randint(1, 7)):
+        lam = rng.choice(partitions_of(rng.randint(0, 4)))
+        mu = rng.choice(partitions_of(rng.randint(0, 4)))
+        terms[(lam, mu)] = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 10007, 65537]))
+    return tensor_element(bases, terms)
+
+
+def test_integer_tensor_pass_matches_per_partner_oracle_in_all_pairs():
+    rng = random.Random(127)
+    pairs = [(a, b) for a in BASES for b in BASES]
+    assert len(pairs) == 25
+    for target in pairs:
+        sources = [tensor_element(rng.choice(pairs), {}),
+                   tensor_element(rng.choice(pairs), {((), ()): Fraction(3, 65537)})]
+        sources += [_random_tensor(rng, rng.choice(pairs)) for _ in range(4)]
+        for t in sources:
+            pp = _to_pp(t)
+            assert pp == _to_pp_oracle(t)
+            assert all(type(c) is Fraction for c in pp.values())
+            out = tensor_convert(t, target)
+            assert out.bases == target
+            assert out.terms == _convert_oracle(t, target)
+            assert all(type(c) is Fraction and c for c in out.terms.values())
+    zero = tensor_convert(tensor_element((S, H), {}), (E, M))
+    assert isinstance(zero, TensorElement) and zero.terms == {} and _to_pp(zero) == {}

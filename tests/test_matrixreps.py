@@ -3,7 +3,7 @@ import threading
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb, factorial
 
 import pytest
@@ -43,6 +43,7 @@ from symfunc.matrixreps import (
     trivial_of,
     verify_generator_relations,
     young_basis,
+    young_classes,
     young_module,
 )
 from symfunc.partitions import (
@@ -481,6 +482,24 @@ def test_restrict_basics():
         res.matrix((2, 3, 4, 1))  # outside the domain
     triv = restrict(classical_rep("trivial", 4), sub)
     assert all(triv.matrix(h) == ((1,),) for h in sub.elements)
+
+
+def test_young_classes_match_brute_force_classes():
+    """The closed-form classes of a Young subgroup equal the conjugation
+    orbits of its listed elements, for every composition with n <= 7 and at
+    most 3 parts."""
+    count = 0
+    for n in range(1, 8):
+        for r in (1, 2, 3):
+            for comp in product(range(1, n + 1), repeat=r):
+                if sum(comp) != n:
+                    continue
+                brute = [(cls[0], len(cls)) for cls in SubgroupSpec.young(comp).conjugacy_classes()]
+                assert young_classes(comp) == brute, comp
+                count += 1
+    assert count == 63
+    with pytest.raises(ValueError):
+        young_classes((2, 0))
 
 
 def test_frobenius_reciprocity_young_subgroups_of_s4():
