@@ -58,6 +58,11 @@ def test_json_output_deterministic(capsys):
 CONVERT_D8 = "s:3/7*4,2,1,1+-5/2*3,3,2+2*8+-1/3*2,2,2,1,1+9/11*1,1,1,1,1,1,1,1+-4*5,3"
 
 
+# the same shape families at degree 16, expanded in p
+CONVERT_D16 = ("s:3/7*6,4,3,2,1+-5/2*4,4,3,3,2+2*16+-1/3*2,2,2,2,2,2,1,1,1,1"
+               "+9/11*1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1+-4*9,7")
+
+
 @pytest.mark.parametrize("basis", ["m", "e", "h", "p", "s"])
 def test_convert_golden_byte_identical(capsys, basis):
     code, out, err = run(capsys, "--format", "json", "convert", CONVERT_D8, basis)
@@ -98,6 +103,8 @@ def test_specht_golden_byte_identical(capsys, argv, fname):
     (("coproduct", "p:3/2*2,1+-2*3+1/5*1,1+4*()+-7/3*3,2,1", "--bases", "m,e"),
      "coproduct_p_mixed_me"),
     (("cauchy", "6", "h,m"), "cauchy_6_hm"),
+    (("--max-degree", "12", "chartable", "12"), "chartable12"),
+    (("convert", CONVERT_D16, "p"), "convert_d16_p"),
 ])
 def test_character_golden_byte_identical(capsys, argv, stem, fmt):
     code, out, err = run(capsys, *(("--format", "json") if fmt == "json" else ()), *argv)
