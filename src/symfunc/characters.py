@@ -1,10 +1,10 @@
 """Symmetric-group characters via the Frobenius characteristic, and the
 Littlewood-Richardson, Kronecker and Young's-rule coefficient families.
 
-Irreducible characters are rows of ring's Schur pairing table:
-chi^lam(mu) = <s_lam, p_mu> = z_mu * [p_mu] s_lam. No recursive character
-rule is used; the explicit polynomial modules in matrixreps provide the
-independent cross-check.
+Irreducible characters are rows of ring's Schur pairing table,
+chi^lam(mu) = <s_lam, p_mu> = z_mu * [p_mu] s_lam, which ring builds by the
+Murnaghan-Nakayama rule; the explicit polynomial modules in matrixreps stay
+the independent cross-check.
 """
 
 from __future__ import annotations

@@ -587,11 +587,10 @@ def gl_character(lam, nvars: int) -> PolynomialValue:
 def gl_dimension(lam, nvars: int) -> int:
     """Dimension: the number of semistandard tableaux of shape lam with
     entries at most nvars, by the hook-content formula
-    prod over cells u of (nvars + c(u)) / h(u) (zero when the shape has too
-    many rows)."""
-    lam = as_partition(lam)
-    if len(lam) > nvars:
-        return 0
+    prod over cells u of (nvars + c(u)) / h(u), zero when the shape has more
+    than nvars rows (the cell in row nvars + 1 and column 1 has content -nvars)."""
+    if nvars < 0:
+        raise ValueError("variable count must be >= 0")
     cells = hook_content_cells(lam)
     return prod(nvars + c for _, c in cells) // prod(h for h, _ in cells)
 

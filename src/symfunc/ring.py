@@ -14,10 +14,10 @@ m, e, h, s are integral bases and p_mu is integral), stored as sparse rows:
     <h_a f, p_mu> = sum over alpha |- a with alpha + beta = mu of
     z_mu / (z_alpha z_beta) <f, p_beta>;
   * e: the h table twisted by eps_mu = (-1)^(|mu| - len(mu)) (omega);
-  * s: the Jacobi-Trudi determinant det(h_{lam_i - i + j}) in the h basis,
-    a subset-DP Laplace expansion (2^len terms, not len!) summed over the h
-    table, for the shape of each conjugate pair with fewer rows; the other
-    is its eps twist;
+  * s: Murnaghan-Nakayama, <s_lam, p_rho> = sum over the border strips xi
+    of length rho_1 of (-1)^ht(xi) <s_(lam - xi), p_(rho_2, rho_3, ...)>,
+    which reads only smaller s tables, for the shape of each conjugate pair
+    with fewer rows; the other is its eps twist;
   * m: <m_lam, p_mu> = [h_lam] p_mu, the product over the parts k of mu of
     Newton's p_k = sum over lam |- k of (-1)^(len-1) k (len-1)! /
     prod m_i(lam)! h_lam, multiplied in h by part concatenation.
@@ -177,31 +177,21 @@ def _omega_twist(terms: dict) -> dict:
 # --- the pairing tables ------------------------------------------------------
 
 
-def _jacobi_trudi_h(lam: Partition) -> dict[Partition, int]:
-    """Expansion of the Schur function in the h basis, as the determinant
-    det(h_{lambda_i - i + j}) expanded row by row over column subsets."""
+def _border_strips(lam: Partition, k: int):
+    """(lam minus xi, (-1)^ht(xi)) for each border strip xi of length k, on
+    beta numbers: a bead moves from b to the free position b - k, and the
+    height of xi is the number of beads it passes."""
     ell = len(lam)
-    if ell == 0:
-        return {(): 1}
-    state: dict[int, dict[Partition, int]] = {0: {(): 1}}
-    for i in range(ell):
-        nxt: dict[int, dict[Partition, int]] = {}
-        for mask, exp in state.items():
-            for j in range(ell):
-                bit = 1 << j
-                if mask & bit:
-                    continue
-                k = lam[i] - i + j
-                if k < 0:
-                    continue
-                sgn = -1 if (i + bin(mask & (bit - 1)).count("1")) % 2 else 1
-                row = exp if k == 0 else {
-                    tuple(sorted(mu + (k,), reverse=True)): c for mu, c in exp.items()
-                }
-                _add_scaled(nxt.setdefault(mask | bit, {}), sgn, row)
-        state = nxt
-    (expansion,) = state.values()
-    return expansion
+    beta = [p + ell - 1 - i for i, p in enumerate(lam)]
+    for i, b in enumerate(beta):
+        if b - k < 0 or b - k in beta:
+            continue
+        j = i + 1  # the bead lands just above beta[j]
+        while j < ell and beta[j] > b - k:
+            j += 1
+        moved = beta[:i] + beta[i + 1:j] + [b - k] + beta[j:]
+        nu = tuple(p for p in (c - (ell - 1 - t) for t, c in enumerate(moved)) if p)
+        yield nu, (-1) ** (j - i - 1)
 
 
 def _newton_in_h(k: int) -> dict[Partition, int]:
@@ -237,8 +227,11 @@ def _pairing_table(basis: str, degree: int) -> PairingTable:
         return {lam: _omega_twist(row) for lam, row in _pairing(H, degree).items()}
     if basis == S:
         # s_lam = omega(s_lam'): expand the shape with fewer rows, which
-        # comes first in canonical order, and twist it for its conjugate
-        h_table = _pairing(H, degree)
+        # comes first in canonical order, and twist it for its conjugate;
+        # rho is grouped by rho_1 to find each lam's k-strips once
+        by_first: dict[int, list[tuple[Partition, Partition]]] = {}
+        for rho in lams:
+            by_first.setdefault(rho[0], []).append((rho, rho[1:]))
         table = {}
         for lam in lams:
             conj = conjugate(lam)
@@ -246,8 +239,15 @@ def _pairing_table(basis: str, degree: int) -> PairingTable:
                 table[lam] = _omega_twist(table[conj])
                 continue
             row = {}
-            for nu, c in _jacobi_trudi_h(lam).items():
-                _add_scaled(row, c, h_table[nu])
+            for k, rhos in by_first.items():
+                lower = _pairing(S, degree - k)
+                strips = [(lower[nu], sign) for nu, sign in _border_strips(lam, k)]
+                if not strips:
+                    continue
+                for rho, rest in rhos:
+                    v = sum(sign * r.get(rest, 0) for r, sign in strips)
+                    if v:
+                        row[rho] = v
             table[lam] = row
         return table
     # monomial: column mu is p_mu = p_(mu_1) p_(mu_2) ... in the h basis

@@ -270,6 +270,9 @@ def test_bad_max_degree_env_is_usage_error(capsys, monkeypatch):
     ("rsk", "--inverse", "[[1,null]]", "[[1,2]]"),
     ("rsk", "--inverse", "{}", "{}"),
     ("rsk", "--inverse", "[[1],[2,3]]", "[[1],[2,3]]"),
+    ("gl-dim", "2,1", "-1"),
+    ("gl-dim", "()", "-1"),
+    ("gl-char", "2,1", "-1"),
 ])
 def test_malformed_input_is_a_one_line_error(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -662,7 +662,8 @@ def test_schur_weyl_fixtures():
 
 
 def test_specht_frobenius_cross_route_to_5():
-    # the strongest oracle: explicit polynomial modules vs Jacobi-Trudi
+    # the strongest oracle: explicit polynomial modules vs the Schur table
+    # of ring, built by Murnaghan-Nakayama
     for n in range(1, 6):
         for lam in partitions_of(n):
             rep = specht_module(lam)

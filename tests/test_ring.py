@@ -154,6 +154,54 @@ def test_schur_pairing_table_is_murnaghan_nakayama():
             assert table[lam] == {mu: v for mu, v in chars.items() if v}
 
 
+def _jacobi_trudi_h(lam):
+    """The Schur function in the h basis, as the determinant
+    det(h_{lambda_i - i + j}) expanded row by row over column subsets."""
+    from symfunc import ring
+
+    ell = len(lam)
+    if ell == 0:
+        return {(): 1}
+    state = {0: {(): 1}}
+    for i in range(ell):
+        nxt = {}
+        for mask, exp in state.items():
+            for j in range(ell):
+                bit = 1 << j
+                if mask & bit:
+                    continue
+                k = lam[i] - i + j
+                if k < 0:
+                    continue
+                sgn = -1 if (i + bin(mask & (bit - 1)).count("1")) % 2 else 1
+                row = exp if k == 0 else {
+                    tuple(sorted(mu + (k,), reverse=True)): c for mu, c in exp.items()
+                }
+                ring._add_scaled(nxt.setdefault(mask | bit, {}), sgn, row)
+        state = nxt
+    (expansion,) = state.values()
+    return expansion
+
+
+def test_schur_pairing_table_is_jacobi_trudi_over_h():
+    """Every row of the Schur table, built by border strips from smaller s
+    rows, equals its Jacobi-Trudi determinant summed over the h table. A
+    shape with more rows than columns takes the dual form
+    s_lam = det(e_(lam'_i - i + j)) over the e table, whose determinant is
+    the smaller one."""
+    from symfunc import ring
+
+    for d in range(13):
+        h_table, e_table = ring._pairing(H, d), ring._pairing(E, d)
+        for lam, row in ring._pairing(S, d).items():
+            conj = conjugate(lam)
+            shape, table = (lam, h_table) if len(lam) <= len(conj) else (conj, e_table)
+            expected = {}
+            for nu, c in _jacobi_trudi_h(shape).items():
+                ring._add_scaled(expected, c, table[nu])
+            assert row == expected, lam
+
+
 def test_pairing_tables_are_integers_and_e_twists_h():
     from symfunc import ring
 
@@ -448,29 +496,43 @@ def test_degree_cap_enforced():
             convert(basis_element(S, (4, 2)), M)
 
 
-def test_transition_cache_concurrent_and_once():
+def _concurrently(fn, nthreads=8):
+    """fn() from ``nthreads`` threads at once; the list of its results."""
+    results = []
+    errors = []
+
+    def work():
+        try:
+            results.append(fn())
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(nthreads)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert not errors
+    return results
+
+
+def test_transition_cache_concurrent_and_once(monkeypatch):
     """Concurrent conversions at a fresh degree agree and compute the
-    per-degree table exactly once."""
+    per-degree table exactly once; the Schur tables read only smaller Schur
+    tables, each computed once, and no h, e or m table."""
     from symfunc import ring
 
     # degree 11 in the monomial basis is unlikely to be warmed by other tests
     key = ("pairing", M, 11)
     ring._cache.compute_counts.pop(key, None)
     ring._cache._data.pop(key, None)
-    results = []
-    errors = []
-
-    def work():
-        try:
-            results.append(convert(basis_element(M, (6, 3, 2)), P))
-        except Exception as exc:  # pragma: no cover
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not errors
+    results = _concurrently(lambda: convert(basis_element(M, (6, 3, 2)), P))
     assert all(r == results[0] for r in results)
     assert ring._cache.compute_counts.get(key) == 1
+
+    fresh = ring._OnceCache()
+    monkeypatch.setattr(ring, "_cache", fresh)
+    tables = _concurrently(lambda: ring._pairing(S, 11))
+    assert len(tables) == 8 and all(t is tables[0] for t in tables)
+    # every s table up to 11 exactly once, and no h, e or m table
+    assert fresh.compute_counts == {("pairing", S, d): 1 for d in range(12)}
