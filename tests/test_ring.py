@@ -496,8 +496,8 @@ def test_degree_cap_enforced():
             convert(basis_element(S, (4, 2)), M)
 
 
-def _concurrently(fn, nthreads=8):
-    """fn() from ``nthreads`` threads at once; the list of its results."""
+def _concurrently(fn):
+    """fn() from 8 threads at once; the list of its results."""
     results = []
     errors = []
 
@@ -507,7 +507,7 @@ def _concurrently(fn, nthreads=8):
         except Exception as exc:  # pragma: no cover
             errors.append(exc)
 
-    threads = [threading.Thread(target=work) for _ in range(nthreads)]
+    threads = [threading.Thread(target=work) for _ in range(8)]
     for t in threads:
         t.start()
     for t in threads:
