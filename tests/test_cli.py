@@ -262,6 +262,38 @@ def test_bad_max_degree_env_is_usage_error(capsys, monkeypatch):
     assert err.startswith("usage:") and "invalid int value: 'abc'" in err
 
 
+# argv, extra environment and golden key of each pinned usage error or help text
+USAGE_CASES = [
+    ((), {}, "no_arguments"),
+    (("no-such-command",), {}, "no_such_command"),
+    (("kostka",), {}, "kostka_no_arguments"),
+    (("rsk",), {}, "rsk_no_arguments"),
+    (("--format",), {}, "format_no_value"),
+    (("--format", "x", "kostka", "1", "1"), {}, "format_invalid"),
+    (("convert", "s:1", "h", "--format", "json"), {}, "convert_trailing_option"),
+    (("rep", "young", "2", "--at"), {}, "rep_at_no_value"),
+    (("kostka", "2,1", "1,1,1"), {"SYMF_MAX_DEGREE": "abc"}, "bad_max_degree_env"),
+    (("-h",), {}, "help"),
+    (("kostka", "-h"), {}, "kostka_help"),
+    (("convert", "-h"), {}, "convert_help"),
+]
+
+
+@pytest.mark.parametrize("argv, env, key", USAGE_CASES)
+def test_usage_errors_and_help_byte_identical(capsys, monkeypatch, argv, env, key):
+    """Exit code, stdout and stderr of usage errors and help texts, byte for
+    byte, at a fixed help width of 80 columns."""
+    with open(os.path.join(GOLDEN, "usage_and_help.json")) as fh:
+        expected = json.load(fh)[key]
+    monkeypatch.setenv("COLUMNS", "80")
+    for var in ("SYMF_FORMAT", "SYMF_MAX_DEGREE"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    code, out, err = run(capsys, *argv)
+    assert {"code": code, "stdout": out, "stderr": err} == expected
+
+
 @pytest.mark.parametrize("argv", [
     ("convert", "s:1/0*2", "m"),
     ("ch", "3", "3=1/0"),
