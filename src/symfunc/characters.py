@@ -15,7 +15,7 @@ from math import factorial
 
 from . import limits
 from .errors import InvariantViolationError, SizeMismatchError
-from .partitions import Partition, as_partition, partitions_of, z_value
+from .partitions import Partition, as_partition, partition_ranks, partitions_of, z_value
 from .ring import (
     H,
     P,
@@ -42,7 +42,10 @@ class ClassFunction:
     values: tuple
 
     def value(self, mu) -> Fraction:
-        return self.values[partitions_of(self.n).index(as_partition(mu))]
+        rank = partition_ranks(self.n).get(as_partition(mu))
+        if rank is None:
+            raise SizeMismatchError(f"{mu} is not a partition of {self.n}")
+        return self.values[rank]
 
     def as_dict(self) -> dict[Partition, Fraction]:
         return dict(zip(partitions_of(self.n), self.values))

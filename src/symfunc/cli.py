@@ -2,7 +2,11 @@
 
 Every computation is one subcommand with stable text output (default) or
 JSON (--format json / SYMF_FORMAT=json). Exit codes: 0 success, 1 domain
-error (one-line diagnostic on stderr), 2 usage error.
+error (one-line diagnostic on stderr), 2 usage error. The options
+--format and --max-degree go before the subcommand.
+
+The subcommands are one table, COMMANDS. A call builds only the top-level
+parser and the parser of the subcommand it runs, each once per process.
 
 Partition syntax: "3,2,1" (descending) or "()" for the empty partition.
 Permutation words: "2 3 1". Element literals: basis:coeff*partition+...,
@@ -300,7 +304,10 @@ def _cmd_ch(args):
         key, sep, val = pair.partition("=")
         if not sep:
             raise ValueError(f"class value must look like MU=VALUE: {pair!r}")
-        values[parse_partition(key)] = ring.parse_coeff(val)
+        mu = parse_partition(key)
+        if mu in values:
+            raise ValueError(f"class {format_partition(mu)} is given twice")
+        values[mu] = ring.parse_coeff(val)
     cf = characters.class_function(args.n, values)
     return _sym_out(characters.frobenius_ch(cf), args.basis)
 
@@ -463,13 +470,94 @@ def _cmd_schur_weyl(args):
     return ("true" if res else "false"), res
 
 
-# --- parser -------------------------------------------------------------------
+# --- commands -----------------------------------------------------------------
+
+# name -> (handler, argument specs); a spec is a bare positional name or a
+# (name or flag, add_argument keywords) pair, added in order
+_INT = {"type": int}
+_N = ("n", _INT)
+_FLAG = {"action": "store_true"}
+_AT = ("--at", {"help": "permutation word to evaluate at"})
+
+
+def _basis(default):
+    return ("--basis", {"choices": ring.BASES, "default": default})
+
+
+COMMANDS = {
+    "partitions": (_cmd_partitions, (_N,)),
+    "conjugate": (_cmd_conjugate, ("partition",)),
+    "dominates": (_cmd_dominates, ("lam", "mu")),
+    "ztable": (_cmd_ztable, (_N,)),
+    "kostka": (_cmd_kostka, ("lam", "mu", ("--tableaux", {
+        **_FLAG, "help": "list the semistandard tableaux and their weights"}))),
+    "flambda": (_cmd_flambda, ("partition",)),
+    "rsk": (_cmd_rsk, (("word", {
+        "nargs": "+", "help": "word letters, or two JSON tableaux with --inverse"}),
+        ("--inverse", _FLAG))),
+    "convert": (_cmd_convert, ("element", ("basis", {"choices": ring.BASES}))),
+    "multiply": (_cmd_multiply, ("f", "g", _basis(ring.P))),
+    "inner": (_cmd_inner, ("f", "g")),
+    "omega": (_cmd_omega, ("element", _basis(ring.P))),
+    "skew": (_cmd_skew, ("lam", "mu", _basis(ring.S))),
+    "perp": (_cmd_perp, ("mu", "element", _basis(ring.S))),
+    "evaluate": (_cmd_evaluate, ("element", ("nvars", _INT))),
+    "char": (_cmd_char, ("lam", "mu")),
+    "chartable": (_cmd_chartable, (_N,)),
+    "ch": (_cmd_ch, (_N, ("values", {"nargs": "*", "metavar": "MU=VALUE"}),
+                     _basis(ring.S))),
+    "ch-inverse": (_cmd_ch_inverse, ("element", _N)),
+    "lr": (_cmd_lr, ("lam", "mu", "nu")),
+    "kronecker": (_cmd_kronecker, ("lam", "mu", "nu")),
+    "kron-product": (_cmd_kron_product, ("f", "g", _basis(ring.P))),
+    "youngs-rule": (_cmd_youngs_rule, ("mu",)),
+    "coproduct": (_cmd_coproduct, ("element", ("--bases", {
+        "default": "p,p", "help": "target pair, e.g. s,s"}), ("--counit", _FLAG))),
+    "coproduct-star": (_cmd_coproduct_star, (
+        "element", ("--bases", {"default": "p,p"}), ("--counit", _FLAG))),
+    "antipode": (_cmd_antipode, ("element", _basis(ring.P))),
+    "cauchy": (_cmd_cauchy, (_N, ("pair", {
+        "help": "dual basis pair: s,s h,m m,h or p,p"}))),
+    "plethysm": (_cmd_plethysm, ("f", "g", ("--scale", {"type": int, "default": 1}),
+                                 _basis(ring.P))),
+    "rep": (_cmd_rep, ("kind", "arg", _AT)),
+    "decompose": (_cmd_decompose, ("kind", "arg")),
+    "induce": (_cmd_induce, (("composition", {
+        "help": "Young subgroup composition, e.g. 2,1"}),
+        ("kind", {"choices": ("trivial", "sign")}), _AT)),
+    "restrict": (_cmd_restrict, ("lam", "composition")),
+    "tensor": (_cmd_tensor, ("kind1", "arg1", "kind2", "arg2", ("--sum", {
+        **_FLAG, "help": "direct sum instead"}))),
+    "ext2": (_cmd_ext2, ("kind", "arg")),
+    "gl-char": (_cmd_gl_char, ("lam", ("nvars", _INT))),
+    "gl-dim": (_cmd_gl_dim, ("lam", ("nvars", _INT))),
+    "schur-weyl": (_cmd_schur_weyl, (_N, ("m", _INT))),
+}
+
+
+class _OneToken(argparse.Action):
+    """A positional that takes one token. Python 3.11's argparse hands it []
+    when that token is a literal "--" after the "--" separator."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values == []:
+            raise argparse.ArgumentError(self, "expected one argument")
+        setattr(namespace, self.dest, values)
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built once on first use; main sets the defaults that
-    come from the environment on every call."""
+def _parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The top parser (no command) or one command's parser, each built once
+    on first use; main sets the defaults that come from the environment on
+    every call."""
+    if command is not None:
+        p = argparse.ArgumentParser(prog=f"symfunc {command}")
+        for spec in COMMANDS[command][1]:
+            name, kwargs = (spec, {}) if isinstance(spec, str) else spec
+            if not name.startswith("-") and "nargs" not in kwargs:
+                kwargs = {"action": _OneToken, **kwargs}
+            p.add_argument(name, **kwargs)
+        return p
     top = argparse.ArgumentParser(
         prog="symfunc",
         description="Exact symmetric functions and S_n representations",
@@ -481,187 +569,29 @@ def _build_parser() -> argparse.ArgumentParser:
         default="0",
         help="raise every degree cap to this value",
     )
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def cmd(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(handler=handler)
-        return p
-
-    p = cmd("partitions", _cmd_partitions)
-    p.add_argument("n", type=int)
-
-    p = cmd("conjugate", _cmd_conjugate)
-    p.add_argument("partition")
-
-    p = cmd("dominates", _cmd_dominates)
-    p.add_argument("lam")
-    p.add_argument("mu")
-
-    p = cmd("ztable", _cmd_ztable)
-    p.add_argument("n", type=int)
-
-    p = cmd("kostka", _cmd_kostka)
-    p.add_argument("lam")
-    p.add_argument("mu")
-    p.add_argument("--tableaux", action="store_true",
-                   help="list the semistandard tableaux and their weights")
-
-    p = cmd("flambda", _cmd_flambda)
-    p.add_argument("partition")
-
-    p = cmd("rsk", _cmd_rsk)
-    p.add_argument("word", nargs="+",
-                   help="word letters, or two JSON tableaux with --inverse")
-    p.add_argument("--inverse", action="store_true")
-
-    p = cmd("convert", _cmd_convert)
-    p.add_argument("element")
-    p.add_argument("basis", choices=ring.BASES)
-
-    p = cmd("multiply", _cmd_multiply)
-    p.add_argument("f")
-    p.add_argument("g")
-    p.add_argument("--basis", choices=ring.BASES, default=ring.P)
-
-    p = cmd("inner", _cmd_inner)
-    p.add_argument("f")
-    p.add_argument("g")
-
-    p = cmd("omega", _cmd_omega)
-    p.add_argument("element")
-    p.add_argument("--basis", choices=ring.BASES, default=ring.P)
-
-    p = cmd("skew", _cmd_skew)
-    p.add_argument("lam")
-    p.add_argument("mu")
-    p.add_argument("--basis", choices=ring.BASES, default=ring.S)
-
-    p = cmd("perp", _cmd_perp)
-    p.add_argument("mu")
-    p.add_argument("element")
-    p.add_argument("--basis", choices=ring.BASES, default=ring.S)
-
-    p = cmd("evaluate", _cmd_evaluate)
-    p.add_argument("element")
-    p.add_argument("nvars", type=int)
-
-    p = cmd("char", _cmd_char)
-    p.add_argument("lam")
-    p.add_argument("mu")
-
-    p = cmd("chartable", _cmd_chartable)
-    p.add_argument("n", type=int)
-
-    p = cmd("ch", _cmd_ch)
-    p.add_argument("n", type=int)
-    p.add_argument("values", nargs="*", metavar="MU=VALUE")
-    p.add_argument("--basis", choices=ring.BASES, default=ring.S)
-
-    p = cmd("ch-inverse", _cmd_ch_inverse)
-    p.add_argument("element")
-    p.add_argument("n", type=int)
-
-    p = cmd("lr", _cmd_lr)
-    p.add_argument("lam")
-    p.add_argument("mu")
-    p.add_argument("nu")
-
-    p = cmd("kronecker", _cmd_kronecker)
-    p.add_argument("lam")
-    p.add_argument("mu")
-    p.add_argument("nu")
-
-    p = cmd("kron-product", _cmd_kron_product)
-    p.add_argument("f")
-    p.add_argument("g")
-    p.add_argument("--basis", choices=ring.BASES, default=ring.P)
-
-    p = cmd("youngs-rule", _cmd_youngs_rule)
-    p.add_argument("mu")
-
-    p = cmd("coproduct", _cmd_coproduct)
-    p.add_argument("element")
-    p.add_argument("--bases", default="p,p", help="target pair, e.g. s,s")
-    p.add_argument("--counit", action="store_true")
-
-    p = cmd("coproduct-star", _cmd_coproduct_star)
-    p.add_argument("element")
-    p.add_argument("--bases", default="p,p")
-    p.add_argument("--counit", action="store_true")
-
-    p = cmd("antipode", _cmd_antipode)
-    p.add_argument("element")
-    p.add_argument("--basis", choices=ring.BASES, default=ring.P)
-
-    p = cmd("cauchy", _cmd_cauchy)
-    p.add_argument("n", type=int)
-    p.add_argument("pair", help="dual basis pair: s,s h,m m,h or p,p")
-
-    p = cmd("plethysm", _cmd_plethysm)
-    p.add_argument("f")
-    p.add_argument("g")
-    p.add_argument("--scale", type=int, default=1)
-    p.add_argument("--basis", choices=ring.BASES, default=ring.P)
-
-    p = cmd("rep", _cmd_rep)
-    p.add_argument("kind")
-    p.add_argument("arg")
-    p.add_argument("--at", help="permutation word to evaluate at")
-
-    p = cmd("decompose", _cmd_decompose)
-    p.add_argument("kind")
-    p.add_argument("arg")
-
-    p = cmd("induce", _cmd_induce)
-    p.add_argument("composition", help="Young subgroup composition, e.g. 2,1")
-    p.add_argument("kind", choices=("trivial", "sign"))
-    p.add_argument("--at", help="permutation word to evaluate at")
-
-    p = cmd("restrict", _cmd_restrict)
-    p.add_argument("lam")
-    p.add_argument("composition")
-
-    p = cmd("tensor", _cmd_tensor)
-    p.add_argument("kind1")
-    p.add_argument("arg1")
-    p.add_argument("kind2")
-    p.add_argument("arg2")
-    p.add_argument("--sum", action="store_true", help="direct sum instead")
-
-    p = cmd("ext2", _cmd_ext2)
-    p.add_argument("kind")
-    p.add_argument("arg")
-
-    p = cmd("gl-char", _cmd_gl_char)
-    p.add_argument("lam")
-    p.add_argument("nvars", type=int)
-
-    p = cmd("gl-dim", _cmd_gl_dim)
-    p.add_argument("lam")
-    p.add_argument("nvars", type=int)
-
-    p = cmd("schur-weyl", _cmd_schur_weyl)
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
-
+    # the command name and every token after it, as a subparsers action takes them
+    top.add_argument("command", nargs=argparse.PARSER, choices=COMMANDS)
     return top
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    parser.set_defaults(
+    top = _parser()
+    top.set_defaults(
         format=os.environ.get("SYMF_FORMAT", "text"),
         # a string default goes through type=int, so a bad value is a usage error
         max_degree=os.environ.get("SYMF_MAX_DEGREE", "0"),
     )
     try:
-        args = parser.parse_args(argv)
+        args, extras = top.parse_known_args(argv)
+        name, *rest = args.command
+        args, more = _parser(name).parse_known_args(rest, args)
+        if extras or more:
+            top.error(f"unrecognized arguments: {' '.join(extras + more)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         with limits.scoped(limits.current().raised(args.max_degree)):
-            text, obj = args.handler(args)
+            text, obj = COMMANDS[name][0](args)
     except (ValueError, InvariantViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -103,16 +103,23 @@ class TensorElement:
     __repr__ = __str__
 
 
-def tensor_element(bases, terms) -> TensorElement:
-    bl, br = bases
-    if bl not in BASES or br not in BASES:
+def _basis_pair(bases) -> tuple[str, str]:
+    pair = tuple(bases)
+    if len(pair) != 2:
+        raise ValueError(f"basis pair must be two bases, e.g. s,s: {bases!r}")
+    if pair[0] not in BASES or pair[1] not in BASES:
         raise ValueError(f"unknown basis pair {bases!r}")
+    return pair
+
+
+def tensor_element(bases, terms) -> TensorElement:
+    bases = _basis_pair(bases)
     out: dict[PairKey, Fraction] = {}
     for (lam, mu), c in dict(terms).items():
         c = Fraction(c)
         if c:
             out[(as_partition(lam), as_partition(mu))] = c
-    return TensorElement((bl, br), out)
+    return TensorElement(bases, out)
 
 
 def _transpose(rows: dict[Partition, dict]) -> dict[Partition, dict]:
@@ -168,15 +175,13 @@ def _to_pp(t: TensorElement) -> dict[PairKey, Fraction]:
 
 def tensor_convert(t: TensorElement, bases) -> TensorElement:
     """Re-express a tensor in another basis pair in one integer pass."""
-    bl, br = bases
-    if bl not in BASES or br not in BASES:
-        raise ValueError(f"unknown basis pair {bases!r}")
-    if t.bases == (bl, br):
+    bases = _basis_pair(bases)
+    if t.bases == bases:
         return t
     den, nums = _clear(_to_pp(t))
-    return TensorElement((bl, br), {(lam, mu): Fraction(n, den)
-                                    for mu, row in _map_legs(nums, bases, False).items()
-                                    for lam, n in row.items() if n})
+    return TensorElement(bases, {(lam, mu): Fraction(n, den)
+                                 for mu, row in _map_legs(nums, bases, False).items()
+                                 for lam, n in row.items() if n})
 
 
 def tensor_inner(t: TensorElement, g: SymElement, h: SymElement) -> Fraction:

@@ -24,6 +24,7 @@ __all__ = [
     "Permutation",
     "as_partition",
     "partitions_of",
+    "partition_ranks",
     "conjugate",
     "dominates",
     "z_value",
@@ -79,6 +80,12 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
                 yield (first,) + rest
 
     return tuple(gen(n, n))
+
+
+@lru_cache(maxsize=None)
+def partition_ranks(n: int) -> dict[Partition, int]:
+    """The position of each partition of ``n`` in ``partitions_of(n)``."""
+    return {lam: i for i, lam in enumerate(partitions_of(n))}
 
 
 def conjugate(lam: Partition) -> Partition:

@@ -50,6 +50,7 @@ from .partitions import (
     contains,
     format_partition,
     parse_partition,
+    partition_ranks,
     partitions_of,
     z_value,
 )
@@ -349,7 +350,7 @@ class SymElement:
 
 def _canonical_sort_key(lam: Partition):
     d = sum(lam)
-    return (d, partitions_of(d).index(lam))
+    return (d, partition_ranks(d)[lam])
 
 
 def sym_element(basis: str, terms) -> SymElement:

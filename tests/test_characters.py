@@ -287,3 +287,6 @@ def test_class_function_keys_are_exactly_partitions():
         class_function(3, {(2, 2): 1})
     cf = class_function(3, {(3,): 5})
     assert cf.as_dict() == {(3,): 5, (2, 1): 0, (1, 1, 1): 0}
+    assert [cf.value(mu) for mu in partitions_of(3)] == [5, 0, 0]
+    with pytest.raises(SizeMismatchError):
+        cf.value((2, 2))

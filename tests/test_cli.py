@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -6,9 +8,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from symfunc import matrixreps
-from symfunc.cli import _build_parser, main
+from symfunc import matrixreps, ring
+from symfunc import cli
+from symfunc.cli import COMMANDS, main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -210,14 +214,40 @@ def test_every_subcommand_smoke(capsys):
 
 
 def test_readme_lists_every_subcommand():
-    """The README's ``Subcommands:`` list names exactly the parser's
-    subcommands, in the parser's order."""
+    """The README's ``Subcommands:`` list names exactly the command table's
+    subcommands, in the table's order."""
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
         readme = fh.read()
     listed = re.search(r"Subcommands: `([^`]*)`", readme).group(1).split()
-    (action,) = [a for a in _build_parser()._actions
-                 if isinstance(a, argparse._SubParsersAction)]
-    assert listed == list(action.choices)
+    assert listed == list(COMMANDS)
+
+
+def test_a_call_builds_only_its_own_parser(capsys, monkeypatch):
+    """A cold call constructs the top parser and its own command's parser,
+    none of the others."""
+    built = []
+
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    try:
+        code, out, err = run(capsys, "flambda", "3,1")
+    finally:
+        cli._parser.cache_clear()
+    assert code == 0 and out == "3\n" and err == ""
+    assert built == ["symfunc", "symfunc flambda"]
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_every_command_has_help(capsys, command):
+    code, out, err = run(capsys, command, "-h")
+    assert code == 0 and err == ""
+    assert out.startswith(f"usage: symfunc {command} ")
 
 
 def test_max_degree_flag_raises_caps(capsys):
@@ -305,11 +335,33 @@ def test_usage_errors_and_help_byte_identical(capsys, monkeypatch, argv, env, ke
     ("gl-dim", "2,1", "-1"),
     ("gl-dim", "()", "-1"),
     ("gl-char", "2,1", "-1"),
+    ("coproduct", "s:1", "--bases", "s"),
+    ("coproduct", "s:1", "--bases", "s,s,s"),
+    ("coproduct-star", "s:1", "--bases", "s"),
+    ("ch", "2", "2=1", "2=3"),
+    ("ch", "3", "2,1=1", "3=1", "2,1=1"),
 ])
 def test_malformed_input_is_a_one_line_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# every int stays <= 4, so no draw reaches an uncapped large input
+FUZZ_TOKENS = [*map(str, range(5)), "()", "2,1", "s:1", *ring.BASES, "--at", "--basis",
+               "-h", "--", "", "x", "-1", "1/0", "2=1", "[[1]]", "young", "sign"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(list(COMMANDS)), st.lists(st.sampled_from(FUZZ_TOKENS), max_size=5))
+@example("kostka", ["--", "1", "--"])  # a literal "--" after the separator
+def test_fuzzed_argv_exits_cleanly(command, tokens):
+    """Any argv exits 0, 1 or 2 and never with a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, *tokens])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_restrict_above_the_cap_exits_before_enumerating(capsys, monkeypatch):

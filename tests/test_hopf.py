@@ -225,6 +225,14 @@ def test_cauchy_kernel_rejects_non_dual_pairs():
         cauchy_kernel(3, (E, E))
 
 
+@pytest.mark.parametrize("bases", [(S,), (S, S, S), ()])
+def test_tensor_basis_pair_must_have_two_bases(bases):
+    t = tensor_element((S, S), {((1,), ()): 1})
+    for make in (lambda: tensor_convert(t, bases), lambda: tensor_element(bases, {})):
+        with pytest.raises(ValueError, match="basis pair must be two bases"):
+            make()
+
+
 def test_cauchy_zero_degree():
     assert cauchy_kernel(0, (S, S)).terms == {((), ()): Fraction(1)}
 

@@ -16,6 +16,7 @@ from symfunc.partitions import (
     inverse_perm,
     parse_partition,
     parse_permutation,
+    partition_ranks,
     partitions_of,
     sign,
     z_value,
@@ -57,6 +58,13 @@ def test_partitions_of_against_brute_force():
         if n >= 1:
             assert parts[0] == (n,)
     assert len(partitions_of(8)) == 22
+
+
+def test_partition_ranks_are_positions_in_partitions_of():
+    for n in range(13):
+        ranks = partition_ranks(n)
+        assert list(ranks) == list(partitions_of(n))
+        assert all(ranks[lam] == i for i, lam in enumerate(partitions_of(n)))
 
 
 def test_as_partition_validation():
