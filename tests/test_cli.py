@@ -109,6 +109,10 @@ def test_specht_golden_byte_identical(capsys, argv, fname):
     (("cauchy", "6", "h,m"), "cauchy_6_hm"),
     (("--max-degree", "12", "chartable", "12"), "chartable12"),
     (("convert", CONVERT_D16, "p"), "convert_d16_p"),
+    (("kostka", "--tableaux", "3,2", "2,2,1"), "kostka_tableaux_32_221"),
+    (("rsk", "3", "1", "2", "2"), "rsk_3122"),
+    (("rep", "standard", "4"), "rep_standard_4"),
+    (("gl-char", "3,1", "3"), "gl_char_31_3"),
 ])
 def test_character_golden_byte_identical(capsys, argv, stem, fmt):
     code, out, err = run(capsys, *(("--format", "json") if fmt == "json" else ()), *argv)
