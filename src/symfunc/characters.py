@@ -110,7 +110,9 @@ def sign_of_class(mu) -> int:
 
 def frobenius_ch(f: ClassFunction) -> SymElement:
     """Frobenius characteristic: sum over classes of f(mu) p_mu / z_mu."""
-    return sym_element(P, {mu: Fraction(v, z_value(mu)) for mu, v in f.as_dict().items()})
+    return sym_element(
+        P, {mu: Fraction(v, z_value(mu)) for mu, v in zip(partitions_of(f.n), f.values)}
+    )
 
 
 def frobenius_inverse(f: SymElement, n: int) -> ClassFunction:
@@ -192,9 +194,9 @@ def char_inner(f: ClassFunction, g: ClassFunction) -> Fraction:
     f(mu) g(mu) / z_mu. (S_n characters are rational, so no conjugate.)"""
     if f.n != g.n:
         raise SizeMismatchError(f"class functions of degrees {f.n} != {g.n}")
-    fd, gd = f.as_dict(), g.as_dict()
     return sum(
-        (fd[mu] * gd[mu] / z_value(mu) for mu in partitions_of(f.n)), Fraction(0)
+        (a * b / z_value(mu) for mu, a, b in zip(partitions_of(f.n), f.values, g.values)),
+        Fraction(0),
     )
 
 
@@ -202,5 +204,6 @@ def pointwise_product(f: ClassFunction, g: ClassFunction) -> ClassFunction:
     """Pointwise product of class functions (the tensor-product character)."""
     if f.n != g.n:
         raise SizeMismatchError(f"class functions of degrees {f.n} != {g.n}")
-    fd, gd = f.as_dict(), g.as_dict()
-    return class_function(f.n, {mu: fd[mu] * gd[mu] for mu in partitions_of(f.n)})
+    return class_function(
+        f.n, {mu: a * b for mu, a, b in zip(partitions_of(f.n), f.values, g.values)}
+    )

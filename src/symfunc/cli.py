@@ -36,14 +36,22 @@ from .partitions import (
 )
 
 
-def _fmt_matrix_text(m) -> str:
-    rows = [[ring.format_coeff(x) for x in row] for row in m]
-    if not rows:
-        return "(empty 0x0 matrix)"
-    widths = [max(len(r[j]) for r in rows) for j in range(len(rows[0]))]
+def _grid(rows, sep: str, left: int) -> str:
+    """Rows of equally many cells as aligned lines: the first ``left``
+    columns padded on the right, the others on the left, and each line
+    stripped of trailing spaces."""
+    widths = [max(map(len, col)) for col in zip(*rows)]
     return "\n".join(
-        " ".join(x.rjust(w) for x, w in zip(r, widths)) for r in rows
+        sep.join(
+            x.ljust(w) if j < left else x.rjust(w)
+            for j, (x, w) in enumerate(zip(r, widths))
+        ).rstrip(" ")
+        for r in rows
     )
+
+
+def _fmt_matrix_text(m) -> str:
+    return _grid(_matrix_json(m), " ", 0) or "(empty 0x0 matrix)"
 
 
 def _matrix_json(m) -> list[list[str]]:
@@ -51,27 +59,12 @@ def _matrix_json(m) -> list[list[str]]:
 
 
 def _tableau_text(t) -> str:
-    lines = []
-    for r, row in enumerate(t.rows):
-        pad = t.inner[r] if r < len(t.inner) else 0
-        lines.append(" ".join(["."] * pad + [str(v) for v in row]))
-    return "\n".join(lines)
-
-
-def _tableau_json(t):
-    if not t.inner:
-        return t.to_lists()
-    out = []
-    for r, row in enumerate(t.rows):
-        pad = t.inner[r] if r < len(t.inner) else 0
-        out.append([None] * pad + list(row))
-    return out
+    return "\n".join(" ".join(map(str, row)) for row in t.rows)
 
 
 def _classfn_rows(cf: characters.ClassFunction):
-    cols = characters.table_columns(cf.n)
-    vals = cf.as_dict()
-    return [(mu, vals[mu]) for mu in cols]
+    # classes from the identity 1^n upward, the character-table column order
+    return zip(characters.table_columns(cf.n), reversed(cf.values))
 
 
 def _classfn_text(cf) -> str:
@@ -91,11 +84,8 @@ def _classfn_json(cf):
 
 
 def _mults_text(mults) -> str:
-    items = sorted(mults.items(), reverse=True)
-    if not items:
-        return "0"
-    width = max(len(format_partition(lam)) for lam, _ in items)
-    return "\n".join(f"{format_partition(lam).ljust(width)}  {m}" for lam, m in items)
+    rows = [(format_partition(lam), str(m)) for lam, m in sorted(mults.items(), reverse=True)]
+    return _grid(rows, "  ", 2) or "0"
 
 
 def _mults_json(mults):
@@ -187,18 +177,11 @@ def _cmd_kostka(args):
     mu = parse_partition(args.mu)
     if args.tableaux:
         tabs = list(tableaux.enumerate_ssyt(lam, len(mu), mu))
-        text_parts = []
-        for t in tabs:
-            mono = tableaux.weight_monomial(t)
-            weight = "*".join(
-                f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in sorted(mono.items())
-            )
-            text_parts.append(_tableau_text(t) + f"\nweight: {weight or '1'}")
-        text = f"{len(tabs)}\n" + "\n\n".join(text_parts)
-        return text, {
-            "count": len(tabs),
-            "tableaux": [_tableau_json(t) for t in tabs],
-        }
+        text = f"{len(tabs)}\n" + "\n\n".join(
+            _tableau_text(t) + f"\nweight: {ring.format_monomial(t.content()) or '1'}"
+            for t in tabs
+        )
+        return text, {"count": len(tabs), "tableaux": [t.to_lists() for t in tabs]}
     k = tableaux.kostka(lam, mu)
     return str(k), k
 
@@ -219,7 +202,7 @@ def _cmd_rsk(args):
     letters = [int(x) for x in args.word]
     p, q = tableaux.rsk(letters)
     text = "P:\n" + _tableau_text(p) + "\nQ:\n" + _tableau_text(q)
-    return text, {"P": _tableau_json(p), "Q": _tableau_json(q)}
+    return text, {"P": p.to_lists(), "Q": q.to_lists()}
 
 
 def _tableau_from_json(text: str) -> tableaux.Tableau:
@@ -271,31 +254,16 @@ def _cmd_chartable(args):
     table = characters.character_table(args.n)
     rows = partitions_of(args.n)
     cols = characters.table_columns(args.n)
-    col_labels = [format_partition(c) for c in cols]
-    row_labels = [format_partition(r) for r in rows]
-    head_width = max(len(x) for x in row_labels + ["chi"])
-    widths = [
-        max(len(col_labels[j]), max(len(str(table[i][j])) for i in range(len(rows))))
-        for j in range(len(cols))
+    cells = [("chi", *map(format_partition, cols))] + [
+        (format_partition(lam), *map(str, row)) for lam, row in zip(rows, table)
     ]
-    lines = [
-        "chi".ljust(head_width)
-        + "  "
-        + "  ".join(lbl.rjust(w) for lbl, w in zip(col_labels, widths))
-    ]
-    for i, rl in enumerate(row_labels):
-        lines.append(
-            rl.ljust(head_width)
-            + "  "
-            + "  ".join(str(table[i][j]).rjust(widths[j]) for j in range(len(cols)))
-        )
     obj = {
         "n": args.n,
         "rows": [list(r) for r in rows],
         "columns": [list(c) for c in cols],
         "table": table,
     }
-    return "\n".join(lines), obj
+    return _grid(cells, "  ", 1), obj
 
 
 def _cmd_ch(args):

@@ -565,12 +565,11 @@ def square_class(mu) -> Partition:
 def exterior_square_character(chi: ClassFunction) -> ClassFunction:
     """Character of the exterior square: value at g is
     (chi(g)^2 - chi(g^2)) / 2."""
-    vals = chi.as_dict()
     return class_function(
         chi.n,
         {
-            mu: (vals[mu] ** 2 - vals[square_class(mu)]) / 2
-            for mu in partitions_of(chi.n)
+            mu: (v**2 - chi.value(square_class(mu))) / 2
+            for mu, v in zip(partitions_of(chi.n), chi.values)
         },
     )
 

@@ -543,9 +543,7 @@ class PolynomialValue:
 
     def __str__(self) -> str:
         return _format_terms(
-            (self.terms[key], "*".join(
-                f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}" for i, e in enumerate(key) if e
-            ))
+            (self.terms[key], format_monomial(key))
             for key in sorted(self.terms, key=lambda k: (-sum(k),) + tuple(-x for x in k))
         )
 
@@ -590,6 +588,14 @@ def format_coeff(c) -> str:
         return str(c)
     c = Fraction(c)
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+
+
+def format_monomial(exponents) -> str:
+    """x_1^e_1 * x_2^e_2 * ... as ``x1^2*x3``: zero exponents are left out,
+    an exponent 1 is not shown, and the empty monomial is ""."""
+    return "*".join(
+        f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exponents, 1) if e
+    )
 
 
 def _format_terms(terms) -> str:

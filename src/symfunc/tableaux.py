@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial, prod
 
 from .partitions import Partition, as_partition, conjugate, contains
@@ -170,7 +169,6 @@ def count_ssyt(shape, max_entry: int, content: tuple[int, ...] | None = None) ->
     return sum(1 for _ in enumerate_ssyt(shape, max_entry, content))
 
 
-@lru_cache(maxsize=4096)
 def kostka(lam: Partition, mu: Partition) -> int:
     """Number of semistandard tableaux of shape ``lam`` and content ``mu``.
 

@@ -344,6 +344,13 @@ def test_usage_errors_and_help_byte_identical(capsys, monkeypatch, argv, env, ke
     ("coproduct-star", "s:1", "--bases", "s"),
     ("ch", "2", "2=1", "2=3"),
     ("ch", "3", "2,1=1", "3=1", "2,1=1"),
+    ("induce", "2,x", "trivial"),
+    ("induce", "2,0", "trivial"),
+    ("restrict", "3,1", "2,1"),
+    ("rsk", "--inverse", "[[1]]"),
+    ("ch", "3", "2"),
+    ("plethysm", "--scale", "0", "p:1", "p:1"),
+    ("cauchy", "-1", "s,s"),
 ])
 def test_malformed_input_is_a_one_line_error(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -159,6 +159,19 @@ def test_sum_coproduct_is_algebra_morphism():
         assert lhs == rhs
 
 
+def test_coproducts_are_linear():
+    rng = random.Random(101)
+    for _ in range(8):
+        f = random_homogeneous(rng, rng.randint(0, 4))
+        g = random_homogeneous(rng, rng.randint(0, 4))
+        for delta in (coproduct_sum, coproduct_prod):
+            fg = tensor_convert(delta(f), (S, H)) + delta(g)
+            assert fg.bases == (S, H)
+            assert fg == delta(f + g)
+            assert 2 * delta(f) == delta(2 * f)
+            assert (0 * delta(f)).is_zero()
+
+
 def test_inner_product_compatibility_100_random_triples():
     # <Delta f, g x h> = <f, g h> and <Delta* f, g x h> = <f, g star h>
     rng = random.Random(101)

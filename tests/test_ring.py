@@ -452,6 +452,33 @@ def test_evaluate_is_multiplicative():
             assert evaluate(multiply(f, g), m) == evaluate(f, m) * evaluate(g, m)
 
 
+def test_evaluate_is_additive():
+    rng = random.Random(67)
+    for _ in range(6):
+        f = random_element(rng, max_degree=5)
+        g = random_element(rng, max_degree=5)
+        for m in range(5):
+            assert evaluate(f + g, m) == evaluate(f, m) + evaluate(g, m)
+    with pytest.raises(ValueError):
+        evaluate(f, 2) + evaluate(g, 3)
+
+
+def test_element_product_negation_and_coefficients():
+    s1 = basis_element(S, (1,))
+    assert convert(s1 * s1, S).terms == {(2,): 1, (1, 1): 1}
+    assert (s1 * Fraction(2, 3)).terms == {(1,): Fraction(2, 3)}
+    rng = random.Random(71)
+    for _ in range(10):
+        f = random_element(rng)
+        g = random_element(rng)
+        assert f * g == multiply(f, g)
+        neg = -f
+        assert neg.basis == f.basis and (neg + f).is_zero()
+        for lam, c in f.terms.items():
+            assert neg.coefficient(list(lam)) == -c == -f.coefficient(lam)
+    assert basis_element(H, (2, 1)).coefficient((3,)) == 0
+
+
 def test_semantic_equality_across_bases():
     h2 = basis_element(H, (2,))
     as_p = sym_element(P, {(2,): Fraction(1, 2), (1, 1): Fraction(1, 2)})

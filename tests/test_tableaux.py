@@ -96,6 +96,13 @@ def test_kostka_content_permutation_invariance():
                 assert kostka(lam, tuple(perm)) == kostka(lam, mu)
 
 
+def test_kostka_accepts_lists_and_unsorted_content():
+    assert kostka([3, 2], [2, 2, 1]) == 2
+    assert kostka([3, 2], [1, 2, 2]) == kostka((3, 2), (2, 2, 1))
+    assert kostka([3, 2, 1], [1, 0, 3, 2]) == kostka((3, 2, 1), (3, 2, 1)) == 1
+    assert kostka([2, 2], [1, 3]) == 0
+
+
 def test_kostka_size_mismatch_is_zero():
     assert kostka((2, 1), (2, 2)) == 0
 
