@@ -20,7 +20,6 @@ from .tableaux import (
     kostka,
     rsk,
     rsk_inverse,
-    weight_monomial,
 )
 from .ring import (
     BASES,

@@ -9,11 +9,11 @@ the independent cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from . import limits
+from ._record import Record
 from .errors import InvariantViolationError, SizeMismatchError
 from .partitions import Partition, as_partition, partition_ranks, partitions_of, z_value
 from .ring import (
@@ -33,13 +33,17 @@ from .ring import (
     to_p_terms,
 )
 
-@dataclass(frozen=True, eq=True)
-class ClassFunction:
+class ClassFunction(Record):
     """A rational-valued function on the conjugacy classes of S_n, keyed by
     the cycle-type partitions. Keys are exactly the partitions of n."""
 
     n: int
     values: tuple
+
+    def __init__(self, n, values):
+        d = self.__dict__
+        d["n"] = n
+        d["values"] = values
 
     def value(self, mu) -> Fraction:
         rank = partition_ranks(self.n).get(as_partition(mu))

@@ -177,10 +177,11 @@ def _cmd_kostka(args):
     mu = parse_partition(args.mu)
     if args.tableaux:
         tabs = list(tableaux.enumerate_ssyt(lam, len(mu), mu))
-        text = f"{len(tabs)}\n" + "\n\n".join(
+        text = "\n\n".join(
             _tableau_text(t) + f"\nweight: {ring.format_monomial(t.content()) or '1'}"
             for t in tabs
         )
+        text = f"{len(tabs)}\n{text}" if tabs else "0"
         return text, {"count": len(tabs), "tableaux": [t.to_lists() for t in tabs]}
     k = tableaux.kostka(lam, mu)
     return str(k), k

@@ -17,12 +17,12 @@ coefficient.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _cartesian
 from math import comb, prod
 
 from . import limits
+from ._record import Record
 from .partitions import Partition, as_partition, format_partition, z_value
 from .ring import (
     BASES,
@@ -51,13 +51,17 @@ from .ring import (
 PairKey = tuple[Partition, Partition]
 
 
-@dataclass(frozen=True, eq=False)
-class TensorElement:
+class TensorElement(Record):
     """An element of Sym x Sym: finitely many ((lam, mu) -> rational) terms
     in a pair of bases, one per tensor leg."""
 
     bases: tuple[str, str]
     terms: dict
+
+    def __init__(self, bases, terms):
+        d = self.__dict__
+        d["bases"] = bases
+        d["terms"] = terms
 
     def __add__(self, other: "TensorElement") -> "TensorElement":
         other = tensor_convert(other, self.bases)

@@ -15,29 +15,30 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import astuple, dataclass, fields, replace
 
+from ._record import Record
 from .errors import DegreeCapError
 
 
-@dataclass(frozen=True)
-class Limits:
+class Limits(Record):
     """The largest degree n each family computes."""
 
-    ring: int = 20  # transition tables between the bases
-    table: int = 8  # whole character tables
-    coefficient: int = 12  # character rows, LR, Kronecker, Young's rule
-    regular: int = 6  # the regular representation
-    specht: int = 5  # Specht modules
-    young: int = 6  # Young permutation modules
+    ring: int  # transition tables between the bases (default 20)
+    table: int  # whole character tables (8)
+    coefficient: int  # character rows, LR, Kronecker, Young's rule (12)
+    regular: int  # the regular representation (6)
+    specht: int  # Specht modules (5)
+    young: int  # Young permutation modules (6)
 
-    def __post_init__(self):
-        if any(cap < 0 for cap in astuple(self)):
+    def __init__(self, ring=20, table=8, coefficient=12, regular=6, specht=5, young=6):
+        self.__dict__.update(ring=ring, table=table, coefficient=coefficient,
+                             regular=regular, specht=specht, young=young)
+        if min(self._values(self)) < 0:
             raise ValueError(f"degree caps must be >= 0: {self}")
 
     def raised(self, n: int) -> "Limits":
         """Every cap raised to at least n; caps above n stay."""
-        return Limits(*(max(getattr(self, f.name), n) for f in fields(self)))
+        return Limits(*(max(cap, n) for cap in self._values(self)))
 
 
 _NAMES = {
@@ -64,7 +65,7 @@ def set_default(**caps: int) -> None:
     ``set_default(table=10)``. Scopes already entered keep their value."""
     global _default
     with _default_lock:
-        _default = replace(_default, **caps)
+        _default = Limits(**{**vars(_default), **caps})
 
 
 @contextmanager

@@ -30,13 +30,13 @@ convention (pi sigma)(i) = pi(sigma(i)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations as _perms, product as _cartesian
 from math import factorial, prod
 
 from . import limits
+from ._record import Record
 from .characters import ClassFunction, character_row, class_function
 from .errors import InvariantViolationError
 from .linalg import Matrix, block_diag, identity, kron, mat_mul
@@ -63,13 +63,17 @@ def set_rep_caps(**caps: int) -> None:
     limits.set_default(**caps)
 
 
-@dataclass(frozen=True)
-class SubgroupSpec:
+class SubgroupSpec(Record):
     """An explicit subgroup of S_n: the ambient degree and the full element
     list (closed under composition and inverse, containing the identity)."""
 
     n: int
     elements: tuple[Permutation, ...]
+
+    def __init__(self, n, elements):
+        d = self.__dict__
+        d["n"] = n
+        d["elements"] = elements
 
     @classmethod
     def from_elements(cls, n: int, elements) -> "SubgroupSpec":
@@ -151,19 +155,23 @@ def young_classes(composition) -> list[tuple[Permutation, int]]:
     return sorted(rows)
 
 
-@dataclass(eq=False)
 class MatrixRep:
     """A representation: degree n, dimension, and an exact matrix for every
     permutation in the domain (None = all of S_n). An optional trace rule
     gives the character without building the matrix."""
 
-    n: int
-    dim: int
-    _matrix_fn: object
-    domain: SubgroupSpec | None = None
-    label: str = ""
-    _trace_fn: object = field(default=None, repr=False)
-    _matrices: _OnceCache = field(default_factory=_OnceCache, repr=False)
+    def __init__(self, n: int, dim: int, _matrix_fn, domain: SubgroupSpec | None = None,
+                 label: str = "", _trace_fn=None):
+        self.n = n
+        self.dim = dim
+        self._matrix_fn = _matrix_fn
+        self.domain = domain
+        self.label = label
+        self._trace_fn = _trace_fn
+        self._matrices = _OnceCache()
+
+    def __repr__(self) -> str:
+        return f"MatrixRep(n={self.n}, dim={self.dim}, label={self.label!r})"
 
     def _checked(self, perm) -> Permutation:
         pi = tuple(perm)

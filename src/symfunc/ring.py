@@ -37,11 +37,11 @@ from __future__ import annotations
 
 import threading
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm, prod
 
 from . import limits
+from ._record import Record
 from .errors import InvariantViolationError
 from .partitions import (
     Partition,
@@ -291,13 +291,17 @@ def _normalize_terms(terms) -> dict[Partition, Fraction]:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class SymElement:
+class SymElement(Record):
     """A symmetric function: finitely many (partition -> rational) terms in
     one named basis. May mix degrees. Equality is semantic (compared in p)."""
 
     basis: str
     terms: dict
+
+    def __init__(self, basis, terms):
+        d = self.__dict__
+        d["basis"] = basis
+        d["terms"] = terms
 
     def degrees(self) -> set[int]:
         return {sum(lam) for lam in self.terms}
@@ -506,13 +510,17 @@ def perp(mu, f: SymElement) -> SymElement:
 # --- evaluation in finitely many variables -----------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class PolynomialValue:
+class PolynomialValue(Record):
     """A polynomial in x_1..x_nvars with exact rational coefficients,
     stored as exponent-vector -> coefficient."""
 
     nvars: int
     terms: dict
+
+    def __init__(self, nvars, terms):
+        d = self.__dict__
+        d["nvars"] = nvars
+        d["terms"] = terms
 
     def __add__(self, other: "PolynomialValue") -> "PolynomialValue":
         if self.nvars != other.nvars:

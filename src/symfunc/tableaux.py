@@ -8,9 +8,9 @@ lexicographic order and counting never materializes more than one tableau.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from math import factorial, prod
 
+from ._record import Record
 from .partitions import Partition, as_partition, conjugate, contains
 
 __all__ = [
@@ -24,22 +24,22 @@ __all__ = [
     "standard_tableaux",
     "rsk",
     "rsk_inverse",
-    "weight_monomial",
 ]
 
 
-@dataclass(frozen=True)
-class SkewShape:
+class SkewShape(Record):
     """A skew diagram outer/inner with inner contained in outer."""
 
     outer: Partition
-    inner: Partition = ()
+    inner: Partition
 
-    def __post_init__(self):
-        object.__setattr__(self, "outer", as_partition(self.outer))
-        object.__setattr__(self, "inner", as_partition(self.inner))
-        if not contains(self.inner, self.outer):
-            raise ValueError(f"inner shape {self.inner} not contained in {self.outer}")
+    def __init__(self, outer, inner=()):
+        outer, inner = as_partition(outer), as_partition(inner)
+        if not contains(inner, outer):
+            raise ValueError(f"inner shape {inner} not contained in {outer}")
+        d = self.__dict__
+        d["outer"] = outer
+        d["inner"] = inner
 
     @property
     def size(self) -> int:
@@ -54,8 +54,7 @@ class SkewShape:
         return out
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(Record):
     """A filling of a (skew) Young diagram.
 
     ``rows[r]`` holds only the filled cells of row r, i.e. columns
@@ -65,7 +64,13 @@ class Tableau:
 
     shape: Partition
     rows: tuple[tuple[int, ...], ...]
-    inner: Partition = ()
+    inner: Partition
+
+    def __init__(self, shape, rows, inner=()):
+        d = self.__dict__
+        d["shape"] = shape
+        d["rows"] = rows
+        d["inner"] = inner
 
     @property
     def size(self) -> int:
@@ -274,11 +279,3 @@ def rsk_inverse(p_tab: Tableau, q_tab: Tableau) -> tuple[int, ...]:
     word.reverse()
     return tuple(word)
 
-
-def weight_monomial(tab: Tableau) -> dict[int, int]:
-    """Exponent of x_i = multiplicity of the entry i in the tableau."""
-    out: dict[int, int] = {}
-    for row in tab.rows:
-        for v in row:
-            out[v] = out.get(v, 0) + 1
-    return out

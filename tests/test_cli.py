@@ -34,6 +34,13 @@ def test_kostka_fixture(capsys):
     assert code == 0 and out == "2\n" and err == ""
 
 
+def test_kostka_tableaux_with_no_tableau_prints_only_the_count(capsys):
+    code, out, err = run(capsys, "kostka", "--tableaux", "3", "1,1")
+    assert code == 0 and out == "0\n" and err == ""
+    code, out, err = run(capsys, "--format", "json", "kostka", "--tableaux", "3", "1,1")
+    assert code == 0 and json.loads(out) == {"count": 0, "tableaux": []} and err == ""
+
+
 def test_golden_files_byte_identical_across_runs(capsys):
     for argv, fname in [
         (("chartable", "5"), "chartable5.txt"),

@@ -32,7 +32,7 @@ from symfunc.ring import (
     to_p_terms,
     zero,
 )
-from symfunc.tableaux import enumerate_ssyt, kostka, weight_monomial
+from symfunc.tableaux import enumerate_ssyt, kostka
 
 
 def invert(a):
@@ -437,8 +437,8 @@ def test_evaluate_schur_matches_tableau_weights():
                 poly = evaluate(basis_element(S, lam), m)
                 expected = {}
                 for t in enumerate_ssyt(lam, m):
-                    w = weight_monomial(t)
-                    key = tuple(w.get(i, 0) for i in range(1, m + 1))
+                    w = t.content()
+                    key = w + (0,) * (m - len(w))
                     expected[key] = expected.get(key, 0) + 1
                 assert {k: int(v) for k, v in poly.terms.items()} == expected
 

@@ -15,7 +15,6 @@ from symfunc.tableaux import (
     rsk,
     rsk_inverse,
     standard_tableaux,
-    weight_monomial,
 )
 
 
@@ -46,7 +45,7 @@ def test_kostka_two_fillings_of_32_with_content_221():
     tabs = list(enumerate_ssyt((3, 2), 3, (2, 2, 1)))
     assert [t.to_lists() for t in tabs] == [[[1, 1, 2], [2, 3]], [[1, 1, 3], [2, 2]]]
     for t in tabs:
-        assert weight_monomial(t) == {1: 2, 2: 2, 3: 1}
+        assert t.content() == (2, 2, 1)
 
 
 def test_skew_enumeration_matches_brute_force():
@@ -170,11 +169,11 @@ def test_rsk_roundtrip_random_words(word):
     assert rsk_inverse(p, q) == tuple(word)
 
 
-def test_weight_monomial_fixtures():
+def test_content_fixtures():
     t = standard_tableaux((3, 2))[0]
-    assert weight_monomial(t) == {i: 1 for i in range(1, 6)}
+    assert t.content() == (1, 1, 1, 1, 1)
     single = Tableau((1,), ((5,),))
-    assert weight_monomial(single) == {5: 1}
+    assert single.content() == (0, 0, 0, 0, 1)
 
 
 def test_rsk_inverse_validates_input():
