@@ -14,8 +14,7 @@ class Record:
     assignment or deletion, and field-wise ``==`` and ``hash`` unless the
     subclass defines its own ``__eq__`` (it is then unhashable)."""
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls):
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
         cls._values = attrgetter(*cls._fields)  # a tuple: every record has 2+ fields
 

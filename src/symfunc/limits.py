@@ -23,12 +23,12 @@ from .errors import DegreeCapError
 class Limits(Record):
     """The largest degree n each family computes."""
 
-    ring: int  # transition tables between the bases (default 20)
-    table: int  # whole character tables (8)
-    coefficient: int  # character rows, LR, Kronecker, Young's rule (12)
-    regular: int  # the regular representation (6)
-    specht: int  # Specht modules (5)
-    young: int  # Young permutation modules (6)
+    ring: int  # transition tables between the bases
+    table: int  # whole character tables
+    coefficient: int  # character rows, LR, Kronecker, Young's rule
+    regular: int  # the regular representation
+    specht: int  # Specht modules
+    young: int  # Young permutation modules
 
     def __init__(self, ring=20, table=8, coefficient=12, regular=6, specht=5, young=6):
         self.__dict__.update(ring=ring, table=table, coefficient=coefficient,
