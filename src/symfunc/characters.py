@@ -21,11 +21,11 @@ from .ring import (
     P,
     S,
     SymElement,
+    _clear,
     _dot,
     _omega_sign,
     _pairing,
     _require_integer,
-    _schur_p,
     _skew_p,
     basis_element,
     convert,
@@ -100,7 +100,7 @@ def character_table(n: int) -> list[list[int]]:
         raise ValueError(f"n must be at least 1, got {n}")
     limits.check("table", n)
     cols = table_columns(n)
-    return [[character_row(lam)[mu] for mu in cols] for lam in partitions_of(n)]
+    return [[row[mu] for mu in cols] for row in map(character_row, partitions_of(n))]
 
 
 def table_columns(n: int) -> list[Partition]:
@@ -138,11 +138,11 @@ def littlewood_richardson(lam, mu, nu) -> int:
     if sum(lam) != sum(mu) + sum(nu):
         return 0
     limits.check("coefficient", sum(lam))
-    order, nums = _schur_p(lam)
+    den, nums = _clear(to_p_terms(basis_element(S, lam)))
     val = _require_integer(
         _dot(_skew_p(mu, nums), _pairing(S, sum(nu))[nu]),
         f"LR coefficient c^{lam}_({mu},{nu})",
-        order,
+        den,
     )
     if val < 0:
         raise InvariantViolationError(f"negative LR coefficient {val}")

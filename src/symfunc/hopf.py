@@ -140,8 +140,9 @@ def _map_legs(nums: dict[PairKey, int], bases, to_p: bool) -> dict[Partition, di
     out[key] = sum over k of table[key][k] rows[k], every row a dict over
     the partner partitions of the other leg. To p the table is A_b
     transposed (A_p is z on the diagonal; the 1 / z is left to the caller),
-    from p it is A_b*, eps-twisted for e, as in from_p_terms. Returns rows
-    keyed by the right leg; entries that cancel stay as zeros."""
+    from p it is A_b*, as in from_p_terms; e twists the p side of A_h (to p)
+    or A_m (from p). Returns rows keyed by the right leg; entries that
+    cancel stay as zeros."""
     rows: dict[Partition, dict] = {}
     for (lam, mu), n in nums.items():
         rows.setdefault(lam, {})[mu] = n
@@ -150,12 +151,12 @@ def _map_legs(nums: dict[PairKey, int], bases, to_p: bool) -> dict[Partition, di
         for d, chunk in _by_degree(rows).items():
             if basis == P:
                 table = {alpha: {alpha: z_value(alpha) if to_p else 1} for alpha in chunk}
-            elif to_p:
-                table = _transpose(_pairing(basis, d))
             else:
-                table = _pairing(_DUAL[basis], d)
+                table = _pairing((H if basis == E else basis) if to_p else _DUAL[basis], d)
                 if basis == E:
                     table = {lam: _omega_twist(row) for lam, row in table.items()}
+                if to_p:
+                    table = _transpose(table)
             for key, coeffs in table.items():
                 acc: dict[Partition, int] = {}
                 for k, a in coeffs.items():

@@ -42,7 +42,6 @@ __all__ = [
     "all_permutations",
     "class_representative",
     "parse_permutation",
-    "format_permutation",
 ]
 
 Partition = tuple[int, ...]
@@ -227,7 +226,3 @@ def parse_permutation(text: str) -> Permutation:
     except ValueError:
         raise ValueError(f"malformed permutation word {text!r}") from None
     return as_permutation(images)
-
-
-def format_permutation(p: Permutation) -> str:
-    return " ".join(str(i) for i in p)

@@ -5,15 +5,14 @@ power sum p, Schur s). Internally everything is routed through the power-sum
 basis, where multiplication is part concatenation, the Hall product is
 diagonal with weights z_lambda, and the omega involution is a sign twist.
 
-Every other basis b is carried by one integer table per degree, its Hall
-pairing with the power sums, A_b[lam][mu] = <b_lam, p_mu> (integral, since
-m, e, h, s are integral bases and p_mu is integral), stored as sparse rows:
+The bases h, s and m are each carried by one integer table per degree, their
+Hall pairing with the power sums, A_b[lam][mu] = <b_lam, p_mu> (integral,
+since they are integral bases and p_mu is integral), stored as sparse rows:
 
   * h: <h_lam, p_mu> counts the ways to deal mu's parts into rows of lengths
     lam; row lam extends row lam[1:] one degree lower, because
     <h_a f, p_mu> = sum over alpha |- a with alpha + beta = mu of
     z_mu / (z_alpha z_beta) <f, p_beta>;
-  * e: the h table twisted by eps_mu = (-1)^(|mu| - len(mu)) (omega);
   * s: Murnaghan-Nakayama, <s_lam, p_rho> = sum over the border strips xi
     of length rho_1 of (-1)^ht(xi) <s_(lam - xi), p_(rho_2, rho_3, ...)>,
     which reads only smaller s tables, for the shape of each conjugate pair
@@ -22,6 +21,9 @@ m, e, h, s are integral bases and p_mu is integral), stored as sparse rows:
     Newton's p_k = sum over lam |- k of (-1)^(len-1) k (len-1)! /
     prod m_i(lam)! h_lam, multiplied in h by part concatenation.
 
+e has no table: e_lam = omega(h_lam), so its power sums are the h-row sum
+twisted by eps_mu = (-1)^(|mu| - len(mu)).
+
 No table is inverted: [p_mu] b_lam = A_b[lam][mu] / z_mu, and [b_lam] f is
 <f, b*_lam>, a row of the table of the Hall dual basis b* (s for s, h for
 m, m for h, and omega(m), the eps twist of the m table, for e). The kernels
@@ -29,8 +31,9 @@ clear each degree to one denominator, sum in ints and build one Fraction
 per output coefficient. The per-degree cache is compute-then-publish:
 concurrent readers never observe a partial table and each (basis, degree)
 table is computed at most once. One kernel, _skew_p, applies s_mu^perp in
-integers; perp, skew_schur (s_(lam/mu) = s_mu^perp s_lam) and the LR
-coefficients <s_mu^perp s_lam, s_nu> of characters all go through it.
+integers. perp is its one public route, and skew_schur is perp(mu, s_lam);
+the LR coefficients <s_mu^perp s_lam, s_nu> of characters dot its image of
+s_lam with the s row of nu.
 """
 
 from __future__ import annotations
@@ -224,8 +227,6 @@ def _pairing_table(basis: str, degree: int) -> PairingTable:
                     row[mu] = row.get(mu, 0) + c * ways
             table[lam] = row
         return table
-    if basis == E:
-        return {lam: _omega_twist(row) for lam, row in _pairing(H, degree).items()}
     if basis == S:
         # s_lam = omega(s_lam'): expand the shape with fewer rows, which
         # comes first in canonical order, and twist it for its conjugate;
@@ -251,7 +252,9 @@ def _pairing_table(basis: str, degree: int) -> PairingTable:
                         row[rho] = v
             table[lam] = row
         return table
-    # monomial: column mu is p_mu = p_(mu_1) p_(mu_2) ... in the h basis
+    if basis != M:
+        raise ValueError(f"no pairing table is stored for basis {basis!r}")
+    # column mu is p_mu = p_(mu_1) p_(mu_2) ... in the h basis
     newton = {k: _newton_in_h(k) for k in range(1, degree + 1)}
     cols: dict[Partition, dict[Partition, int]] = {(): {(): 1}}
 
@@ -269,7 +272,7 @@ def _pairing_table(basis: str, degree: int) -> PairingTable:
 
 
 def _pairing(basis: str, degree: int) -> PairingTable:
-    """The cached pairing table of ``basis`` (not p) at one degree."""
+    """The cached pairing table of ``basis`` (h, s or m) at one degree."""
     limits.check("ring", degree)
     return _cache.get(("pairing", basis, degree), lambda: _pairing_table(basis, degree))
 
@@ -376,16 +379,19 @@ def one(basis: str = P) -> SymElement:
 
 def to_p_terms(f: SymElement) -> PExpansion:
     """The power-sum expansion of ``f`` as a plain dict:
-    [p_mu] f = sum over lam of f_lam A_b[lam][mu] / z_mu."""
+    [p_mu] f = sum over lam of f_lam A_b[lam][mu] / z_mu, with e read as the
+    eps twist of h."""
     if f.basis == P:
         return dict(f.terms)
     out: PExpansion = {}
     for d, chunk in _by_degree(f.terms).items():
-        table = _pairing(f.basis, d)
+        table = _pairing(H if f.basis == E else f.basis, d)
         den, nums = _clear(chunk)
         acc: dict[Partition, int] = {}
         for lam, n in nums.items():
             _add_scaled(acc, n, table[lam])
+        if f.basis == E:
+            acc = _omega_twist(acc)
         for mu, v in acc.items():
             out[mu] = Fraction(v, den * z_value(mu))
     return out
@@ -468,24 +474,13 @@ def _skew_p(mu: Partition, nums: dict[Partition, int]) -> dict[Partition, int]:
     return out
 
 
-def _schur_p(lam: Partition) -> tuple[int, dict[Partition, int]]:
-    """(n!, n! [p_rho] s_lam) for lam |- n: [p_rho] s_lam is
-    <s_lam, p_rho> / z_rho, and every z_rho divides n!."""
-    order = factorial(sum(lam))
-    row = _pairing(S, sum(lam))[lam]
-    return order, {rho: c * (order // z_value(rho)) for rho, c in row.items()}
-
-
 def skew_schur(lam, mu) -> SymElement:
     """The skew Schur function s_(lam/mu) = s_mu^perp s_lam as a Schur
     expansion, sum over nu of <s_lam, s_mu s_nu> s_nu; zero if mu is not
     inside lam."""
     lam = as_partition(lam)
     mu = as_partition(mu)
-    if not contains(mu, lam):
-        return zero(S)
-    order, nums = _schur_p(lam)
-    out = from_p_terms(S, _over(_skew_p(mu, nums), order))
+    out = perp(mu, basis_element(S, lam))
     for nu, c in out.terms.items():
         if c.denominator != 1 or c < 0:
             raise InvariantViolationError(

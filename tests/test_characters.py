@@ -55,6 +55,21 @@ def test_character_table_small():
     assert table_columns(3) == [(1, 1, 1), (2, 1), (3,)]
 
 
+def test_character_table_reads_each_row_once(monkeypatch):
+    from symfunc import characters
+
+    calls = []
+
+    def counting_row(lam):
+        calls.append(lam)
+        return character_row(lam)
+
+    monkeypatch.setattr(characters, "character_row", counting_row)
+    table = characters.character_table(6)
+    assert sorted(calls, reverse=True) == list(partitions_of(6))
+    assert [row[0] for row in table] == [f_lambda(lam) for lam in partitions_of(6)]
+
+
 def test_orthogonality_rows_and_columns_to_8():
     for n in range(1, 9):
         parts = partitions_of(n)

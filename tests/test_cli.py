@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 
@@ -231,6 +232,61 @@ def test_readme_lists_every_subcommand():
         readme = fh.read()
     listed = re.search(r"Subcommands: `([^`]*)`", readme).group(1).split()
     assert listed == list(COMMANDS)
+
+
+def _readme_block(heading):
+    """The lines of the first code block under ``heading`` in the README,
+    each split into (code, comment)."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        readme = fh.read()
+    block = re.search(heading + r"\n.*?```[a-z]*\n(.*?)```", readme, re.S).group(1)
+    return [tuple(part.strip() for part in line.partition("#")[::2])
+            for line in block.splitlines() if line.strip()]
+
+
+def test_readme_cli_examples_run_and_print_their_stated_values(capsys):
+    """Every ``symfunc`` line of the README's CLI block exits 0, and a line
+    whose comment is a value prints exactly that value."""
+    valued = {
+        "kostka 3,2 2,2,1": "2",
+        "convert s:1*2,1 m": "m[2,1] + 2*m[1,1,1]",
+        "plethysm p:2 p:3": "p[6]",
+        "schur-weyl 4 3": "true",
+    }
+    seen = set()
+    for code, comment in _readme_block("## CLI"):
+        prog, *argv = shlex.split(code)
+        assert prog == "symfunc"
+        status, out, err = run(capsys, *argv)
+        assert status == 0, (code, err)
+        key = " ".join(argv)
+        if key in valued:
+            seen.add(key)
+            assert comment.removeprefix("-> ") == valued[key] == out.strip(), code
+    assert seen == set(valued)
+
+
+def test_readme_quick_tour_runs_and_prints_its_stated_values():
+    """Every line of the README's library quick tour runs, and the four
+    lines whose comment is a value evaluate to exactly that value."""
+    valued = {
+        "convert": "m[2,1] + 2*m[1,1,1]",
+        "kostka": "2",
+        "littlewood_richardson": "1",
+        "plethysm": "p[6]",
+    }
+    namespace = {}
+    seen = set()
+    for code, comment in _readme_block("## Library quick tour"):
+        if code.startswith(("from ", "import ")):
+            exec(code, namespace)
+            continue
+        value = eval(code, namespace)
+        name = code.partition("(")[0]
+        if name in valued:
+            seen.add(name)
+            assert comment == valued[name] == str(value), code
+    assert seen == set(valued)
 
 
 def test_a_call_builds_only_its_own_parser(capsys, monkeypatch):

@@ -98,6 +98,17 @@ def test_schur_to_monomial_is_kostka():
                 assert expansion.get(mu, 0) == kostka(lam, mu)
 
 
+def _e_table(d):
+    """A_e[lam][mu] = <e_lam, p_mu>, which the package does not store: the
+    eps twist of the h table, since e_lam = omega(h_lam)."""
+    from symfunc import ring
+
+    return {
+        lam: {mu: (-1) ** (d - len(mu)) * c for mu, c in row.items()}
+        for lam, row in ring._pairing(H, d).items()
+    }
+
+
 @pytest.mark.parametrize("basis", [M, E, H, S])
 def test_from_p_tables_invert_to_p_tables(basis):
     """The inverse transition read off the Hall dual's pairing table agrees
@@ -107,7 +118,7 @@ def test_from_p_tables_invert_to_p_tables(basis):
 
     for d in range(9):
         lams = partitions_of(d)
-        table = ring._pairing(basis, d)
+        table = _e_table(d) if basis == E else ring._pairing(basis, d)
         forward = tuple(
             tuple(Fraction(table[lam].get(mu, 0), z_value(mu)) for lam in lams)
             for mu in lams
@@ -192,7 +203,7 @@ def test_schur_pairing_table_is_jacobi_trudi_over_h():
     from symfunc import ring
 
     for d in range(13):
-        h_table, e_table = ring._pairing(H, d), ring._pairing(E, d)
+        h_table, e_table = ring._pairing(H, d), _e_table(d)
         for lam, row in ring._pairing(S, d).items():
             conj = conjugate(lam)
             shape, table = (lam, h_table) if len(lam) <= len(conj) else (conj, e_table)
@@ -203,19 +214,23 @@ def test_schur_pairing_table_is_jacobi_trudi_over_h():
 
 
 def test_pairing_tables_are_integers_and_e_twists_h():
+    """h, s and m each keep an integer table; e keeps none, and its power
+    sums are omega of those of h."""
     from symfunc import ring
 
     for d in range(11):
-        for basis in (M, E, H, S):
+        for basis in (M, H, S):
             table = ring._pairing(basis, d)
             assert tuple(table) == partitions_of(d)
             for row in table.values():
                 assert all(type(v) is int and v for v in row.values())
-        h_table = ring._pairing(H, d)
-        assert ring._pairing(E, d) == {
-            lam: {mu: (-1) ** (d - len(mu)) * c for mu, c in row.items()}
-            for lam, row in h_table.items()
-        }
+        for lam in partitions_of(d):
+            assert to_p_terms(basis_element(E, lam)) == {
+                mu: (-1) ** (d - len(mu)) * c
+                for mu, c in to_p_terms(basis_element(H, lam)).items()
+            }
+    with pytest.raises(ValueError, match="no pairing table"):
+        ring._pairing(E, 3)
 
 
 def test_convert_roundtrips_mixed_degrees_and_large_denominators():
@@ -563,3 +578,27 @@ def test_transition_cache_concurrent_and_once(monkeypatch):
     assert len(tables) == 8 and all(t is tables[0] for t in tables)
     # every s table up to 11 exactly once, and no h, e or m table
     assert fresh.compute_counts == {("pairing", S, d): 1 for d in range(12)}
+
+
+def test_e_reads_the_h_and_m_tables_and_builds_none_of_its_own(monkeypatch):
+    """Conversions of e elements to and from every basis, and e-leg tensor
+    conversions, compute no table keyed by e."""
+    from symfunc import hopf, ring
+
+    fresh = ring._OnceCache()
+    monkeypatch.setattr(ring, "_cache", fresh)
+    monkeypatch.setattr(hopf, "_cache", fresh)
+    for d in range(9):
+        terms = {lam: i + 1 for i, lam in enumerate(partitions_of(d))}
+        for basis in BASES:
+            for b, c in ((E, basis), (basis, E)):
+                f = sym_element(b, terms)
+                assert convert(convert(f, c), b).terms == f.terms
+        lam = partitions_of(d)[len(terms) // 2]
+        delta = hopf.tensor_convert(hopf.coproduct_sum(basis_element(S, lam)), (S, S))
+        t = hopf.tensor_convert(delta, (E, M))
+        assert t.bases == (E, M) and t == delta
+        assert hopf.tensor_convert(hopf.tensor_convert(delta, (M, E)), (S, S)).terms == delta.terms
+    assert ("pairing", H, 8) in fresh.compute_counts
+    assert ("pairing", M, 8) in fresh.compute_counts
+    assert [key for key in fresh.compute_counts if E in key] == []
