@@ -40,11 +40,6 @@ class ClassFunction(Record):
     n: int
     values: tuple
 
-    def __init__(self, n, values):
-        d = self.__dict__
-        d["n"] = n
-        d["values"] = values
-
     def value(self, mu) -> Fraction:
         rank = partition_ranks(self.n).get(as_partition(mu))
         if rank is None:

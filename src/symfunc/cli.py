@@ -343,7 +343,7 @@ def _cmd_plethysm(args):
 
 def _cmd_rep(args):
     rep = _rep_from_spec(args.kind, args.arg)
-    if args.at:
+    if args.at is not None:
         m = rep.matrix(parse_permutation(args.at))
         return _fmt_matrix_text(m), {
             "n": rep.n,
@@ -376,7 +376,7 @@ def _cmd_induce(args):
         else matrixreps.sign_of(sub)
     )
     rep = matrixreps.induce(base, sub.n)
-    if args.at:
+    if args.at is not None:
         m = rep.matrix(parse_permutation(args.at))
         return _fmt_matrix_text(m), {"dim": rep.dim, "matrix": _matrix_json(m)}
     cf = matrixreps.character_of(rep)

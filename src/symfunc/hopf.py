@@ -58,11 +58,6 @@ class TensorElement(Record):
     bases: tuple[str, str]
     terms: dict
 
-    def __init__(self, bases, terms):
-        d = self.__dict__
-        d["bases"] = bases
-        d["terms"] = terms
-
     def __add__(self, other: "TensorElement") -> "TensorElement":
         other = tensor_convert(other, self.bases)
         out = dict(self.terms)
@@ -214,13 +209,17 @@ def simple_tensor(f: SymElement, g: SymElement) -> TensorElement:
 # --- the two coproducts -------------------------------------------------------
 
 
-def _sum_coproduct_of_p(lam: Partition, memo: bool = True) -> dict[PairKey, int]:
+def _sum_coproduct_of_p(lam: Partition) -> dict[PairKey, int]:
+    """_split_p(lam), memoized per partition up to the ring cap."""
+    if sum(lam) > limits.current().ring:
+        return _split_p(lam)
+    return _cache.get(("coproduct", lam), lambda: _split_p(lam))
+
+
+def _split_p(lam: Partition) -> dict[PairKey, int]:
     """Coproduct of p_lam under p_n -> p_n x 1 + 1 x p_n: each sub-multiset
     alpha of the parts goes left, the rest beta right, with multiplicity
-    z_lam / (z_alpha z_beta), a product of binomials. Memoized per
-    partition up to the ring cap."""
-    if memo and sum(lam) <= limits.current().ring:
-        return _cache.get(("coproduct", lam), lambda: _sum_coproduct_of_p(lam, False))
+    z_lam / (z_alpha z_beta), a product of binomials."""
     mult = Counter(lam)  # keys in decreasing order, as the parts of lam
     out: dict[PairKey, int] = {}
     for ks in _cartesian(*(range(m + 1) for m in mult.values())):

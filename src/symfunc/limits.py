@@ -23,16 +23,15 @@ from .errors import DegreeCapError
 class Limits(Record):
     """The largest degree n each family computes."""
 
-    ring: int  # transition tables between the bases
-    table: int  # whole character tables
-    coefficient: int  # character rows, LR, Kronecker, Young's rule
-    regular: int  # the regular representation
-    specht: int  # Specht modules
-    young: int  # Young permutation modules
+    ring: int = 20  # transition tables between the bases
+    table: int = 8  # whole character tables
+    coefficient: int = 12  # character rows, LR, Kronecker, Young's rule
+    regular: int = 6  # the regular representation
+    specht: int = 5  # Specht modules
+    young: int = 6  # Young permutation modules
 
-    def __init__(self, ring=20, table=8, coefficient=12, regular=6, specht=5, young=6):
-        self.__dict__.update(ring=ring, table=table, coefficient=coefficient,
-                             regular=regular, specht=specht, young=young)
+    def __init__(self, *args, **caps):
+        super().__init__(*args, **caps)
         if min(self._values(self)) < 0:
             raise ValueError(f"degree caps must be >= 0: {self}")
 

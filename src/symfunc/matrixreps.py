@@ -8,8 +8,9 @@ characters, and the GL-side character/dimension checks.
 Characters come from a trace rule, not a dense matrix: permutation modules
 count the basis vectors their images rule fixes, an induced module sums the
 inner traces over its diagonal blocks (Frobenius), tensor products multiply
-traces, direct sums add them and restrictions keep the parent's rule; only
-Specht, standard, trivial and sign modules sum a diagonal. decompose pairs
+traces, direct sums add them, restrictions keep the parent's rule, and a
+subgroup's trivial and sign modules read 1 and the sign; only Specht,
+standard, trivial and sign modules of S_n sum a diagonal. decompose pairs
 class traces with irreducible characters in integers, dividing by n! once.
 
 The Specht module S^lam is spanned by the column-antisymmetrized tableau
@@ -22,8 +23,8 @@ straightening each pi . F_T in integers along the lexicographically smallest
 monomials, with no linear solve; its entries are ints.
 
 A MatrixRep carries a rule producing the exact matrix of any permutation in
-its domain; matrices are built only by matrix() and memoized
-compute-then-publish, so values are immutable once visible.
+its domain; matrix() runs the rule on each call and keeps nothing, since a
+matrix of the regular representation of S_6 alone takes megabytes.
 matrix(pi sigma) == matrix(pi) . matrix(sigma) under the package-wide
 convention (pi sigma)(i) = pi(sigma(i)).
 """
@@ -53,7 +54,7 @@ from .partitions import (
     partitions_of,
     sign as perm_sign,
 )
-from .ring import PolynomialValue, S, _add_scaled, _OnceCache, basis_element, evaluate
+from .ring import PolynomialValue, S, _add_scaled, basis_element, evaluate
 from .tableaux import Tableau, f_lambda, hook_content_cells, standard_tableaux
 
 def set_rep_caps(**caps: int) -> None:
@@ -69,11 +70,6 @@ class SubgroupSpec(Record):
 
     n: int
     elements: tuple[Permutation, ...]
-
-    def __init__(self, n, elements):
-        d = self.__dict__
-        d["n"] = n
-        d["elements"] = elements
 
     @classmethod
     def from_elements(cls, n: int, elements) -> "SubgroupSpec":
@@ -168,7 +164,6 @@ class MatrixRep:
         self.domain = domain
         self.label = label
         self._trace_fn = _trace_fn
-        self._matrices = _OnceCache()
 
     def __repr__(self) -> str:
         return f"MatrixRep(n={self.n}, dim={self.dim}, label={self.label!r})"
@@ -182,8 +177,7 @@ class MatrixRep:
         return pi
 
     def matrix(self, perm) -> Matrix:
-        pi = self._checked(perm)
-        return self._matrices.get(pi, lambda: self._matrix_fn(pi))
+        return self._matrix_fn(self._checked(perm))
 
     def trace(self, perm) -> int:
         pi = self._checked(perm)
@@ -509,20 +503,18 @@ def restrict(rep: MatrixRep, subgroup: SubgroupSpec) -> MatrixRep:
 
 def trivial_of(subgroup: SubgroupSpec) -> MatrixRep:
     n = subgroup.n
-    return MatrixRep(n, 1, lambda pi: ((1,),), subgroup, f"trivial({n})")
+    return MatrixRep(n, 1, lambda pi: ((1,),), subgroup, f"trivial({n})", lambda pi: 1)
 
 
 def sign_of(subgroup: SubgroupSpec) -> MatrixRep:
     n = subgroup.n
-    return MatrixRep(n, 1, lambda pi: ((perm_sign(pi),),), subgroup, f"sign({n})")
+    return MatrixRep(n, 1, lambda pi: ((perm_sign(pi),),), subgroup, f"sign({n})", perm_sign)
 
 
 def _check_same_domain(a: MatrixRep, b: MatrixRep):
     if a.n != b.n:
         raise ValueError(f"degrees differ: {a.n} != {b.n}")
-    da = a.domain.elements if a.domain else None
-    db = b.domain.elements if b.domain else None
-    if da != db:
+    if a.domain != b.domain:
         raise ValueError("domains differ")
 
 

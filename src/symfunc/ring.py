@@ -301,11 +301,6 @@ class SymElement(Record):
     basis: str
     terms: dict
 
-    def __init__(self, basis, terms):
-        d = self.__dict__
-        d["basis"] = basis
-        d["terms"] = terms
-
     def degrees(self) -> set[int]:
         return {sum(lam) for lam in self.terms}
 
@@ -511,11 +506,6 @@ class PolynomialValue(Record):
 
     nvars: int
     terms: dict
-
-    def __init__(self, nvars, terms):
-        d = self.__dict__
-        d["nvars"] = nvars
-        d["terms"] = terms
 
     def __add__(self, other: "PolynomialValue") -> "PolynomialValue":
         if self.nvars != other.nvars:

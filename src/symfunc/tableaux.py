@@ -37,9 +37,7 @@ class SkewShape(Record):
         outer, inner = as_partition(outer), as_partition(inner)
         if not contains(inner, outer):
             raise ValueError(f"inner shape {inner} not contained in {outer}")
-        d = self.__dict__
-        d["outer"] = outer
-        d["inner"] = inner
+        super().__init__(outer, inner)
 
     @property
     def size(self) -> int:
@@ -64,13 +62,7 @@ class Tableau(Record):
 
     shape: Partition
     rows: tuple[tuple[int, ...], ...]
-    inner: Partition
-
-    def __init__(self, shape, rows, inner=()):
-        d = self.__dict__
-        d["shape"] = shape
-        d["rows"] = rows
-        d["inner"] = inner
+    inner: Partition = ()
 
     @property
     def size(self) -> int:

@@ -414,11 +414,18 @@ def test_usage_errors_and_help_byte_identical(capsys, monkeypatch, argv, env, ke
     ("ch", "3", "2"),
     ("plethysm", "--scale", "0", "p:1", "p:1"),
     ("cauchy", "-1", "s,s"),
+    ("rep", "specht", "2,1", "--at", ""),
+    ("induce", "2,1", "trivial", "--at", ""),
 ])
 def test_malformed_input_is_a_one_line_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_empty_at_word_is_the_identity_of_s0(capsys):
+    """--at '' is the empty word, not an absent --at."""
+    assert run(capsys, "rep", "young", "()", "--at", "") == (0, "1\n", "")
 
 
 # every int stays <= 4, so no draw reaches an uncapped large input

@@ -687,9 +687,9 @@ def test_young_subgroup_order():
         )
 
 
-def test_matrix_memo_concurrent_and_once():
-    """Concurrent matrix() calls agree and build each permutation's matrix
-    exactly once."""
+def test_concurrent_matrix_calls_agree_and_each_runs_the_rule_once():
+    """Concurrent matrix() calls agree, and every call runs the rule: a
+    representation keeps no matrix."""
     base = specht_module((2, 2))
     calls = Counter()
     guard = threading.Lock()
@@ -697,7 +697,7 @@ def test_matrix_memo_concurrent_and_once():
     def counted(pi):
         with guard:
             calls[pi] += 1
-        time.sleep(0.001)  # widen the window between the miss and the publish
+        time.sleep(0.001)  # let the threads interleave
         return base.matrix(pi)
 
     rep = MatrixRep(4, base.dim, counted)
@@ -715,8 +715,8 @@ def test_matrix_memo_concurrent_and_once():
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
-    assert not errors
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors and len(results) == len(threads)
     assert all(r == results[0] for r in results)
-    assert calls == Counter(perms)
-    assert all(rep.matrix(pi) is m for pi, m in zip(perms, results[0]))
+    assert calls == Counter({pi: len(threads) for pi in perms})

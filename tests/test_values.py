@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from symfunc._record import Record
 from symfunc.characters import ClassFunction
 from symfunc.hopf import TensorElement
 from symfunc.limits import Limits
@@ -26,6 +27,19 @@ FIELDS = {
     ClassFunction: ("n", "values"),
     TensorElement: ("bases", "terms"),
     SubgroupSpec: ("n", "elements"),
+}
+
+
+# a valid positional call of each class, one value per field
+ARGS = {
+    Limits: (1, 2, 3, 4, 5, 6),
+    SkewShape: ((3, 2), (1,)),
+    Tableau: ((2, 1), ((1, 2), (3,)), ()),
+    SymElement: ("s", {}),
+    PolynomialValue: (2, {}),
+    ClassFunction: (2, (1, 1)),
+    TensorElement: (("s", "h"), {}),
+    SubgroupSpec: (1, ((1,),)),
 }
 
 
@@ -83,6 +97,23 @@ def test_positional_keyword_and_default_construction():
     assert SubgroupSpec(n=1, elements=((1,),)) == SubgroupSpec(1, ((1,),))
     with pytest.raises(TypeError):
         Limits(bogus=1)
+    for cls, args in ARGS.items():
+        fields = FIELDS[cls]
+        assert field_values(cls(*args)) == args == field_values(cls(**dict(zip(fields, args))))
+        if cls is not Limits:  # every Limits field has a default
+            with pytest.raises(TypeError, match="missing"):
+                cls(**dict(zip(fields[1:], args[1:])))
+        with pytest.raises(TypeError, match="twice|multiple values"):
+            cls(*args, **{fields[0]: args[0]})
+        with pytest.raises(TypeError, match="unknown|unexpected keyword"):
+            cls(*args, bogus=1)
+        with pytest.raises(TypeError, match="positional"):
+            cls(*args, None)
+
+
+def test_only_limits_and_skew_shape_define_a_constructor():
+    assert set(Record.__subclasses__()) == set(FIELDS)
+    assert {cls for cls in FIELDS if "__init__" in vars(cls)} == {Limits, SkewShape}
 
 
 @pytest.mark.parametrize("make, other", [
@@ -156,9 +187,9 @@ def test_skew_shape_normalises_and_checks_containment():
         SkewShape((2, 2), (3,))
 
 
-def test_each_matrix_rep_has_its_own_cache():
+def test_matrix_rep_holds_only_its_definition():
     a = MatrixRep(1, 1, lambda pi: ((1,),))
     b = MatrixRep(1, 1, lambda pi: ((1,),))
-    assert a._matrices is not b._matrices
+    assert sorted(vars(a)) == ["_matrix_fn", "_trace_fn", "dim", "domain", "label", "n"]
     assert a != b and a == a
     assert (a.domain, a.label, a._trace_fn) == (None, "", None)
