@@ -409,8 +409,9 @@ def _cmd_tensor(args):
     a = _rep_from_spec(args.kind1, args.arg1)
     b = _rep_from_spec(args.kind2, args.arg2)
     rep = matrixreps.direct_sum(a, b) if args.sum else matrixreps.tensor_product(a, b)
-    cf = matrixreps.character_of(rep)
-    mults = matrixreps.decompose(rep)
+    traces = matrixreps._class_traces(rep)
+    cf = characters.class_function(rep.n, traces)
+    mults = matrixreps._multiplicities(rep.n, traces)
     text = f"dim {rep.dim}\n" + _classfn_text(cf) + "\n" + _mults_text(mults)
     return text, {
         "dim": rep.dim,

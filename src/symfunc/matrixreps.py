@@ -15,16 +15,16 @@ class traces with irreducible characters in integers, dividing by n! once.
 
 The Specht module S^lam is spanned by the column-antisymmetrized tableau
 polynomials F_T of the standard tableaux T, which are the standard
-polytabloids e_T written in monomials. These are unitriangular: the tabloid
-{T} dominates every other tabloid of e_T and has coefficient 1 (Sagan, The
-Symmetric Group, 2.5, the standard basis theorem), and dominance implies the
-lexicographic order of exponent vectors. So the matrix of pi is found by
-straightening each pi . F_T in integers along the lexicographically smallest
-monomials, with no linear solve; its entries are ints.
+polytabloids e_T written in monomials. The matrix of an adjacent
+transposition s_i is Young's natural one (Sagan, The Symmetric Group,
+2.6-2.7): -e_T when i and i+1 share a column of T, e_{s_i T} when they share
+neither a row nor a column, and otherwise s_i . F_T straightened in integers.
+The matrix of pi is their product along a reduced word of pi.
 
 A MatrixRep carries a rule producing the exact matrix of any permutation in
-its domain; matrix() runs the rule on each call and keeps nothing, since a
-matrix of the regular representation of S_6 alone takes megabytes.
+its domain; matrix() runs the rule on each call and keeps no matrix, since a
+matrix of the regular representation of S_6 alone takes megabytes. A Specht
+module keeps its sparse generator columns and the F_T it straightened over.
 matrix(pi sigma) == matrix(pi) . matrix(sigma) under the package-wide
 convention (pi sigma)(i) = pi(sigma(i)).
 """
@@ -54,7 +54,7 @@ from .partitions import (
     partitions_of,
     sign as perm_sign,
 )
-from .ring import PolynomialValue, S, _add_scaled, basis_element, evaluate
+from .ring import PolynomialValue, S, _OnceCache, _add_scaled, basis_element, evaluate
 from .tableaux import Tableau, f_lambda, hook_content_cells, standard_tableaux
 
 def set_rep_caps(**caps: int) -> None:
@@ -281,10 +281,14 @@ def decompose(rep: MatrixRep) -> dict[Partition, int]:
     """Multiplicity of each irreducible lam, the character inner product
     sum over classes rho of chi(rho) chi^lam(rho) |class of rho|, divided by
     n! once; raises if any multiplicity fails to be a nonnegative integer."""
-    traces = _class_traces(rep)
-    order = factorial(rep.n)
+    return _multiplicities(rep.n, _class_traces(rep))
+
+
+def _multiplicities(n: int, traces: dict[Partition, int]) -> dict[Partition, int]:
+    """decompose, from the class traces of a representation of S_n."""
+    order = factorial(n)
     out: dict[Partition, int] = {}
-    for lam in partitions_of(rep.n):
+    for lam in partitions_of(n):
         row = character_row(lam)
         total = sum(t * row[mu] * count_of_type(mu) for mu, t in traces.items() if t)
         val, rem = divmod(total, order)
@@ -386,48 +390,98 @@ def specht_polynomial(tab: Tableau) -> dict[tuple[int, ...], int]:
     return out
 
 
+def _combine(cols, terms) -> tuple[int, ...]:
+    """sum c * cols[j] over the sparse (j, c) terms; one (j, 1) shares cols[j]."""
+    (j, c), *rest = terms
+    if not rest and c == 1:
+        return cols[j]
+    return tuple(map(sum, zip(*([c * x for x in cols[j]] for j, c in terms))))
+
+
+def _natural_generator(i: int, tabs, index, cells, straightening):
+    """Young's natural matrix of s_i as sparse columns: column k lists the
+    (j, c) with s_i . F_{T_k} = sum c F_{T_j}. Only where i and i+1 share a
+    row of T_k is s_i . F_{T_k} straightened, over straightening()."""
+    swap = {i: i + 1, i + 1: i}
+    cols = []
+    for k, tab in enumerate(tabs):
+        (r, c), (r1, c1) = cells[k][i], cells[k][i + 1]
+        if c == c1:  # a column transposition, of sign -1
+            cols.append(((k, -1),))
+        elif r != r1:  # s_i T_k is standard
+            rows = tuple(tuple(swap.get(v, v) for v in row) for row in tab.rows)
+            cols.append(((index[rows], 1),))
+        else:
+            polys, leads, order = straightening()
+            moved = {key[:i - 1] + (key[i], key[i - 1]) + key[i + 1:]: v
+                     for key, v in polys[k].items()}
+            terms = []
+            for j in order:
+                coeff = moved.get(leads[j])
+                if coeff:
+                    terms.append((j, coeff))
+                    _add_scaled(moved, -coeff, polys[j])
+            if moved:
+                raise InvariantViolationError(
+                    "permuted Specht polynomial left the span of the standard ones"
+                )
+            cols.append(tuple(terms))
+    return tuple(cols)
+
+
 def specht_module(lam) -> MatrixRep:
     """The irreducible module S^lam spanned by the polynomials F_T of the
     standard tableaux T of shape lam; dimension = number of standard tableaux.
 
     F_T antisymmetrizes x^T, in which the exponent of x_v is the row of v
     in T; reading each monomial as a tabloid, F_T is the polytabloid e_T.
-    For standard T the tabloid {T} dominates every other tabloid of e_T and
-    has coefficient 1 (Sagan, The Symmetric Group, 2.5). Dominance implies
-    the lexicographic order of exponent vectors: at the first entry where
-    two tabloids differ, the dominant one has it in an earlier row, a
+    The matrix of s_i is Young's natural one, built once per module on first
+    use, and the matrix of pi is their product along the reduced word that
+    bubble-sorts pi^-1. Where i and i+1 share a row of T, s_i . F_T is
+    straightened over the expanded F_T, built once per module on the first
+    such case. For standard T the tabloid {T} dominates every other tabloid
+    of e_T and has coefficient 1 (Sagan, The Symmetric Group, 2.5). Dominance
+    implies the lexicographic order of exponent vectors: at the first entry
+    where two tabloids differ, the dominant one has it in an earlier row, a
     smaller exponent. So the lead min(F_T) is {T}, the standard F_T are
-    unitriangular in that order, and pi . F_{T_i} is straightened in
-    integers by one walk through the leads in increasing order. A nonzero
-    residual means pi . F_{T_i} left the span, which raises.
+    unitriangular in that order, and s_i . F_T is straightened in integers
+    by one walk through the leads in increasing order. A nonzero residual
+    means s_i . F_T left the span, which raises.
     """
     lam = as_partition(lam)
     n = sum(lam)
     limits.check("specht", n)
     tabs = standard_tableaux(lam)
-    polys = [specht_polynomial(t) for t in tabs]
     dim = len(tabs)
     if dim != f_lambda(lam):
         raise InvariantViolationError("Specht dimension != standard tableau count")
-    leads = [min(poly) for poly in polys]
-    order = sorted(range(dim), key=leads.__getitem__)
+    index = {t.rows: k for k, t in enumerate(tabs)}
+    cells = [{v: (r, c) for r, row in enumerate(t.rows) for c, v in enumerate(row)}
+             for t in tabs]
+    eye = identity(dim)
+    table = _OnceCache()
+
+    def straightening():
+        polys = [specht_polynomial(t) for t in tabs]
+        leads = [min(poly) for poly in polys]
+        return polys, leads, sorted(range(dim), key=leads.__getitem__)
+
+    def generator(i):
+        return table.get(i, lambda: _natural_generator(
+            i, tabs, index, cells, lambda: table.get("straightening", straightening)))
 
     def fn(pi):
-        # pi . x^a moves the exponent of x_v to x_{pi(v)}
-        source = [v - 1 for v in inverse_perm(pi)]
-        rows = [[0] * dim for _ in range(dim)]
-        for i, poly in enumerate(polys):
-            residual = {tuple([key[v] for v in source]): c for key, c in poly.items()}
-            for j in order:
-                c = residual.get(leads[j])
-                if c:
-                    rows[j][i] = c
-                    _add_scaled(residual, -c, polys[j])
-            if residual:
-                raise InvariantViolationError(
-                    "permuted Specht polynomial left the span of the standard ones"
-                )
-        return tuple(tuple(row) for row in rows)
+        # Bubble-sort the word w of pi^-1. Swapping its entries at positions
+        # b and b + 1, counted from 1, turns w into w s_b, so the swaps b_1,
+        # ..., b_k give pi = s_{b_1} ... s_{b_k}, a reduced word, and each
+        # s_b is one sparse right factor.
+        cols, word = eye, list(inverse_perm(pi))
+        for end in range(n - 1, 0, -1):
+            for a in range(end):
+                if word[a] > word[a + 1]:
+                    word[a], word[a + 1] = word[a + 1], word[a]
+                    cols = [_combine(cols, terms) for terms in generator(a + 1)]
+        return tuple(zip(*cols))
 
     return MatrixRep(n, dim, fn, label=f"specht({lam})")
 

@@ -471,6 +471,23 @@ def test_restrict_reads_young_classes_in_closed_form(capsys, monkeypatch):
     assert rows[0] == ["1 2 3 4 5 6 7 8 9", "1", "1"]
 
 
+def test_tensor_traces_each_class_once(capsys, monkeypatch):
+    """tensor prints the character and the decomposition from one set of
+    class traces: 7 classes of S_5, each traced on the product and on both
+    factors."""
+    calls = []
+    real = matrixreps.MatrixRep.trace
+
+    def counted(self, perm):
+        calls.append((self.label, tuple(perm)))
+        return real(self, perm)
+
+    monkeypatch.setattr(matrixreps.MatrixRep, "trace", counted)
+    code, out, err = run(capsys, "tensor", "specht", "3,1,1", "specht", "2,2,1")
+    assert code == 0 and err == ""
+    assert len(calls) == len(set(calls)) == 21
+
+
 def test_chartable_below_range_names_it(capsys):
     code, out, err = run(capsys, "chartable", "0")
     assert code == 1 and out == ""

@@ -1,4 +1,5 @@
 import random
+import sys
 import threading
 import time
 from collections import Counter
@@ -8,7 +9,7 @@ from math import comb, factorial
 
 import pytest
 
-from symfunc import limits
+from symfunc import limits, matrixreps
 from symfunc.characters import (
     char_inner,
     character,
@@ -274,8 +275,9 @@ def _check_expands_moved_polynomials(lam, perms):
         for i, poly in enumerate(polys):
             total = {}
             for j, other in enumerate(polys):
-                for key, c in other.items():
-                    total[key] = total.get(key, 0) + m[j][i] * c
+                if m[j][i]:
+                    for key, c in other.items():
+                        total[key] = total.get(key, 0) + m[j][i] * c
             total = {k: c for k, c in total.items() if c}
             assert total == _act(pi, poly), (lam, pi, i)
 
@@ -285,14 +287,85 @@ def test_specht_matrices_expand_the_moved_polynomials_to_5():
         _check_expands_moved_polynomials(lam, all_permutations(5))
 
 
-def test_specht_matrices_expand_the_moved_polynomials_at_321():
-    # (3,2,1) is the smallest shape whose standard tableaux, in row-major
-    # order, are not sorted by their leading monomials
+def test_specht_matrices_expand_the_moved_polynomials_at_6_and_7():
+    # every generator, and two seeded permutations, whose matrices are
+    # products along reduced words; (3,2,1) is the smallest shape whose standard
+    # tableaux, in row-major order, are not sorted by their leading monomials
     rng = random.Random(61)
-    perms = [adjacent_transposition(6, i) for i in range(1, 6)]
-    perms += [tuple(rng.sample(range(1, 7), 6)) for _ in range(4)]
-    with limits.scoped(limits.current().raised(6)):
-        _check_expands_moved_polynomials((3, 2, 1), perms)
+    with limits.scoped(limits.current().raised(7)):
+        for n in (6, 7):
+            for lam in partitions_of(n):
+                perms = [adjacent_transposition(n, i) for i in range(1, n)]
+                perms += [tuple(rng.sample(range(1, n + 1), n)) for _ in range(2)]
+                _check_expands_moved_polynomials(lam, perms)
+
+
+def test_specht_straightening_keeps_the_span_check(monkeypatch):
+    # in T = 12/3 the letters 1 and 2 share a row, so s_1 . F_T is the one
+    # straightened polynomial of S^(2,1); a stray monomial in F_T must make
+    # it leave the span, while s_2 reads no polynomial at all
+    real = matrixreps.specht_polynomial
+
+    def corrupted(tab):
+        poly = real(tab)
+        if tab.rows == ((1, 2), (3,)):
+            poly[(0, 5, 0)] = 1
+        return poly
+
+    want = specht_module((2, 1)).matrix((1, 3, 2))
+    monkeypatch.setattr(matrixreps, "specht_polynomial", corrupted)
+    rep = specht_module((2, 1))
+    assert rep.matrix((1, 3, 2)) == want
+    with pytest.raises(InvariantViolationError, match="left the span"):
+        rep.matrix((2, 1, 3))
+
+
+def test_concurrent_specht_matrices_build_each_generator_once(monkeypatch):
+    lam, n = (3, 2), 5
+    rng = random.Random(17)
+    perms = [adjacent_transposition(n, i) for i in range(1, n)]
+    perms += [tuple(rng.sample(range(1, n + 1), n)) for _ in range(6)]
+    want = [specht_module(lam).matrix(pi) for pi in perms]
+    built, polys = Counter(), Counter()
+    guard = threading.Lock()
+    real_generator, real_polynomial = matrixreps._natural_generator, specht_polynomial
+
+    def generator(i, *args):
+        with guard:
+            built[i] += 1
+        time.sleep(0.001)  # let the threads race for the same generator
+        return real_generator(i, *args)
+
+    def polynomial(tab):
+        with guard:
+            polys[tab.rows] += 1
+        return real_polynomial(tab)
+
+    monkeypatch.setattr(matrixreps, "_natural_generator", generator)
+    monkeypatch.setattr(matrixreps, "specht_polynomial", polynomial)
+    rep = specht_module(lam)
+    results, errors = [], []
+
+    def work():
+        try:
+            results.append([rep.matrix(pi) for pi in perms])
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors and results == [want] * len(threads)
+    assert built == Counter(range(1, n))
+    assert polys == Counter(t.rows for t in standard_tableaux(lam))
 
 
 def test_specht_cap():
@@ -308,6 +381,10 @@ def test_generator_relations_hold_exactly():
     reps += [young_module(lam) for lam in [(2, 1), (2, 2), (3, 1), (2, 1, 1)]]
     for rep in reps:
         assert verify_generator_relations(rep), rep.label
+    with limits.scoped(limits.current().raised(7)):
+        for n in (6, 7):
+            for lam in partitions_of(n):
+                assert verify_generator_relations(specht_module(lam)), lam
 
 
 def test_matrix_map_is_a_homomorphism():
