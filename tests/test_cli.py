@@ -423,6 +423,16 @@ def test_malformed_input_is_a_one_line_error(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, err", [
+    (("induce", "2,x", "trivial"), "error: malformed composition '2,x'\n"),
+    (("induce", "0,2", "sign"), "error: composition parts must be positive integers\n"),
+    (("restrict", "3", "2,0"), "error: composition parts must be positive integers\n"),
+    (("restrict", "3", ""), "error: malformed composition ''\n"),
+])
+def test_bad_composition_keeps_its_wording(capsys, argv, err):
+    assert run(capsys, *argv) == (1, "", err)
+
+
 def test_empty_at_word_is_the_identity_of_s0(capsys):
     """--at '' is the empty word, not an absent --at."""
     assert run(capsys, "rep", "young", "()", "--at", "") == (0, "1\n", "")

@@ -532,6 +532,16 @@ def test_induce_rejects_non_transversal():
         induce(trivial_of(sub), 3, transversal=[(1, 2, 3), (1, 3, 2), (2, 1, 3)])
 
 
+@pytest.mark.parametrize("words", [
+    [(1, 2, 3), (1, 3, 2), (2, 1, 3)],  # two words of one coset
+    [(1, 2, 3), (2, 1, 3)],  # too few words
+], ids=["same-coset", "too-few"])
+def test_induce_names_a_bad_transversal(words):
+    sub = SubgroupSpec.from_elements(3, [(1, 2, 3), (1, 3, 2)])
+    with pytest.raises(ValueError, match="^not a transversal of the subgroup$"):
+        induce(trivial_of(sub), 3, transversal=words)
+
+
 def test_induce_young_trivial_matches_young_module():
     for lam in [(2, 1), (3, 1), (2, 2), (2, 1, 1)]:
         sub = SubgroupSpec.young(lam)
@@ -755,6 +765,34 @@ def test_subgroup_spec_validation():
     sub = SubgroupSpec.young((2, 1))
     assert sub.order == 2
     assert (2, 1, 3) in sub
+
+
+def test_young_subgroup_lists_the_block_preserving_words():
+    """SubgroupSpec.young(c) lists, in lex order, exactly the words of S_n
+    that map each block of c onto itself, for every composition of n <= 5."""
+    count = 0
+    for n in range(1, 6):
+        for k in range(n):
+            for cuts in combinations(range(1, n), k):
+                bounds = list(zip((0, *cuts), (*cuts, n)))
+                comp = tuple(b - a for a, b in bounds)
+                keep = tuple(w for w in all_permutations(n)
+                             if all(a < w[i] <= b for a, b in bounds for i in range(a, b)))
+                assert SubgroupSpec.young(comp).elements == keep, comp
+                count += 1
+    assert count == 31
+    assert SubgroupSpec.young(()).elements == ((),)
+
+
+def test_young_basis_lists_every_tabloid_in_lex_order():
+    """young_basis(lam) is the sorted list of tabloids of shape lam, read off
+    every word of S_n cut into rows of lengths lam, for every lam |- n <= 5."""
+    for n in range(6):
+        for lam in partitions_of(n):
+            bounds = [(sum(lam[:r]), sum(lam[:r + 1])) for r in range(len(lam))]
+            brute = {tuple(tuple(sorted(w[a:b])) for a, b in bounds)
+                     for w in all_permutations(n)}
+            assert young_basis(lam) == sorted(brute), lam
 
 
 def test_young_subgroup_order():
