@@ -24,6 +24,7 @@ import sys
 from . import characters, hopf, limits, matrixreps, ring, tableaux
 from .errors import InvariantViolationError
 from .partitions import (
+    as_composition,
     cycle_type,
     count_of_type,
     conjugate,
@@ -100,9 +101,7 @@ def _parse_composition(text: str) -> tuple[int, ...]:
         comp = tuple(int(t) for t in text.split(","))
     except ValueError:
         raise ValueError(f"malformed composition {text!r}") from None
-    if not comp or any(c < 1 for c in comp):
-        raise ValueError("composition parts must be positive integers")
-    return comp
+    return as_composition(comp)  # never empty: text.split gives one part or more
 
 
 def _rep_from_spec(kind: str, arg: str) -> matrixreps.MatrixRep:

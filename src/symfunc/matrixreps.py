@@ -8,10 +8,10 @@ characters, and the GL-side character/dimension checks.
 Characters come from a trace rule, not a dense matrix: permutation modules
 count the basis vectors their images rule fixes, an induced module sums the
 inner traces over its diagonal blocks (Frobenius), tensor products multiply
-traces, direct sums add them, restrictions keep the parent's rule, and a
-subgroup's trivial and sign modules read 1 and the sign; only Specht,
-standard, trivial and sign modules of S_n sum a diagonal. decompose pairs
-class traces with irreducible characters in integers, dividing by n! once.
+traces, direct sums add them, restrictions keep the parent's rule, and the
+trivial and sign modules, of S_n or of a subgroup, read 1 and the sign; only
+Specht and standard modules sum a diagonal. decompose pairs class traces
+with irreducible characters in integers, dividing by n! once.
 
 The Specht module S^lam is spanned by the column-antisymmetrized tableau
 polynomials F_T of the standard tableaux T, which are the standard
@@ -33,8 +33,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, permutations as _perms, product as _cartesian
+from itertools import accumulate, combinations, permutations as _perms, product as _cartesian
 from math import factorial, prod
+from operator import add, mul
 
 from . import limits
 from ._record import Record
@@ -45,6 +46,7 @@ from .partitions import (
     Partition,
     Permutation,
     all_permutations,
+    as_composition,
     as_partition,
     class_representative,
     compose,
@@ -57,11 +59,8 @@ from .partitions import (
 from .ring import PolynomialValue, S, _OnceCache, _add_scaled, basis_element, evaluate
 from .tableaux import Tableau, f_lambda, hook_content_cells, standard_tableaux
 
-def set_rep_caps(**caps: int) -> None:
-    """Replace caps of the library-wide default, as limits.set_default does.
-    Kept under this name because the reps benchmark raises the Specht cap
-    through it; new code calls symfunc.limits directly."""
-    limits.set_default(**caps)
+# the name under which perfbench/reps.py raises the Specht cap
+set_rep_caps = limits.set_default
 
 
 class SubgroupSpec(Record):
@@ -90,23 +89,12 @@ class SubgroupSpec(Record):
     @classmethod
     def young(cls, composition) -> "SubgroupSpec":
         """The Young subgroup S_{n_1} x ... x S_{n_r} on consecutive blocks."""
-        blocks = [int(x) for x in composition]
-        if any(b < 1 for b in blocks):
-            raise ValueError("composition parts must be positive")
-        n = sum(blocks)
-        starts = []
-        base = 1
-        for b in blocks:
-            starts.append(list(range(base, base + b)))
-            base += b
-        elems = []
-        for pieces in _cartesian(*[_perms(block) for block in starts]):
-            word = [0] * n
-            for block, image in zip(starts, pieces):
-                for src, img in zip(block, image):
-                    word[src - 1] = img
-            elems.append(tuple(word))
-        return cls(n, tuple(sorted(elems)))
+        blocks = as_composition(composition)
+        # a word of the subgroup is one word of each block's letters, concatenated
+        ends = accumulate(blocks)
+        pieces = [_perms(range(end - b + 1, end + 1)) for b, end in zip(blocks, ends)]
+        elems = (sum(images, ()) for images in _cartesian(*pieces))
+        return cls(sum(blocks), tuple(sorted(elems)))
 
     @property
     def order(self) -> int:
@@ -137,17 +125,12 @@ def young_classes(composition) -> list[tuple[Permutation, int]]:
     S_{n_1} x ... x S_{n_r}, sorted by representative, without listing its
     elements: a class is one cycle type rho_i per block, of size
     prod n_i! / z_(rho_i), and its lex-smallest element puts each block's
-    cycles in increasing length on consecutive letters, a -> a+1 -> ... -> a."""
-    blocks = [int(x) for x in composition]
-    if any(b < 1 for b in blocks):
-        raise ValueError("composition parts must be positive")
+    cycles in increasing length on consecutive letters, a -> a+1 -> ... -> a:
+    the class_representative of the blocks' reversed rho_i, concatenated."""
     rows = []
-    for types in _cartesian(*[partitions_of(b) for b in blocks]):
-        word: list[int] = []
-        for rho in types:
-            base = len(word)
-            word.extend(base + i for i in class_representative(rho[::-1]))
-        rows.append((tuple(word), prod(count_of_type(rho) for rho in types)))
+    for types in _cartesian(*map(partitions_of, as_composition(composition))):
+        word = class_representative(sum((rho[::-1] for rho in types), ()))
+        rows.append((word, prod(count_of_type(rho) for rho in types)))
     return sorted(rows)
 
 
@@ -225,16 +208,21 @@ def _permutation_module(n: int, dim: int, images, label: str) -> MatrixRep:
     )
 
 
+def _line(kind: str, n: int, label: str, domain: SubgroupSpec | None = None) -> MatrixRep:
+    """The trivial or sign module: pi acts on one line by the scalar 1 or
+    sign(pi), which is also its trace."""
+    scalar = perm_sign if kind == "sign" else (lambda pi: 1)
+    return MatrixRep(n, 1, lambda pi: ((scalar(pi),),), domain, label, scalar)
+
+
 def classical_rep(kind: str, n: int) -> MatrixRep:
     """One of the classical representations: trivial, sign, defining
     (dimension n), regular (n!, capped), standard (n-1, the orthogonal
     complement of the all-ones line in the defining representation)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if kind == "trivial":
-        return MatrixRep(n, 1, lambda pi: ((1,),), label=f"trivial(S_{n})")
-    if kind == "sign":
-        return MatrixRep(n, 1, lambda pi: ((perm_sign(pi),),), label=f"sign(S_{n})")
+    if kind in ("trivial", "sign"):
+        return _line(kind, n, f"{kind}(S_{n})")
     if kind == "defining":
         return _permutation_module(
             n, n, lambda pi: [v - 1 for v in pi], f"defining(S_{n})"
@@ -310,19 +298,11 @@ def young_basis(lam: Partition) -> list[tuple[tuple[int, ...], ...]]:
     """Row-sorted injective tableaux of shape lam, as ordered tuples of
     sorted row sets; deterministic lexicographic enumeration."""
     lam = as_partition(lam)
-    n = sum(lam)
-
-    def fill(rows_left: tuple[int, ...], available: tuple[int, ...]):
-        if not rows_left:
-            yield ()
-            return
-        k = rows_left[0]
-        for chosen in combinations(available, k):
-            rest = tuple(x for x in available if x not in chosen)
-            for tail in fill(rows_left[1:], rest):
-                yield (chosen,) + tail
-
-    return list(fill(lam, tuple(range(1, n + 1))))
+    basis = [((), tuple(range(1, sum(lam) + 1)))]  # (rows so far, letters left)
+    for k in lam:
+        basis = [(rows + (row,), tuple(x for x in left if x not in row))
+                 for rows, left in basis for row in combinations(left, k)]
+    return [rows for rows, _ in basis]
 
 
 def young_module(lam) -> MatrixRep:
@@ -489,22 +469,27 @@ def specht_module(lam) -> MatrixRep:
 # --- induction / restriction / sums / tensors ---------------------------------
 
 
-def _lex_cosets(subgroup: SubgroupSpec) -> tuple[list[Permutation], dict]:
-    """Left-coset representatives t_i found by scanning S_n in lexicographic
-    word order and keeping each minimal unseen one, with the coset table
-    {t_i h: (i, h)}."""
+def _cosets(subgroup: SubgroupSpec, transversal=None) -> tuple[list[Permutation], dict]:
+    """Left-coset representatives t_i with the coset table {t_i h: (i, h)}.
+    The t_i are the given transversal, or else the words of S_n in
+    lexicographic order that fall in no coset seen before; a given list
+    must hold one word of each coset."""
+    lex = transversal is None
     reps: list[Permutation] = []
     where: dict = {}
-    for g in all_permutations(subgroup.n):
-        if g not in where:
-            for h in subgroup.elements:
-                where[compose(g, h)] = (len(reps), h)
-            reps.append(g)
+    for g in all_permutations(subgroup.n) if lex else map(tuple, transversal):
+        if lex and g in where:
+            continue
+        for h in subgroup.elements:
+            where[compose(g, h)] = (len(reps), h)
+        reps.append(g)
+    if len(where) != len(reps) * subgroup.order or len(where) != factorial(subgroup.n):
+        raise ValueError("not a transversal of the subgroup")
     return reps, where
 
 
 def lex_transversal(subgroup: SubgroupSpec) -> list[Permutation]:
-    return _lex_cosets(subgroup)[0]
+    return _cosets(subgroup)[0]
 
 
 def induce(rep: MatrixRep, n: int, transversal=None) -> MatrixRep:
@@ -517,14 +502,7 @@ def induce(rep: MatrixRep, n: int, transversal=None) -> MatrixRep:
         raise ValueError("induce needs a representation with a subgroup domain")
     if rep.n != n:
         raise ValueError("subgroup must sit inside S_n (same word degree)")
-    sub = rep.domain
-    if transversal is None:
-        ts, where = _lex_cosets(sub)
-    else:
-        ts = [tuple(t) for t in transversal]
-        where = {compose(t, h): (i, h) for i, t in enumerate(ts) for h in sub.elements}
-        if len(where) != len(ts) * sub.order or len(where) != factorial(n):
-            raise ValueError("not a transversal of the subgroup")
+    ts, where = _cosets(rep.domain, transversal)
     k = len(ts)
     d = rep.dim
 
@@ -556,46 +534,35 @@ def restrict(rep: MatrixRep, subgroup: SubgroupSpec) -> MatrixRep:
 
 
 def trivial_of(subgroup: SubgroupSpec) -> MatrixRep:
-    n = subgroup.n
-    return MatrixRep(n, 1, lambda pi: ((1,),), subgroup, f"trivial({n})", lambda pi: 1)
+    return _line("trivial", subgroup.n, f"trivial({subgroup.n})", subgroup)
 
 
 def sign_of(subgroup: SubgroupSpec) -> MatrixRep:
-    n = subgroup.n
-    return MatrixRep(n, 1, lambda pi: ((perm_sign(pi),),), subgroup, f"sign({n})", perm_sign)
+    return _line("sign", subgroup.n, f"sign({subgroup.n})", subgroup)
 
 
-def _check_same_domain(a: MatrixRep, b: MatrixRep):
+def _pair(a: MatrixRep, b: MatrixRep, dim: int, join, op, symbol: str) -> MatrixRep:
+    """The module on which pi acts by join(a.matrix(pi), b.matrix(pi)), with
+    trace op(a.trace(pi), b.trace(pi)); a and b share degree and domain."""
     if a.n != b.n:
         raise ValueError(f"degrees differ: {a.n} != {b.n}")
     if a.domain != b.domain:
         raise ValueError("domains differ")
+    return MatrixRep(
+        a.n, dim, lambda pi: join(a.matrix(pi), b.matrix(pi)), domain=a.domain,
+        label=f"({a.label}){symbol}({b.label})",
+        _trace_fn=lambda pi: op(a.trace(pi), b.trace(pi)),
+    )
 
 
 def direct_sum(a: MatrixRep, b: MatrixRep) -> MatrixRep:
-    _check_same_domain(a, b)
-    return MatrixRep(
-        a.n,
-        a.dim + b.dim,
-        lambda pi: block_diag(a.matrix(pi), b.matrix(pi)),
-        domain=a.domain,
-        label=f"({a.label})+({b.label})",
-        _trace_fn=lambda pi: a.trace(pi) + b.trace(pi),
-    )
+    return _pair(a, b, a.dim + b.dim, block_diag, add, "+")
 
 
 def tensor_product(a: MatrixRep, b: MatrixRep) -> MatrixRep:
     """Inner tensor product: the diagonal action, Kronecker-product
     matrices; characters multiply pointwise."""
-    _check_same_domain(a, b)
-    return MatrixRep(
-        a.n,
-        a.dim * b.dim,
-        lambda pi: kron(a.matrix(pi), b.matrix(pi)),
-        domain=a.domain,
-        label=f"({a.label})x({b.label})",
-        _trace_fn=lambda pi: a.trace(pi) * b.trace(pi),
-    )
+    return _pair(a, b, a.dim * b.dim, kron, mul, "x")
 
 
 def subgroup_char_inner(subgroup: SubgroupSpec, f, g) -> Fraction:
@@ -671,7 +638,7 @@ def verify_generator_relations(rep: MatrixRep) -> bool:
         raise ValueError("relation check needs a full-S_n representation")
     n = rep.n
     eye = identity(rep.dim)
-    gens = {i: rep.matrix(adjacent_transposition(n, i)) for i in range(1, n)}
+    gens = rep.generator_matrices()
     for i in range(1, n):
         if mat_mul(gens[i], gens[i]) != eye:
             return False

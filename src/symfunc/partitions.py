@@ -23,6 +23,7 @@ __all__ = [
     "Partition",
     "Permutation",
     "as_partition",
+    "as_composition",
     "partitions_of",
     "partition_ranks",
     "conjugate",
@@ -62,6 +63,15 @@ def as_partition(parts) -> Partition:
         if i and lam[i - 1] < p:
             raise ValueError(f"partition parts must be weakly decreasing: {lam}")
     return lam
+
+
+def as_composition(parts) -> tuple[int, ...]:
+    """Validate ``parts`` into a composition: positive ints in any order,
+    the empty tuple being the composition of 0."""
+    comp = tuple(int(p) for p in parts)
+    if any(c < 1 for c in comp):
+        raise ValueError("composition parts must be positive integers")
+    return comp
 
 
 @lru_cache(maxsize=None)

@@ -125,40 +125,38 @@ def enumerate_ssyt(shape, max_entry: int, content: tuple[int, ...] | None = None
     """
     skew = _as_skew(shape)
     cells = skew.cells()
-    ncells = len(cells)
-    if content is not None and sum(content) != ncells:
+    if content is not None and sum(content) != len(cells):
         return
     remaining = list(content) if content is not None else None
-    grid: dict[tuple[int, int], int] = {}
+    for grid in _fillings(0, cells, {}, max_entry, remaining):
+        rows = []
+        for r, width in enumerate(skew.outer):
+            start = skew.inner[r] if r < len(skew.inner) else 0
+            rows.append(tuple(grid[(r, c)] for c in range(start, width)))
+        yield Tableau(skew.outer, tuple(rows), skew.inner)
 
-    def backtrack(k: int):
-        if k == ncells:
-            rows = []
-            for r, width in enumerate(skew.outer):
-                start = skew.inner[r] if r < len(skew.inner) else 0
-                rows.append(tuple(grid[(r, c)] for c in range(start, width)))
-            yield Tableau(skew.outer, tuple(rows), skew.inner)
-            return
-        r, c = cells[k]
-        lo = 1
-        left = grid.get((r, c - 1))
-        if left is not None:
-            lo = max(lo, left)
-        above = grid.get((r - 1, c))
-        if above is not None:
-            lo = max(lo, above + 1)
-        for v in range(lo, max_entry + 1):
-            if remaining is not None:
-                if v > len(remaining) or remaining[v - 1] == 0:
-                    continue
-                remaining[v - 1] -= 1
-            grid[(r, c)] = v
-            yield from backtrack(k + 1)
-            del grid[(r, c)]
-            if remaining is not None:
-                remaining[v - 1] += 1
 
-    yield from backtrack(0)
+def _fillings(k: int, cells, grid: dict, max_entry: int, remaining):
+    """Backtracking behind enumerate_ssyt: fill cells[k:] in every way that
+    keeps grid semistandard, yielding grid itself at each complete filling.
+    A module-level generator, so that no closure refers to itself and a
+    finished enumeration leaves no reference cycle behind."""
+    if k == len(cells):
+        yield grid
+        return
+    r, c = cells[k]
+    # weakly above the left neighbour, strictly above the one above
+    lo = max(grid.get((r, c - 1), 1), grid.get((r - 1, c), 0) + 1)
+    for v in range(lo, max_entry + 1):
+        if remaining is not None:
+            if v > len(remaining) or remaining[v - 1] == 0:
+                continue
+            remaining[v - 1] -= 1
+        grid[(r, c)] = v
+        yield from _fillings(k + 1, cells, grid, max_entry, remaining)
+        del grid[(r, c)]
+        if remaining is not None:
+            remaining[v - 1] += 1
 
 
 def count_ssyt(shape, max_entry: int, content: tuple[int, ...] | None = None) -> int:

@@ -440,7 +440,8 @@ def test_empty_at_word_is_the_identity_of_s0(capsys):
 
 # every int stays <= 4, so no draw reaches an uncapped large input
 FUZZ_TOKENS = [*map(str, range(5)), "()", "2,1", "s:1", *ring.BASES, "--at", "--basis",
-               "-h", "--", "", "x", "-1", "1/0", "2=1", "[[1]]", "young", "sign"]
+               "-h", "--", "", "x", "-1", "1/0", "2=1", "[[1]]", "young", "sign",
+               "2 1 3", "s:2,1", "h:1/2*1+1,1", "1,2", "0,2", "2,x"]
 
 
 @settings(max_examples=400, deadline=None)

@@ -1,9 +1,11 @@
+import gc
 from itertools import product
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symfunc.matrixreps import specht_module
 from symfunc.partitions import conjugate, dominates, partitions_of
 from symfunc.tableaux import (
     SkewShape,
@@ -189,3 +191,20 @@ def test_skew_shape_validation():
     with pytest.raises(ValueError):
         SkewShape((2, 1), (3,))
     assert SkewShape((3, 2, 1), (1, 1)).size == 4
+
+
+def test_enumeration_leaves_no_reference_cycles():
+    """Enumerating tableaux, and building a Specht module over them, leaves
+    nothing for the cycle collector: the garbage is freed by reference
+    counting alone."""
+    gc.collect()
+    gc.disable()
+    try:
+        standard_tableaux((3, 2, 1))
+        assert gc.collect() == 0
+        count_ssyt((3, 2), 3)
+        assert gc.collect() == 0
+        specht_module((3, 2))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
