@@ -48,6 +48,7 @@ from .partitions import (
     all_permutations,
     as_composition,
     as_partition,
+    as_permutation,
     class_representative,
     compose,
     count_of_type,
@@ -477,7 +478,7 @@ def _cosets(subgroup: SubgroupSpec, transversal=None) -> tuple[list[Permutation]
     lex = transversal is None
     reps: list[Permutation] = []
     where: dict = {}
-    for g in all_permutations(subgroup.n) if lex else map(tuple, transversal):
+    for g in all_permutations(subgroup.n) if lex else map(as_permutation, transversal):
         if lex and g in where:
             continue
         for h in subgroup.elements:

@@ -145,7 +145,7 @@ def _fillings(k: int, cells, grid: dict, max_entry: int, remaining):
         yield grid
         return
     r, c = cells[k]
-    # weakly above the left neighbour, strictly above the one above
+    # at least the entry to the left, more than the entry above
     lo = max(grid.get((r, c - 1), 1), grid.get((r - 1, c), 0) + 1)
     for v in range(lo, max_entry + 1):
         if remaining is not None:

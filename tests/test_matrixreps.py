@@ -542,6 +542,14 @@ def test_induce_names_a_bad_transversal(words):
         induce(trivial_of(sub), 3, transversal=words)
 
 
+def test_induce_rejects_a_transversal_of_non_permutation_words():
+    """Six distinct words t h can pass the count check without being S_3;
+    such a list raises at once, not with a KeyError in a later matrix."""
+    sub = SubgroupSpec.from_elements(3, [(1, 2, 3), (1, 3, 2)])
+    with pytest.raises(ValueError, match="not a permutation word"):
+        induce(trivial_of(sub), 3, transversal=[(1, 1, 2), (2, 2, 1), (3, 3, 1)])
+
+
 def test_induce_young_trivial_matches_young_module():
     for lam in [(2, 1), (3, 1), (2, 2), (2, 1, 1)]:
         sub = SubgroupSpec.young(lam)
