@@ -26,6 +26,7 @@ from symfunc.characters import (
 )
 from symfunc.ring import (
     BASES,
+    M,
     P,
     S,
     basis_element,
@@ -185,3 +186,16 @@ def test_plethysm_into_schur_is_evaluation_at_squares(points):
         gx = value(points, gb, g_terms)
         gx2 = value(points, gb, g_terms, power=2)
         assert value(points, S, out.terms) == (gx * gx + sign * gx2) / 2, (outer, gb)
+
+
+def test_schur_rows_at_degree_20_round_trip_through_m_as_kostka_numbers():
+    """s -> m -> s at the ring cap reads the s, h and m tables of degree 20;
+    the m coefficients of s_lam are the Kostka numbers K_(lam, mu)."""
+    rng = random.Random(SEED + 14)
+    lams = O.partitions(20)
+    for lam in rng.sample(lams, 3):
+        f = basis_element(S, lam)
+        m = convert(f, M)
+        assert convert(m, S).terms == f.terms, lam
+        for mu in rng.sample(lams, 8) + [lam, lams[-1]]:
+            assert m.terms.get(mu, 0) == O.kostka(lam, mu), (lam, mu)
