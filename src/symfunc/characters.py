@@ -10,7 +10,9 @@ the independent cross-check.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import factorial
+from operator import floordiv, mul
 
 from . import limits
 from ._record import Record
@@ -21,16 +23,14 @@ from .ring import (
     P,
     S,
     SymElement,
-    _clear,
-    _dot,
     _omega_sign,
+    _p_ints,
     _pairing,
     _require_integer,
     _skew_p,
     basis_element,
     convert,
     sym_element,
-    to_p_terms,
 )
 
 class ClassFunction(Record):
@@ -63,14 +63,17 @@ def class_function(n: int, values) -> ClassFunction:
     )
 
 
+def _s_row(lam: Partition) -> tuple[int, ...]:
+    """chi^lam on the classes in partitions_of(n) order: its s table row."""
+    n = sum(lam)
+    limits.check("coefficient", n)
+    return _pairing(S, n)[partition_ranks(n)[lam]]
+
+
 def character_row(lam) -> dict[Partition, int]:
     """All values of the irreducible character chi^lam, keyed by class."""
     lam = as_partition(lam)
-    n = sum(lam)
-    limits.check("coefficient", n)
-
-    row = _pairing(S, n)[lam]
-    return {mu: row.get(mu, 0) for mu in partitions_of(n)}
+    return dict(zip(partitions_of(sum(lam)), _s_row(lam)))
 
 
 def character(lam, mu) -> int:
@@ -117,12 +120,12 @@ def frobenius_ch(f: ClassFunction) -> SymElement:
 def frobenius_inverse(f: SymElement, n: int) -> ClassFunction:
     """The class function g with frobenius_ch(g) = f, for f homogeneous of
     degree n: g(mu) = z_mu * [p_mu] f."""
-    pexp = to_p_terms(f)
-    if any(sum(lam) != n for lam in pexp):
+    den, vecs = _p_ints(f)
+    if any(any(vec) for d, vec in vecs.items() if d != n):
         raise ValueError(f"input is not homogeneous of degree {n}")
-    return class_function(
-        n, {mu: z_value(mu) * pexp.get(mu, Fraction(0)) for mu in partitions_of(n)}
-    )
+    vec = vecs.get(n) or repeat(0)
+    return ClassFunction(n, tuple(
+        Fraction(v * z_value(mu), den) for mu, v in zip(partitions_of(n), vec)))
 
 
 def littlewood_richardson(lam, mu, nu) -> int:
@@ -133,9 +136,9 @@ def littlewood_richardson(lam, mu, nu) -> int:
     if sum(lam) != sum(mu) + sum(nu):
         return 0
     limits.check("coefficient", sum(lam))
-    den, nums = _clear(to_p_terms(basis_element(S, lam)))
+    den, vecs = _p_ints(basis_element(S, lam))
     val = _require_integer(
-        _dot(_skew_p(mu, nums), _pairing(S, sum(nu))[nu]),
+        sum(map(mul, _skew_p(mu, vecs)[sum(nu)], _s_row(nu))),
         f"LR coefficient c^{lam}_({mu},{nu})",
         den,
     )
@@ -154,11 +157,8 @@ def kronecker(lam, mu, nu) -> int:
         return 0
     limits.check("coefficient", n)
     order = factorial(n)
-    rows = (character_row(lam), character_row(mu), character_row(nu))
-    total = sum(
-        rows[0][rho] * rows[1][rho] * rows[2][rho] * (order // z_value(rho))
-        for rho in partitions_of(n)
-    )
+    sizes = map(floordiv, repeat(order), map(z_value, partitions_of(n)))
+    total = sum(map(mul, map(mul, _s_row(lam), _s_row(mu)), map(mul, _s_row(nu), sizes)))
     val = _require_integer(total, f"Kronecker coefficient gamma^{lam}_({mu},{nu})", order)
     if val < 0:
         raise InvariantViolationError(f"negative Kronecker coefficient {val}")
@@ -169,10 +169,10 @@ def kronecker_product(f: SymElement, g: SymElement) -> SymElement:
     """The internal (Kronecker) product, diagonal on power sums:
     p_lam * p_mu = delta z_lam p_lam. Degree-preserving; distinct degrees
     annihilate."""
-    gp = to_p_terms(g)
-    return sym_element(
-        P, {lam: c * gp[lam] * z_value(lam) for lam, c in to_p_terms(f).items() if lam in gp}
-    )
+    (df, fv), (dg, gv) = _p_ints(f), _p_ints(g)
+    return SymElement(P, {mu: Fraction(a * b * z_value(mu), df * dg)
+                          for d, vec in fv.items() if d in gv
+                          for mu, a, b in zip(partitions_of(d), vec, gv[d]) if a and b})
 
 
 def youngs_rule(mu) -> dict[Partition, int]:

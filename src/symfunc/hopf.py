@@ -8,10 +8,10 @@ sends p_n to p_n x p_n. Tensors are stored as (partition, partition) ->
 rational in a chosen basis pair, with arithmetic implemented only as far
 as the coproducts and the Cauchy kernel need.
 
-A tensor is converted in one integer pass: its (p, p) expansion is cleared
-to one denominator, each leg is mapped as sparse integer row combinations
-over every partner partition at once, and one Fraction is built per output
-coefficient.
+A tensor is converted in one integer pass: its (p, p) expansion is kept
+over one denominator, each leg is mapped by dense products of the pairing
+tables with every partner partition's column at once, and one Fraction is
+built per output coefficient.
 """
 
 from __future__ import annotations
@@ -19,11 +19,13 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import product as _cartesian
-from math import comb, prod
+from itertools import repeat
+from math import comb, factorial, prod
+from operator import mul
 
 from . import limits
 from ._record import Record
-from .partitions import Partition, as_partition, format_partition, z_value
+from .partitions import Partition, as_partition, format_partition, partitions_of, z_value
 from .ring import (
     BASES,
     E,
@@ -31,16 +33,17 @@ from .ring import (
     M,
     P,
     S,
-    PExpansion,
     SymElement,
     _DUAL,
     _add_scaled,
     _by_degree,
     _cache,
     _clear,
+    _concat_mul,
+    _entries,
+    _eps,
     _format_terms,
-    _omega_twist,
-    _p_mul,
+    _p_ints,
     _pairing,
     basis_element,
     format_coeff,
@@ -121,56 +124,60 @@ def tensor_element(bases, terms) -> TensorElement:
     return TensorElement(bases, out)
 
 
-def _transpose(rows: dict[Partition, dict]) -> dict[Partition, dict]:
-    """Rows keyed by one leg, each over the other leg, keyed by the other."""
-    out: dict[Partition, dict] = {}
-    for key, row in rows.items():
-        for other, n in row.items():
-            out.setdefault(other, {})[key] = n
-    return out
-
-
 def _map_legs(nums: dict[PairKey, int], bases, to_p: bool) -> dict[Partition, dict]:
     """Each leg of an integer tensor mapped in turn, one degree at a time:
-    out[key] = sum over k of table[key][k] rows[k], every row a dict over
-    the partner partitions of the other leg. To p the table is A_b
-    transposed (A_p is z on the diagonal; the 1 / z is left to the caller),
-    from p it is A_b*, as in from_p_terms; e twists the p side of A_h (to p)
-    or A_m (from p). Returns rows keyed by the right leg; entries that
-    cancel stay as zeros."""
+    out[key] = sum over k of T[key][k] rows[k], the rows taken as one dense
+    column per partner partition of the other leg and dotted with each
+    dense row of T. To p, T is A_b transposed (A_p is z on the diagonal;
+    the 1 / z is left to the caller), from p it is A_b*, as in
+    from_p_terms; e twists the p side of A_h (to p) or A_m (from p). Each
+    pass keys its output by the partner leg, so the result is keyed by the
+    left leg, each row a dict over the right; zeros are left out."""
     rows: dict[Partition, dict] = {}
     for (lam, mu), n in nums.items():
         rows.setdefault(lam, {})[mu] = n
-    for leg, basis in enumerate(bases):
+    for basis in bases:
         out: dict[Partition, dict] = {}
         for d, chunk in _by_degree(rows).items():
             if basis == P:
-                table = {alpha: {alpha: z_value(alpha) if to_p else 1} for alpha in chunk}
-            else:
-                table = _pairing((H if basis == E else basis) if to_p else _DUAL[basis], d)
-                if basis == E:
-                    table = {lam: _omega_twist(row) for lam, row in table.items()}
-                if to_p:
-                    table = _transpose(table)
-            for key, coeffs in table.items():
-                acc: dict[Partition, int] = {}
-                for k, a in coeffs.items():
-                    for other, n in chunk[k].items() if k in chunk else ():
-                        acc[other] = acc.get(other, 0) + a * n
-                out[key] = acc
-        rows = out if leg else _transpose(out)
+                for k, row in chunk.items():
+                    for o, n in row.items():
+                        out.setdefault(o, {})[k] = n * z_value(k) if to_p else n
+                continue
+            keys = partitions_of(d)
+            partners = list(dict.fromkeys(o for row in chunk.values() for o in row))
+            cols = [[chunk[k].get(o, 0) if k in chunk else 0 for k in keys] for o in partners]
+            eps = _eps(d) if basis == E else [1] * len(keys)
+            table = zip(*_pairing(H if basis == E else basis, d)) if to_p else _pairing(_DUAL[basis], d)
+            if basis == E and not to_p:
+                cols = [list(map(mul, col, eps)) for col in cols]
+            for key, trow, sign in zip(keys, table, eps if to_p else repeat(1)):
+                for o, col in zip(partners, cols):
+                    if v := sum(map(mul, trow, col)):
+                        out.setdefault(o, {})[key] = sign * v
+        rows = out
     return rows
 
 
-def _to_pp(t: TensorElement) -> dict[PairKey, Fraction]:
-    """Expansion of a tensor in the (p, p) pair, as a plain dict, summed in
-    integers and divided by den z_alpha z_beta once per pair."""
-    if t.bases == (P, P):
-        return dict(t.terms)
+def _pp_ints(t: TensorElement) -> tuple[int, dict[PairKey, int]]:
+    """The (p, p) expansion of a tensor in integers, (D, nums) with
+    [p_alpha x p_beta] t = nums[(alpha, beta)] / D: the 1 / z_alpha z_beta
+    that the legs leave is a! / z_alpha b! / z_beta over a! b!, for a and b
+    the top degrees of the legs."""
     den, nums = _clear(t.terms)
-    return {(alpha, beta): Fraction(n, den * z_value(alpha) * z_value(beta))
-            for beta, row in _map_legs(nums, t.bases, True).items()
-            for alpha, n in row.items() if n}
+    if t.bases == (P, P):
+        return den, nums
+    a = factorial(max((sum(lam) for lam, _ in nums), default=0))
+    b = factorial(max((sum(mu) for _, mu in nums), default=0))
+    return den * a * b, {(alpha, beta): n * (a // z_value(alpha)) * (b // z_value(beta))
+                         for alpha, row in _map_legs(nums, t.bases, True).items()
+                         for beta, n in row.items()}
+
+
+def _to_pp(t: TensorElement) -> dict[PairKey, Fraction]:
+    """Expansion of a tensor in the (p, p) pair, as a plain dict."""
+    den, nums = _pp_ints(t)
+    return {key: Fraction(n, den) for key, n in nums.items()}
 
 
 def tensor_convert(t: TensorElement, bases) -> TensorElement:
@@ -178,17 +185,16 @@ def tensor_convert(t: TensorElement, bases) -> TensorElement:
     bases = _basis_pair(bases)
     if t.bases == bases:
         return t
-    den, nums = _clear(_to_pp(t))
+    den, nums = _pp_ints(t)
     return TensorElement(bases, {(lam, mu): Fraction(n, den)
-                                 for mu, row in _map_legs(nums, bases, False).items()
-                                 for lam, n in row.items() if n})
+                                 for lam, row in _map_legs(nums, bases, False).items()
+                                 for mu, n in row.items()})
 
 
 def tensor_inner(t: TensorElement, g: SymElement, h: SymElement) -> Fraction:
     """<t, g x h> with the componentwise Hall product, one integer sum."""
-    dt, tn = _clear(_to_pp(t))
-    dg, gn = _clear(to_p_terms(g))
-    dh, hn = _clear(to_p_terms(h))
+    (dt, tn), (dg, gv), (dh, hv) = _pp_ints(t), _p_ints(g), _p_ints(h)
+    gn, hn = _entries(gv), _entries(hv)
     total = sum(c * gn[lam] * z_value(lam) * hn[mu] * z_value(mu)
                 for (lam, mu), c in tn.items() if lam in gn and mu in hn)
     return Fraction(total, dt * dg * dh)
@@ -232,8 +238,8 @@ def _split_p(lam: Partition) -> dict[PairKey, int]:
 def coproduct_sum(f: SymElement) -> TensorElement:
     """Delta f = f evaluated on the sum of two alphabets. Each pair
     (alpha, beta) comes from p_(alpha + beta) alone, so nothing cancels."""
-    den, nums = _clear(to_p_terms(f))
-    return TensorElement((P, P), {key: Fraction(n * ways, den) for lam, n in nums.items() if n
+    den, vecs = _p_ints(f)
+    return TensorElement((P, P), {key: Fraction(n * ways, den) for lam, n in _entries(vecs).items()
                                   for key, ways in _sum_coproduct_of_p(lam).items()})
 
 
@@ -297,16 +303,16 @@ def plethysm(f: SymElement, g: SymElement, scale: int = 1) -> SymElement:
     up 2^len(lam)), e.g. scale=2 with g = p_1 is the alphabet 2x."""
     if scale < 1:
         raise ValueError("alphabet scale must be a positive integer")
-    gp = to_p_terms(g)
-    out: PExpansion = {}
-    for lam, c in to_p_terms(f).items():
-        term: PExpansion = {(): Fraction(1)}
-        for part in lam:
-            # p_part[g]: mu -> part * mu is one to one and keeps parts sorted
-            sub = {tuple(part * m for m in mu): scale * cg for mu, cg in gp.items()}
-            term = _p_mul(term, sub)
-        _add_scaled(out, c, term)
-    return sym_element(P, out)
+    (dg, gv), (df, fv) = _p_ints(g), _p_ints(f)
+    gn, fn = _entries(gv), _entries(fv)
+    top = max(map(len, fn), default=0)  # p_lam[g] is over dg^len(lam): put all over dg^top
+    out: dict[Partition, int] = {}
+    for lam, c in fn.items():
+        term = {(): c * dg ** (top - len(lam))}
+        for part in lam:  # p_part[g]: mu -> part * mu is one to one and keeps parts sorted
+            term = _concat_mul(term, {tuple(part * m for m in mu): scale * n for mu, n in gn.items()})
+        _add_scaled(out, 1, term)
+    return SymElement(P, {mu: Fraction(v, df * dg ** top) for mu, v in out.items()})
 
 
 def tensor_to_json(t: TensorElement) -> list[dict]:

@@ -7,7 +7,8 @@ diagonal with weights z_lambda, and the omega involution is a sign twist.
 
 The bases h, s and m are each carried by one integer table per degree, their
 Hall pairing with the power sums, A_b[lam][mu] = <b_lam, p_mu> (integral,
-since they are integral bases and p_mu is integral), stored as sparse rows:
+since they are integral bases and p_mu is integral), stored once as a tuple
+of dense rows of ints, both axes in partitions_of(degree) order:
 
   * h: <h_lam, p_mu> counts the ways to deal mu's parts into rows of lengths
     lam; row lam extends row lam[1:] one degree lower, because
@@ -26,14 +27,14 @@ twisted by eps_mu = (-1)^(|mu| - len(mu)).
 
 No table is inverted: [p_mu] b_lam = A_b[lam][mu] / z_mu, and [b_lam] f is
 <f, b*_lam>, a row of the table of the Hall dual basis b* (s for s, h for
-m, m for h, and omega(m), the eps twist of the m table, for e). The kernels
-clear each degree to one denominator, sum in ints and build one Fraction
-per output coefficient. The per-degree cache is compute-then-publish:
-concurrent readers never observe a partial table and each (basis, degree)
-table is computed at most once. One kernel, _skew_p, applies s_mu^perp in
-integers. perp is its one public route, and skew_schur is perp(mu, s_lam);
-the LR coefficients <s_mu^perp s_lam, s_nu> of characters dot its image of
-s_lam with the s row of nu.
+m, m for h, and omega(m), the eps twist of the m table, for e). Kernels hand
+each other power sums as ints over one denominator (_p_ints: one dense
+vector per degree), multiply them by table rows in C-level sum(map(mul, ..))
+dots, and build one Fraction per output coefficient, at the public return.
+The per-degree cache is compute-then-publish: concurrent readers never see
+a partial table and each (basis, degree) table is computed at most once.
+_skew_p applies s_mu^perp to those vectors; perp is its one public route,
+skew_schur is perp(mu, s_lam), and LR dots its s_lam image with s_nu's row.
 """
 
 from __future__ import annotations
@@ -41,7 +42,9 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from fractions import Fraction
+from itertools import repeat
 from math import factorial, lcm, prod
+from operator import add, floordiv, mul, sub
 
 from . import limits
 from ._record import Record
@@ -62,8 +65,8 @@ M, E, H, P, S = "m", "e", "h", "p", "s"
 BASES = (M, E, H, P, S)
 
 PExpansion = dict[Partition, Fraction]
-# A_b[lam][mu] = <b_lam, p_mu>, zero entries left out
-PairingTable = dict[Partition, dict[Partition, int]]
+# A_b[lam][mu] = <b_lam, p_mu>, a dense row per lam, both in partitions_of order
+PairingTable = tuple[tuple[int, ...], ...]
 
 
 class _OnceCache:
@@ -131,18 +134,6 @@ def _clear(terms: dict) -> tuple[int, dict]:
     return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
 
 
-def _over(nums: dict, den: int) -> dict:
-    """nums / den as Fractions, zeros left out."""
-    return {k: Fraction(v, den) for k, v in nums.items() if v}
-
-
-def _dot(a: dict, b: dict):
-    """sum over shared keys of a[k] * b[k], walking the shorter dict."""
-    if len(b) < len(a):
-        a, b = b, a
-    return sum(c * b[k] for k, c in a.items() if k in b)
-
-
 def _by_degree(terms: dict) -> dict[int, dict]:
     """The nonzero terms split into homogeneous chunks, keyed by degree."""
     chunks: dict[int, dict] = {}
@@ -163,19 +154,19 @@ def _concat_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def _p_mul(a: PExpansion, b: PExpansion) -> PExpansion:
-    da, na = _clear(a)
-    db, nb = _clear(b)
-    return _over(_concat_mul(na, nb), da * db)
-
-
 def _omega_sign(mu: Partition) -> int:
     """The sign omega puts on p_mu: (-1)^(|mu| - len(mu))."""
     return -1 if (sum(mu) - len(mu)) % 2 else 1
 
 
-def _omega_twist(terms: dict) -> dict:
-    return {mu: _omega_sign(mu) * c for mu, c in terms.items()}
+def _eps(d: int) -> list[int]:
+    """_omega_sign over partitions_of(d), in that order."""
+    return [-1 if (d - len(mu)) % 2 else 1 for mu in partitions_of(d)]
+
+
+def _entries(vecs: dict[int, list[int]]) -> dict[Partition, int]:
+    """The nonzero entries of dense per-degree vectors, keyed by partition."""
+    return {mu: v for d, vec in vecs.items() for mu, v in zip(partitions_of(d), vec) if v}
 
 
 # --- the pairing tables ------------------------------------------------------
@@ -213,45 +204,44 @@ def _newton_in_h(k: int) -> dict[Partition, int]:
 def _pairing_table(basis: str, degree: int) -> PairingTable:
     """A_b[lam][mu] = <b_lam, p_mu> for every lam, mu |- ``degree``."""
     if not degree:
-        return {(): {(): 1}}
+        return ((1,),)
     lams = partitions_of(degree)
+    ranks = partition_ranks(degree)
     if basis == H:
-        table: PairingTable = {}
+        table = []
         for lam in lams:
-            row: dict[Partition, int] = {}
-            for beta, c in _pairing(H, degree - lam[0])[lam[1:]].items():
-                for alpha in partitions_of(lam[0]):
+            row, d = [0] * len(lams), degree - lam[0]
+            for beta, c in zip(partitions_of(d), _pairing(H, d)[partition_ranks(d)[lam[1:]]]):
+                for alpha in partitions_of(lam[0]) if c else ():
                     mu = tuple(sorted(alpha + beta, reverse=True))
                     # z_mu / (z_alpha z_beta) is a product of binomials
-                    ways = z_value(mu) // (z_value(alpha) * z_value(beta))
-                    row[mu] = row.get(mu, 0) + c * ways
-            table[lam] = row
-        return table
+                    row[ranks[mu]] += c * (z_value(mu) // (z_value(alpha) * z_value(beta)))
+            table.append(tuple(row))
+        return tuple(table)
     if basis == S:
         # s_lam = omega(s_lam'): expand the shape with fewer rows, which
-        # comes first in canonical order, and twist it for its conjugate;
-        # rho is grouped by rho_1 to find each lam's k-strips once
-        by_first: dict[int, list[tuple[Partition, Partition]]] = {}
-        for rho in lams:
-            by_first.setdefault(rho[0], []).append((rho, rho[1:]))
-        table = {}
+        # comes first in canonical order, and twist it for its conjugate.
+        # The rho with rho_1 = k are one block of the row, and their rests
+        # rho[1:] are the partitions of degree - k with parts <= k: the
+        # last ``blocks[k]`` of partitions_of(degree - k), in order.
+        blocks = Counter(rho[0] for rho in lams)
+        eps = _eps(degree)
+        table = []
         for lam in lams:
             conj = conjugate(lam)
             if len(conj) < len(lam):
-                table[lam] = _omega_twist(table[conj])
+                table.append(tuple(map(mul, eps, table[ranks[conj]])))
                 continue
-            row = {}
-            for k, rhos in by_first.items():
+            row: list[int] = []
+            for k, size in blocks.items():
                 lower = _pairing(S, degree - k)
-                strips = [(lower[nu], sign) for nu, sign in _border_strips(lam, k)]
-                if not strips:
-                    continue
-                for rho, rest in rhos:
-                    v = sum(sign * r.get(rest, 0) for r, sign in strips)
-                    if v:
-                        row[rho] = v
-            table[lam] = row
-        return table
+                block = [0] * size
+                for nu, sign in _border_strips(lam, k):
+                    r = lower[partition_ranks(degree - k)[nu]]
+                    block = list(map(add if sign > 0 else sub, block, r[len(r) - size:]))
+                row += block
+            table.append(tuple(row))
+        return tuple(table)
     if basis != M:
         raise ValueError(f"no pairing table is stored for basis {basis!r}")
     # column mu is p_mu = p_(mu_1) p_(mu_2) ... in the h basis
@@ -263,12 +253,11 @@ def _pairing_table(basis: str, degree: int) -> PairingTable:
             cols[mu] = _concat_mul(newton[mu[0]], column(mu[1:]))
         return cols[mu]
 
-    table = {lam: {} for lam in lams}
-    for mu in lams:
+    rows = [[0] * len(lams) for _ in lams]
+    for j, mu in enumerate(lams):
         for lam, c in column(mu).items():
-            if c:
-                table[lam][mu] = c
-    return table
+            rows[ranks[lam]][j] = c
+    return tuple(map(tuple, rows))
 
 
 def _pairing(basis: str, degree: int) -> PairingTable:
@@ -372,66 +361,82 @@ def one(basis: str = P) -> SymElement:
     return basis_element(basis, ())
 
 
+def _p_ints(f: SymElement) -> tuple[int, dict[int, list[int]]]:
+    """The power sums of ``f`` in integers, (D, {d: v}) with [p_mu] f =
+    v[rank of mu] / D, each v dense over partitions_of(d). Outside p,
+    [p_mu] b_lam = A_b[lam][mu] (t! / z_mu) / t! for t the top degree:
+    rows scaled by the class sizes t! / z_mu share the denominator t!."""
+    den, nums = _clear(f.terms)
+    chunks = _by_degree(nums)
+    top = 1 if f.basis == P else factorial(max(chunks, default=0))
+    vecs: dict[int, list[int]] = {}
+    for d, chunk in chunks.items():
+        lams = partitions_of(d)
+        coeffs = vecs[d] = [chunk.get(lam, 0) for lam in lams]
+        if f.basis == P:
+            continue
+        table = _pairing(H if f.basis == E else f.basis, d)
+        if 4 * len(chunk) < len(lams):  # a few terms: sum their scaled rows
+            acc = [0] * len(lams)
+            for lam, n in chunk.items():
+                acc = list(map(add, acc, map(n.__mul__, table[partition_ranks(d)[lam]])))
+        else:  # many: dot the coefficients with each column
+            acc = [sum(map(mul, coeffs, col)) for col in zip(*table)]
+        scale = map(floordiv, repeat(top), map(z_value, lams))
+        vecs[d] = list(map(mul, acc, map(mul, scale, _eps(d)) if f.basis == E else scale))
+    return den * top, vecs
+
+
+def _from_p_ints(basis: str, den: int, vecs: dict[int, list[int]]) -> SymElement:
+    """Re-express (den, vecs) in ``basis``: [b_lam] f is <f, b*_lam> =
+    sum over mu of [p_mu] f A_b*[lam][mu], one dot per dual row, and one
+    Fraction per nonzero coefficient."""
+    if basis == P:
+        return SymElement(P, {mu: Fraction(v, den) for mu, v in _entries(vecs).items()})
+    out: dict[Partition, Fraction] = {}
+    for d, vec in vecs.items():
+        if basis == E:
+            vec = list(map(mul, vec, _eps(d)))
+        for lam, row in zip(partitions_of(d), _pairing(_DUAL[basis], d)):
+            if v := sum(map(mul, row, vec)):
+                out[lam] = Fraction(v, den)
+    return SymElement(basis, out)
+
+
 def to_p_terms(f: SymElement) -> PExpansion:
     """The power-sum expansion of ``f`` as a plain dict:
     [p_mu] f = sum over lam of f_lam A_b[lam][mu] / z_mu, with e read as the
     eps twist of h."""
-    if f.basis == P:
-        return dict(f.terms)
-    out: PExpansion = {}
-    for d, chunk in _by_degree(f.terms).items():
-        table = _pairing(H if f.basis == E else f.basis, d)
-        den, nums = _clear(chunk)
-        acc: dict[Partition, int] = {}
-        for lam, n in nums.items():
-            _add_scaled(acc, n, table[lam])
-        if f.basis == E:
-            acc = _omega_twist(acc)
-        for mu, v in acc.items():
-            out[mu] = Fraction(v, den * z_value(mu))
-    return out
+    return dict(f.terms) if f.basis == P else _from_p_ints(P, *_p_ints(f)).terms
 
 
 def from_p_terms(basis: str, pexp: PExpansion) -> SymElement:
     """Re-express a power-sum expansion in ``basis``: [b_lam] f is
     <f, b*_lam> = sum over mu of [p_mu] f A_b*[lam][mu]."""
-    _validate_basis(basis)
-    if basis == P:
+    if _validate_basis(basis) == P:
         return sym_element(P, pexp)
-    out: dict[Partition, Fraction] = {}
-    for d, chunk in _by_degree(pexp).items():
-        den, nums = _clear(chunk)
-        if basis == E:
-            nums = _omega_twist(nums)
-        dual = _pairing(_DUAL[basis], d)
-        for lam in partitions_of(d):
-            v = _dot(dual[lam], nums)
-            if v:
-                out[lam] = Fraction(v, den)
-    return SymElement(basis, out)
+    return _from_p_ints(basis, *_p_ints(SymElement(P, pexp)))
 
 
 def convert(f: SymElement, target: str) -> SymElement:
     """Same element, coefficients in the target basis."""
     _validate_basis(target)
-    if f.basis == target:
-        return f
-    return from_p_terms(target, to_p_terms(f))
+    return f if f.basis == target else _from_p_ints(target, *_p_ints(f))
 
 
 def multiply(f: SymElement, g: SymElement) -> SymElement:
     """Ring product; reported in the p basis, where it is part
     concatenation."""
-    return SymElement(P, _p_mul(to_p_terms(f), to_p_terms(g)))
+    (df, fv), (dg, gv) = _p_ints(f), _p_ints(g)
+    nums = _concat_mul(_entries(fv), _entries(gv))
+    return SymElement(P, {mu: Fraction(v, df * dg) for mu, v in nums.items() if v})
 
 
 def hall_inner(f: SymElement, g: SymElement) -> Fraction:
     """Hall scalar product: diagonal in p with <p_lam, p_lam> = z_lam."""
-    df, fp = _clear(to_p_terms(f))
-    dg, gp = _clear(to_p_terms(g))
-    if len(gp) < len(fp):
-        fp, gp = gp, fp
-    total = sum(c * gp[lam] * z_value(lam) for lam, c in fp.items() if lam in gp)
+    (df, fv), (dg, gv) = _p_ints(f), _p_ints(g)
+    total = sum(sum(map(mul, a, map(mul, gv[d], map(z_value, partitions_of(d)))))
+                for d, a in fv.items() if d in gv)
     return Fraction(total, df * dg)
 
 
@@ -441,31 +446,33 @@ def omega(f: SymElement) -> SymElement:
     On power sums it multiplies p_n by (-1)^(n-1), extended
     multiplicatively; the sign rule is forced by the two identities above.
     """
-    return SymElement(P, _omega_twist(to_p_terms(f)))
+    den, vecs = _p_ints(f)
+    return _from_p_ints(P, den, {d: list(map(mul, vec, _eps(d))) for d, vec in vecs.items()})
 
 
-def _skew_p(mu: Partition, nums: dict[Partition, int]) -> dict[Partition, int]:
-    """s_mu^perp on power-sum coefficients over a common denominator, which
+def _skew_p(mu: Partition, vecs: dict[int, list[int]]) -> dict[int, list[int]]:
+    """s_mu^perp on dense power-sum vectors over a common denominator, which
     the result keeps: [p_beta] s_mu^perp f is the sum over alpha |- |mu| of
     <s_mu, p_alpha> z_(alpha + beta) / (z_alpha z_beta) [p_(alpha + beta)] f,
     the weight a product of binomials. Degrees below |mu| drop out."""
     m = sum(mu)
-    degrees = {d for d in map(sum, nums) if d >= m}
-    if not degrees:
-        return {}
-    alphas = [(alpha, c, z_value(alpha)) for alpha, c in _pairing(S, m)[mu].items()]
-    out: dict[Partition, int] = {}
-    for d in degrees:
+    row = _pairing(S, m)[partition_ranks(m)[mu]]
+    alphas = [(alpha, c, z_value(alpha)) for alpha, c in zip(partitions_of(m), row) if c]
+    out: dict[int, list[int]] = {}
+    for d, vec in vecs.items():
+        if d < m:
+            continue
+        ranks = partition_ranks(d)
+        out[d - m] = new = []
         for beta in partitions_of(d - m):
             zb = z_value(beta)
             v = 0
             for alpha, c, za in alphas:
                 rho = tuple(sorted(alpha + beta, reverse=True))
-                n = nums.get(rho)
+                n = vec[ranks[rho]]
                 if n:
                     v += c * n * (z_value(rho) // (za * zb))
-            if v:
-                out[beta] = v
+            new.append(v)
     return out
 
 
@@ -493,8 +500,8 @@ def perp(mu, f: SymElement) -> SymElement:
         f = SymElement(S, {lam: c for lam, c in f.terms.items() if contains(mu, lam)})
     for d in f.degrees():  # capped as a conversion of f is, whatever its basis
         limits.check("ring", d)
-    den, nums = _clear(to_p_terms(f))
-    return from_p_terms(S, _over(_skew_p(mu, nums), den))
+    den, vecs = _p_ints(f)
+    return _from_p_ints(S, den, _skew_p(mu, vecs))
 
 
 # --- evaluation in finitely many variables -----------------------------------

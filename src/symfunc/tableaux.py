@@ -3,6 +3,7 @@
 Enumeration is backtracking in row-major cell order, pruning with the
 row-weak / column-strict constraints, so fillings stream out in row-major
 lexicographic order and counting never materializes more than one tableau.
+Standard tableaux are built directly, one entry at a time, then sorted.
 """
 
 from __future__ import annotations
@@ -196,10 +197,16 @@ def f_lambda(lam: Partition) -> int:
 
 
 def standard_tableaux(lam: Partition) -> list[Tableau]:
-    """All standard tableaux of shape ``lam`` in row-major lex order."""
+    """All standard tableaux of shape ``lam`` in row-major lex order: 1..n
+    placed in turn at the end of any row that stays a partition, the row
+    tuples then sorted."""
     lam = as_partition(lam)
-    n = sum(lam)
-    return list(enumerate_ssyt(lam, n, (1,) * n))
+    fillings = [((),) * len(lam)]
+    for k in range(1, sum(lam) + 1):
+        fillings = [rows[:r] + (row + (k,),) + rows[r + 1:]
+                    for rows in fillings for r, row in enumerate(rows)
+                    if len(row) < lam[r] and (not r or len(rows[r - 1]) > len(row))]
+    return [Tableau(lam, rows, ()) for rows in sorted(fillings)]
 
 
 def rsk(word) -> tuple[Tableau, Tableau]:

@@ -8,7 +8,7 @@ import pytest
 from symfunc import limits
 from symfunc.errors import DegreeCapError
 from symfunc.linalg import identity, mat_mul
-from symfunc.partitions import conjugate, partitions_of, z_value
+from symfunc.partitions import conjugate, partition_ranks, partitions_of, z_value
 from symfunc.ring import (
     BASES,
     E,
@@ -103,10 +103,10 @@ def _e_table(d):
     eps twist of the h table, since e_lam = omega(h_lam)."""
     from symfunc import ring
 
-    return {
-        lam: {mu: (-1) ** (d - len(mu)) * c for mu, c in row.items()}
-        for lam, row in ring._pairing(H, d).items()
-    }
+    return tuple(
+        tuple((-1) ** (d - len(mu)) * c for mu, c in zip(partitions_of(d), row))
+        for row in ring._pairing(H, d)
+    )
 
 
 @pytest.mark.parametrize("basis", [M, E, H, S])
@@ -120,15 +120,12 @@ def test_from_p_tables_invert_to_p_tables(basis):
         lams = partitions_of(d)
         table = _e_table(d) if basis == E else ring._pairing(basis, d)
         forward = tuple(
-            tuple(Fraction(table[lam].get(mu, 0), z_value(mu)) for lam in lams)
-            for mu in lams
+            tuple(Fraction(row[j], z_value(mu)) for row in table)
+            for j, mu in enumerate(lams)
         )
         dual = ring._pairing(ring._DUAL[basis], d)
-        sign = {mu: (-1) ** (d - len(mu)) if basis == E else 1 for mu in lams}
-        inverse = tuple(
-            tuple(Fraction(sign[mu] * dual[lam].get(mu, 0)) for mu in lams)
-            for lam in lams
-        )
+        sign = [(-1) ** (d - len(mu)) if basis == E else 1 for mu in lams]
+        inverse = tuple(tuple(Fraction(e * c) for e, c in zip(sign, row)) for row in dual)
         assert mat_mul(inverse, forward) == identity(len(lams))
         assert inverse == invert(forward)
         for j, mu in enumerate(lams):
@@ -160,9 +157,8 @@ def test_schur_pairing_table_is_murnaghan_nakayama():
 
     for n in range(1, 9):
         table = ring._pairing(S, n)
-        for lam in partitions_of(n):
-            chars = {mu: _murnaghan_nakayama(lam, mu) for mu in partitions_of(n)}
-            assert table[lam] == {mu: v for mu, v in chars.items() if v}
+        for lam, row in zip(partitions_of(n), table, strict=True):
+            assert row == tuple(_murnaghan_nakayama(lam, mu) for mu in partitions_of(n))
 
 
 def _jacobi_trudi_h(lam):
@@ -204,26 +200,29 @@ def test_schur_pairing_table_is_jacobi_trudi_over_h():
 
     for d in range(13):
         h_table, e_table = ring._pairing(H, d), _e_table(d)
-        for lam, row in ring._pairing(S, d).items():
+        for lam, row in zip(partitions_of(d), ring._pairing(S, d), strict=True):
             conj = conjugate(lam)
             shape, table = (lam, h_table) if len(lam) <= len(conj) else (conj, e_table)
-            expected = {}
+            expected = [0] * len(row)
             for nu, c in _jacobi_trudi_h(shape).items():
-                ring._add_scaled(expected, c, table[nu])
-            assert row == expected, lam
+                nu_row = table[partition_ranks(d)[nu]]
+                expected = [a + c * b for a, b in zip(expected, nu_row, strict=True)]
+            assert row == tuple(expected), lam
 
 
 def test_pairing_tables_are_integers_and_e_twists_h():
-    """h, s and m each keep an integer table; e keeps none, and its power
-    sums are omega of those of h."""
+    """h, s and m each keep one integer table, a tuple of dense rows in
+    partitions_of(d) order on both axes; e keeps none, and its power sums
+    are omega of those of h."""
     from symfunc import ring
 
     for d in range(11):
         for basis in (M, H, S):
             table = ring._pairing(basis, d)
-            assert tuple(table) == partitions_of(d)
-            for row in table.values():
-                assert all(type(v) is int and v for v in row.values())
+            assert type(table) is tuple and len(table) == len(partitions_of(d))
+            for row in table:
+                assert type(row) is tuple and len(row) == len(partitions_of(d)) and any(row)
+                assert all(type(v) is int for v in row)
         for lam in partitions_of(d):
             assert to_p_terms(basis_element(E, lam)) == {
                 mu: (-1) ** (d - len(mu)) * c
@@ -231,6 +230,34 @@ def test_pairing_tables_are_integers_and_e_twists_h():
             }
     with pytest.raises(ValueError, match="no pairing table"):
         ring._pairing(E, 3)
+
+
+def test_convert_builds_one_fraction_per_output_coefficient(monkeypatch):
+    """The kernels hand power sums to each other as integers over one
+    denominator: converting a dense degree-10 element whose tables are
+    built constructs one Fraction per coefficient of the result and no
+    other."""
+    from symfunc import ring
+
+    rng = random.Random(10)
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    for src, dst in product(BASES, BASES):
+        if src == dst:
+            continue
+        terms = {lam: Fraction(rng.randint(1, 9), rng.randint(1, 4)) for lam in partitions_of(10)}
+        f = sym_element(src, terms)
+        expected = convert(f, dst)
+        built.clear()
+        with monkeypatch.context() as m:
+            m.setattr(ring, "Fraction", counted)
+            out = convert(f, dst)
+        assert out.terms == expected.terms
+        assert len(built) == len(out.terms), (src, dst)
 
 
 def test_convert_roundtrips_mixed_degrees_and_large_denominators():

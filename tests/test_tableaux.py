@@ -127,6 +127,14 @@ def test_f_lambda_hook_length_matches_enumeration_to_8():
             assert f_lambda(lam) == len(standard_tableaux(lam)) == kostka(lam, (1,) * n)
 
 
+def test_standard_tableaux_are_the_standard_fillings_in_enumeration_order():
+    """Built by placing 1..n directly, they are the fillings of content
+    1^n that the semistandard backtracker streams, in the same order."""
+    for n in range(0, 8):
+        for lam in partitions_of(n):
+            assert standard_tableaux(lam) == list(enumerate_ssyt(lam, n, (1,) * n)), lam
+
+
 def test_rsk_trivial_cases():
     p, q = rsk(())
     assert p.rows == () and q.rows == ()
