@@ -23,7 +23,6 @@ from .ring import (
     P,
     S,
     SymElement,
-    _omega_sign,
     _p_ints,
     _pairing,
     _require_integer,
@@ -107,7 +106,8 @@ def table_columns(n: int) -> list[Partition]:
 
 def sign_of_class(mu) -> int:
     """Sign of any permutation of cycle type mu."""
-    return _omega_sign(as_partition(mu))
+    mu = as_partition(mu)
+    return -1 if (sum(mu) - len(mu)) % 2 else 1
 
 
 def frobenius_ch(f: ClassFunction) -> SymElement:

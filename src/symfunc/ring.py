@@ -42,7 +42,7 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
 from math import factorial, lcm, prod
 from operator import add, floordiv, mul, sub
 
@@ -154,13 +154,9 @@ def _concat_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def _omega_sign(mu: Partition) -> int:
-    """The sign omega puts on p_mu: (-1)^(|mu| - len(mu))."""
-    return -1 if (sum(mu) - len(mu)) % 2 else 1
-
-
 def _eps(d: int) -> list[int]:
-    """_omega_sign over partitions_of(d), in that order."""
+    """The sign omega puts on each p_mu, (-1)^(|mu| - len(mu)), over
+    partitions_of(d) in that order."""
     return [-1 if (d - len(mu)) % 2 else 1 for mu in partitions_of(d)]
 
 
@@ -257,6 +253,7 @@ def _pairing_table(basis: str, degree: int) -> PairingTable:
     for j, mu in enumerate(lams):
         for lam, c in column(mu).items():
             rows[ranks[lam]][j] = c
+    cols.clear()  # drop the column memo before the rows are copied
     return tuple(map(tuple, rows))
 
 
@@ -397,8 +394,9 @@ def _from_p_ints(basis: str, den: int, vecs: dict[int, list[int]]) -> SymElement
     for d, vec in vecs.items():
         if basis == E:
             vec = list(map(mul, vec, _eps(d)))
+        nonzero = [v for v in vec if v]  # only the row entries they meet are read
         for lam, row in zip(partitions_of(d), _pairing(_DUAL[basis], d)):
-            if v := sum(map(mul, row, vec)):
+            if v := sum(map(mul, compress(row, vec), nonzero)):
                 out[lam] = Fraction(v, den)
     return SymElement(basis, out)
 

@@ -3,7 +3,6 @@
 Enumeration is backtracking in row-major cell order, pruning with the
 row-weak / column-strict constraints, so fillings stream out in row-major
 lexicographic order and counting never materializes more than one tableau.
-Standard tableaux are built directly, one entry at a time, then sorted.
 """
 
 from __future__ import annotations
