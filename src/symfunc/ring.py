@@ -454,12 +454,12 @@ def _skew_p(mu: Partition, vecs: dict[int, list[int]]) -> dict[int, list[int]]:
     <s_mu, p_alpha> z_(alpha + beta) / (z_alpha z_beta) [p_(alpha + beta)] f,
     the weight a product of binomials. Degrees below |mu| drop out."""
     m = sum(mu)
-    row = _pairing(S, m)[partition_ranks(m)[mu]]
-    alphas = [(alpha, c, z_value(alpha)) for alpha, c in zip(partitions_of(m), row) if c]
     out: dict[int, list[int]] = {}
     for d, vec in vecs.items():
         if d < m:
             continue
+        row = _pairing(S, m)[partition_ranks(m)[mu]]
+        alphas = [(alpha, c, z_value(alpha)) for alpha, c in zip(partitions_of(m), row) if c]
         ranks = partition_ranks(d)
         out[d - m] = new = []
         for beta in partitions_of(d - m):

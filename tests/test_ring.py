@@ -459,6 +459,19 @@ def test_perp_fixtures_and_adjointness():
         assert hall_inner(multiply(smu, g), f) == hall_inner(g, perp(mu, f))
 
 
+def test_perp_by_a_shape_above_every_degree_is_zero_and_reads_no_table(monkeypatch):
+    """s_mu^perp kills every degree below |mu|, so it needs no s table of
+    degree |mu|, even one above the ring cap."""
+    from symfunc import ring
+
+    fresh = ring._OnceCache()
+    monkeypatch.setattr(ring, "_cache", fresh)
+    assert perp((25,), basis_element(S, (2,))).is_zero()
+    assert perp((10, 10), basis_element(H, (3, 1))).is_zero()
+    assert skew_schur((3,), (21,)).is_zero()
+    assert [key for key in fresh.compute_counts if key[2] > 4] == []
+
+
 def test_evaluate_fixtures():
     e2 = evaluate(basis_element(E, (2,)), 3)
     assert e2.terms == {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1}
