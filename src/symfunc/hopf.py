@@ -147,11 +147,11 @@ def _map_legs(nums: dict[PairKey, int], bases, to_p: bool) -> dict[Partition, di
             keys = partitions_of(d)
             partners = list(dict.fromkeys(o for row in chunk.values() for o in row))
             cols = [[chunk[k].get(o, 0) if k in chunk else 0 for k in keys] for o in partners]
-            eps = _eps(d) if basis == E else [1] * len(keys)
             table = zip(*_pairing(H if basis == E else basis, d)) if to_p else _pairing(_DUAL[basis], d)
-            if basis == E and not to_p:
+            eps = _eps(d) if basis == E else None  # e twists the p side
+            if eps and not to_p:
                 cols = [list(map(mul, col, eps)) for col in cols]
-            for key, trow, sign in zip(keys, table, eps if to_p else repeat(1)):
+            for key, trow, sign in zip(keys, table, eps if eps and to_p else repeat(1)):
                 for o, col in zip(partners, cols):
                     if v := sum(map(mul, trow, col)):
                         out.setdefault(o, {})[key] = sign * v
