@@ -394,9 +394,11 @@ def _from_p_ints(basis: str, den: int, vecs: dict[int, list[int]]) -> SymElement
     for d, vec in vecs.items():
         if basis == E:
             vec = list(map(mul, vec, _eps(d)))
-        nonzero = [v for v in vec if v]  # only the row entries they meet are read
+        # a dense vector meets each row whole; a sparse one reads its own entries
+        nonzero = [v for v in vec if v]
+        at = [i for i, v in enumerate(vec) if v] if 4 * len(nonzero) < len(vec) else None
         for lam, row in zip(partitions_of(d), _pairing(_DUAL[basis], d)):
-            if v := sum(map(mul, compress(row, vec), nonzero)):
+            if v := sum(map(mul, map(row.__getitem__, at) if at else compress(row, vec), nonzero)):
                 out[lam] = Fraction(v, den)
     return SymElement(basis, out)
 
