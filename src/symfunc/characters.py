@@ -10,9 +10,8 @@ the independent cross-check.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
 from math import factorial
-from operator import floordiv, mul
+from operator import mul
 
 from . import limits
 from ._record import Record
@@ -23,6 +22,8 @@ from .ring import (
     P,
     S,
     SymElement,
+    _class_sizes,
+    _omega_sign,
     _p_ints,
     _pairing,
     _require_integer,
@@ -106,8 +107,7 @@ def table_columns(n: int) -> list[Partition]:
 
 def sign_of_class(mu) -> int:
     """Sign of any permutation of cycle type mu."""
-    mu = as_partition(mu)
-    return -1 if (sum(mu) - len(mu)) % 2 else 1
+    return _omega_sign(as_partition(mu))
 
 
 def frobenius_ch(f: ClassFunction) -> SymElement:
@@ -120,12 +120,11 @@ def frobenius_ch(f: ClassFunction) -> SymElement:
 def frobenius_inverse(f: SymElement, n: int) -> ClassFunction:
     """The class function g with frobenius_ch(g) = f, for f homogeneous of
     degree n: g(mu) = z_mu * [p_mu] f."""
-    den, vecs = _p_ints(f)
-    if any(any(vec) for d, vec in vecs.items() if d != n):
+    den, nums = _p_ints(f)
+    if any(sum(mu) != n for mu in nums):
         raise ValueError(f"input is not homogeneous of degree {n}")
-    vec = vecs.get(n) or repeat(0)
     return ClassFunction(n, tuple(
-        Fraction(v * z_value(mu), den) for mu, v in zip(partitions_of(n), vec)))
+        Fraction(nums.get(mu, 0) * z_value(mu), den) for mu in partitions_of(n)))
 
 
 def littlewood_richardson(lam, mu, nu) -> int:
@@ -136,9 +135,10 @@ def littlewood_richardson(lam, mu, nu) -> int:
     if sum(lam) != sum(mu) + sum(nu):
         return 0
     limits.check("coefficient", sum(lam))
-    den, vecs = _p_ints(basis_element(S, lam))
+    den, nums = _p_ints(basis_element(S, lam))
+    row, ranks = _s_row(nu), partition_ranks(sum(nu))
     val = _require_integer(
-        sum(map(mul, _skew_p(mu, vecs)[sum(nu)], _s_row(nu))),
+        sum(v * row[ranks[beta]] for beta, v in _skew_p(mu, nums).items()),
         f"LR coefficient c^{lam}_({mu},{nu})",
         den,
     )
@@ -156,10 +156,9 @@ def kronecker(lam, mu, nu) -> int:
     if sum(mu) != n or sum(nu) != n:
         return 0
     limits.check("coefficient", n)
-    order = factorial(n)
-    sizes = map(floordiv, repeat(order), map(z_value, partitions_of(n)))
+    sizes = _class_sizes(n, partitions_of(n))
     total = sum(map(mul, map(mul, _s_row(lam), _s_row(mu)), map(mul, _s_row(nu), sizes)))
-    val = _require_integer(total, f"Kronecker coefficient gamma^{lam}_({mu},{nu})", order)
+    val = _require_integer(total, f"Kronecker coefficient gamma^{lam}_({mu},{nu})", factorial(n))
     if val < 0:
         raise InvariantViolationError(f"negative Kronecker coefficient {val}")
     return val
@@ -169,10 +168,9 @@ def kronecker_product(f: SymElement, g: SymElement) -> SymElement:
     """The internal (Kronecker) product, diagonal on power sums:
     p_lam * p_mu = delta z_lam p_lam. Degree-preserving; distinct degrees
     annihilate."""
-    (df, fv), (dg, gv) = _p_ints(f), _p_ints(g)
-    return SymElement(P, {mu: Fraction(a * b * z_value(mu), df * dg)
-                          for d, vec in fv.items() if d in gv
-                          for mu, a, b in zip(partitions_of(d), vec, gv[d]) if a and b})
+    (df, fn), (dg, gn) = _p_ints(f), _p_ints(g)
+    return SymElement(P, {mu: Fraction(a * gn[mu] * z_value(mu), df * dg)
+                          for mu, a in fn.items() if mu in gn})
 
 
 def youngs_rule(mu) -> dict[Partition, int]:

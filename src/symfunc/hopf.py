@@ -38,9 +38,9 @@ from .ring import (
     _add_scaled,
     _by_degree,
     _cache,
+    _class_sizes,
     _clear,
     _concat_mul,
-    _entries,
     _eps,
     _format_terms,
     _p_ints,
@@ -144,10 +144,10 @@ def _map_legs(nums: dict[PairKey, int], bases, to_p: bool) -> dict[Partition, di
                     for o, n in row.items():
                         out.setdefault(o, {})[k] = n * z_value(k) if to_p else n
                 continue
+            table = zip(*_pairing(H if basis == E else basis, d)) if to_p else _pairing(_DUAL[basis], d)
             keys = partitions_of(d)
             partners = list(dict.fromkeys(o for row in chunk.values() for o in row))
             cols = [[chunk[k].get(o, 0) if k in chunk else 0 for k in keys] for o in partners]
-            table = zip(*_pairing(H if basis == E else basis, d)) if to_p else _pairing(_DUAL[basis], d)
             eps = _eps(d) if basis == E else None  # e twists the p side
             if eps and not to_p:
                 cols = [list(map(mul, col, eps)) for col in cols]
@@ -167,11 +167,12 @@ def _pp_ints(t: TensorElement) -> tuple[int, dict[PairKey, int]]:
     den, nums = _clear(t.terms)
     if t.bases == (P, P):
         return den, nums
-    a = factorial(max((sum(lam) for lam, _ in nums), default=0))
-    b = factorial(max((sum(mu) for _, mu in nums), default=0))
-    return den * a * b, {(alpha, beta): n * (a // z_value(alpha)) * (b // z_value(beta))
-                         for alpha, row in _map_legs(nums, t.bases, True).items()
-                         for beta, n in row.items()}
+    a = max((sum(lam) for lam, _ in nums), default=0)
+    b = max((sum(mu) for _, mu in nums), default=0)
+    rows = _map_legs(nums, t.bases, True)
+    return den * factorial(a) * factorial(b), {
+        (alpha, beta): n * sa * sb for (alpha, row), sa in zip(rows.items(), _class_sizes(a, rows))
+        for (beta, n), sb in zip(row.items(), _class_sizes(b, row))}
 
 
 def _to_pp(t: TensorElement) -> dict[PairKey, Fraction]:
@@ -193,8 +194,7 @@ def tensor_convert(t: TensorElement, bases) -> TensorElement:
 
 def tensor_inner(t: TensorElement, g: SymElement, h: SymElement) -> Fraction:
     """<t, g x h> with the componentwise Hall product, one integer sum."""
-    (dt, tn), (dg, gv), (dh, hv) = _pp_ints(t), _p_ints(g), _p_ints(h)
-    gn, hn = _entries(gv), _entries(hv)
+    (dt, tn), (dg, gn), (dh, hn) = _pp_ints(t), _p_ints(g), _p_ints(h)
     total = sum(c * gn[lam] * z_value(lam) * hn[mu] * z_value(mu)
                 for (lam, mu), c in tn.items() if lam in gn and mu in hn)
     return Fraction(total, dt * dg * dh)
@@ -238,8 +238,8 @@ def _split_p(lam: Partition) -> dict[PairKey, int]:
 def coproduct_sum(f: SymElement) -> TensorElement:
     """Delta f = f evaluated on the sum of two alphabets. Each pair
     (alpha, beta) comes from p_(alpha + beta) alone, so nothing cancels."""
-    den, vecs = _p_ints(f)
-    return TensorElement((P, P), {key: Fraction(n * ways, den) for lam, n in _entries(vecs).items()
+    den, nums = _p_ints(f)
+    return TensorElement((P, P), {key: Fraction(n * ways, den) for lam, n in nums.items()
                                   for key, ways in _sum_coproduct_of_p(lam).items()})
 
 
@@ -303,8 +303,7 @@ def plethysm(f: SymElement, g: SymElement, scale: int = 1) -> SymElement:
     up 2^len(lam)), e.g. scale=2 with g = p_1 is the alphabet 2x."""
     if scale < 1:
         raise ValueError("alphabet scale must be a positive integer")
-    (dg, gv), (df, fv) = _p_ints(g), _p_ints(f)
-    gn, fn = _entries(gv), _entries(fv)
+    (dg, gn), (df, fn) = _p_ints(g), _p_ints(f)
     top = max(map(len, fn), default=0)  # p_lam[g] is over dg^len(lam): put all over dg^top
     out: dict[Partition, int] = {}
     for lam, c in fn.items():

@@ -28,9 +28,11 @@ twisted by eps_mu = (-1)^(|mu| - len(mu)).
 No table is inverted: [p_mu] b_lam = A_b[lam][mu] / z_mu, and [b_lam] f is
 <f, b*_lam>, a row of the table of the Hall dual basis b* (s for s, h for
 m, m for h, and omega(m), the eps twist of the m table, for e). Kernels hand
-each other power sums as ints over one denominator (_p_ints: one dense
-vector per degree), multiply them by table rows in C-level sum(map(mul, ..))
-dots, and build one Fraction per output coefficient, at the public return.
+each other power sums as ints over one denominator (_p_ints: a dict of the
+nonzero p_mu, so p input of any degree stays sparse and only a degree that
+meets a table is enumerated, after its cap check), multiply them by the
+table rows they touch in C-level sum(map(mul, ..)) dots, and build one
+Fraction per output coefficient, at the public return.
 The per-degree cache is compute-then-publish: concurrent readers never see
 a partial table and each (basis, degree) table is computed at most once.
 _skew_p applies s_mu^perp to those vectors; perp is its one public route,
@@ -42,9 +44,9 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import compress
 from math import factorial, lcm, prod
-from operator import add, floordiv, mul, sub
+from operator import add, itemgetter, mul, sub
 
 from . import limits
 from ._record import Record
@@ -154,15 +156,21 @@ def _concat_mul(a: dict, b: dict) -> dict:
     return out
 
 
+def _omega_sign(mu: Partition) -> int:
+    """(-1)^(|mu| - len(mu)): omega's sign on p_mu, and that of cycle type mu."""
+    return -1 if (sum(mu) - len(mu)) % 2 else 1
+
+
 def _eps(d: int) -> list[int]:
-    """The sign omega puts on each p_mu, (-1)^(|mu| - len(mu)), over
-    partitions_of(d) in that order."""
-    return [-1 if (d - len(mu)) % 2 else 1 for mu in partitions_of(d)]
+    """_omega_sign over partitions_of(d), in that order."""
+    return list(map(_omega_sign, partitions_of(d)))
 
 
-def _entries(vecs: dict[int, list[int]]) -> dict[Partition, int]:
-    """The nonzero entries of dense per-degree vectors, keyed by partition."""
-    return {mu: v for d, vec in vecs.items() for mu, v in zip(partitions_of(d), vec) if v}
+def _class_sizes(t: int, mus) -> list[int]:
+    """t! / z_mu for each mu in ``mus`` of degree <= t: class sizes scaled to
+    put <f, p_mu> / z_mu of every degree up to t over the one denominator t!."""
+    top = factorial(t)
+    return [top // z_value(mu) for mu in mus]
 
 
 # --- the pairing tables ------------------------------------------------------
@@ -337,8 +345,8 @@ class SymElement(Record):
 
 
 def _canonical_sort_key(lam: Partition):
-    d = sum(lam)
-    return (d, partition_ranks(d)[lam])
+    """Degree, then partitions_of order (descending lex), listing none."""
+    return (sum(lam), [-part for part in lam])
 
 
 def sym_element(basis: str, terms) -> SymElement:
@@ -358,47 +366,46 @@ def one(basis: str = P) -> SymElement:
     return basis_element(basis, ())
 
 
-def _p_ints(f: SymElement) -> tuple[int, dict[int, list[int]]]:
-    """The power sums of ``f`` in integers, (D, {d: v}) with [p_mu] f =
-    v[rank of mu] / D, each v dense over partitions_of(d). Outside p,
-    [p_mu] b_lam = A_b[lam][mu] (t! / z_mu) / t! for t the top degree:
-    rows scaled by the class sizes t! / z_mu share the denominator t!."""
+def _p_ints(f: SymElement) -> tuple[int, dict[Partition, int]]:
+    """The power sums of ``f`` in integers, (D, nums) with [p_mu] f =
+    nums[mu] / D, nonzero entries only. Outside p, [p_mu] f is the sum over
+    lam of f_lam A_b[lam][mu] / z_mu: the rows of f's terms, dotted with its
+    coefficients a column at a time, times t! / z_mu, over t! (t the top degree)."""
     den, nums = _clear(f.terms)
+    if f.basis == P:
+        return den, nums
     chunks = _by_degree(nums)
-    top = 1 if f.basis == P else factorial(max(chunks, default=0))
-    vecs: dict[int, list[int]] = {}
+    top = max(chunks, default=0)
+    out: dict[Partition, int] = {}
     for d, chunk in chunks.items():
-        lams = partitions_of(d)
-        coeffs = vecs[d] = [chunk.get(lam, 0) for lam in lams]
-        if f.basis == P:
-            continue
         table = _pairing(H if f.basis == E else f.basis, d)
-        if 4 * len(chunk) < len(lams):  # a few terms: sum their scaled rows
-            acc = [0] * len(lams)
-            for lam, n in chunk.items():
-                acc = list(map(add, acc, map(n.__mul__, table[partition_ranks(d)[lam]])))
-        else:  # many: dot the coefficients with each column
-            acc = [sum(map(mul, coeffs, col)) for col in zip(*table)]
-        scale = map(floordiv, repeat(top), map(z_value, lams))
-        vecs[d] = list(map(mul, acc, map(mul, scale, _eps(d)) if f.basis == E else scale))
-    return den * top, vecs
+        ranks = partition_ranks(d)
+        coeffs, rows = list(chunk.values()), [table[ranks[lam]] for lam in chunk]
+        acc = [sum(map(mul, coeffs, col)) for col in zip(*rows)]
+        lams = partitions_of(d)
+        scale = _class_sizes(top, lams)
+        if f.basis == E:
+            scale = map(mul, scale, _eps(d))
+        vals = list(map(mul, acc, scale))
+        out.update(compress(zip(lams, vals), vals))
+    return den * factorial(top), out
 
 
-def _from_p_ints(basis: str, den: int, vecs: dict[int, list[int]]) -> SymElement:
-    """Re-express (den, vecs) in ``basis``: [b_lam] f is <f, b*_lam> =
-    sum over mu of [p_mu] f A_b*[lam][mu], one dot per dual row, and one
-    Fraction per nonzero coefficient."""
+def _from_p_ints(basis: str, den: int, nums: dict[Partition, int]) -> SymElement:
+    """Re-express (den, nums) in ``basis``: [b_lam] f is <f, b*_lam> =
+    sum over mu of [p_mu] f A_b*[lam][mu], one dot per dual row over the
+    positions of the nonzero p_mu, and one Fraction per nonzero
+    coefficient."""
     if basis == P:
-        return SymElement(P, {mu: Fraction(v, den) for mu, v in _entries(vecs).items()})
+        return SymElement(P, {mu: Fraction(n, den) for mu, n in nums.items()})
     out: dict[Partition, Fraction] = {}
-    for d, vec in vecs.items():
-        if basis == E:
-            vec = list(map(mul, vec, _eps(d)))
-        # a dense vector meets each row whole; a sparse one reads its own entries
-        nonzero = [v for v in vec if v]
-        at = [i for i, v in enumerate(vec) if v] if 4 * len(nonzero) < len(vec) else None
-        for lam, row in zip(partitions_of(d), _pairing(_DUAL[basis], d)):
-            if v := sum(map(mul, map(row.__getitem__, at) if at else compress(row, vec), nonzero)):
+    for d, chunk in _by_degree(nums).items():
+        table = _pairing(_DUAL[basis], d)
+        at = list(map(partition_ranks(d).__getitem__, chunk))
+        get = itemgetter(*at) if len(at) > 1 else lambda row: (row[at[0]],)  # a tuple
+        vals = [n * _omega_sign(mu) for mu, n in chunk.items()] if basis == E else list(chunk.values())
+        for lam, row in zip(partitions_of(d), table):
+            if v := sum(map(mul, get(row), vals)):
                 out[lam] = Fraction(v, den)
     return SymElement(basis, out)
 
@@ -427,17 +434,14 @@ def convert(f: SymElement, target: str) -> SymElement:
 def multiply(f: SymElement, g: SymElement) -> SymElement:
     """Ring product; reported in the p basis, where it is part
     concatenation."""
-    (df, fv), (dg, gv) = _p_ints(f), _p_ints(g)
-    nums = _concat_mul(_entries(fv), _entries(gv))
-    return SymElement(P, {mu: Fraction(v, df * dg) for mu, v in nums.items() if v})
+    (df, fn), (dg, gn) = _p_ints(f), _p_ints(g)
+    return SymElement(P, {mu: Fraction(v, df * dg) for mu, v in _concat_mul(fn, gn).items() if v})
 
 
 def hall_inner(f: SymElement, g: SymElement) -> Fraction:
     """Hall scalar product: diagonal in p with <p_lam, p_lam> = z_lam."""
-    (df, fv), (dg, gv) = _p_ints(f), _p_ints(g)
-    total = sum(sum(map(mul, a, map(mul, gv[d], map(z_value, partitions_of(d)))))
-                for d, a in fv.items() if d in gv)
-    return Fraction(total, df * dg)
+    (df, fn), (dg, gn) = _p_ints(f), _p_ints(g)
+    return Fraction(sum(a * gn[mu] * z_value(mu) for mu, a in fn.items() if mu in gn), df * dg)
 
 
 def omega(f: SymElement) -> SymElement:
@@ -446,33 +450,30 @@ def omega(f: SymElement) -> SymElement:
     On power sums it multiplies p_n by (-1)^(n-1), extended
     multiplicatively; the sign rule is forced by the two identities above.
     """
-    den, vecs = _p_ints(f)
-    return _from_p_ints(P, den, {d: list(map(mul, vec, _eps(d))) for d, vec in vecs.items()})
+    den, nums = _p_ints(f)
+    return SymElement(P, {mu: Fraction(n * _omega_sign(mu), den) for mu, n in nums.items()})
 
 
-def _skew_p(mu: Partition, vecs: dict[int, list[int]]) -> dict[int, list[int]]:
-    """s_mu^perp on dense power-sum vectors over a common denominator, which
+def _skew_p(mu: Partition, nums: dict[Partition, int]) -> dict[Partition, int]:
+    """s_mu^perp on power-sum coefficients over a common denominator, which
     the result keeps: [p_beta] s_mu^perp f is the sum over alpha |- |mu| of
     <s_mu, p_alpha> z_(alpha + beta) / (z_alpha z_beta) [p_(alpha + beta)] f,
-    the weight a product of binomials. Degrees below |mu| drop out."""
+    the weight a product of binomials. Degrees below |mu| drop out, and the
+    s row of mu is read only if a degree reaches it."""
     m = sum(mu)
-    out: dict[int, list[int]] = {}
-    for d, vec in vecs.items():
-        if d < m:
-            continue
+    out: dict[Partition, int] = {}
+    for d in {d for d in map(sum, nums) if d >= m}:
         row = _pairing(S, m)[partition_ranks(m)[mu]]
         alphas = [(alpha, c, z_value(alpha)) for alpha, c in zip(partitions_of(m), row) if c]
-        ranks = partition_ranks(d)
-        out[d - m] = new = []
         for beta in partitions_of(d - m):
             zb = z_value(beta)
             v = 0
             for alpha, c, za in alphas:
                 rho = tuple(sorted(alpha + beta, reverse=True))
-                n = vec[ranks[rho]]
-                if n:
+                if n := nums.get(rho):
                     v += c * n * (z_value(rho) // (za * zb))
-            new.append(v)
+            if v:
+                out[beta] = v
     return out
 
 
@@ -500,8 +501,8 @@ def perp(mu, f: SymElement) -> SymElement:
         f = SymElement(S, {lam: c for lam, c in f.terms.items() if contains(mu, lam)})
     for d in f.degrees():  # capped as a conversion of f is, whatever its basis
         limits.check("ring", d)
-    den, vecs = _p_ints(f)
-    return _from_p_ints(S, den, _skew_p(mu, vecs))
+    den, nums = _p_ints(f)
+    return _from_p_ints(S, den, _skew_p(mu, nums))
 
 
 # --- evaluation in finitely many variables -----------------------------------

@@ -578,6 +578,71 @@ def test_degree_cap_enforced():
             convert(basis_element(S, (4, 2)), M)
 
 
+def test_terms_print_by_degree_then_in_partitions_of_order():
+    lams = [lam for n in range(9) for lam in partitions_of(n)]
+    f = sym_element(S, {lam: 1 for lam in reversed(lams)})
+    assert [tuple(t["partition"]) for t in sym_to_json(f)["terms"]] == lams
+    assert str(f).split(" + ")[:4] == ["s[]", "s[1]", "s[2]", "s[1,1]"]
+
+
+def _listing_above_the_cap_fails(monkeypatch):
+    """Make listing or ranking the partitions of a degree above the ring
+    cap fail at once, in every module that lists them."""
+    from symfunc import characters, hopf, ring
+
+    cap = limits.current().ring
+
+    def capped(fn):
+        def listing(n):
+            assert n <= cap, f"listed the partitions of {n}"
+            return fn(n)
+        return listing
+
+    for module in (ring, characters, hopf):
+        for name in ("partitions_of", "partition_ranks"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, capped(getattr(module, name)))
+
+
+def test_power_sums_above_the_cap_stay_sparse(monkeypatch):
+    """Kernels that are diagonal or multiplicative on power sums answer for
+    p input of any degree without listing its partitions."""
+    from symfunc import characters, hopf
+
+    _listing_above_the_cap_fails(monkeypatch)
+
+    def p(*lam):
+        return basis_element(P, lam)
+
+    assert omega(p(200)).terms == {(200,): -1}
+    assert str(omega(p(200))) == "-p[200]"
+    assert sym_to_json(multiply(p(60), p(1)))["terms"] == [{"partition": [60, 1], "coeff": "1"}]
+    assert omega(p(101, 100)).terms == {(101, 100): -1}
+    assert hall_inner(p(100), p(100)) == 100
+    assert multiply(p(60), p(1)).terms == {(60, 1): 1}
+    assert characters.kronecker_product(p(100), p(100)).terms == {(100,): 100}
+    assert hopf.coproduct_sum(p(100)).terms == {((100,), ()): 1, ((), (100,)): 1}
+    assert hopf.tensor_inner(hopf.coproduct_sum(p(100)), p(100), one()) == 100
+    assert hopf.plethysm(p(2), p(50)).terms == {(100,): 1}
+    mixed = hopf.tensor_element((P, S), {((100,), (1,)): 3})
+    assert hopf.tensor_convert(mixed, (P, P)).terms == {((100,), (1,)): 3}
+
+
+def test_converting_power_sums_above_the_cap_fails_before_listing(monkeypatch):
+    """A conversion out of p meets a pairing table of the input's degree:
+    the cap refuses it before any partition of that degree is listed."""
+    from symfunc.ring import from_p_terms
+
+    _listing_above_the_cap_fails(monkeypatch)
+    for target in (M, E, H, S):
+        with pytest.raises(DegreeCapError):
+            convert(basis_element(P, (100,)), target)
+    with pytest.raises(DegreeCapError):
+        from_p_terms(S, {(100,): Fraction(1)})
+    with pytest.raises(DegreeCapError):
+        perp((1,), basis_element(P, (100,)))
+
+
 def _concurrently(fn):
     """fn() from 8 threads at once; the list of its results."""
     results = []
