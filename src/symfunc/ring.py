@@ -35,7 +35,7 @@ table rows they touch in C-level sum(map(mul, ..)) dots, and build one
 Fraction per output coefficient, at the public return.
 The per-degree cache is compute-then-publish: concurrent readers never see
 a partial table and each (basis, degree) table is computed at most once.
-_skew_p applies s_mu^perp to those vectors; perp is its one public route,
+_skew_p applies s_mu^perp to those power sums; perp is its one public route,
 skew_schur is perp(mu, s_lam), and LR dots its s_lam image with s_nu's row.
 """
 
