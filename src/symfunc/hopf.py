@@ -8,10 +8,10 @@ sends p_n to p_n x p_n. Tensors are stored as (partition, partition) ->
 rational in a chosen basis pair, with arithmetic implemented only as far
 as the coproducts and the Cauchy kernel need.
 
-A tensor is converted in one integer pass: its (p, p) expansion is kept
-over one denominator, each leg is mapped by dense products of the pairing
-tables with every partner partition's column at once, and one Fraction is
-built per output coefficient.
+Every operation reads power sums in ring's integer handoff, (D, nums)
+over one denominator: _p_ints for an element, _pp_ints for a tensor, whose
+legs are mapped by dense products of the pairing tables with every partner
+partition's column at once. One Fraction is built per output coefficient.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ from .ring import (
     _pairing,
     basis_element,
     format_coeff,
-    sym_element,
-    to_p_terms,
 )
 
 PairKey = tuple[Partition, Partition]
@@ -75,21 +73,20 @@ class TensorElement(Record):
 
     def componentwise_product(self, other: "TensorElement") -> "TensorElement":
         """Leg-by-leg ring product (the product on Sym x Sym)."""
-        a = _to_pp(self)
-        b = _to_pp(other)
-        out: dict[PairKey, Fraction] = {}
+        (da, a), (db, b) = _pp_ints(self), _pp_ints(other)
+        out: dict[PairKey, int] = {}
         for (la, ra), ca in a.items():
             shifted = {
                 (tuple(sorted(la + lb, reverse=True)), tuple(sorted(ra + rb, reverse=True))): cb
                 for (lb, rb), cb in b.items()
             }
             _add_scaled(out, ca, shifted)
-        return TensorElement((P, P), out)
+        return TensorElement((P, P), {key: Fraction(n, da * db) for key, n in out.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TensorElement):
             return NotImplemented
-        return _to_pp(self) == _to_pp(other)
+        return tensor_convert(self, (P, P)).terms == tensor_convert(other, (P, P)).terms
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -99,10 +96,15 @@ class TensorElement(Record):
         return _format_terms(
             (self.terms[(lam, mu)],
              f"{bl}[{format_partition(lam) if lam else ''}](x){br}[{format_partition(mu) if mu else ''}]")
-            for lam, mu in sorted(self.terms, key=lambda k: (sum(k[0]) + sum(k[1]), k))
+            for lam, mu in sorted(self.terms, key=_print_order)
         )
 
     __repr__ = __str__
+
+
+def _print_order(key: PairKey):
+    """Tensor terms are listed by total degree, then by the pair itself."""
+    return (sum(key[0]) + sum(key[1]), key)
 
 
 def _basis_pair(bases) -> tuple[str, str]:
@@ -129,8 +131,8 @@ def _map_legs(nums: dict[PairKey, int], bases, to_p: bool) -> dict[Partition, di
     out[key] = sum over k of T[key][k] rows[k], the rows taken as one dense
     column per partner partition of the other leg and dotted with each
     dense row of T. To p, T is A_b transposed (A_p is z on the diagonal;
-    the 1 / z is left to the caller), from p it is A_b*, as in
-    from_p_terms; e twists the p side of A_h (to p) or A_m (from p). Each
+    the 1 / z is left to the caller), from p it is A_b*, as in ring's
+    _from_p_ints; e twists the p side of A_h (to p) or A_m (from p). Each
     pass keys its output by the partner leg, so the result is keyed by the
     left leg, each row a dict over the right; zeros are left out."""
     rows: dict[Partition, dict] = {}
@@ -175,12 +177,6 @@ def _pp_ints(t: TensorElement) -> tuple[int, dict[PairKey, int]]:
         for (beta, n), sb in zip(row.items(), _class_sizes(b, row))}
 
 
-def _to_pp(t: TensorElement) -> dict[PairKey, Fraction]:
-    """Expansion of a tensor in the (p, p) pair, as a plain dict."""
-    den, nums = _pp_ints(t)
-    return {key: Fraction(n, den) for key, n in nums.items()}
-
-
 def tensor_convert(t: TensorElement, bases) -> TensorElement:
     """Re-express a tensor in another basis pair in one integer pass."""
     bases = _basis_pair(bases)
@@ -201,15 +197,10 @@ def tensor_inner(t: TensorElement, g: SymElement, h: SymElement) -> Fraction:
 
 
 def simple_tensor(f: SymElement, g: SymElement) -> TensorElement:
-    fp = to_p_terms(f)
-    gp = to_p_terms(g)
-    return tensor_element(
-        (P, P),
-        {
-            (lam, mu): cf * cg
-            for (lam, cf), (mu, cg) in _cartesian(fp.items(), gp.items())
-        },
-    )
+    """f x g, in the (p, p) pair."""
+    (df, fn), (dg, gn) = _p_ints(f), _p_ints(g)
+    return TensorElement((P, P), {(lam, mu): Fraction(a * b, df * dg)
+                                  for (lam, a), (mu, b) in _cartesian(fn.items(), gn.items())})
 
 
 # --- the two coproducts -------------------------------------------------------
@@ -246,30 +237,29 @@ def coproduct_sum(f: SymElement) -> TensorElement:
 def coproduct_prod(f: SymElement) -> TensorElement:
     """Delta* f = f evaluated on the product of two alphabets;
     on power sums p_n -> p_n x p_n."""
-    return TensorElement(
-        (P, P), {(lam, lam): c for lam, c in to_p_terms(f).items()}
-    )
+    den, nums = _p_ints(f)
+    return TensorElement((P, P), {(lam, lam): Fraction(n, den) for lam, n in nums.items()})
 
 
 def counit(f: SymElement) -> Fraction:
     """Evaluation at the empty alphabet: the degree-0 coefficient."""
-    return to_p_terms(f).get((), Fraction(0))
+    den, nums = _p_ints(f)
+    return Fraction(nums.get((), 0), den)
 
 
 def counit_star(f: SymElement) -> Fraction:
     """Evaluation at the one-letter alphabet (1, 0, 0, ...): every p_lam
     contributes its coefficient."""
-    return sum(to_p_terms(f).values(), Fraction(0))
+    den, nums = _p_ints(f)
+    return Fraction(sum(nums.values()), den)
 
 
 def antipode(f: SymElement) -> SymElement:
     """The antipode of the sum-coproduct Hopf structure: the algebra
     morphism h_i -> (-1)^i e_i; on p_lam it is the sign (-1)^len(lam), and
     on a homogeneous degree-k element it equals (-1)^k omega."""
-    out = {
-        lam: c * ((-1) ** (len(lam) % 2)) for lam, c in to_p_terms(f).items()
-    }
-    return sym_element(P, out)
+    den, nums = _p_ints(f)
+    return SymElement(P, {lam: Fraction(-n if len(lam) % 2 else n, den) for lam, n in nums.items()})
 
 
 _DUAL_PAIRS = {(S, S), (H, M), (M, H), (P, P)}
@@ -315,7 +305,7 @@ def plethysm(f: SymElement, g: SymElement, scale: int = 1) -> SymElement:
 
 
 def tensor_to_json(t: TensorElement) -> list[dict]:
-    keys = sorted(t.terms, key=lambda k: (sum(k[0]) + sum(k[1]), k))
+    keys = sorted(t.terms, key=_print_order)
     return [
         {
             "left": list(lam),

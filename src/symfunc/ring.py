@@ -66,7 +66,6 @@ from .partitions import (
 M, E, H, P, S = "m", "e", "h", "p", "s"
 BASES = (M, E, H, P, S)
 
-PExpansion = dict[Partition, Fraction]
 # A_b[lam][mu] = <b_lam, p_mu>, a dense row per lam, both in partitions_of order
 PairingTable = tuple[tuple[int, ...], ...]
 
@@ -333,7 +332,7 @@ class SymElement(Record):
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymElement):
             return NotImplemented
-        return to_p_terms(self) == to_p_terms(other)
+        return convert(self, P).terms == convert(other, P).terms
 
     def __str__(self) -> str:
         return _format_terms(
@@ -408,21 +407,6 @@ def _from_p_ints(basis: str, den: int, nums: dict[Partition, int]) -> SymElement
             if v := sum(map(mul, get(row), vals)):
                 out[lam] = Fraction(v, den)
     return SymElement(basis, out)
-
-
-def to_p_terms(f: SymElement) -> PExpansion:
-    """The power-sum expansion of ``f`` as a plain dict:
-    [p_mu] f = sum over lam of f_lam A_b[lam][mu] / z_mu, with e read as the
-    eps twist of h."""
-    return dict(f.terms) if f.basis == P else _from_p_ints(P, *_p_ints(f)).terms
-
-
-def from_p_terms(basis: str, pexp: PExpansion) -> SymElement:
-    """Re-express a power-sum expansion in ``basis``: [b_lam] f is
-    <f, b*_lam> = sum over mu of [p_mu] f A_b*[lam][mu]."""
-    if _validate_basis(basis) == P:
-        return sym_element(P, pexp)
-    return _from_p_ints(basis, *_p_ints(SymElement(P, pexp)))
 
 
 def convert(f: SymElement, target: str) -> SymElement:

@@ -2,7 +2,7 @@
 
 Enumeration is backtracking in row-major cell order, pruning with the
 row-weak / column-strict constraints, so fillings stream out in row-major
-lexicographic order and counting never materializes more than one tableau.
+lexicographic order and counting builds no tableau at all.
 """
 
 from __future__ import annotations
@@ -124,11 +124,7 @@ def enumerate_ssyt(shape, max_entry: int, content: tuple[int, ...] | None = None
     (entry i appears content[i-1] times).
     """
     skew = _as_skew(shape)
-    cells = skew.cells()
-    if content is not None and sum(content) != len(cells):
-        return
-    remaining = list(content) if content is not None else None
-    for grid in _fillings(0, cells, {}, max_entry, remaining):
+    for grid in _grids(skew, max_entry, content):
         rows = []
         for r, width in enumerate(skew.outer):
             start = skew.inner[r] if r < len(skew.inner) else 0
@@ -136,8 +132,16 @@ def enumerate_ssyt(shape, max_entry: int, content: tuple[int, ...] | None = None
         yield Tableau(skew.outer, tuple(rows), skew.inner)
 
 
+def _grids(skew: SkewShape, max_entry: int, content):
+    """The semistandard grids of ``skew``, (row, col) -> entry, that
+    _fillings streams; none when the content does not sum to the cell count."""
+    cells = skew.cells()
+    if content is None or sum(content) == len(cells):
+        yield from _fillings(0, cells, {}, max_entry, None if content is None else list(content))
+
+
 def _fillings(k: int, cells, grid: dict, max_entry: int, remaining):
-    """Backtracking behind enumerate_ssyt: fill cells[k:] in every way that
+    """Backtracking behind _grids: fill cells[k:] in every way that
     keeps grid semistandard, yielding grid itself at each complete filling.
     A module-level generator, so that no closure refers to itself and a
     finished enumeration leaves no reference cycle behind."""
@@ -161,7 +165,7 @@ def _fillings(k: int, cells, grid: dict, max_entry: int, remaining):
 
 def count_ssyt(shape, max_entry: int, content: tuple[int, ...] | None = None) -> int:
     """Number of fillings that enumerate_ssyt streams for the same arguments."""
-    return sum(1 for _ in enumerate_ssyt(shape, max_entry, content))
+    return sum(1 for _ in _grids(_as_skew(shape), max_entry, content))
 
 
 def kostka(lam: Partition, mu: Partition) -> int:

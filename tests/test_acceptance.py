@@ -78,7 +78,6 @@ from symfunc.ring import (
     one,
     skew_schur,
     sym_element,
-    to_p_terms,
     zero,
 )
 from symfunc.tableaux import (
@@ -168,10 +167,10 @@ def test_c04_identity_suites_to_degree_12():
         assert k * basis_element(H, (k,)) == rhs_h
         assert k * basis_element(E, (k,)) == rhs_e
     for n in range(1, 13):
-        assert to_p_terms(basis_element(H, (n,))) == {
+        assert convert(basis_element(H, (n,)), P).terms == {
             lam: Fraction(1, z_value(lam)) for lam in partitions_of(n)
         }
-        assert to_p_terms(basis_element(E, (n,))) == {
+        assert convert(basis_element(E, (n,)), P).terms == {
             lam: Fraction((-1) ** (n + len(lam)), z_value(lam))
             for lam in partitions_of(n)
         }

@@ -31,7 +31,6 @@ from symfunc.ring import (
     multiply,
     skew_schur,
     sym_element,
-    to_p_terms,
 )
 from symfunc.tableaux import f_lambda, kostka
 

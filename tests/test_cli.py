@@ -164,6 +164,12 @@ def test_domain_error_exit_1(capsys):
     assert code == 1 and "weakly decreasing" in err
     code, out, err = run(capsys, "chartable", "99")
     assert code == 1 and "capped" in err
+    # The counits read their input's power sums, so they stop on the ring cap.
+    for command in ("coproduct", "coproduct-star"):
+        code, out, err = run(capsys, command, "s:21", "--counit")
+        assert (code, out) == (1, "")
+        assert err == ("error: transition tables are capped at n <= 20, got 21; "
+                       "raise the cap with --max-degree or symfunc.limits\n")
 
 
 def test_every_subcommand_smoke(capsys):

@@ -6,7 +6,6 @@ import pytest
 from symfunc.characters import kronecker_product, littlewood_richardson
 from symfunc.hopf import (
     TensorElement,
-    _to_pp,
     antipode,
     cauchy_kernel,
     coproduct_prod,
@@ -30,14 +29,13 @@ from symfunc.ring import (
     S,
     SymElement,
     basis_element,
+    convert,
     evaluate,
-    from_p_terms,
     hall_inner,
     multiply,
     omega,
     one,
     sym_element,
-    to_p_terms,
 )
 
 from plethysm_oracle import plethysm_alphabet_oracle
@@ -359,14 +357,14 @@ def _to_pp_oracle(t):
     if t.bases == (P, P):
         return dict(t.terms)
     bl, br = t.bases
-    half = _map_leg_oracle(t.terms, 0, lambda chunk: to_p_terms(SymElement(bl, chunk)))
-    return _map_leg_oracle(half, 1, lambda chunk: to_p_terms(SymElement(br, chunk)))
+    half = _map_leg_oracle(t.terms, 0, lambda chunk: convert(SymElement(bl, chunk), P).terms)
+    return _map_leg_oracle(half, 1, lambda chunk: convert(SymElement(br, chunk), P).terms)
 
 
 def _convert_oracle(t, bases):
     bl, br = bases
-    half = _map_leg_oracle(_to_pp_oracle(t), 0, lambda chunk: from_p_terms(bl, chunk).terms)
-    return _map_leg_oracle(half, 1, lambda chunk: from_p_terms(br, chunk).terms)
+    half = _map_leg_oracle(_to_pp_oracle(t), 0, lambda chunk: convert(sym_element(P, chunk), bl).terms)
+    return _map_leg_oracle(half, 1, lambda chunk: convert(sym_element(P, chunk), br).terms)
 
 
 def _random_tensor(rng, bases):
@@ -389,7 +387,7 @@ def test_integer_tensor_pass_matches_per_partner_oracle_in_all_pairs():
                    tensor_element(rng.choice(pairs), {((), ()): Fraction(3, 65537)})]
         sources += [_random_tensor(rng, rng.choice(pairs)) for _ in range(4)]
         for t in sources:
-            pp = _to_pp(t)
+            pp = tensor_convert(t, (P, P)).terms
             assert pp == _to_pp_oracle(t)
             assert all(type(c) is Fraction for c in pp.values())
             out = tensor_convert(t, target)
@@ -397,4 +395,5 @@ def test_integer_tensor_pass_matches_per_partner_oracle_in_all_pairs():
             assert out.terms == _convert_oracle(t, target)
             assert all(type(c) is Fraction and c for c in out.terms.values())
     zero = tensor_convert(tensor_element((S, H), {}), (E, M))
-    assert isinstance(zero, TensorElement) and zero.terms == {} and _to_pp(zero) == {}
+    assert isinstance(zero, TensorElement) and zero.terms == {}
+    assert tensor_convert(zero, (P, P)).terms == {}

@@ -29,7 +29,6 @@ from symfunc.ring import (
     sym_element,
     sym_from_json,
     sym_to_json,
-    to_p_terms,
     zero,
 )
 from symfunc.tableaux import enumerate_ssyt, kostka
@@ -69,7 +68,7 @@ def random_element(rng, max_degree=6, nterms=3, basis=None):
 
 def test_basis_element_fixtures():
     p2 = basis_element(P, (2,))
-    assert to_p_terms(p2) == {(2,): 1}
+    assert convert(p2, P).terms == {(2,): 1}
     unit = basis_element(S, ())
     assert unit == one()
     h21 = basis_element(H, (2, 1))
@@ -112,8 +111,8 @@ def _e_table(d):
 @pytest.mark.parametrize("basis", [M, E, H, S])
 def test_from_p_tables_invert_to_p_tables(basis):
     """The inverse transition read off the Hall dual's pairing table agrees
-    with Gauss-Jordan inversion of the forward table, and from_p_terms reads
-    exactly that matrix."""
+    with Gauss-Jordan inversion of the forward table, and convert out of p
+    reads exactly that matrix."""
     from symfunc import ring
 
     for d in range(9):
@@ -130,7 +129,7 @@ def test_from_p_tables_invert_to_p_tables(basis):
         assert inverse == invert(forward)
         for j, mu in enumerate(lams):
             column = {lam: inverse[i][j] for i, lam in enumerate(lams) if inverse[i][j]}
-            assert ring.from_p_terms(basis, {mu: Fraction(1)}).terms == column
+            assert convert(sym_element(P, {mu: Fraction(1)}), basis).terms == column
 
 
 def _murnaghan_nakayama(lam, mu):
@@ -224,9 +223,9 @@ def test_pairing_tables_are_integers_and_e_twists_h():
                 assert type(row) is tuple and len(row) == len(partitions_of(d)) and any(row)
                 assert all(type(v) is int for v in row)
         for lam in partitions_of(d):
-            assert to_p_terms(basis_element(E, lam)) == {
+            assert convert(basis_element(E, lam), P).terms == {
                 mu: (-1) ** (d - len(mu)) * c
-                for mu, c in to_p_terms(basis_element(H, lam)).items()
+                for mu, c in convert(basis_element(H, lam), P).terms.items()
             }
     with pytest.raises(ValueError, match="no pairing table"):
         ring._pairing(E, 3)
@@ -294,11 +293,11 @@ def test_multiply_s1_squared_via_inner_product_oracle():
     # <s_lam, s_1 s_1> computed directly in the p basis:
     # s_1 s_1 = p_1^2 = p_(1,1); s_2, s_11 = (p_2 +- p_11)/2.
     s1s1 = multiply(basis_element(S, (1,)), basis_element(S, (1,)))
-    assert to_p_terms(s1s1) == {(1, 1): Fraction(1)}
+    assert convert(s1s1, P).terms == {(1, 1): Fraction(1)}
     oracle_s2 = {(2,): Fraction(1, 2), (1, 1): Fraction(1, 2)}
     oracle_s11 = {(2,): Fraction(-1, 2), (1, 1): Fraction(1, 2)}
-    c2 = sum(c * oracle_s2.get(lam, 0) * z_value(lam) for lam, c in to_p_terms(s1s1).items())
-    c11 = sum(c * oracle_s11.get(lam, 0) * z_value(lam) for lam, c in to_p_terms(s1s1).items())
+    c2 = sum(c * oracle_s2.get(lam, 0) * z_value(lam) for lam, c in convert(s1s1, P).terms.items())
+    c11 = sum(c * oracle_s11.get(lam, 0) * z_value(lam) for lam, c in convert(s1s1, P).terms.items())
     assert (c2, c11) == (1, 1)
     assert convert(s1s1, S).terms == {(2,): Fraction(1), (1, 1): Fraction(1)}
 
@@ -403,8 +402,8 @@ def test_newton_identities_to_12():
 
 def test_h_and_e_power_sum_expansions_to_12():
     for n in range(1, 13):
-        h_exp = to_p_terms(basis_element(H, (n,)))
-        e_exp = to_p_terms(basis_element(E, (n,)))
+        h_exp = convert(basis_element(H, (n,)), P).terms
+        e_exp = convert(basis_element(E, (n,)), P).terms
         assert h_exp == {lam: Fraction(1, z_value(lam)) for lam in partitions_of(n)}
         assert e_exp == {
             lam: Fraction((-1) ** (n + len(lam)), z_value(lam))
@@ -626,19 +625,30 @@ def test_power_sums_above_the_cap_stay_sparse(monkeypatch):
     assert hopf.plethysm(p(2), p(50)).terms == {(100,): 1}
     mixed = hopf.tensor_element((P, S), {((100,), (1,)): 3})
     assert hopf.tensor_convert(mixed, (P, P)).terms == {((100,), (1,)): 3}
+    assert mixed == hopf.tensor_element((P, P), {((100,), (1,)): 3})
+    assert mixed != hopf.tensor_element((P, S), {((100,), (1,)): 2})
+    assert hopf.antipode(p(200)).terms == {(200,): -1}
+    assert hopf.antipode(p(200, 1)).terms == {(200, 1): 1}
+    assert hopf.counit(p(200)) == 0
+    assert hopf.counit(p(200) + 3 * one()) == 3
+    assert hopf.counit_star(p(200) + 3 * one()) == 4
+    assert hopf.coproduct_prod(p(200)).terms == {((200,), (200,)): 1}
+    t = hopf.simple_tensor(p(200), p(1))
+    assert t.terms == {((200,), (1,)): 1}
+    assert t.componentwise_product(t).terms == {((200, 200), (1, 1)): 1}
+    assert t == hopf.tensor_element((P, P), {((200,), (1,)): 1})
+    assert t != hopf.coproduct_prod(p(200))
 
 
 def test_converting_power_sums_above_the_cap_fails_before_listing(monkeypatch):
     """A conversion out of p meets a pairing table of the input's degree:
     the cap refuses it before any partition of that degree is listed."""
-    from symfunc.ring import from_p_terms
-
     _listing_above_the_cap_fails(monkeypatch)
     for target in (M, E, H, S):
         with pytest.raises(DegreeCapError):
             convert(basis_element(P, (100,)), target)
     with pytest.raises(DegreeCapError):
-        from_p_terms(S, {(100,): Fraction(1)})
+        convert(sym_element(P, {(1,): Fraction(1), (100,): Fraction(1)}), S)
     with pytest.raises(DegreeCapError):
         perp((1,), basis_element(P, (100,)))
 
