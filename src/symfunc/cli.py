@@ -5,8 +5,11 @@ JSON (--format json / SYMF_FORMAT=json). Exit codes: 0 success, 1 domain
 error (one-line diagnostic on stderr), 2 usage error. The options
 --format and --max-degree go before the subcommand.
 
-The subcommands are one table, COMMANDS. A call builds only the top-level
-parser and the parser of the subcommand it runs, each once per process.
+The subcommands are one table, COMMANDS. A well-formed call is read
+straight from it and builds no parser. argparse words usage errors and help
+texts and reads unusual spellings (an abbreviated or "=" option, "--"); it
+then builds the top-level parser and the subcommand's parser, each once per
+process.
 
 Partition syntax: "3,2,1" (descending) or "()" for the empty partition.
 Permutation words: "2 3 1". Element literals: basis:coeff*partition+...,
@@ -15,11 +18,11 @@ e.g. s:1*2,1 or p:1/2*2+-1/2*1,1 (a bare partition means coefficient 1).
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
+import types
 
 from . import characters, hopf, limits, matrixreps, ring, tableaux
 from .errors import InvariantViolationError
@@ -504,25 +507,93 @@ COMMANDS = {
 }
 
 
-class _OneToken(argparse.Action):
-    """A positional that takes one token. Python 3.11's argparse hands it []
-    when that token is a literal "--" after the "--" separator."""
+_TOP = {
+    "--format": {"choices": ("text", "json")},
+    "--max-degree": {"type": int, "help": "raise every degree cap to this value"},
+}
 
-    def __call__(self, parser, namespace, values, option_string=None):
-        if values == []:
-            raise argparse.ArgumentError(self, "expected one argument")
-        setattr(namespace, self.dest, values)
+
+def _spec(spec):
+    return (spec, {}) if isinstance(spec, str) else spec
+
+
+def _dest(option: str) -> str:
+    return option.lstrip("-").replace("-", "_")
+
+
+def _value(kwargs, token: str):
+    """A token through its spec's type and choices; ValueError where argparse
+    would not take it as that value."""
+    value = kwargs.get("type", str)(token)
+    if token.startswith("-") or value not in kwargs.get("choices", (value,)):
+        raise ValueError(token)
+    return value
+
+
+def _read(argv: list):
+    """The namespace argparse builds from a well-formed argv, read straight
+    from _TOP and COMMANDS; None for anything else (help, an abbreviated or
+    "=" option, "--", a dash-led value, a misplaced option, a wrong count or
+    a bad value), which main hands to argparse."""
+    ns = {"format": os.environ.get("SYMF_FORMAT", "text")}
+    try:
+        ns["max_degree"] = int(os.environ.get("SYMF_MAX_DEGREE", "0"))
+        i = 0
+        while argv[i] in _TOP:
+            ns[_dest(argv[i])] = _value(_TOP[argv[i]], argv[i + 1])
+            i += 2
+        ns["command"] = argv[i:]
+        specs = list(map(_spec, COMMANDS[argv[i]][1]))
+        options = {name: kwargs for name, kwargs in specs if name.startswith("-")}
+        positionals = [spec for spec in specs if spec[0] not in options]
+        for name, kwargs in options.items():
+            default = kwargs.get("default", False if "action" in kwargs else None)
+            isstr = isinstance(default, str)  # argparse types a string default
+            ns[_dest(name)] = kwargs.get("type", str)(default) if isstr else default
+        nargs = positionals[-1][1].get("nargs")  # only the last can be variadic
+        tokens, after = [], False
+        rest = iter(argv[i + 1:])
+        for token in rest:
+            if token.startswith("-"):
+                kwargs = options[token]
+                ns[_dest(token)] = "action" in kwargs or _value(kwargs, next(rest))
+                after = bool(tokens)
+            elif after and nargs:  # argparse ends a list at an option
+                return None
+            else:
+                tokens.append(token)
+        k = len(positionals) - 1
+        if nargs and len(tokens) >= k + (nargs == "+"):
+            tokens[k:] = [tokens[k:]]
+        if len(tokens) != len(positionals):
+            return None
+        for (name, kwargs), token in zip(positionals, tokens):
+            ns[name] = ([_value(kwargs, t) for t in token] if "nargs" in kwargs
+                        else _value(kwargs, token))
+    except (IndexError, KeyError, StopIteration, ValueError):
+        return None
+    return types.SimpleNamespace(**ns)
 
 
 @functools.cache
-def _parser(command: str | None = None) -> argparse.ArgumentParser:
+def _parser(command: str | None = None):
     """The top parser (no command) or one command's parser, each built once
-    on first use; main sets the defaults that come from the environment on
+    on first use; _parse sets the defaults that come from the environment on
     every call."""
+    import argparse
+
     if command is not None:
+        class _OneToken(argparse.Action):
+            """A positional that takes one token. Python 3.11's argparse hands
+            it [] when that token is a literal "--" after the "--" separator."""
+
+            def __call__(self, parser, namespace, values, option_string=None):
+                if values == []:
+                    raise argparse.ArgumentError(self, "expected one argument")
+                setattr(namespace, self.dest, values)
+
         p = argparse.ArgumentParser(prog=f"symfunc {command}")
-        for spec in COMMANDS[command][1]:
-            name, kwargs = (spec, {}) if isinstance(spec, str) else spec
+        for name, kwargs in map(_spec, COMMANDS[command][1]):
             if not name.startswith("-") and "nargs" not in kwargs:
                 kwargs = {"action": _OneToken, **kwargs}
             p.add_argument(name, **kwargs)
@@ -531,36 +602,41 @@ def _parser(command: str | None = None) -> argparse.ArgumentParser:
         prog="symfunc",
         description="Exact symmetric functions and S_n representations",
     )
-    top.add_argument("--format", choices=("text", "json"), default="text")
-    top.add_argument(
-        "--max-degree",
-        type=int,
-        default="0",
-        help="raise every degree cap to this value",
-    )
+    for name, kwargs in _TOP.items():
+        top.add_argument(name, **kwargs)
     # the command name and every token after it, as a subparsers action takes them
     top.add_argument("command", nargs=argparse.PARSER, choices=COMMANDS)
     return top
 
 
-def main(argv=None) -> int:
+def _parse(argv: list):
+    """The namespace argparse builds from argv; where there is none, argparse
+    prints the usage error or help text and raises SystemExit."""
     top = _parser()
     top.set_defaults(
         format=os.environ.get("SYMF_FORMAT", "text"),
         # a string default goes through type=int, so a bad value is a usage error
         max_degree=os.environ.get("SYMF_MAX_DEGREE", "0"),
     )
-    try:
-        args, extras = top.parse_known_args(argv)
-        name, *rest = args.command
-        args, more = _parser(name).parse_known_args(rest, args)
-        if extras or more:
-            top.error(f"unrecognized arguments: {' '.join(extras + more)}")
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args, extras = top.parse_known_args(argv)
+    name, *rest = args.command
+    args, more = _parser(name).parse_known_args(rest, args)
+    if extras or more:
+        top.error(f"unrecognized arguments: {' '.join(extras + more)}")
+    return args
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read(argv)
+    if args is None:
+        try:
+            args = _parse(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         with limits.scoped(limits.current().raised(args.max_degree)):
-            text, obj = COMMANDS[name][0](args)
+            text, obj = COMMANDS[args.command[0]][0](args)
     except (ValueError, InvariantViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -568,8 +644,8 @@ def main(argv=None) -> int:
         _emit(args, text, obj)
         sys.stdout.flush()
     except BrokenPipeError:
-        # the reader closed early; send what is still buffered to devnull so
-        # that the flush at interpreter exit stays silent too
+        # the pipe's reader closed early; send what is still buffered to
+        # devnull so that the flush at interpreter exit stays silent too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return 0

@@ -43,6 +43,7 @@ from .ring import (
     _concat_mul,
     _eps,
     _format_terms,
+    _nonzero,
     _p_ints,
     _pairing,
     basis_element,
@@ -86,6 +87,8 @@ class TensorElement(Record):
     def __eq__(self, other) -> bool:
         if not isinstance(other, TensorElement):
             return NotImplemented
+        if self.bases == other.bases:
+            return _nonzero(self.terms) == _nonzero(other.terms)
         return tensor_convert(self, (P, P)).terms == tensor_convert(other, (P, P)).terms
 
     def is_zero(self) -> bool:

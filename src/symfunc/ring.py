@@ -125,6 +125,10 @@ def _add_scaled(acc: dict, c, vec: dict) -> None:
             del acc[key]
 
 
+def _nonzero(terms: dict) -> dict:
+    return {key: c for key, c in terms.items() if c}
+
+
 def _clear(terms: dict) -> tuple[int, dict]:
     """(D, D * terms) for D the lcm of the denominators of the values, so
     that every value of the second is an int."""
@@ -289,7 +293,8 @@ def _normalize_terms(terms) -> dict[Partition, Fraction]:
 
 class SymElement(Record):
     """A symmetric function: finitely many (partition -> rational) terms in
-    one named basis. May mix degrees. Equality is semantic (compared in p)."""
+    one named basis. May mix degrees. Equality is semantic: term by term in a
+    shared basis, else compared in p."""
 
     basis: str
     terms: dict
@@ -332,6 +337,8 @@ class SymElement(Record):
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymElement):
             return NotImplemented
+        if self.basis == other.basis:
+            return _nonzero(self.terms) == _nonzero(other.terms)
         return convert(self, P).terms == convert(other, P).terms
 
     def __str__(self) -> str:

@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -295,11 +296,10 @@ def test_readme_quick_tour_runs_and_prints_its_stated_values():
     assert seen == set(valued)
 
 
-def test_a_call_builds_only_its_own_parser(capsys, monkeypatch):
-    """A cold call constructs the top parser and its own command's parser,
-    none of the others."""
+def count_parsers(monkeypatch):
+    """The prog of every ArgumentParser built from now on, with the parser
+    cache emptied first."""
     built = []
-
     init = argparse.ArgumentParser.__init__
 
     def counting_init(self, *args, **kwargs):
@@ -308,11 +308,39 @@ def test_a_call_builds_only_its_own_parser(capsys, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     cli._parser.cache_clear()
+    return built
+
+
+def test_a_well_formed_call_builds_no_parser(capsys, monkeypatch):
+    """A well-formed call is read straight from COMMANDS: no parser is built,
+    and in a fresh interpreter argparse, gettext and locale stay unloaded."""
+    built = count_parsers(monkeypatch)
     try:
-        code, out, err = run(capsys, "flambda", "3,1")
+        assert run(capsys, "flambda", "3,1") == (0, "3\n", "")
     finally:
         cli._parser.cache_clear()
-    assert code == 0 and out == "3\n" and err == ""
+    assert built == []
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    code = ("import sys; from symfunc import cli; assert cli.main(['flambda', '3,1']) == 0; "
+            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "3\n[]\n", "")
+
+
+@pytest.mark.parametrize("argv, out", [
+    (("--max-deg", "9", "flambda", "3,1"), "3\n"),
+    (("flambda", "-h"), "usage: symfunc flambda "),
+], ids=["abbreviation", "help"])
+def test_a_declined_call_builds_only_its_own_parser(capsys, monkeypatch, argv, out):
+    """argparse takes what the reader declines, and builds the top parser and
+    the parser of the command it runs, none of the others."""
+    built = count_parsers(monkeypatch)
+    try:
+        code, stdout, err = run(capsys, *argv)
+    finally:
+        cli._parser.cache_clear()
+    assert code == 0 and stdout.startswith(out) and err == ""
     assert built == ["symfunc", "symfunc flambda"]
 
 
@@ -460,6 +488,61 @@ def test_fuzzed_argv_exits_cleanly(command, tokens):
         code = main([command, *tokens])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+OPTION_SPELLINGS = sorted({spec[0] for _, specs in COMMANDS.values() for spec in specs
+                           if isinstance(spec, tuple) and spec[0].startswith("-")})
+READER_TOKENS = [*FUZZ_TOKENS, *OPTION_SPELLINGS, "--format", "json", "text",
+                 "--max-degree", "9", "--format=json", "--max-deg"]
+WORDS = [t for t in READER_TOKENS if not t.startswith("-")]
+DASHED = [t for t in READER_TOKENS if t.startswith("-")]
+
+
+@st.composite
+def reader_argv(draw):
+    """Tokens of READER_TOKENS around a command: up to two leading option-value
+    pairs; after it, mostly as many words as it has positionals, and up to
+    two dashed tokens, mostly its own options, each maybe with a word after
+    it, in any order."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    specs = list(map(cli._spec, COMMANDS[command][1]))
+    own = [name for name, _ in specs if name.startswith("-")]
+    arity = len(specs) - len(own)
+    count = draw(st.sampled_from([arity, arity, max(arity - 1, 0), arity + 1]))
+    units = [(w,) for w in draw(st.lists(st.sampled_from(WORDS), min_size=count, max_size=count))]
+    dashed = st.sampled_from(own) | st.sampled_from(DASHED) if own else st.sampled_from(DASHED)
+    units += [(d, *v) for d, v in draw(st.lists(st.tuples(
+        dashed, st.lists(st.sampled_from(WORDS), max_size=1)), max_size=2))]
+    lead = draw(st.lists(st.tuples(st.sampled_from(["--format", "--max-degree", "--max-deg"]),
+                                   st.sampled_from(["json", "text", "9", "x"])), max_size=2))
+    return [*(t for pair in lead for t in pair), command,
+            *(t for unit in draw(st.permutations(units)) for t in unit)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(reader_argv(), st.sampled_from([None, "json", "xml"]),
+       st.sampled_from([None, "9", "abc"]))
+@example(["ch", "3", "--basis", "s"], None, None)  # an empty list before an option
+@example(["rsk", "1", "--inverse", "2"], None, None)  # a list cut by an option
+@example(["--max-degree", "9", "flambda", "2,1"], None, "abc")
+@example(["rep", "young", "2", "--at", "-h"], None, None)  # a dashed value is an option
+def test_the_reader_agrees_with_argparse(argv, fmt, max_degree):
+    """Where the reader takes an argv, argparse builds the same namespace;
+    where argparse exits, the reader has declined. Both read SYMF_FORMAT and
+    SYMF_MAX_DEGREE unset, valid and invalid."""
+    with mock.patch.dict(os.environ):
+        for var, value in (("SYMF_FORMAT", fmt), ("SYMF_MAX_DEGREE", max_degree)):
+            os.environ.pop(var, None)
+            if value is not None:
+                os.environ[var] = value
+        read = cli._read(argv)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                parsed = cli._parse(argv)
+            except SystemExit:
+                parsed = None
+    if read is not None:
+        assert parsed is not None and vars(parsed) == vars(read), argv
 
 
 def test_restrict_above_the_cap_exits_before_enumerating(capsys, monkeypatch):

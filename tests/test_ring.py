@@ -571,6 +571,27 @@ def test_parse_sym_element():
         parse_sym_element("s")
 
 
+def test_same_basis_equality_compares_terms_and_builds_no_table(monkeypatch):
+    """Elements in one basis are equal term by term, with no table built and
+    at any degree, the ring cap's included; mixed bases still compare in p."""
+    from symfunc import ring
+
+    fresh = ring._OnceCache()
+    monkeypatch.setattr(ring, "_cache", fresh)
+    s21 = basis_element(S, (21,))
+    assert s21 == basis_element(S, (21,)) and s21 != 2 * s21
+    s10 = basis_element(S, (10,))
+    assert s10 == sym_element(S, {(10,): 1}) and s10 != basis_element(S, (9, 1))
+    assert ring.SymElement(S, {(10,): 1, (9, 1): 0}) == s10  # a zero term is no term
+    assert fresh.compute_counts == {}
+    rng = random.Random(20)
+    for _ in range(200):
+        f, g = random_element(rng, max_degree=4), random_element(rng, max_degree=4)
+        for a, b in ((f, g), (f, convert(f, g.basis)), (f, convert(f, g.basis) + g)):
+            assert (a == b) == (convert(a, P).terms == convert(b, P).terms)
+    assert basis_element(H, (2,)) == basis_element(S, (2,)) != basis_element(E, (2,))
+
+
 def test_degree_cap_enforced():
     with limits.scoped(limits.Limits(ring=5)):
         with pytest.raises(DegreeCapError, match="--max-degree or symfunc.limits"):
