@@ -173,52 +173,56 @@ def test_domain_error_exit_1(capsys):
                        "raise the cap with --max-degree or symfunc.limits\n")
 
 
+# a well-formed call of every subcommand and of every option but rsk --inverse
+SMOKE_ARGV = [
+    ("partitions", "4"),
+    ("conjugate", "3,2,2"),
+    ("dominates", "3,1", "2,2"),
+    ("ztable", "4"),
+    ("kostka", "3,2", "2,2,1"),
+    ("kostka", "3,2", "2,2,1", "--tableaux"),
+    ("flambda", "2,1"),
+    ("rsk", "3", "1", "2", "2"),
+    ("convert", "s:1*2,1", "m"),
+    ("multiply", "h:2", "h:1", "--basis", "s"),
+    ("inner", "s:2,1", "s:2,1"),
+    ("omega", "e:4", "--basis", "h"),
+    ("skew", "2,1", "1"),
+    ("perp", "1", "s:2,1"),
+    ("evaluate", "e:2", "3"),
+    ("char", "2,1", "2,1"),
+    ("chartable", "3"),
+    ("ch", "3", "3=1", "2,1=1", "1,1,1=1"),
+    ("ch-inverse", "s:2,1", "3"),
+    ("lr", "2,1", "1,1", "1"),
+    ("kronecker", "2,1", "2,1", "2,1"),
+    ("kron-product", "s:2,1", "s:2,1", "--basis", "s"),
+    ("youngs-rule", "3,2,1"),
+    ("coproduct", "h:3", "--bases", "h,h"),
+    ("coproduct", "p:2", "--counit"),
+    ("coproduct-star", "e:3", "--bases", "s,s"),
+    ("coproduct-star", "h:3", "--counit"),
+    ("antipode", "h:3", "--basis", "e"),
+    ("cauchy", "3", "s,s"),
+    ("plethysm", "p:2", "p:3"),
+    ("plethysm", "p:2", "p:1", "--scale", "2"),
+    ("rep", "defining", "3"),
+    ("rep", "specht", "2,1", "--at", "2 1 3"),
+    ("decompose", "young", "2,2"),
+    ("induce", "2,1", "trivial"),
+    ("induce", "2,1", "trivial", "--at", "2 1 3"),
+    ("restrict", "2,1", "2,1"),
+    ("tensor", "specht", "2,1", "specht", "2,1"),
+    ("tensor", "trivial", "3", "standard", "3", "--sum"),
+    ("ext2", "defining", "3"),
+    ("gl-char", "2", "2"),
+    ("gl-dim", "2", "2"),
+    ("schur-weyl", "4", "3"),
+]
+
+
 def test_every_subcommand_smoke(capsys):
-    invocations = [
-        ("partitions", "4"),
-        ("conjugate", "3,2,2"),
-        ("dominates", "3,1", "2,2"),
-        ("ztable", "4"),
-        ("kostka", "3,2", "2,2,1"),
-        ("kostka", "3,2", "2,2,1", "--tableaux"),
-        ("flambda", "2,1"),
-        ("rsk", "3", "1", "2", "2"),
-        ("convert", "s:1*2,1", "m"),
-        ("multiply", "h:2", "h:1", "--basis", "s"),
-        ("inner", "s:2,1", "s:2,1"),
-        ("omega", "e:4", "--basis", "h"),
-        ("skew", "2,1", "1"),
-        ("perp", "1", "s:2,1"),
-        ("evaluate", "e:2", "3"),
-        ("char", "2,1", "2,1"),
-        ("chartable", "3"),
-        ("ch", "3", "3=1", "2,1=1", "1,1,1=1"),
-        ("ch-inverse", "s:2,1", "3"),
-        ("lr", "2,1", "1,1", "1"),
-        ("kronecker", "2,1", "2,1", "2,1"),
-        ("kron-product", "s:2,1", "s:2,1", "--basis", "s"),
-        ("youngs-rule", "3,2,1"),
-        ("coproduct", "h:3", "--bases", "h,h"),
-        ("coproduct", "p:2", "--counit"),
-        ("coproduct-star", "e:3", "--bases", "s,s"),
-        ("coproduct-star", "h:3", "--counit"),
-        ("antipode", "h:3", "--basis", "e"),
-        ("cauchy", "3", "s,s"),
-        ("plethysm", "p:2", "p:3"),
-        ("plethysm", "p:2", "p:1", "--scale", "2"),
-        ("rep", "defining", "3"),
-        ("rep", "specht", "2,1", "--at", "2 1 3"),
-        ("decompose", "young", "2,2"),
-        ("induce", "2,1", "trivial"),
-        ("induce", "2,1", "trivial", "--at", "2 1 3"),
-        ("restrict", "2,1", "2,1"),
-        ("tensor", "specht", "2,1", "specht", "2,1"),
-        ("tensor", "trivial", "3", "standard", "3", "--sum"),
-        ("ext2", "defining", "3"),
-        ("gl-char", "2", "2"),
-        ("gl-dim", "2", "2"),
-        ("schur-weyl", "4", "3"),
-    ]
+    invocations = SMOKE_ARGV
     for argv in invocations:
         code, out, err = run(capsys, *argv)
         assert code == 0, (argv, err)
@@ -312,11 +316,16 @@ def count_parsers(monkeypatch):
 
 
 def test_a_well_formed_call_builds_no_parser(capsys, monkeypatch):
-    """A well-formed call is read straight from COMMANDS: no parser is built,
-    and in a fresh interpreter argparse, gettext and locale stay unloaded."""
+    """Well-formed calls of every subcommand are read straight from COMMANDS:
+    no parser is built, and in a fresh interpreter argparse, gettext and
+    locale stay unloaded."""
+    calls = [*SMOKE_ARGV, ("rsk", "--inverse", "[[1]]", "[[1]]"),
+             ("--format", "json", "--max-degree", "9", "flambda", "3,1")]
+    assert {argv[0] for argv in calls[:-1]} == set(COMMANDS)
     built = count_parsers(monkeypatch)
     try:
-        assert run(capsys, "flambda", "3,1") == (0, "3\n", "")
+        for argv in calls:
+            assert run(capsys, *argv)[0] == 0, argv
     finally:
         cli._parser.cache_clear()
     assert built == []
