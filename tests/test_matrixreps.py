@@ -1,3 +1,5 @@
+import json
+import os
 import random
 import sys
 import threading
@@ -59,6 +61,7 @@ from symfunc.partitions import (
 )
 from symfunc.ring import basis_element, evaluate, multiply
 from symfunc.tableaux import count_ssyt, f_lambda, standard_tableaux
+from specht_digest import digests, render
 
 DEFINING_S3 = {
     (1, 2, 3): ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
@@ -366,6 +369,19 @@ def test_concurrent_specht_matrices_build_each_generator_once(monkeypatch):
     assert not errors and results == [want] * len(threads)
     assert built == Counter(range(1, n))
     assert polys == Counter(t.rows for t in standard_tableaux(lam))
+
+
+def test_specht_generators_match_the_pinned_digests():
+    """Every generator matrix of every lam |- n <= 8 hashes to the digest
+    pinned in tests/golden/specht_generators.json, which
+    tests/specht_digest.py prints."""
+    path = os.path.join(os.path.dirname(__file__), "golden", "specht_generators.json")
+    with open(path) as fh:
+        text = fh.read()
+    got = digests()
+    assert len(got) == 66
+    assert got == json.loads(text)
+    assert render(got) == text
 
 
 def test_specht_cap():
