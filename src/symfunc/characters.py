@@ -3,8 +3,8 @@ Littlewood-Richardson, Kronecker and Young's-rule coefficient families.
 
 Irreducible characters are rows of ring's Schur pairing table,
 chi^lam(mu) = <s_lam, p_mu> = z_mu * [p_mu] s_lam, which ring builds by the
-Murnaghan-Nakayama rule; the explicit polynomial modules in matrixreps stay
-the independent cross-check.
+Murnaghan-Nakayama rule; the traces of the Specht modules in matrixreps,
+built by Garnir straightening on tableaux, stay the independent cross-check.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .ring import (
     S,
     SymElement,
     _class_sizes,
-    _omega_sign,
     _p_ints,
     _pairing,
     _require_integer,
@@ -103,11 +102,6 @@ def character_table(n: int) -> list[list[int]]:
 
 def table_columns(n: int) -> list[Partition]:
     return list(reversed(partitions_of(n)))
-
-
-def sign_of_class(mu) -> int:
-    """Sign of any permutation of cycle type mu."""
-    return _omega_sign(as_partition(mu))
 
 
 def frobenius_ch(f: ClassFunction) -> SymElement:

@@ -1,9 +1,10 @@
 """Dense exact matrices for the representations in matrixreps.
 
 Matrices are tuples of row tuples with int or Fraction entries. The
-operations are the ones a representation needs: products (homomorphism and
-generator-relation checks), Kronecker products (inner tensor products) and
-block sums (direct sums). No route in the package solves a linear system.
+operations are the ones a representation needs: the identity (a Specht
+matrix starts from it), Kronecker products (inner tensor products) and block
+sums (direct sums). No route in the package multiplies two dense matrices
+or solves a linear system.
 """
 
 from __future__ import annotations
@@ -13,15 +14,6 @@ Matrix = tuple[tuple, ...]
 
 def identity(d: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("matrix dimensions do not match")
-    bt = list(zip(*b)) if b else []
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -13,18 +13,19 @@ trivial and sign modules, of S_n or of a subgroup, read 1 and the sign; only
 Specht and standard modules sum a diagonal. decompose pairs class traces
 with irreducible characters in integers, dividing by n! once.
 
-The Specht module S^lam is spanned by the column-antisymmetrized tableau
-polynomials F_T of the standard tableaux T, which are the standard
-polytabloids e_T written in monomials. The matrix of an adjacent
-transposition s_i is Young's natural one (Sagan, The Symmetric Group,
-2.6-2.7): -e_T when i and i+1 share a column of T, e_{s_i T} when they share
-neither a row nor a column, and otherwise s_i . F_T straightened in integers.
-The matrix of pi is their product along a reduced word of pi.
+The Specht module S^lam has the standard polytabloids e_T as its basis,
+one per standard tableau T, and works on tableaux alone. The matrix of an
+adjacent transposition s_i is Young's natural one (Sagan, The Symmetric
+Group, 2.6-2.7): -e_T when i and i+1 share a column of T, e_{s_i T} when they
+share neither a row nor a column, and otherwise e_{s_i T} straightened in
+integers by Garnir relations. The matrix of pi is their product along a
+reduced word of pi.
 
 A MatrixRep carries a rule producing the exact matrix of any permutation in
 its domain; matrix() runs the rule on each call and keeps no matrix, since a
 matrix of the regular representation of S_6 alone takes megabytes. A Specht
-module keeps its sparse generator columns and the F_T it straightened over.
+module keeps its sparse generator columns and the straightened form of each
+nonstandard tableau it met.
 matrix(pi sigma) == matrix(pi) . matrix(sigma) under the package-wide
 convention (pi sigma)(i) = pi(sigma(i)).
 """
@@ -41,7 +42,7 @@ from . import limits
 from ._record import Record
 from .characters import ClassFunction, character_row, class_function
 from .errors import InvariantViolationError
-from .linalg import Matrix, block_diag, identity, kron, mat_mul
+from .linalg import Matrix, block_diag, identity, kron
 from .partitions import (
     Partition,
     Permutation,
@@ -51,6 +52,7 @@ from .partitions import (
     as_permutation,
     class_representative,
     compose,
+    conjugate,
     count_of_type,
     identity_perm,
     inverse_perm,
@@ -58,7 +60,7 @@ from .partitions import (
     sign as perm_sign,
 )
 from .ring import PolynomialValue, S, _OnceCache, _add_scaled, basis_element, evaluate
-from .tableaux import Tableau, f_lambda, hook_content_cells, standard_tableaux
+from .tableaux import f_lambda, hook_content_cells, standard_tableaux
 
 # the name under which perfbench/reps.py raises the Specht cap
 set_rep_caps = limits.set_default
@@ -137,8 +139,10 @@ def young_classes(composition) -> list[tuple[Permutation, int]]:
 
 class MatrixRep:
     """A representation: degree n, dimension, and an exact matrix for every
-    permutation in the domain (None = all of S_n). An optional trace rule
-    gives the character without building the matrix."""
+    permutation in the domain (None = all of S_n), computed by a rule on
+    each call. An optional trace rule gives the character without building
+    the matrix. The Coxeter relations of the generator matrices are checked
+    by the tests, not here."""
 
     def __init__(self, n: int, dim: int, _matrix_fn, domain: SubgroupSpec | None = None,
                  label: str = "", _trace_fn=None):
@@ -329,48 +333,6 @@ def young_module(lam) -> MatrixRep:
     return _permutation_module(n, dim, images, f"young({lam})")
 
 
-def _column_groups(tab: Tableau) -> list[tuple[int, ...]]:
-    cols: dict[int, list[int]] = {}
-    for r, row in enumerate(tab.rows):
-        for c, v in enumerate(row):
-            cols.setdefault(c, []).append(v)
-    return [tuple(v) for _, v in sorted(cols.items())]
-
-
-def _signed_permutations(k: int) -> list[tuple[tuple[int, ...], int]]:
-    """Every permutation of range(k) with its sign (-1)^inversions, built by
-    inserting letters in increasing order: m put at position i of a word in
-    range(m) adds m - i inversions, one with each letter after it."""
-    out = [((), 1)]
-    for m in range(k):
-        out = [(p[:i] + (m,) + p[i:], -s if (m - i) % 2 else s)
-               for p, s in out for i in range(m + 1)]
-    return out
-
-
-def specht_polynomial(tab: Tableau) -> dict[tuple[int, ...], int]:
-    """The column antisymmetrization of the injective-tableau monomial
-    x^t = prod over cells of x_{entry}^(row index): a polynomial in
-    x_1..x_n as exponent-vector -> integer. The entries of a column sit in
-    distinct rows, so each column permutation has a monomial of its own."""
-    n = tab.size
-    row_of = [0] * n
-    for r, row in enumerate(tab.rows):
-        for v in row:
-            row_of[v - 1] = r
-    groups = _column_groups(tab)
-    out: dict[tuple[int, ...], int] = {}
-    for choice in _cartesian(*[_signed_permutations(len(g)) for g in groups]):
-        exps = [0] * n
-        sgn = 1
-        for g, (p, s) in zip(groups, choice):
-            sgn *= s
-            for t, pt in enumerate(p):
-                exps[g[pt] - 1] = row_of[g[t] - 1]
-        out[tuple(exps)] = sgn
-    return out
-
-
 def _combine(cols, terms) -> tuple[int, ...]:
     """sum c * cols[j] over the sparse (j, c) terms; one (j, 1) shares cols[j]."""
     (j, c), *rest = terms
@@ -379,77 +341,112 @@ def _combine(cols, terms) -> tuple[int, ...]:
     return tuple(map(sum, zip(*([c * x for x in cols[j]] for j, c in terms))))
 
 
-def _natural_generator(i: int, tabs, index, cells, straightening):
+def _garnir(tab):
+    """The Garnir relation at the first row descent of a column-strict
+    tableau t that is not standard, given as its tuple of increasing columns.
+
+    Let t[r][c] > t[r][c+1], A be column c from row r down and B column c+1
+    down to row r, so every letter of B is smaller than every letter of A.
+    The alternating sum over S_{A u B} kills e_t, since |A u B| exceeds the
+    length of column c; summed over the splits of A u B into a new A and B
+    it reads sum sign * e_t' = 0, where t' = t for the split A, B (Sagan, The
+    Symmetric Group, 2.6). Yields (sign, t') for every other split, with
+    columns c and c+1 re-sorted. The sign is that of the permutation of
+    letters taking t to t': the parity of the pairs x > y, x in column c and
+    y in column c+1, counted in t and in t'. The column tabloid of every t'
+    dominates that of t."""
+    c, r = next((c, r) for c in range(len(tab) - 1)
+                for r, (x, y) in enumerate(zip(tab[c], tab[c + 1])) if x > y)
+    left, right = tab[c], tab[c + 1]
+    top, low, high, bottom = left[:r], left[r:], right[:r + 1], right[r + 1:]
+    pool = high + low
+    parity = sum(x > y for x in left for y in right)
+    for chosen in combinations(pool, len(low)):
+        if chosen == low:
+            continue
+        rest = tuple(v for v in pool if v not in chosen)
+        new_left, new_right = tuple(sorted(top + chosen)), tuple(sorted(rest + bottom))
+        odd = (parity + sum(x > y for x in new_left for y in new_right)) % 2
+        yield -1 if odd else 1, tab[:c] + (new_left, new_right) + tab[c + 2:]
+
+
+def _straighten(tab, index, memo) -> dict[int, int]:
+    """e_t of a column-strict tableau t (its columns) as {k: c} over the
+    standard polytabloids e_{T_k}, where index maps the columns of T_k to k:
+    e_t = -sum sign * e_t' over the other splits of the Garnir relation,
+    recursively. The straightened form of each nonstandard t met is kept in
+    memo."""
+    k = index.get(tab)
+    if k is not None:
+        return {k: 1}
+    out = memo.get(tab)
+    if out is None:
+        out = {}
+        for sign, other in _garnir(tab):
+            _add_scaled(out, -sign, _straighten(other, index, memo))
+        memo[tab] = out
+    return out
+
+
+def _natural_generator(i: int, tabs, cells, index, memo, trace: int):
     """Young's natural matrix of s_i as sparse columns: column k lists the
-    (j, c) with s_i . F_{T_k} = sum c F_{T_j}. Only where i and i+1 share a
-    row of T_k is s_i . F_{T_k} straightened, over straightening()."""
-    swap = {i: i + 1, i + 1: i}
+    (j, c) with s_i . e_{T_k} = sum c e_{T_j}. It is -e_{T_k} where i and
+    i+1 share a column of T_k (cells[k] maps each letter to its column and
+    its place in it), and otherwise e_{s_i T_k}, s_i T_k column-strict,
+    straightened. Raises unless its trace is the given trace, chi^lam at a
+    transposition."""
     cols = []
     for k, tab in enumerate(tabs):
-        (r, c), (r1, c1) = cells[k][i], cells[k][i + 1]
+        (c, r), (c1, r1) = cells[k][i], cells[k][i + 1]
         if c == c1:  # a column transposition, of sign -1
             cols.append(((k, -1),))
-        elif r != r1:  # s_i T_k is standard
-            rows = tuple(tuple(swap.get(v, v) for v in row) for row in tab.rows)
-            cols.append(((index[rows], 1),))
         else:
-            polys, leads, order = straightening()
-            moved = {key[:i - 1] + (key[i], key[i - 1]) + key[i + 1:]: v
-                     for key, v in polys[k].items()}
-            terms = []
-            for j in order:
-                coeff = moved.get(leads[j])
-                if coeff:
-                    terms.append((j, coeff))
-                    _add_scaled(moved, -coeff, polys[j])
-            if moved:
-                raise InvariantViolationError(
-                    "permuted Specht polynomial left the span of the standard ones"
-                )
-            cols.append(tuple(terms))
+            moved = list(tab)
+            moved[c] = tab[c][:r] + (i + 1,) + tab[c][r + 1:]
+            moved[c1] = tab[c1][:r1] + (i,) + tab[c1][r1 + 1:]
+            cols.append(tuple(_straighten(tuple(moved), index, memo).items()))
+    got = sum(c for k, terms in enumerate(cols) for j, c in terms if j == k)
+    if got != trace:
+        raise InvariantViolationError(
+            f"trace of s_{i} is {got}, not chi at a transposition, {trace}"
+        )
     return tuple(cols)
 
 
 def specht_module(lam) -> MatrixRep:
-    """The irreducible module S^lam spanned by the polynomials F_T of the
-    standard tableaux T of shape lam; dimension = number of standard tableaux.
+    """The irreducible module S^lam with basis the standard polytabloids e_T
+    of the standard tableaux T of shape lam; dimension = number of standard
+    tableaux.
 
-    F_T antisymmetrizes x^T, in which the exponent of x_v is the row of v
-    in T; reading each monomial as a tabloid, F_T is the polytabloid e_T.
     The matrix of s_i is Young's natural one, built once per module on first
     use, and the matrix of pi is their product along the reduced word that
-    bubble-sorts pi^-1. Where i and i+1 share a row of T, s_i . F_T is
-    straightened over the expanded F_T, built once per module on the first
-    such case. For standard T the tabloid {T} dominates every other tabloid
-    of e_T and has coefficient 1 (Sagan, The Symmetric Group, 2.5). Dominance
-    implies the lexicographic order of exponent vectors: at the first entry
-    where two tabloids differ, the dominant one has it in an earlier row, a
-    smaller exponent. So the lead min(F_T) is {T}, the standard F_T are
-    unitriangular in that order, and s_i . F_T is straightened in integers
-    by one walk through the leads in increasing order. A nonzero residual
-    means s_i . F_T left the span, which raises.
+    bubble-sorts pi^-1. Where i and i+1 share a row of T, s_i T is
+    column-strict with one row descent, and e_{s_i T} is straightened by
+    Garnir relations, each of which rewrites e_t over tableaux whose column
+    tabloids dominate that of t, so the recursion ends at standard tableaux
+    (Sagan, The Symmetric Group, 2.6; James, LNM 682, 7-8). The straightened
+    forms are kept per module. Each generator's trace must equal chi^lam at a
+    transposition, f^lam * (sum of the contents) / C(n, 2), read from the hook
+    contents, or the build raises.
     """
     lam = as_partition(lam)
     n = sum(lam)
     limits.check("specht", n)
-    tabs = standard_tableaux(lam)
+    heights = conjugate(lam)
+    tabs = [tuple(tuple(row[c] for row in t.rows[:h]) for c, h in enumerate(heights))
+            for t in standard_tableaux(lam)]
     dim = len(tabs)
     if dim != f_lambda(lam):
         raise InvariantViolationError("Specht dimension != standard tableau count")
-    index = {t.rows: k for k, t in enumerate(tabs)}
-    cells = [{v: (r, c) for r, row in enumerate(t.rows) for c, v in enumerate(row)}
-             for t in tabs]
+    index = {t: k for k, t in enumerate(tabs)}
+    cells = [{v: (c, r) for c, col in enumerate(t) for r, v in enumerate(col)} for t in tabs]
+    # chi^lam at a transposition: f^lam * (sum of the contents) / C(n, 2)
+    trace = 2 * dim * sum(c for _, c in hook_content_cells(lam)) // max(n * (n - 1), 1)
     eye = identity(dim)
-    table = _OnceCache()
-
-    def straightening():
-        polys = [specht_polynomial(t) for t in tabs]
-        leads = [min(poly) for poly in polys]
-        return polys, leads, sorted(range(dim), key=leads.__getitem__)
+    table, memo = _OnceCache(), {}
 
     def generator(i):
-        return table.get(i, lambda: _natural_generator(
-            i, tabs, index, cells, lambda: table.get("straightening", straightening)))
+        return table.get(i, lambda: _natural_generator(i, tabs, cells, index, memo, trace))
 
     def fn(pi):
         # Bubble-sort the word w of pi^-1. Swapping its entries at positions
@@ -487,10 +484,6 @@ def _cosets(subgroup: SubgroupSpec, transversal=None) -> tuple[list[Permutation]
     if len(where) != len(reps) * subgroup.order or len(where) != factorial(subgroup.n):
         raise ValueError("not a transversal of the subgroup")
     return reps, where
-
-
-def lex_transversal(subgroup: SubgroupSpec) -> list[Permutation]:
-    return _cosets(subgroup)[0]
 
 
 def induce(rep: MatrixRep, n: int, transversal=None) -> MatrixRep:
@@ -627,29 +620,3 @@ def schur_weyl_check(n: int, m: int) -> bool:
         if len(lam) <= m
     )
     return total == m**n
-
-
-# --- structural checks ---------------------------------------------------------
-
-
-def verify_generator_relations(rep: MatrixRep) -> bool:
-    """Explicitly check s_i^2 = 1, the braid relations and distant
-    commutation by matrix multiplication."""
-    if rep.domain is not None:
-        raise ValueError("relation check needs a full-S_n representation")
-    n = rep.n
-    eye = identity(rep.dim)
-    gens = rep.generator_matrices()
-    for i in range(1, n):
-        if mat_mul(gens[i], gens[i]) != eye:
-            return False
-    for i in range(1, n - 1):
-        lhs = mat_mul(gens[i], mat_mul(gens[i + 1], gens[i]))
-        rhs = mat_mul(gens[i + 1], mat_mul(gens[i], gens[i + 1]))
-        if lhs != rhs:
-            return False
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            if mat_mul(gens[i], gens[j]) != mat_mul(gens[j], gens[i]):
-                return False
-    return True

@@ -7,15 +7,23 @@ argument the script prints the whole digest file; with shapes such as
 ``3,2 2,2,1`` it prints only their entries, for a change that moves those
 matrices on purpose:
 
-    PYTHONPATH=src python tests/specht_digest.py > tests/golden/specht_generators.json
-    PYTHONPATH=src python tests/specht_digest.py 3,2 2,2,1
+    python tests/specht_digest.py > tests/golden/specht_generators.json
+    python tests/specht_digest.py 3,2 2,2,1
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
+
+try:
+    import symfunc  # noqa: F401
+except ModuleNotFoundError:  # direct `python tests/specht_digest.py` run
+    sys.path.insert(
+        0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    )
 
 from symfunc import limits
 from symfunc.matrixreps import specht_module

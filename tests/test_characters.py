@@ -17,12 +17,11 @@ from symfunc.characters import (
     kronecker_product,
     littlewood_richardson,
     pointwise_product,
-    sign_of_class,
     table_columns,
     youngs_rule,
 )
 from symfunc.errors import SizeMismatchError
-from symfunc.partitions import conjugate, partitions_of, z_value
+from symfunc.partitions import class_representative, conjugate, partitions_of, sign, z_value
 from symfunc.ring import (
     P,
     S,
@@ -39,7 +38,7 @@ def test_character_fixtures():
     for n in range(1, 7):
         for mu in partitions_of(n):
             assert character((n,), mu) == 1
-            assert character((1,) * n, mu) == sign_of_class(mu)
+            assert character((1,) * n, mu) == sign(class_representative(mu))
     assert [character((2, 1), mu) for mu in [(1, 1, 1), (2, 1), (3,)]] == [2, 0, -1]
 
 

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import random
@@ -8,6 +9,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -34,17 +36,14 @@ from symfunc.matrixreps import (
     gl_character,
     gl_dimension,
     induce,
-    lex_transversal,
     restrict,
     schur_weyl_check,
     sign_of,
     specht_module,
-    specht_polynomial,
     square_class,
     subgroup_char_inner,
     tensor_product,
     trivial_of,
-    verify_generator_relations,
     young_basis,
     young_classes,
     young_module,
@@ -62,6 +61,13 @@ from symfunc.partitions import (
 from symfunc.ring import basis_element, evaluate, multiply
 from symfunc.tableaux import count_ssyt, f_lambda, standard_tableaux
 from specht_digest import digests, render
+from specht_oracle import specht_polynomial
+
+_spec = importlib.util.spec_from_file_location(
+    "matrix_oracles", Path(__file__).resolve().parent.parent / "perfbench" / "oracles.py"
+)
+O = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(O)
 
 DEFINING_S3 = {
     (1, 2, 3): ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
@@ -303,23 +309,24 @@ def test_specht_matrices_expand_the_moved_polynomials_at_6_and_7():
                 _check_expands_moved_polynomials(lam, perms)
 
 
-def test_specht_straightening_keeps_the_span_check(monkeypatch):
-    # in T = 12/3 the letters 1 and 2 share a row, so s_1 . F_T is the one
-    # straightened polynomial of S^(2,1); a stray monomial in F_T must make
-    # it leave the span, while s_2 reads no polynomial at all
-    real = matrixreps.specht_polynomial
+def test_specht_generator_trace_check_catches_a_corrupted_straightening(monkeypatch):
+    # in T = 12/3 the letters 1 and 2 share a row, so s_1 T = 21/3 is the one
+    # straightened tableau of S^(2,1); a wrong coefficient of e_T in its
+    # straightened form moves the trace of s_1 off chi^(2,1) at a
+    # transposition, while s_2 straightens nothing
+    real = matrixreps._straighten
 
-    def corrupted(tab):
-        poly = real(tab)
-        if tab.rows == ((1, 2), (3,)):
-            poly[(0, 5, 0)] = 1
-        return poly
+    def corrupted(tab, index, memo):
+        out = dict(real(tab, index, memo))
+        if tab == ((2, 3), (1,)):
+            out[index[((1, 3), (2,))]] += 1
+        return out
 
     want = specht_module((2, 1)).matrix((1, 3, 2))
-    monkeypatch.setattr(matrixreps, "specht_polynomial", corrupted)
+    monkeypatch.setattr(matrixreps, "_straighten", corrupted)
     rep = specht_module((2, 1))
     assert rep.matrix((1, 3, 2)) == want
-    with pytest.raises(InvariantViolationError, match="left the span"):
+    with pytest.raises(InvariantViolationError, match="trace of s_1 is 1, not chi"):
         rep.matrix((2, 1, 3))
 
 
@@ -329,9 +336,9 @@ def test_concurrent_specht_matrices_build_each_generator_once(monkeypatch):
     perms = [adjacent_transposition(n, i) for i in range(1, n)]
     perms += [tuple(rng.sample(range(1, n + 1), n)) for _ in range(6)]
     want = [specht_module(lam).matrix(pi) for pi in perms]
-    built, polys = Counter(), Counter()
+    built = Counter()
     guard = threading.Lock()
-    real_generator, real_polynomial = matrixreps._natural_generator, specht_polynomial
+    real_generator = matrixreps._natural_generator
 
     def generator(i, *args):
         with guard:
@@ -339,13 +346,7 @@ def test_concurrent_specht_matrices_build_each_generator_once(monkeypatch):
         time.sleep(0.001)  # let the threads race for the same generator
         return real_generator(i, *args)
 
-    def polynomial(tab):
-        with guard:
-            polys[tab.rows] += 1
-        return real_polynomial(tab)
-
     monkeypatch.setattr(matrixreps, "_natural_generator", generator)
-    monkeypatch.setattr(matrixreps, "specht_polynomial", polynomial)
     rep = specht_module(lam)
     results, errors = [], []
 
@@ -368,7 +369,6 @@ def test_concurrent_specht_matrices_build_each_generator_once(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert not errors and results == [want] * len(threads)
     assert built == Counter(range(1, n))
-    assert polys == Counter(t.rows for t in standard_tableaux(lam))
 
 
 def test_specht_generators_match_the_pinned_digests():
@@ -396,17 +396,16 @@ def test_generator_relations_hold_exactly():
     reps += [specht_module(lam) for n in range(2, 6) for lam in partitions_of(n)]
     reps += [young_module(lam) for lam in [(2, 1), (2, 2), (3, 1), (2, 1, 1)]]
     for rep in reps:
-        assert verify_generator_relations(rep), rep.label
+        assert O.coxeter_relations_hold(rep.generator_matrices(), rep.n), rep.label
     with limits.scoped(limits.current().raised(7)):
         for n in (6, 7):
             for lam in partitions_of(n):
-                assert verify_generator_relations(specht_module(lam)), lam
+                rep = specht_module(lam)
+                assert O.coxeter_relations_hold(rep.generator_matrices(), n), lam
 
 
 def test_matrix_map_is_a_homomorphism():
     rng = random.Random(311)
-    from symfunc.linalg import mat_mul
-
     sub = SubgroupSpec.young((2, 2))
     reps = [
         classical_rep("trivial", 4),
@@ -423,7 +422,7 @@ def test_matrix_map_is_a_homomorphism():
         for _ in range(6):
             p = tuple(rng.sample(range(1, n + 1), n))
             q = tuple(rng.sample(range(1, n + 1), n))
-            assert rep.matrix(compose(p, q)) == mat_mul(rep.matrix(p), rep.matrix(q))
+            assert O.same_matrix(rep.matrix(compose(p, q)), O.mat_mul(rep.matrix(p), rep.matrix(q)))
             assert all(type(x) is int for row in rep.matrix(p) for x in row)
             assert type(rep.trace(p)) is int
 
@@ -533,7 +532,7 @@ def test_induce_golden_block_matrix():
 def test_induce_character_is_transversal_independent():
     sub = SubgroupSpec.from_elements(3, [(1, 2, 3), (1, 3, 2)])
     base = trivial_of(sub)
-    t1 = lex_transversal(sub)
+    t1 = matrixreps._cosets(sub)[0]
     t2 = [(1, 2, 3), (2, 1, 3), (3, 2, 1)]
     c1 = character_of(induce(base, 3, transversal=t1))
     c2 = character_of(induce(base, 3, transversal=t2))
