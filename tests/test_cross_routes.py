@@ -38,6 +38,7 @@ from symfunc.ring import (
     skew_schur,
     sym_element,
 )
+from symfunc.tableaux import kostka
 
 _spec = importlib.util.spec_from_file_location(
     "cross_route_oracles", Path(__file__).resolve().parent.parent / "perfbench" / "oracles.py"
@@ -148,6 +149,15 @@ def test_hall_inner_of_dual_bases_and_kostka_numbers():
     for lam, mu in zip(rng.sample(lams, 6), rng.sample(lams, 6)):
         got = hall_inner(basis_element(S, lam), basis_element("h", mu))
         assert got == O.kostka(lam, mu), (lam, mu)
+
+
+def test_ssyt_kostka_numbers_are_horizontal_strip_counts():
+    """tableaux.kostka counts semistandard tableaux; the oracle peels the
+    largest entry off as a horizontal strip."""
+    for lam in O.partitions(8):
+        for mu in O.partitions(8):
+            assert kostka(lam, mu) == O.kostka(lam, mu), (lam, mu)
+    assert kostka((4, 3, 2, 1, 1, 1), (1,) * 12) == 5632
 
 
 def test_multiply_and_omega_at_integer_points(points):
