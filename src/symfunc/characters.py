@@ -45,9 +45,6 @@ class ClassFunction(Record):
             raise SizeMismatchError(f"{mu} is not a partition of {self.n}")
         return self.values[rank]
 
-    def as_dict(self) -> dict[Partition, Fraction]:
-        return dict(zip(partitions_of(self.n), self.values))
-
 
 def class_function(n: int, values) -> ClassFunction:
     """Build a ClassFunction from any mapping cycle-type -> value; missing
@@ -82,11 +79,6 @@ def character(lam, mu) -> int:
     if sum(lam) != sum(mu):
         raise SizeMismatchError(f"|{lam}| != |{mu}|")
     return character_row(lam)[mu]
-
-
-def irreducible_character(lam) -> ClassFunction:
-    lam = as_partition(lam)
-    return class_function(sum(lam), character_row(lam))
 
 
 def character_table(n: int) -> list[list[int]]:
@@ -188,13 +180,4 @@ def char_inner(f: ClassFunction, g: ClassFunction) -> Fraction:
     return sum(
         (a * b / z_value(mu) for mu, a, b in zip(partitions_of(f.n), f.values, g.values)),
         Fraction(0),
-    )
-
-
-def pointwise_product(f: ClassFunction, g: ClassFunction) -> ClassFunction:
-    """Pointwise product of class functions (the tensor-product character)."""
-    if f.n != g.n:
-        raise SizeMismatchError(f"class functions of degrees {f.n} != {g.n}")
-    return class_function(
-        f.n, {mu: a * b for mu, a, b in zip(partitions_of(f.n), f.values, g.values)}
     )

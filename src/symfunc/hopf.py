@@ -72,18 +72,6 @@ class TensorElement(Record):
             return TensorElement(self.bases, {})
         return TensorElement(self.bases, {k: c * v for k, v in self.terms.items()})
 
-    def componentwise_product(self, other: "TensorElement") -> "TensorElement":
-        """Leg-by-leg ring product (the product on Sym x Sym)."""
-        (da, a), (db, b) = _pp_ints(self), _pp_ints(other)
-        out: dict[PairKey, int] = {}
-        for (la, ra), ca in a.items():
-            shifted = {
-                (tuple(sorted(la + lb, reverse=True)), tuple(sorted(ra + rb, reverse=True))): cb
-                for (lb, rb), cb in b.items()
-            }
-            _add_scaled(out, ca, shifted)
-        return TensorElement((P, P), {key: Fraction(n, da * db) for key, n in out.items()})
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TensorElement):
             return NotImplemented
@@ -189,21 +177,6 @@ def tensor_convert(t: TensorElement, bases) -> TensorElement:
     return TensorElement(bases, {(lam, mu): Fraction(n, den)
                                  for lam, row in _map_legs(nums, bases, False).items()
                                  for mu, n in row.items()})
-
-
-def tensor_inner(t: TensorElement, g: SymElement, h: SymElement) -> Fraction:
-    """<t, g x h> with the componentwise Hall product, one integer sum."""
-    (dt, tn), (dg, gn), (dh, hn) = _pp_ints(t), _p_ints(g), _p_ints(h)
-    total = sum(c * gn[lam] * z_value(lam) * hn[mu] * z_value(mu)
-                for (lam, mu), c in tn.items() if lam in gn and mu in hn)
-    return Fraction(total, dt * dg * dh)
-
-
-def simple_tensor(f: SymElement, g: SymElement) -> TensorElement:
-    """f x g, in the (p, p) pair."""
-    (df, fn), (dg, gn) = _p_ints(f), _p_ints(g)
-    return TensorElement((P, P), {(lam, mu): Fraction(a * b, df * dg)
-                                  for (lam, a), (mu, b) in _cartesian(fn.items(), gn.items())})
 
 
 # --- the two coproducts -------------------------------------------------------

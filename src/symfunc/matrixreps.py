@@ -182,11 +182,6 @@ class MatrixRep:
         return {i: self.matrix(adjacent_transposition(self.n, i))
                 for i in range(1, self.n)}
 
-    def elements(self):
-        if self.domain is not None:
-            return self.domain.elements
-        return all_permutations(self.n)
-
 
 def adjacent_transposition(n: int, i: int) -> Permutation:
     if not 1 <= i < n:
@@ -557,12 +552,6 @@ def tensor_product(a: MatrixRep, b: MatrixRep) -> MatrixRep:
     """Inner tensor product: the diagonal action, Kronecker-product
     matrices; characters multiply pointwise."""
     return _pair(a, b, a.dim * b.dim, kron, mul, "x")
-
-
-def subgroup_char_inner(subgroup: SubgroupSpec, f, g) -> Fraction:
-    """<f, g>_H = (1/|H|) sum over H of f(h) g(h) for element-wise
-    character values (callables on permutations)."""
-    return Fraction(sum(f(h) * g(h) for h in subgroup.elements), subgroup.order)
 
 
 def square_class(mu) -> Partition:

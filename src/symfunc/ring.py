@@ -530,9 +530,6 @@ class PolynomialValue(Record):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def at_ones(self) -> Fraction:
-        return sum(self.terms.values(), Fraction(0))
-
     def __str__(self) -> str:
         return _format_terms(
             (self.terms[key], format_monomial(key))
