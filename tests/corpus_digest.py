@@ -25,7 +25,6 @@ import io
 import json
 import os
 import random
-import re
 import shlex
 import sys
 
@@ -42,9 +41,8 @@ PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "corpu
 SEED = 20261019
 MAX_DEGREE = 10
 BASES = ("m", "e", "h", "p", "s")
-TOP = {"--format": 2, "--max-degree": 2}
+TOP = ("--format", "--max-degree")
 ENV = ("SYMF_FORMAT", "SYMF_MAX_DEGREE")
-_SETTING = re.compile(r"SYMF_[A-Z_]+=")
 
 # a well-formed call of every subcommand and option
 FIXED = [
@@ -171,14 +169,14 @@ def _coeff(rng: random.Random) -> str:
     return rng.choice(("1", "1", "-1", "2", "-3", "1/2", "-2/3", "5/4", "7"))
 
 
-def _element(rng: random.Random, degree: int, terms: int = 3, basis=None) -> str:
+def _element(rng: random.Random, degree: int, terms: int = 3) -> str:
     """A literal of at most ``terms`` terms of degree ``degree``, or of mixed
     degree up to it when ``degree`` is negative."""
     pieces = []
     for _ in range(rng.randint(1, terms)):
         n = degree if degree >= 0 else rng.randint(0, -degree)
         pieces.append(f"{_coeff(rng)}*{_partition(rng, n)}")
-    return f"{basis or rng.choice(BASES)}:" + "+".join(pieces)
+    return f"{rng.choice(BASES)}:" + "+".join(pieces)
 
 
 def _pair(rng: random.Random) -> str:
@@ -287,27 +285,34 @@ def split(call: str) -> tuple[dict[str, str], list[str]]:
     """The SYMF_* settings and the argv of one call."""
     words = shlex.split(call)
     env = {}
-    while words and _SETTING.match(words[0]):
+    while words and words[0].partition("=")[0] in ENV:
         key, _, value = words.pop(0).partition("=")
         env[key] = value
     return env, words
+
+
+def _setenv(values: dict) -> None:
+    """Set each variable, or unset it where the value is None; only these
+    keys, since rewriting the whole environment costs a call's time again."""
+    for key, value in values.items():
+        if value is None:
+            os.environ.pop(key, None)
+        else:
+            os.environ[key] = value
 
 
 def answer(call: str) -> str:
     """The digest of one call's exit code, stdout and stderr."""
     env, argv = split(call)
     env = {**dict.fromkeys(ENV), **env, "COLUMNS": "80"}
-    saved = {key: os.environ.pop(key, None) for key in env}
+    saved = {key: os.environ.get(key) for key in env}
     out, err = io.StringIO(), io.StringIO()
     try:
-        os.environ.update({k: v for k, v in env.items() if v is not None})
+        _setenv(env)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
     finally:
-        for key, value in saved.items():
-            os.environ.pop(key, None)
-            if value is not None:
-                os.environ[key] = value
+        _setenv(saved)
     text = json.dumps([code, out.getvalue(), err.getvalue()])
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -316,12 +321,8 @@ def command(call: str) -> list[str]:
     """A call's argv after its settings and top options."""
     words = split(call)[1]
     while words and words[0] in TOP:
-        words = words[TOP[words[0]]:]
+        words = words[2:]
     return words
-
-
-def render(table: dict[str, str]) -> str:
-    return json.dumps(table, indent=0) + "\n"
 
 
 def load() -> dict[str, str]:
@@ -342,7 +343,7 @@ def rewrite(prefixes: list[str]) -> list[str]:
         else:
             new[call] = answer(call)
     with open(PATH, "w") as fh:
-        fh.write(render(new))
+        fh.write(json.dumps(new, indent=0) + "\n")
     return [c for c in new if old.get(c) != new[c]]
 
 
