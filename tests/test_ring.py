@@ -1,10 +1,12 @@
 import importlib.util
+import json
 import random
 import threading
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
+import pairing_digest
 import pytest
 
 from symfunc import limits
@@ -235,6 +237,21 @@ def test_pairing_tables_are_integers_and_e_twists_h():
             }
     with pytest.raises(ValueError, match="no pairing table"):
         ring._pairing(E, 3)
+
+
+def test_pairing_tables_match_the_pinned_digests(monkeypatch):
+    """Every h, s and m table of degree <= 16, built cold, hashes to the
+    digest pinned in tests/golden/pairing_tables.json, which
+    tests/pairing_digest.py prints."""
+    from symfunc import ring
+
+    monkeypatch.setattr(ring, "_cache", ring._OnceCache())
+    path = Path(__file__).resolve().parent / "golden" / "pairing_tables.json"
+    text = path.read_text()
+    got = pairing_digest.digests()
+    assert len(got) == 3 * 17
+    assert got == json.loads(text)
+    assert pairing_digest.render(got) == text
 
 
 def test_convert_builds_one_fraction_per_output_coefficient(monkeypatch):
