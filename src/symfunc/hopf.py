@@ -9,43 +9,40 @@ rational in a chosen basis pair, with arithmetic implemented only as far
 as the coproducts and the Cauchy kernel need.
 
 Every operation reads power sums in ring's integer handoff, (D, nums)
-over one denominator: _p_ints for an element, _pp_ints for a tensor, whose
-legs are mapped by dense products of the pairing tables with every partner
-partition's column at once. One Fraction is built per output coefficient.
+over one denominator: _p_ints for an element, _pp_ints for a tensor. A
+tensor's legs are mapped one (left degree, right degree) block at a time:
+the block is one dense matrix over the partitions present on each leg, and
+each leg is one pass of dots with the rows of its pairing table (a p leg of
+any degree stays sparse: its map is diagonal). Products in plethysm go
+through ring's merge map. One Fraction is built per output coefficient.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import chain, compress, repeat
 from itertools import product as _cartesian
-from itertools import repeat
 from math import comb, factorial, prod
-from operator import mul
 
 from . import limits
 from ._record import Record
-from .partitions import Partition, as_partition, format_partition, partitions_of, z_value
+from .partitions import Partition, as_partition, format_partition, z_value
 from .ring import (
     BASES,
-    E,
     H,
     M,
     P,
     S,
     SymElement,
-    _DUAL,
     _add_scaled,
-    _by_degree,
     _cache,
-    _class_sizes,
     _clear,
     _concat_mul,
-    _eps,
     _format_terms,
     _nonzero,
     _p_ints,
-    _pairing,
+    _transition,
     basis_element,
     format_coeff,
 )
@@ -117,39 +114,23 @@ def tensor_element(bases, terms) -> TensorElement:
     return TensorElement(bases, out)
 
 
-def _map_legs(nums: dict[PairKey, int], bases, to_p: bool) -> dict[Partition, dict]:
-    """Each leg of an integer tensor mapped in turn, one degree at a time:
-    out[key] = sum over k of T[key][k] rows[k], the rows taken as one dense
-    column per partner partition of the other leg and dotted with each
-    dense row of T. To p, T is A_b transposed (A_p is z on the diagonal;
-    the 1 / z is left to the caller), from p it is A_b*, as in ring's
-    _from_p_ints; e twists the p side of A_h (to p) or A_m (from p). Each
-    pass keys its output by the partner leg, so the result is keyed by the
-    left leg, each row a dict over the right; zeros are left out."""
-    rows: dict[Partition, dict] = {}
+def _map_legs(nums: dict[PairKey, int], bases, to_p: bool) -> dict[PairKey, int]:
+    """Both legs of an integer tensor mapped, one (left degree, right
+    degree) block at a time: the block is one dense matrix over the
+    partitions present on each leg, and two passes of ring's _transition
+    map its left leg and then its right one. Zeros are left out."""
+    blocks: dict[tuple[int, int], dict] = {}  # per block, the row over the lefts of each right
     for (lam, mu), n in nums.items():
-        rows.setdefault(lam, {})[mu] = n
-    for basis in bases:
-        out: dict[Partition, dict] = {}
-        for d, chunk in _by_degree(rows).items():
-            if basis == P:
-                for k, row in chunk.items():
-                    for o, n in row.items():
-                        out.setdefault(o, {})[k] = n * z_value(k) if to_p else n
-                continue
-            table = zip(*_pairing(H if basis == E else basis, d)) if to_p else _pairing(_DUAL[basis], d)
-            keys = partitions_of(d)
-            partners = list(dict.fromkeys(o for row in chunk.values() for o in row))
-            cols = [[chunk[k].get(o, 0) if k in chunk else 0 for k in keys] for o in partners]
-            eps = _eps(d) if basis == E else None  # e twists the p side
-            if eps and not to_p:
-                cols = [list(map(mul, col, eps)) for col in cols]
-            for key, trow, sign in zip(keys, table, eps if eps and to_p else repeat(1)):
-                for o, col in zip(partners, cols):
-                    if v := sum(map(mul, trow, col)):
-                        out.setdefault(o, {})[key] = sign * v
-        rows = out
-    return rows
+        blocks.setdefault((sum(lam), sum(mu)), {}).setdefault(mu, {})[lam] = n
+    out: dict[PairKey, int] = {}
+    for (a, b), block in blocks.items():
+        keys = list(dict.fromkeys(chain.from_iterable(block.values())))
+        vecs = [list(map(row.get, keys, repeat(0))) for row in block.values()]
+        lefts, cols = _transition(bases[0], a, keys, to_p, vecs)
+        rights, rows = _transition(bases[1], b, list(block), to_p, list(zip(*cols)))
+        for lam, row in zip(lefts, rows):
+            out.update(compress(zip(zip(repeat(lam), rights), row), row))
+    return out
 
 
 def _pp_ints(t: TensorElement) -> tuple[int, dict[PairKey, int]]:
@@ -162,10 +143,9 @@ def _pp_ints(t: TensorElement) -> tuple[int, dict[PairKey, int]]:
         return den, nums
     a = max((sum(lam) for lam, _ in nums), default=0)
     b = max((sum(mu) for _, mu in nums), default=0)
-    rows = _map_legs(nums, t.bases, True)
-    return den * factorial(a) * factorial(b), {
-        (alpha, beta): n * sa * sb for (alpha, row), sa in zip(rows.items(), _class_sizes(a, rows))
-        for (beta, n), sb in zip(row.items(), _class_sizes(b, row))}
+    fa, fb = factorial(a), factorial(b)
+    return den * fa * fb, {(alpha, beta): n * (fa // z_value(alpha)) * (fb // z_value(beta))
+                           for (alpha, beta), n in _map_legs(nums, t.bases, True).items()}
 
 
 def tensor_convert(t: TensorElement, bases) -> TensorElement:
@@ -174,9 +154,8 @@ def tensor_convert(t: TensorElement, bases) -> TensorElement:
     if t.bases == bases:
         return t
     den, nums = _pp_ints(t)
-    return TensorElement(bases, {(lam, mu): Fraction(n, den)
-                                 for lam, row in _map_legs(nums, bases, False).items()
-                                 for mu, n in row.items()})
+    out = _map_legs(nums, bases, False)
+    return TensorElement(bases, {key: Fraction(n, den) for key, n in out.items()})
 
 
 # --- the two coproducts -------------------------------------------------------

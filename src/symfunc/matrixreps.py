@@ -601,8 +601,10 @@ def gl_dimension(lam, nvars: int) -> int:
 def schur_weyl_check(n: int, m: int) -> bool:
     """Dimension count of the tensor-space decomposition:
     m^n == sum over lam |- n with at most m rows of f^lam * dim V^lam."""
-    if not (0 <= n <= 6 and 0 <= m <= 6):
-        raise ValueError("schur_weyl_check is supported for n, m <= 6")
+    if n < 0 or m < 0:
+        raise ValueError("n and m must be >= 0")
+    if n > 6 or m > 6:
+        raise ValueError("the Schur-Weyl check is supported for n, m <= 6")
     total = sum(
         f_lambda(lam) * gl_dimension(lam, m)
         for lam in partitions_of(n)

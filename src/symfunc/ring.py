@@ -37,6 +37,14 @@ The per-degree cache is compute-then-publish: concurrent readers never see
 a partial table and each (basis, degree) table is computed at most once.
 _skew_p applies s_mu^perp to those power sums; perp is its one public route,
 skew_schur is perp(mu, s_lam), and LR dots its s_lam image with s_nu's row.
+
+Every union of partitions (the product p_alpha p_beta = p_(alpha u beta),
+the h rows, the m columns and _skew_p) is read in rank space from the
+cached merge map (a, b): for alpha |- a and beta |- b by rank, the rank of
+alpha u beta in partitions_of(a + b) and z_(alpha u beta) / (z_alpha z_beta),
+built by inserting parts, never by sorting. Rank space lists
+partitions_of(a + b), so it serves only degrees within the active ring cap;
+above it power sums stay sparse and a product merges its parts by sorting.
 """
 
 from __future__ import annotations
@@ -44,9 +52,9 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, product, repeat
 from math import factorial, lcm, prod
-from operator import add, itemgetter, mul, sub
+from operator import add, floordiv, itemgetter, mul, sub
 
 from . import limits
 from ._record import Record
@@ -86,12 +94,16 @@ class _OnceCache:
         except KeyError:
             pass
         with self._guard:
+            if key in self._data:  # published, and its lock dropped, meanwhile
+                return self._data[key]
             lock = self._locks.setdefault(key, threading.Lock())
         with lock:
             if key not in self._data:
                 value = compute()
                 self.compute_counts[key] = self.compute_counts.get(key, 0) + 1
                 self._data[key] = value
+                with self._guard:  # a failed compute keeps it, for its waiters to queue on
+                    del self._locks[key]
             return self._data[key]
 
 
@@ -148,14 +160,71 @@ def _by_degree(terms: dict) -> dict[int, dict]:
     return chunks
 
 
+def _gather(at: list[int]):
+    """row -> the tuple of its entries at the positions ``at`` (not empty)."""
+    return itemgetter(*at) if len(at) > 1 else lambda row: (row[at[0]],)
+
+
+# --- unions of partitions in rank space --------------------------------------
+
+
+def _insertions(k: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For each nu |- m by rank: the rank of nu u (k) in partitions_of(m + k),
+    k placed after the parts >= k, and m_k(nu) + 1, the multiplicity of k there."""
+    ranks, nus = partition_ranks(m + k), partitions_of(m)
+    cuts = [sum(p >= k for p in nu) for nu in nus]
+    return (tuple(ranks[nu[:i] + (k,) + nu[i:]] for nu, i in zip(nus, cuts)),
+            tuple(nu.count(k) + 1 for nu in nus))
+
+
+def _merges(a: int, b: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The merge map (a, b): for a > b the transpose of the map (b, a), which
+    has fewer, longer rows; else row alpha inserts k = alpha_1 into row
+    alpha[1:] of the map (a - k, b), and the weight gains the factor
+    (m_k(alpha[1:] u beta) + 1) / m_k(alpha). The alpha with alpha_1 = k are
+    one block of partitions_of(a), their rests the last of a - k, in order."""
+    if a > b:
+        return tuple(tuple(zip(*half)) for half in _merge_map(b, a))
+    if not a:
+        return (tuple(range(len(partitions_of(b)))),), ((1,) * len(partitions_of(b)),)
+    alphas, ranks, weights = partitions_of(a), [], []
+    for k, size in Counter(alpha[0] for alpha in alphas).items():
+        new, mult = _cache.get(("insert", k, a - k + b), lambda: _insertions(k, a - k + b))
+        for alpha, rs, ws in zip(alphas[len(ranks):], *(half[-size:] for half in _merge_map(a - k, b))):
+            ranks.append(tuple(map(new.__getitem__, rs)))
+            gained = map(mul, ws, map(mult.__getitem__, rs))
+            weights.append(tuple(map(floordiv, gained, repeat(alpha.count(k)))))
+    return tuple(ranks), tuple(weights)
+
+
+def _merge_map(a: int, b: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """(ranks, weights) at alpha |- a and beta |- b, by rank: the rank of
+    alpha u beta in partitions_of(a + b), and z_(alpha u beta) / (z_alpha
+    z_beta). Cached, and capped as a table of degree a + b is."""
+    limits.check("ring", a + b)
+    return _cache.get(("merge", a, b), lambda: _merges(a, b))
+
+
 def _concat_mul(a: dict, b: dict) -> dict:
-    """Product in a basis multiplied by part concatenation (p, or h);
-    cancelled keys may stay as zeros."""
-    out: dict = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            key = tuple(sorted(ka + kb, reverse=True))
-            out[key] = out.get(key, 0) + ca * cb
+    """Product of power sums, p_alpha p_beta = p_(alpha u beta): in rank
+    space through the merge map up to the ring cap, above it sparse, merging
+    parts by sorting and listing no partition. Cancelled keys may stay as zeros."""
+    cap, out, dense = limits.current().ring, {}, {}
+    for da, ca in _by_degree(a).items():
+        for db, cb in _by_degree(b).items():
+            if da + db > cap:
+                for (ka, x), (kb, y) in product(ca.items(), cb.items()):
+                    key = tuple(sorted(ka + kb, reverse=True))
+                    out[key] = out.get(key, 0) + x * y
+                continue
+            acc = dense.setdefault(da + db, [0] * len(partitions_of(da + db)))
+            merged, ranks, ys = _merge_map(da, db)[0], partition_ranks(da), list(cb.values())
+            get = _gather(list(map(partition_ranks(db).__getitem__, cb)))
+            for ka, x in ca.items():
+                for r, y in zip(get(merged[ranks[ka]]), ys):
+                    acc[r] += x * y
+    for d, acc in dense.items():
+        out.update(compress(zip(partitions_of(d), acc), acc))
     return out
 
 
@@ -218,11 +287,11 @@ def _pairing_table(basis: str, degree: int) -> PairingTable:
         table = []
         for lam in lams:
             row, d = [0] * len(lams), degree - lam[0]
-            for beta, c in zip(partitions_of(d), _pairing(H, d)[partition_ranks(d)[lam[1:]]]):
-                for alpha in partitions_of(lam[0]) if c else ():
-                    mu = tuple(sorted(alpha + beta, reverse=True))
-                    # z_mu / (z_alpha z_beta) is a product of binomials
-                    row[ranks[mu]] += c * (z_value(mu) // (z_value(alpha) * z_value(beta)))
+            lower = _pairing(H, d)[partition_ranks(d)[lam[1:]]]
+            nonzero = [(j, c) for j, c in enumerate(lower) if c]
+            for rs, ws in zip(*_merge_map(lam[0], d)):  # one row per alpha |- lam_1
+                for j, c in nonzero:
+                    row[rs[j]] += c * ws[j]
             table.append(tuple(row))
         return tuple(table)
     if basis == S:
@@ -251,21 +320,22 @@ def _pairing_table(basis: str, degree: int) -> PairingTable:
         return tuple(table)
     if basis != M:
         raise ValueError(f"no pairing table is stored for basis {basis!r}")
-    # column mu is p_mu = p_(mu_1) p_(mu_2) ... in the h basis
-    newton = {k: _newton_in_h(k) for k in range(1, degree + 1)}
-    cols: dict[Partition, dict[Partition, int]] = {(): {(): 1}}
+    # column mu is p_mu = p_(mu_1) p_(mu_2) ... in the h basis, a dense vector
+    newton = {k: list(_newton_in_h(k).values()) for k in range(1, degree + 1)}
+    cols: dict[Partition, list[int]] = {(): [1]}
 
-    def column(mu: Partition) -> dict[Partition, int]:
+    def column(mu: Partition) -> list[int]:
         if mu not in cols:
-            cols[mu] = _concat_mul(newton[mu[0]], column(mu[1:]))
+            lower, d = column(mu[1:]), sum(mu)
+            cols[mu] = col = [0] * len(partitions_of(d))
+            for n, rs in zip(newton[mu[0]], _merge_map(mu[0], d - mu[0])[0]):
+                for r, c in compress(zip(rs, lower), lower):
+                    col[r] += n * c
         return cols[mu]
 
-    rows = [[0] * len(lams) for _ in lams]
-    for j, mu in enumerate(lams):
-        for lam, c in column(mu).items():
-            rows[ranks[lam]][j] = c
-    cols.clear()  # drop the column memo before the rows are copied
-    return tuple(map(tuple, rows))
+    table = tuple(zip(*map(column, lams)))
+    cols.clear()
+    return table
 
 
 def _pairing(basis: str, degree: int) -> PairingTable:
@@ -277,6 +347,27 @@ def _pairing(basis: str, degree: int) -> PairingTable:
 # The Hall dual of each basis other than p; that of e is omega(m), whose
 # table is the eps twist of the m table.
 _DUAL = {S: S, H: M, M: H, E: M}
+
+
+def _transition(basis: str, d: int, keys: list, to_p: bool, vecs: list) -> tuple[list, list]:
+    """(images, [T v for v in vecs]): T is the map between ``basis`` and p
+    at degree d, read at the columns of ``keys``, the partitions of d that
+    each v is over, and each T v is a list over the partitions ``images``.
+    To p, T is A_b transposed (A_p is z on the diagonal, and the 1 / z is
+    left to the caller); from p it is A_b*, since [b_lam] f is <f, b*_lam>.
+    e twists the p side of A_h (to p) or of A_m (from p). A p map is
+    diagonal and lists no partition."""
+    if basis == P:
+        return keys, [list(map(mul, v, map(z_value, keys))) for v in vecs] if to_p else vecs
+    table = _pairing((H if basis == E else basis) if to_p else _DUAL[basis], d)
+    at = list(map(partition_ranks(d).__getitem__, keys))
+    trows = list(zip(*map(table.__getitem__, at)) if to_p else map(_gather(at), table))
+    eps = _eps(d) if basis == E else None
+    if eps and not to_p:
+        signs = _gather(at)(eps)
+        vecs = [list(map(mul, v, signs)) for v in vecs]
+    outs = [[sum(map(mul, trow, v)) for trow in trows] for v in vecs]
+    return partitions_of(d), [list(map(mul, t, eps)) for t in outs] if eps and to_p else outs
 
 
 # --- elements ----------------------------------------------------------------
@@ -375,8 +466,8 @@ def one(basis: str = P) -> SymElement:
 def _p_ints(f: SymElement) -> tuple[int, dict[Partition, int]]:
     """The power sums of ``f`` in integers, (D, nums) with [p_mu] f =
     nums[mu] / D, nonzero entries only. Outside p, [p_mu] f is the sum over
-    lam of f_lam A_b[lam][mu] / z_mu: the rows of f's terms, dotted with its
-    coefficients a column at a time, times t! / z_mu, over t! (t the top degree)."""
+    lam of f_lam A_b[lam][mu] / z_mu: f's coefficients mapped to p by
+    _transition, times t! / z_mu, over t! (t the top degree)."""
     den, nums = _clear(f.terms)
     if f.basis == P:
         return den, nums
@@ -384,35 +475,22 @@ def _p_ints(f: SymElement) -> tuple[int, dict[Partition, int]]:
     top = max(chunks, default=0)
     out: dict[Partition, int] = {}
     for d, chunk in chunks.items():
-        table = _pairing(H if f.basis == E else f.basis, d)
-        ranks = partition_ranks(d)
-        coeffs, rows = list(chunk.values()), [table[ranks[lam]] for lam in chunk]
-        acc = [sum(map(mul, coeffs, col)) for col in zip(*rows)]
-        lams = partitions_of(d)
-        scale = _class_sizes(top, lams)
-        if f.basis == E:
-            scale = map(mul, scale, _eps(d))
-        vals = list(map(mul, acc, scale))
+        lams, (acc,) = _transition(f.basis, d, list(chunk), True, [list(chunk.values())])
+        vals = list(map(mul, acc, _class_sizes(top, lams)))
         out.update(compress(zip(lams, vals), vals))
     return den * factorial(top), out
 
 
 def _from_p_ints(basis: str, den: int, nums: dict[Partition, int]) -> SymElement:
-    """Re-express (den, nums) in ``basis``: [b_lam] f is <f, b*_lam> =
-    sum over mu of [p_mu] f A_b*[lam][mu], one dot per dual row over the
-    positions of the nonzero p_mu, and one Fraction per nonzero
+    """Re-express (den, nums) in ``basis`` by _transition, one dot per dual
+    row over the positions of the nonzero p_mu, and one Fraction per nonzero
     coefficient."""
     if basis == P:
         return SymElement(P, {mu: Fraction(n, den) for mu, n in nums.items()})
     out: dict[Partition, Fraction] = {}
     for d, chunk in _by_degree(nums).items():
-        table = _pairing(_DUAL[basis], d)
-        at = list(map(partition_ranks(d).__getitem__, chunk))
-        get = itemgetter(*at) if len(at) > 1 else lambda row: (row[at[0]],)  # a tuple
-        vals = [n * _omega_sign(mu) for mu, n in chunk.items()] if basis == E else list(chunk.values())
-        for lam, row in zip(partitions_of(d), table):
-            if v := sum(map(mul, get(row), vals)):
-                out[lam] = Fraction(v, den)
+        lams, (vals,) = _transition(basis, d, list(chunk), False, [list(chunk.values())])
+        out.update((lam, Fraction(v, den)) for lam, v in compress(zip(lams, vals), vals))
     return SymElement(basis, out)
 
 
@@ -448,23 +526,19 @@ def omega(f: SymElement) -> SymElement:
 def _skew_p(mu: Partition, nums: dict[Partition, int]) -> dict[Partition, int]:
     """s_mu^perp on power-sum coefficients over a common denominator, which
     the result keeps: [p_beta] s_mu^perp f is the sum over alpha |- |mu| of
-    <s_mu, p_alpha> z_(alpha + beta) / (z_alpha z_beta) [p_(alpha + beta)] f,
-    the weight a product of binomials. Degrees below |mu| drop out, and the
-    s row of mu is read only if a degree reaches it."""
+    <s_mu, p_alpha> z_(alpha u beta) / (z_alpha z_beta) [p_(alpha u beta)] f,
+    a weight of the merge map (|mu|, |beta|). Degrees below |mu| drop out,
+    and the s row of mu is read only if a degree reaches it."""
     m = sum(mu)
     out: dict[Partition, int] = {}
     for d in {d for d in map(sum, nums) if d >= m}:
         row = _pairing(S, m)[partition_ranks(m)[mu]]
-        alphas = [(alpha, c, z_value(alpha)) for alpha, c in zip(partitions_of(m), row) if c]
-        for beta in partitions_of(d - m):
-            zb = z_value(beta)
-            v = 0
-            for alpha, c, za in alphas:
-                rho = tuple(sorted(alpha + beta, reverse=True))
-                if n := nums.get(rho):
-                    v += c * n * (z_value(rho) // (za * zb))
-            if v:
-                out[beta] = v
+        merged = zip(row, *_merge_map(m, d - m))
+        vec, acc = list(map(nums.get, partitions_of(d), repeat(0))), [0] * len(partitions_of(d - m))
+        # one pass per alpha gathers [p_(alpha u beta)] f for every beta
+        for c, rs, ws in compress(merged, row):
+            acc = list(map(add, acc, map(mul, repeat(c), map(mul, ws, map(vec.__getitem__, rs)))))
+        out.update(compress(zip(partitions_of(d - m), acc), acc))
     return out
 
 

@@ -476,6 +476,15 @@ def test_bad_composition_keeps_its_wording(capsys, argv, err):
     assert run(capsys, *argv) == (1, "", err)
 
 
+@pytest.mark.parametrize("argv, err", [
+    (("schur-weyl", "4", "-1"), "error: n and m must be >= 0\n"),
+    (("schur-weyl", "-1", "3"), "error: n and m must be >= 0\n"),
+    (("schur-weyl", "7", "1"), "error: the Schur-Weyl check is supported for n, m <= 6\n"),
+])
+def test_schur_weyl_out_of_range_says_which_bound(capsys, argv, err):
+    assert run(capsys, *argv) == (1, "", err)
+
+
 def test_empty_at_word_is_the_identity_of_s0(capsys):
     """--at '' is the empty word, not an absent --at."""
     assert run(capsys, "rep", "young", "()", "--at", "") == (0, "1\n", "")

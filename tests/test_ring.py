@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import random
+import sys
 import threading
 from fractions import Fraction
 from itertools import product
@@ -669,6 +670,9 @@ def test_power_sums_above_the_cap_stay_sparse(monkeypatch):
              for (lam, mu), c in hopf.coproduct_sum(p(100)).terms.items()]
     assert sum(pairs) == 100  # <Delta p_100, p_100 x 1>
     assert hopf.plethysm(p(2), p(50)).terms == {(100,): 1}
+    # factors below the cap whose product is above it stay sparse too
+    assert multiply(p(15) + p(2, 1), p(10)).terms == {(15, 10): 1, (10, 2, 1): 1}
+    assert hopf.plethysm(p(3), p(7)).terms == {(21,): 1}
     mixed = hopf.tensor_element((P, S), {((100,), (1,)): 3})
     assert hopf.tensor_convert(mixed, (P, P)).terms == {((100,), (1,)): 3}
     assert mixed == hopf.tensor_element((P, P), {((100,), (1,)): 3})
@@ -738,6 +742,52 @@ def test_transition_cache_concurrent_and_once(monkeypatch):
     assert len(tables) == 8 and all(t is tables[0] for t in tables)
     # every s table up to 11 exactly once, and no h, e or m table
     assert fresh.compute_counts == {("pairing", S, d): 1 for d in range(12)}
+
+
+def test_once_cache_drops_each_lock_once_its_value_is_published():
+    """A key whose value is published keeps no lock, also under concurrent
+    first reads; a failed compute keeps its one lock, so its waiters queue
+    behind it, and the retry that succeeds drops it."""
+    from symfunc import ring
+
+    cache = ring._OnceCache()
+    for key in range(50):
+        assert cache.get(key, lambda key=key: key * key) == key * key
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _concurrently(lambda: [cache.get(("k", i), lambda i=i: -i) for i in range(200)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [[-i for i in range(200)]] * 8
+    assert cache._locks == {}
+    assert cache.compute_counts == {**dict.fromkeys(range(50), 1),
+                                    **{("k", i): 1 for i in range(200)}}
+
+    def fail():
+        raise ValueError("no value")
+
+    with pytest.raises(ValueError):
+        cache.get("x", fail)
+    assert list(cache._locks) == ["x"] and "x" not in cache.compute_counts
+    assert cache.get("x", lambda: 7) == 7 and cache._locks == {}
+
+
+def test_merge_map_is_the_sorted_union_with_its_z_weight():
+    """Every merge map with a + b <= 12 holds, at (alpha, beta), the rank of
+    the sorted concatenation and z_(alpha u beta) / (z_alpha z_beta)."""
+    from symfunc import ring
+
+    for n in range(13):
+        ranks = partition_ranks(n)
+        for a in range(n + 1):
+            want = []
+            for alpha in partitions_of(a):
+                unions = [tuple(sorted(alpha + beta, reverse=True)) for beta in partitions_of(n - a)]
+                want.append((tuple(ranks[rho] for rho in unions), tuple(
+                    z_value(rho) // (z_value(alpha) * z_value(beta))
+                    for rho, beta in zip(unions, partitions_of(n - a)))))
+            assert list(zip(*ring._merge_map(a, n - a))) == want, (a, n - a)
 
 
 def test_e_reads_the_h_and_m_tables_and_builds_none_of_its_own(monkeypatch):
