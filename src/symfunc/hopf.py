@@ -9,12 +9,9 @@ rational in a chosen basis pair, with arithmetic implemented only as far
 as the coproducts and the Cauchy kernel need.
 
 Every operation reads power sums in ring's integer handoff, (D, nums)
-over one denominator: _p_ints for an element, _pp_ints for a tensor. A
-tensor's legs are mapped one (left degree, right degree) block at a time:
-the block is one dense matrix over the partitions present on each leg, and
-each leg is one pass of dots with the rows of its pairing table (a p leg of
-any degree stays sparse: its map is diagonal). Products in plethysm go
-through ring's merge map. One Fraction is built per output coefficient.
+over one denominator: _p_ints for an element, _pp_ints for a tensor, whose
+legs are mapped one (left degree, right degree) block at a time, as a dense
+matrix. One Fraction is built per output coefficient.
 """
 
 from __future__ import annotations
@@ -115,10 +112,9 @@ def tensor_element(bases, terms) -> TensorElement:
 
 
 def _map_legs(nums: dict[PairKey, int], bases, to_p: bool) -> dict[PairKey, int]:
-    """Both legs of an integer tensor mapped, one (left degree, right
-    degree) block at a time: the block is one dense matrix over the
-    partitions present on each leg, and two passes of ring's _transition
-    map its left leg and then its right one. Zeros are left out."""
+    """Both legs of an integer tensor mapped, one (left degree, right degree)
+    block at a time, a dense matrix over the partitions present on each leg:
+    _transition maps its left leg, then its right one. Zeros are left out."""
     blocks: dict[tuple[int, int], dict] = {}  # per block, the row over the lefts of each right
     for (lam, mu), n in nums.items():
         blocks.setdefault((sum(lam), sum(mu)), {}).setdefault(mu, {})[lam] = n

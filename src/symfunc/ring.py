@@ -38,13 +38,10 @@ a partial table and each (basis, degree) table is computed at most once.
 _skew_p applies s_mu^perp to those power sums; perp is its one public route,
 skew_schur is perp(mu, s_lam), and LR dots its s_lam image with s_nu's row.
 
-Every union of partitions (the product p_alpha p_beta = p_(alpha u beta),
-the h rows, the m columns and _skew_p) is read in rank space from the
-cached merge map (a, b): for alpha |- a and beta |- b by rank, the rank of
-alpha u beta in partitions_of(a + b) and z_(alpha u beta) / (z_alpha z_beta),
-built by inserting parts, never by sorting. Rank space lists
-partitions_of(a + b), so it serves only degrees within the active ring cap;
-above it power sums stay sparse and a product merges its parts by sorting.
+Every union of partitions (p_alpha p_beta = p_(alpha u beta), the h rows,
+the m columns, _skew_p) is read in rank space from the cached merge map,
+built by inserting parts. Rank space lists partitions_of(a + b), so it
+serves only degrees within the ring cap; above it a product stays sparse.
 """
 
 from __future__ import annotations
@@ -172,17 +169,15 @@ def _insertions(k: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """For each nu |- m by rank: the rank of nu u (k) in partitions_of(m + k),
     k placed after the parts >= k, and m_k(nu) + 1, the multiplicity of k there."""
     ranks, nus = partition_ranks(m + k), partitions_of(m)
-    cuts = [sum(p >= k for p in nu) for nu in nus]
-    return (tuple(ranks[nu[:i] + (k,) + nu[i:]] for nu, i in zip(nus, cuts)),
-            tuple(nu.count(k) + 1 for nu in nus))
+    new = (ranks[nu[:i] + (k,) + nu[i:]] for nu in nus for i in [sum(p >= k for p in nu)])
+    return tuple(new), tuple(nu.count(k) + 1 for nu in nus)
 
 
 def _merges(a: int, b: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The merge map (a, b): for a > b the transpose of the map (b, a), which
-    has fewer, longer rows; else row alpha inserts k = alpha_1 into row
-    alpha[1:] of the map (a - k, b), and the weight gains the factor
-    (m_k(alpha[1:] u beta) + 1) / m_k(alpha). The alpha with alpha_1 = k are
-    one block of partitions_of(a), their rests the last of a - k, in order."""
+    """The merge map (a, b): for a > b the transpose of the map (b, a); else
+    row alpha inserts k = alpha_1 into row alpha[1:] of the map (a - k, b)
+    (the alpha with alpha_1 = k read its last rows, in order), and the
+    weight gains the factor (m_k(alpha[1:] u beta) + 1) / m_k(alpha)."""
     if a > b:
         return tuple(tuple(zip(*half)) for half in _merge_map(b, a))
     if not a:
@@ -206,9 +201,8 @@ def _merge_map(a: int, b: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 
 def _concat_mul(a: dict, b: dict) -> dict:
-    """Product of power sums, p_alpha p_beta = p_(alpha u beta): in rank
-    space through the merge map up to the ring cap, above it sparse, merging
-    parts by sorting and listing no partition. Cancelled keys may stay as zeros."""
+    """p_alpha p_beta = p_(alpha u beta) on power sums: by the merge map up to
+    the ring cap; above it sparse, by sorting. Cancelled keys may stay as zeros."""
     cap, out, dense = limits.current().ring, {}, {}
     for da, ca in _by_degree(a).items():
         for db, cb in _by_degree(b).items():
@@ -288,9 +282,8 @@ def _pairing_table(basis: str, degree: int) -> PairingTable:
         for lam in lams:
             row, d = [0] * len(lams), degree - lam[0]
             lower = _pairing(H, d)[partition_ranks(d)[lam[1:]]]
-            nonzero = [(j, c) for j, c in enumerate(lower) if c]
             for rs, ws in zip(*_merge_map(lam[0], d)):  # one row per alpha |- lam_1
-                for j, c in nonzero:
+                for j, c in compress(enumerate(lower), lower):
                     row[rs[j]] += c * ws[j]
             table.append(tuple(row))
         return tuple(table)
@@ -350,13 +343,11 @@ _DUAL = {S: S, H: M, M: H, E: M}
 
 
 def _transition(basis: str, d: int, keys: list, to_p: bool, vecs: list) -> tuple[list, list]:
-    """(images, [T v for v in vecs]): T is the map between ``basis`` and p
-    at degree d, read at the columns of ``keys``, the partitions of d that
-    each v is over, and each T v is a list over the partitions ``images``.
-    To p, T is A_b transposed (A_p is z on the diagonal, and the 1 / z is
-    left to the caller); from p it is A_b*, since [b_lam] f is <f, b*_lam>.
-    e twists the p side of A_h (to p) or of A_m (from p). A p map is
-    diagonal and lists no partition."""
+    """(images, [T v for v in vecs]), each v over ``keys`` (partitions of d)
+    and each T v over ``images``. T maps ``basis`` to p at degree d by A_b
+    transposed (z for p; the 1 / z is left to the caller), or from p by A_b*,
+    since [b_lam] f is <f, b*_lam>; e twists the p side of A_h or A_m. A p
+    map is diagonal and lists no partition."""
     if basis == P:
         return keys, [list(map(mul, v, map(z_value, keys))) for v in vecs] if to_p else vecs
     table = _pairing((H if basis == E else basis) if to_p else _DUAL[basis], d)
@@ -485,8 +476,6 @@ def _from_p_ints(basis: str, den: int, nums: dict[Partition, int]) -> SymElement
     """Re-express (den, nums) in ``basis`` by _transition, one dot per dual
     row over the positions of the nonzero p_mu, and one Fraction per nonzero
     coefficient."""
-    if basis == P:
-        return SymElement(P, {mu: Fraction(n, den) for mu, n in nums.items()})
     out: dict[Partition, Fraction] = {}
     for d, chunk in _by_degree(nums).items():
         lams, (vals,) = _transition(basis, d, list(chunk), False, [list(chunk.values())])

@@ -773,6 +773,21 @@ def test_once_cache_drops_each_lock_once_its_value_is_published():
     assert cache.get("x", lambda: 7) == 7 and cache._locks == {}
 
 
+def test_merge_maps_concurrent_and_once(monkeypatch):
+    """Concurrent products at a fresh cache agree, build each merge and
+    insertion map they read exactly once, and leave no lock behind."""
+    from symfunc import ring
+
+    fresh = ring._OnceCache()
+    monkeypatch.setattr(ring, "_cache", fresh)
+    f, g = sym_element(P, {lam: 1 for lam in partitions_of(9)}), basis_element(P, (5, 3))
+    results = _concurrently(lambda: multiply(g, f))
+    assert all(r == results[0] for r in results)
+    assert ("merge", 8, 9) in fresh.compute_counts and ("merge", 9, 8) not in fresh.compute_counts
+    assert {key[0] for key in fresh.compute_counts} == {"merge", "insert"}
+    assert set(fresh.compute_counts.values()) == {1} and fresh._locks == {}
+
+
 def test_merge_map_is_the_sorted_union_with_its_z_weight():
     """Every merge map with a + b <= 12 holds, at (alpha, beta), the rank of
     the sorted concatenation and z_(alpha u beta) / (z_alpha z_beta)."""
