@@ -788,6 +788,30 @@ def test_merge_maps_concurrent_and_once(monkeypatch):
     assert set(fresh.compute_counts.values()) == {1} and fresh._locks == {}
 
 
+def test_no_union_below_the_cap_is_merged_by_sorting(monkeypatch):
+    """Table builds, products, plethysm and s_mu^perp within the ring cap
+    read every union from the merge map; ring's sort serves only products
+    above the cap."""
+    from symfunc import hopf, ring
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("sorted a union below the cap")
+
+    monkeypatch.setattr(ring, "_cache", ring._OnceCache())
+    monkeypatch.setattr(ring, "sorted", no_sort, raising=False)
+    for d in range(9):
+        for basis in (H, M):
+            ring._pairing(basis, d)
+    rng = random.Random(23)
+    f, g = random_element(rng, max_degree=6), random_element(rng, max_degree=6)
+    multiply(f, g)
+    hopf.plethysm(basis_element(H, (2,)), g)
+    perp((2, 1), f)
+    skew_schur((4, 2, 1), (2, 1))
+    with pytest.raises(AssertionError, match="sorted a union"):
+        multiply(basis_element(P, (15,)), basis_element(P, (10,)))
+
+
 def test_merge_map_is_the_sorted_union_with_its_z_weight():
     """Every merge map with a + b <= 12 holds, at (alpha, beta), the rank of
     the sorted concatenation and z_(alpha u beta) / (z_alpha z_beta)."""
