@@ -351,8 +351,10 @@ def _transition(basis: str, d: int, keys: list, to_p: bool, vecs: list) -> tuple
     if basis == P:
         return keys, [list(map(mul, v, map(z_value, keys))) for v in vecs] if to_p else vecs
     table = _pairing((H if basis == E else basis) if to_p else _DUAL[basis], d)
-    at = list(map(partition_ranks(d).__getitem__, keys))
-    trows = list(zip(*map(table.__getitem__, at)) if to_p else map(_gather(at), table))
+    ranks = partition_ranks(d)
+    at = [ranks[k] for k in keys]
+    trows = zip(*map(table.__getitem__, at)) if to_p else map(_gather(at), table)
+    trows = list(trows) if len(vecs) > 1 else trows  # read once per vector
     eps = _eps(d) if basis == E else None
     if eps and not to_p:
         signs = _gather(at)(eps)
@@ -476,6 +478,8 @@ def _from_p_ints(basis: str, den: int, nums: dict[Partition, int]) -> SymElement
     """Re-express (den, nums) in ``basis`` by _transition, one dot per dual
     row over the positions of the nonzero p_mu, and one Fraction per nonzero
     coefficient."""
+    if basis == P:
+        return SymElement(P, {mu: Fraction(n, den) for mu, n in nums.items()})
     out: dict[Partition, Fraction] = {}
     for d, chunk in _by_degree(nums).items():
         lams, (vals,) = _transition(basis, d, list(chunk), False, [list(chunk.values())])
