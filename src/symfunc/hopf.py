@@ -11,7 +11,8 @@ as the coproducts and the Cauchy kernel need.
 Every operation reads power sums in ring's integer handoff, (D, nums)
 over one denominator: _p_ints for an element, _pp_ints for a tensor, whose
 legs are mapped one (left degree, right degree) block at a time, as a dense
-matrix. One Fraction is built per output coefficient.
+matrix; plethysm multiplies by ring's merge map within the ring cap, and
+sparse above it. One Fraction is built per output coefficient.
 """
 
 from __future__ import annotations
@@ -112,9 +113,8 @@ def tensor_element(bases, terms) -> TensorElement:
 
 
 def _map_legs(nums: dict[PairKey, int], bases, to_p: bool) -> dict[PairKey, int]:
-    """Both legs of an integer tensor mapped, one (left degree, right degree)
-    block at a time, a dense matrix over the partitions present on each leg:
-    _transition maps its left leg, then its right one. Zeros are left out."""
+    """Both legs of an integer tensor mapped by _transition, left then right, one
+    (left degree, right degree) block at a time, as a dense matrix. Zeros are left out."""
     blocks: dict[tuple[int, int], dict] = {}  # per block, the row over the lefts of each right
     for (lam, mu), n in nums.items():
         blocks.setdefault((sum(lam), sum(mu)), {}).setdefault(mu, {})[lam] = n

@@ -38,10 +38,9 @@ a partial table and each (basis, degree) table is computed at most once.
 _skew_p applies s_mu^perp to those power sums; perp is its one public route,
 skew_schur is perp(mu, s_lam), and LR dots its s_lam image with s_nu's row.
 
-Every union of partitions (p_alpha p_beta = p_(alpha u beta), the h rows,
-the m columns, _skew_p) is read in rank space from the cached merge map,
-built by inserting parts. Rank space lists partitions_of(a + b), so it
-serves only degrees within the ring cap; above it a product stays sparse.
+Every union of partitions (products, the h rows and m columns, _skew_p) is
+read from the cached merge map, in rank space: that lists partitions_of(a + b),
+so only within the ring cap; above it a product stays sparse and sorts parts.
 """
 
 from __future__ import annotations
@@ -166,8 +165,7 @@ def _gather(at: list[int]):
 
 
 def _insertions(k: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """For each nu |- m by rank: the rank of nu u (k) in partitions_of(m + k),
-    k placed after the parts >= k, and m_k(nu) + 1, the multiplicity of k there."""
+    """For each nu |- m by rank: the rank of nu u (k) in partitions_of(m + k), and m_k(nu) + 1."""
     ranks, nus = partition_ranks(m + k), partitions_of(m)
     new = (ranks[nu[:i] + (k,) + nu[i:]] for nu in nus for i in [sum(p >= k for p in nu)])
     return tuple(new), tuple(nu.count(k) + 1 for nu in nus)
@@ -193,9 +191,8 @@ def _merges(a: int, b: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 
 def _merge_map(a: int, b: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """(ranks, weights) at alpha |- a and beta |- b, by rank: the rank of
-    alpha u beta in partitions_of(a + b), and z_(alpha u beta) / (z_alpha
-    z_beta). Cached, and capped as a table of degree a + b is."""
+    """(ranks, weights) at alpha |- a, beta |- b by rank: the rank of alpha u beta in
+    partitions_of(a + b) and z_(alpha u beta) / (z_alpha z_beta); capped as a table is."""
     limits.check("ring", a + b)
     return _cache.get(("merge", a, b), lambda: _merges(a, b))
 
@@ -351,8 +348,7 @@ def _transition(basis: str, d: int, keys: list, to_p: bool, vecs: list) -> tuple
     if basis == P:
         return keys, [list(map(mul, v, map(z_value, keys))) for v in vecs] if to_p else vecs
     table = _pairing((H if basis == E else basis) if to_p else _DUAL[basis], d)
-    ranks = partition_ranks(d)
-    at = [ranks[k] for k in keys]
+    at = list(map(partition_ranks(d).__getitem__, keys))
     trows = zip(*map(table.__getitem__, at)) if to_p else map(_gather(at), table)
     trows = list(trows) if len(vecs) > 1 else trows  # read once per vector
     eps = _eps(d) if basis == E else None
