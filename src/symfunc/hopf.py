@@ -17,13 +17,10 @@ sparse above it. One Fraction is built per output coefficient.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from itertools import chain, compress, repeat
-from itertools import product as _cartesian
-from math import comb, factorial, prod
+from math import factorial
 
-from . import limits
 from ._record import Record
 from .partitions import Partition, as_partition, format_partition, z_value
 from .ring import (
@@ -34,12 +31,12 @@ from .ring import (
     S,
     SymElement,
     _add_scaled,
-    _cache,
     _clear,
     _concat_mul,
     _format_terms,
     _nonzero,
     _p_ints,
+    _sum_coproduct_of_p,
     _transition,
     basis_element,
     format_coeff,
@@ -155,26 +152,6 @@ def tensor_convert(t: TensorElement, bases) -> TensorElement:
 
 
 # --- the two coproducts -------------------------------------------------------
-
-
-def _sum_coproduct_of_p(lam: Partition) -> dict[PairKey, int]:
-    """_split_p(lam), memoized per partition up to the ring cap."""
-    if sum(lam) > limits.current().ring:
-        return _split_p(lam)
-    return _cache.get(("coproduct", lam), lambda: _split_p(lam))
-
-
-def _split_p(lam: Partition) -> dict[PairKey, int]:
-    """Coproduct of p_lam under p_n -> p_n x 1 + 1 x p_n: each sub-multiset
-    alpha of the parts goes left, the rest beta right, with multiplicity
-    z_lam / (z_alpha z_beta), a product of binomials."""
-    mult = Counter(lam)  # keys in decreasing order, as the parts of lam
-    out: dict[PairKey, int] = {}
-    for ks in _cartesian(*(range(m + 1) for m in mult.values())):
-        alpha = tuple(v for v, k in zip(mult, ks) for _ in range(k))
-        beta = tuple(v for (v, m), k in zip(mult.items(), ks) for _ in range(m - k))
-        out[(alpha, beta)] = prod(comb(m, k) for m, k in zip(mult.values(), ks))
-    return out
 
 
 def coproduct_sum(f: SymElement) -> TensorElement:

@@ -235,21 +235,14 @@ def classical_rep(kind: str, n: int) -> MatrixRep:
             n, len(basis), lambda pi: [index[compose(pi, h)] for h in basis],
             f"regular(S_{n})",
         )
-    if kind == "standard":
-        dim = n - 1
-
-        def fn(pi):
-            cols = []
-            for j in range(2, n + 1):
-                vec = [0] * dim
-                if pi[j - 1] != 1:
-                    vec[pi[j - 1] - 2] += 1
-                if pi[0] != 1:
-                    vec[pi[0] - 2] -= 1
-                cols.append(vec)
-            return tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim))
-
-        return MatrixRep(n, dim, fn, label=f"standard(S_{n})")
+    if kind == "standard":  # on the basis e_j - e_1, j = 2..n: pi sends it to e_pi(j) - e_pi(1)
+        return MatrixRep(
+            n, n - 1,
+            lambda pi: tuple(tuple((pi[j - 1] == i) - (pi[0] == i) for j in range(2, n + 1))
+                             for i in range(2, n + 1)),
+            label=f"standard(S_{n})",
+            _trace_fn=lambda pi: sum(v == i for i, v in enumerate(pi, 1)) - 1,
+        )
     raise ValueError(f"unknown classical representation {kind!r}")
 
 

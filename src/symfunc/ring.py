@@ -33,8 +33,12 @@ nonzero p_mu, so p input of any degree stays sparse and only a degree that
 meets a table is enumerated, after its cap check), multiply them by the
 table rows they touch in C-level sum(map(mul, ..)) dots, and build one
 Fraction per output coefficient, at the public return.
-The per-degree cache is compute-then-publish: concurrent readers never see
-a partial table and each (basis, degree) table is computed at most once.
+Every memo in this module is one family of keys in _cache, built within
+the ring cap: the pairing tables, the merge and insertion maps below, and
+the sum coproduct of each p_lam. The cache is compute-then-publish under
+one reentrant lock: readers never see a partial value and each key is
+computed at most once, provided no compute waits on another thread that
+reads the cache.
 _skew_p applies s_mu^perp to those power sums; perp is its one public route,
 skew_schur is perp(mu, s_lam), and LR dots its s_lam image with s_nu's row.
 
@@ -49,7 +53,7 @@ import threading
 from collections import Counter
 from fractions import Fraction
 from itertools import compress, product, repeat
-from math import factorial, lcm, prod
+from math import comb, factorial, lcm, prod
 from operator import add, floordiv, itemgetter, mul, sub
 
 from . import limits
@@ -75,13 +79,15 @@ PairingTable = tuple[tuple[int, ...], ...]
 
 
 class _OnceCache:
-    """Thread-safe memo: at most one computation per key, readers see only
-    fully built values."""
+    """Thread-safe memo: each key computed at most once, and readers see only
+    fully built values, read without a lock. A missing value is computed under
+    the cache's one reentrant lock, so a build may read other keys (an s table
+    reads smaller ones); no compute may wait on another thread that reads
+    this cache. A failed compute publishes nothing."""
 
     def __init__(self):
         self._data: dict = {}
-        self._locks: dict = {}
-        self._guard = threading.Lock()
+        self._lock = threading.RLock()
         self.compute_counts: dict = {}
 
     def get(self, key, compute):
@@ -89,17 +95,11 @@ class _OnceCache:
             return self._data[key]
         except KeyError:
             pass
-        with self._guard:
-            if key in self._data:  # published, and its lock dropped, meanwhile
-                return self._data[key]
-            lock = self._locks.setdefault(key, threading.Lock())
-        with lock:
+        with self._lock:
             if key not in self._data:
                 value = compute()
                 self.compute_counts[key] = self.compute_counts.get(key, 0) + 1
                 self._data[key] = value
-                with self._guard:  # a failed compute keeps it, for its waiters to queue on
-                    del self._locks[key]
             return self._data[key]
 
 
@@ -216,6 +216,26 @@ def _concat_mul(a: dict, b: dict) -> dict:
                     acc[r] += x * y
     for d, acc in dense.items():
         out.update(compress(zip(partitions_of(d), acc), acc))
+    return out
+
+
+def _sum_coproduct_of_p(lam: Partition) -> dict[tuple[Partition, Partition], int]:
+    """_split_p(lam), memoized per partition up to the ring cap."""
+    if sum(lam) > limits.current().ring:
+        return _split_p(lam)
+    return _cache.get(("coproduct", lam), lambda: _split_p(lam))
+
+
+def _split_p(lam: Partition) -> dict[tuple[Partition, Partition], int]:
+    """Coproduct of p_lam under p_n -> p_n x 1 + 1 x p_n: each sub-multiset
+    alpha of the parts goes left, the rest beta right, with multiplicity
+    z_lam / (z_alpha z_beta), a product of binomials."""
+    mult = Counter(lam)  # keys in decreasing order, as the parts of lam
+    out: dict[tuple[Partition, Partition], int] = {}
+    for ks in product(*(range(m + 1) for m in mult.values())):
+        alpha = tuple(v for v, k in zip(mult, ks) for _ in range(k))
+        beta = tuple(v for (v, m), k in zip(mult.items(), ks) for _ in range(m - k))
+        out[(alpha, beta)] = prod(comb(m, k) for m, k in zip(mult.values(), ks))
     return out
 
 

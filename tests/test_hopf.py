@@ -402,11 +402,10 @@ def test_integer_tensor_pass_matches_per_partner_oracle_in_all_pairs():
 def test_same_bases_tensor_equality_compares_terms_and_builds_no_table(monkeypatch):
     """Tensors in one basis pair are equal term by term, with no table built;
     mixed pairs still compare in (p, p)."""
-    from symfunc import hopf, ring
+    from symfunc import ring
 
     fresh = ring._OnceCache()
     monkeypatch.setattr(ring, "_cache", fresh)
-    monkeypatch.setattr(hopf, "_cache", fresh)
     t = tensor_element((S, H), {((21,), (1,)): 1, ((3,), ()): Fraction(-1, 2)})
     assert t == tensor_element((S, H), {((3,), ()): Fraction(-1, 2), ((21,), (1,)): 1})
     assert t != 2 * t and TensorElement((S, H), {**t.terms, ((2,), (2,)): 0}) == t

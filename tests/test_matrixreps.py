@@ -6,7 +6,6 @@ import sys
 import threading
 import time
 from collections import Counter
-from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, factorial
 from pathlib import Path
@@ -50,7 +49,6 @@ from symfunc.partitions import (
     all_permutations,
     class_representative,
     compose,
-    cycle_type,
     identity_perm,
     inverse_perm,
     partitions_of,
@@ -610,21 +608,6 @@ def test_young_classes_match_brute_force_classes():
     assert count == 63
     with pytest.raises(ValueError):
         young_classes((2, 0))
-
-
-def test_frobenius_reciprocity_young_subgroups_of_s4():
-    for comp in partitions_of(4):
-        sub = SubgroupSpec.young(comp)
-        for base_maker in (trivial_of, sign_of):
-            y = base_maker(sub)
-            ind_chi = character_of(induce(y, 4))
-            for lam in partitions_of(4):
-                lhs = char_inner(ind_chi, class_function(4, character_row(lam)))
-                rhs = Fraction(
-                    sum(y.matrix(h)[0][0] * character(lam, cycle_type(h)) for h in sub.elements),
-                    sub.order,
-                )
-                assert lhs == rhs
 
 
 def outer_tensor_on_young(mu, nu):

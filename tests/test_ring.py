@@ -744,10 +744,9 @@ def test_transition_cache_concurrent_and_once(monkeypatch):
     assert fresh.compute_counts == {("pairing", S, d): 1 for d in range(12)}
 
 
-def test_once_cache_drops_each_lock_once_its_value_is_published():
-    """A key whose value is published keeps no lock, also under concurrent
-    first reads; a failed compute keeps its one lock, so its waiters queue
-    behind it, and the retry that succeeds drops it."""
+def test_once_cache_computes_each_key_once_and_publishes_no_failure():
+    """Each key is computed once, also under concurrent first reads; a failed
+    compute publishes and counts nothing, and the retry computes once."""
     from symfunc import ring
 
     cache = ring._OnceCache()
@@ -760,7 +759,6 @@ def test_once_cache_drops_each_lock_once_its_value_is_published():
     finally:
         sys.setswitchinterval(interval)
     assert got == [[-i for i in range(200)]] * 8
-    assert cache._locks == {}
     assert cache.compute_counts == {**dict.fromkeys(range(50), 1),
                                     **{("k", i): 1 for i in range(200)}}
 
@@ -769,13 +767,13 @@ def test_once_cache_drops_each_lock_once_its_value_is_published():
 
     with pytest.raises(ValueError):
         cache.get("x", fail)
-    assert list(cache._locks) == ["x"] and "x" not in cache.compute_counts
-    assert cache.get("x", lambda: 7) == 7 and cache._locks == {}
+    assert "x" not in cache._data and "x" not in cache.compute_counts
+    assert cache.get("x", lambda: 7) == 7 and cache.compute_counts["x"] == 1
 
 
 def test_merge_maps_concurrent_and_once(monkeypatch):
-    """Concurrent products at a fresh cache agree, build each merge and
-    insertion map they read exactly once, and leave no lock behind."""
+    """Concurrent products at a fresh cache agree and build each merge and
+    insertion map they read exactly once."""
     from symfunc import ring
 
     fresh = ring._OnceCache()
@@ -785,7 +783,65 @@ def test_merge_maps_concurrent_and_once(monkeypatch):
     assert all(r == results[0] for r in results)
     assert ("merge", 8, 9) in fresh.compute_counts and ("merge", 9, 8) not in fresh.compute_counts
     assert {key[0] for key in fresh.compute_counts} == {"merge", "insert"}
-    assert set(fresh.compute_counts.values()) == {1} and fresh._locks == {}
+    assert set(fresh.compute_counts.values()) == {1}
+
+
+def test_sum_coproducts_concurrent_and_once(monkeypatch):
+    """Concurrent sum coproducts of one dense degree-8 element at a fresh
+    cache agree and compute each s table and each ("coproduct", lam) key
+    they read exactly once."""
+    from symfunc import hopf, ring
+
+    fresh = ring._OnceCache()
+    monkeypatch.setattr(ring, "_cache", fresh)
+    f = sym_element(S, {lam: i + 1 for i, lam in enumerate(partitions_of(8))})
+    start, interval = threading.Barrier(8), sys.getswitchinterval()
+
+    def delta():
+        start.wait()  # all eight threads miss the cache together
+        return hopf.coproduct_sum(f)
+
+    sys.setswitchinterval(1e-6)
+    try:
+        results = _concurrently(delta)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r.terms == results[0].terms for r in results)
+    lams = ring._p_ints(f)[1]
+    assert len(lams) == len(partitions_of(8))
+    assert fresh.compute_counts == {**{("pairing", S, d): 1 for d in range(9)},
+                                    **{("coproduct", lam): 1 for lam in lams}}
+
+
+def test_every_cache_key_is_a_ring_family_within_the_cap(monkeypatch):
+    """convert, multiply, plethysm, perp and the sum coproduct at the default
+    cap leave only pairing, merge, insertion and coproduct keys in ring's
+    cache, each of a degree within the ring cap; input above the cap adds
+    no key."""
+    from symfunc import hopf, ring
+
+    fresh = ring._OnceCache()
+    monkeypatch.setattr(ring, "_cache", fresh)
+    rng = random.Random(24)
+    f, g = random_element(rng, max_degree=8), random_element(rng, max_degree=6)
+    for basis in BASES:
+        convert(f, basis)
+    multiply(f, g)
+    multiply(basis_element(P, (15,)) + basis_element(P, (2, 1)), basis_element(P, (5,)))
+    hopf.plethysm(basis_element(H, (2,)), g)
+    perp((2, 1), f)
+    hopf.coproduct_sum(f)
+    degree = {"pairing": lambda key: key[2], "merge": lambda key: key[1] + key[2],
+              "insert": lambda key: key[1] + key[2], "coproduct": lambda key: sum(key[1])}
+    cap = limits.current().ring
+    assert cap == limits.Limits().ring
+    assert {key[0] for key in fresh._data} == set(degree)
+    assert [key for key in fresh._data if degree[key[0]](key) > cap] == []
+    assert ("merge", 15, 5) in fresh._data
+    keys = set(fresh._data)
+    hopf.coproduct_sum(basis_element(P, (200,)))
+    multiply(basis_element(P, (15,)), basis_element(P, (10,)))
+    assert set(fresh._data) == keys
 
 
 def test_no_union_below_the_cap_is_merged_by_sorting(monkeypatch):
@@ -836,7 +892,6 @@ def test_e_reads_the_h_and_m_tables_and_builds_none_of_its_own(monkeypatch):
 
     fresh = ring._OnceCache()
     monkeypatch.setattr(ring, "_cache", fresh)
-    monkeypatch.setattr(hopf, "_cache", fresh)
     for d in range(9):
         terms = {lam: i + 1 for i, lam in enumerate(partitions_of(d))}
         for basis in BASES:
