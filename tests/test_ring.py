@@ -703,12 +703,14 @@ def test_converting_power_sums_above_the_cap_fails_before_listing(monkeypatch):
 
 
 def _concurrently(fn):
-    """fn() from 8 threads at once; the list of its results."""
+    """fn() from 8 threads released together; the list of its results."""
     results = []
     errors = []
+    start = threading.Barrier(8)
 
     def work():
         try:
+            start.wait()
             results.append(fn())
         except Exception as exc:  # pragma: no cover
             errors.append(exc)
@@ -795,15 +797,10 @@ def test_sum_coproducts_concurrent_and_once(monkeypatch):
     fresh = ring._OnceCache()
     monkeypatch.setattr(ring, "_cache", fresh)
     f = sym_element(S, {lam: i + 1 for i, lam in enumerate(partitions_of(8))})
-    start, interval = threading.Barrier(8), sys.getswitchinterval()
-
-    def delta():
-        start.wait()  # all eight threads miss the cache together
-        return hopf.coproduct_sum(f)
-
+    interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        results = _concurrently(delta)
+        results = _concurrently(lambda: hopf.coproduct_sum(f))
     finally:
         sys.setswitchinterval(interval)
     assert all(r.terms == results[0].terms for r in results)
