@@ -56,6 +56,7 @@ from symfunc.partitions import (
 )
 from symfunc.ring import basis_element, evaluate, multiply
 from symfunc.tableaux import count_ssyt, f_lambda, standard_tableaux
+import rep_digest
 from specht_digest import digests, render
 from specht_oracle import specht_polynomial
 
@@ -380,6 +381,21 @@ def test_specht_generators_match_the_pinned_digests():
     assert len(got) == 66
     assert got == json.loads(text)
     assert render(got) == text
+
+
+def test_rep_matrices_match_the_pinned_digests():
+    """The generator matrices, the longest-element matrix and the character
+    of every Young module of n <= 6, regular module of n <= 5 and module
+    induced from the trivial or sign of a Young subgroup of S_n, n <= 5,
+    hash to the digests pinned in tests/golden/rep_matrices.json, which
+    tests/rep_digest.py prints."""
+    path = os.path.join(os.path.dirname(__file__), "golden", "rep_matrices.json")
+    with open(path) as fh:
+        text = fh.read()
+    got = rep_digest.digests()
+    assert len(got) == 96
+    assert got == json.loads(text)
+    assert rep_digest.render(got) == text
 
 
 def test_specht_cap():
