@@ -5,13 +5,15 @@ Young permutation modules on row-sorted injective tableaux, Specht modules,
 induction and restriction along subgroups, sums/tensors, exterior-square
 characters, and the GL-side character/dimension checks.
 
-Characters come from a trace rule, not a dense matrix: permutation modules
-count the basis vectors their images rule fixes, an induced module sums the
-inner traces over its diagonal blocks (Frobenius), tensor products multiply
-traces, direct sums add them, restrictions keep the parent's rule, and the
-trivial and sign modules, of S_n or of a subgroup, read 1 and the sign; only
-Specht and standard modules sum a diagonal. decompose pairs class traces
-with irreducible characters in integers, dividing by n! once.
+Characters come from a closed-form trace rule where one exists. A module
+induced from H reads (z_rho/|H|) sum |c| chi(c) over the classes c of H of
+cycle type rho (Frobenius), from young_classes on a Young subgroup; a Young
+module M^lam is induced from the trivial module of S_lam, the regular module
+reads n! at the identity, the defining and standard ones count fixed points,
+tensor products multiply traces, direct sums add them, restrictions keep the
+parent's rule, and the trivial and sign modules read 1 and the sign; only
+Specht modules sum a diagonal. decompose pairs class traces with irreducible
+characters in integers, dividing by n! once.
 
 The Specht module S^lam has the standard polytabloids e_T as its basis,
 one per standard tableau T, and works on tableaux alone. The matrix of an
@@ -23,20 +25,19 @@ reduced word of pi.
 
 A MatrixRep carries a rule producing the exact matrix of any permutation in
 its domain; matrix() runs the rule on each call and keeps no matrix, since a
-matrix of the regular representation of S_6 alone takes megabytes. A Specht
-module keeps its sparse generator columns and the straightened form of each
-nonstandard tableau it met.
+matrix of the regular representation of S_6 alone takes megabytes. The first
+call lists a permutation module's basis or an induced module's cosets, and a
+Specht module keeps its generator columns and straightened tableaux.
 matrix(pi sigma) == matrix(pi) . matrix(sigma) under the package-wide
 convention (pi sigma)(i) = pi(sigma(i)).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import cached_property
-from itertools import accumulate, combinations, permutations as _perms, product as _cartesian
+from functools import cached_property, partial
+from itertools import accumulate, combinations, pairwise, permutations as _perms, product as _cartesian
 from math import factorial, prod
-from operator import add, mul
+from operator import add, eq, mul
 
 from . import limits
 from ._record import Record
@@ -54,12 +55,15 @@ from .partitions import (
     compose,
     conjugate,
     count_of_type,
+    cycle_type,
     identity_perm,
     inverse_perm,
     partitions_of,
     sign as perm_sign,
+    z_value,
 )
-from .ring import PolynomialValue, S, _OnceCache, _add_scaled, basis_element, evaluate
+from .ring import PolynomialValue, S, _OnceCache, _add_scaled, _require_integer, basis_element
+from .ring import evaluate
 from .tableaux import f_lambda, hook_content_cells, standard_tableaux
 
 # the name under which perfbench/reps.py raises the Specht cap
@@ -68,10 +72,12 @@ set_rep_caps = limits.set_default
 
 class SubgroupSpec(Record):
     """An explicit subgroup of S_n: the ambient degree and the full element
-    list (closed under composition and inverse, containing the identity)."""
+    list, in lex order (closed under composition and inverse, containing the
+    identity), which a Young subgroup lists only when it is read."""
 
     n: int
     elements: tuple[Permutation, ...]
+    blocks = None  # the composition of a Young subgroup
 
     @classmethod
     def from_elements(cls, n: int, elements) -> "SubgroupSpec":
@@ -93,22 +99,32 @@ class SubgroupSpec(Record):
     def young(cls, composition) -> "SubgroupSpec":
         """The Young subgroup S_{n_1} x ... x S_{n_r} on consecutive blocks."""
         blocks = as_composition(composition)
-        # a word of the subgroup is one word of each block's letters, concatenated
-        ends = accumulate(blocks)
-        pieces = [_perms(range(end - b + 1, end + 1)) for b, end in zip(blocks, ends)]
-        elems = (sum(images, ()) for images in _cartesian(*pieces))
-        return cls(sum(blocks), tuple(sorted(elems)))
+        sub = cls.__new__(cls)
+        sub.__dict__.update(n=sum(blocks), blocks=blocks)
+        return sub
+
+    def __getattr__(self, name):  # a Young subgroup's elements: one word per block, joined
+        if name != "elements" or self.blocks is None:
+            raise AttributeError(name)
+        bounds = pairwise(accumulate(self.blocks, initial=0))  # each block's (start, end)
+        pieces = [_perms(range(a + 1, b + 1)) for a, b in bounds]
+        self.__dict__[name] = tuple(sum(words, ()) for words in _cartesian(*pieces))
+        return self.elements
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.elements) if self.blocks is None else prod(map(factorial, self.blocks))
 
     @cached_property
     def _members(self) -> frozenset:
         return frozenset(self.elements)
 
     def __contains__(self, perm) -> bool:
-        return tuple(perm) in self._members
+        pi = tuple(perm)
+        if self.blocks is None:
+            return pi in self._members
+        cuts = pairwise(accumulate(self.blocks, initial=0))
+        return len(pi) == self.n and all(sorted(pi[a:b]) == [*range(a + 1, b + 1)] for a, b in cuts)
 
     def conjugacy_classes(self) -> list[tuple[Permutation, ...]]:
         """Brute-force conjugacy classes, each sorted, smallest rep first."""
@@ -121,6 +137,11 @@ class SubgroupSpec(Record):
             classes.append(tuple(sorted(orbit)))
             remaining -= orbit
         return classes
+
+
+def _once(build):
+    """A function returning build(), which runs on its first call only."""
+    return partial(_OnceCache().get, None, build)
 
 
 def young_classes(composition) -> list[tuple[Permutation, int]]:
@@ -157,7 +178,7 @@ class MatrixRep:
         return f"MatrixRep(n={self.n}, dim={self.dim}, label={self.label!r})"
 
     def _checked(self, perm) -> Permutation:
-        pi = tuple(perm)
+        pi = as_permutation(perm)
         if len(pi) != self.n:
             raise ValueError(f"permutation degree {len(pi)} != {self.n}")
         if self.domain is not None and pi not in self.domain:
@@ -191,21 +212,19 @@ def adjacent_transposition(n: int, i: int) -> Permutation:
     return tuple(word)
 
 
-def _perm_matrix(images: list[int], dim: int) -> Matrix:
-    """Matrix sending basis vector j to basis vector images[j]."""
-    rows = [[0] * dim for _ in range(dim)]
-    for j, i in enumerate(images):
-        rows[i][j] = 1
-    return tuple(tuple(r) for r in rows)
+def _permutation_module(n: int, dim: int, basis, act, label: str, trace) -> MatrixRep:
+    """The module permuting the vectors that basis() lists on the first
+    matrix() call, once per module; act(pi) maps each to its image under pi.
+    trace(pi) counts the vectors pi fixes in closed form, listing none."""
+    index = _once(lambda: {b: i for i, b in enumerate(basis())})
 
+    def fn(pi):
+        table, image, rows = index(), act(pi), [[0] * dim for _ in range(dim)]
+        for j, b in enumerate(table):
+            rows[table[image(b)]][j] = 1
+        return tuple(tuple(r) for r in rows)
 
-def _permutation_module(n: int, dim: int, images, label: str) -> MatrixRep:
-    """The module permuting its basis by images(pi); the trace of pi is the
-    number of basis vectors it fixes."""
-    return MatrixRep(
-        n, dim, lambda pi: _perm_matrix(images(pi), dim), label=label,
-        _trace_fn=lambda pi: sum(j == i for j, i in enumerate(images(pi))),
-    )
+    return MatrixRep(n, dim, fn, label=label, _trace_fn=trace)
 
 
 def _line(kind: str, n: int, label: str, domain: SubgroupSpec | None = None) -> MatrixRep:
@@ -224,17 +243,14 @@ def classical_rep(kind: str, n: int) -> MatrixRep:
     if kind in ("trivial", "sign"):
         return _line(kind, n, f"{kind}(S_{n})")
     if kind == "defining":
-        return _permutation_module(
-            n, n, lambda pi: [v - 1 for v in pi], f"defining(S_{n})"
-        )
+        return _permutation_module(n, n, lambda: range(1, n + 1), lambda pi: lambda v: pi[v - 1],
+                                   f"defining(S_{n})", lambda pi: sum(map(eq, pi, range(1, n + 1))))
     if kind == "regular":
         limits.check("regular", n)
-        basis = list(all_permutations(n))
-        index = {g: i for i, g in enumerate(basis)}
-        return _permutation_module(
-            n, len(basis), lambda pi: [index[compose(pi, h)] for h in basis],
-            f"regular(S_{n})",
-        )
+        order, e = factorial(n), identity_perm(n)
+        return _permutation_module(n, order, lambda: all_permutations(n),
+                                   lambda pi: lambda h: compose(pi, h), f"regular(S_{n})",
+                                   lambda pi: order if pi == e else 0)
     if kind == "standard":  # on the basis e_j - e_1, j = 2..n: pi sends it to e_pi(j) - e_pi(1)
         return MatrixRep(
             n, n - 1,
@@ -272,11 +288,7 @@ def _multiplicities(n: int, traces: dict[Partition, int]) -> dict[Partition, int
     for lam in partitions_of(n):
         row = character_row(lam)
         total = sum(t * row[mu] * count_of_type(mu) for mu, t in traces.items() if t)
-        val, rem = divmod(total, order)
-        if rem:
-            raise InvariantViolationError(
-                f"multiplicity of {lam} is non-integral: {Fraction(total, order)}"
-            )
+        val = _require_integer(total, f"multiplicity of {lam}", order)
         if val < 0:
             raise InvariantViolationError(f"negative multiplicity {val} at {lam}")
         if val:
@@ -287,10 +299,10 @@ def _multiplicities(n: int, traces: dict[Partition, int]) -> dict[Partition, int
 # --- Young permutation modules and Specht modules -----------------------------
 
 
-def young_basis(lam: Partition) -> list[tuple[tuple[int, ...], ...]]:
-    """Row-sorted injective tableaux of shape lam, as ordered tuples of
-    sorted row sets; deterministic lexicographic enumeration."""
-    lam = as_partition(lam)
+def young_basis(lam) -> list[tuple[tuple[int, ...], ...]]:
+    """Row-sorted injective tableaux with rows of sizes lam, any composition,
+    as ordered tuples of sorted row sets; lexicographic enumeration."""
+    lam = as_composition(lam)
     basis = [((), tuple(range(1, sum(lam) + 1)))]  # (rows so far, letters left)
     for k in lam:
         basis = [(rows + (row,), tuple(x for x in left if x not in row))
@@ -299,26 +311,26 @@ def young_basis(lam: Partition) -> list[tuple[tuple[int, ...], ...]]:
 
 
 def young_module(lam) -> MatrixRep:
-    """Permutation representation on the row-sorted injective tableaux of
-    shape lam; dimension n! / prod(lam_i!)."""
+    """Permutation representation on the row-sorted injective tableaux
+    (tabloids) of shape lam, listed on the first matrix() call; dimension
+    n! / prod(lam_i!). It is induced from the trivial module of S_lam, so its
+    trace is that induced character, which lists no tabloid."""
     lam = as_partition(lam)
     n = sum(lam)
     limits.check("young", n)
-    basis = young_basis(lam)
     dim = factorial(n) // prod(factorial(part) for part in lam)
-    if dim != len(basis):
-        raise InvariantViolationError("Young module dimension mismatch")
-    # a tabloid as its row word: entry v - 1 holds the row of v
-    rows_of = [{v: r for r, row in enumerate(b) for v in row} for b in basis]
-    words = [[rows[v] for v in range(1, n + 1)] for rows in rows_of]
-    index = {tuple(w): i for i, w in enumerate(words)}
 
-    def images(pi):
-        # pi moves v to row word position pi(v), as in specht_module
-        source = [v - 1 for v in inverse_perm(pi)]
-        return [index[tuple([w[v] for v in source])] for w in words]
+    def tabloids():
+        basis = young_basis(lam)
+        if dim != len(basis):
+            raise InvariantViolationError("Young module dimension mismatch")
+        return basis
 
-    return _permutation_module(n, dim, images, f"young({lam})")
+    def act(pi):  # pi sends the rows R_1, R_2, ... of a tabloid to pi(R_1), pi(R_2), ...
+        return lambda rows: tuple(tuple(sorted(pi[v - 1] for v in row)) for row in rows)
+
+    induced = induce(trivial_of(SubgroupSpec.young(lam)), n)
+    return _permutation_module(n, dim, tabloids, act, f"young({lam})", induced._trace_fn)
 
 
 def _combine(cols, terms) -> tuple[int, ...]:
@@ -455,10 +467,10 @@ def specht_module(lam) -> MatrixRep:
 # --- induction / restriction / sums / tensors ---------------------------------
 
 
-def _cosets(subgroup: SubgroupSpec, transversal=None) -> tuple[list[Permutation], dict]:
-    """Left-coset representatives t_i with the coset table {t_i h: (i, h)}.
-    The t_i are the given transversal, or else the words of S_n in
-    lexicographic order that fall in no coset seen before; a given list
+def _cosets(subgroup: SubgroupSpec, transversal=None) -> tuple[list[Permutation], object]:
+    """Left-coset representatives t_i with the lookup t_i h -> (i, h) of the
+    coset table. The t_i are the given transversal, or else the words of S_n
+    in lexicographic order that fall in no coset seen before; a given list
     must hold one word of each coset."""
     lex = transversal is None
     reps: list[Permutation] = []
@@ -471,36 +483,64 @@ def _cosets(subgroup: SubgroupSpec, transversal=None) -> tuple[list[Permutation]
         reps.append(g)
     if len(where) != len(reps) * subgroup.order or len(where) != factorial(subgroup.n):
         raise ValueError("not a transversal of the subgroup")
-    return reps, where
+    return reps, where.__getitem__
+
+
+def _young_cosets(blocks) -> tuple[list[Permutation], object]:
+    """_cosets for a Young subgroup, without a scan: the t_i are the words
+    whose values increase within each block, in lex order, and w = t_i h
+    where t_i is w with each block's values sorted and h = t_i^-1 w."""
+    bounds = list(pairwise(accumulate(blocks, initial=0)))
+    index = {sum(rows, ()): i for i, rows in enumerate(young_basis(blocks))}
+
+    def locate(w):
+        t = tuple(v for a, b in bounds for v in sorted(w[a:b]))
+        return index[t], compose(inverse_perm(t), w)
+
+    return list(index), locate
+
+
+def _frobenius(rep: MatrixRep) -> dict[Partition, int]:
+    """The character induced from rep on H at each cycle type rho, (z_rho/|H|)
+    sum |c| rep.trace(c) over the classes c of H of type rho (Sagan 1.12): a
+    Young subgroup's young_classes, or else every element of H with weight 1."""
+    sub, sums = rep.domain, {}
+    for c, size in young_classes(sub.blocks) if sub.blocks else ((h, 1) for h in sub.elements):
+        rho = cycle_type(c)
+        sums[rho] = sums.get(rho, 0) + size * rep.trace(c)
+    return {rho: _require_integer(z_value(rho) * total, f"induced character at {rho}", sub.order)
+            for rho, total in sums.items()}
 
 
 def induce(rep: MatrixRep, n: int, transversal=None) -> MatrixRep:
-    """Induction from the subgroup domain of ``rep`` up to S_n, as the block
+    """Induction from the subgroup domain H of ``rep`` up to S_n, as the block
     matrix with (i, j) block Y(t_i^{-1} g t_j) (zero when the argument falls
-    outside the subgroup). Block column j has exactly one nonzero block: the
-    i and h with g t_j = t_i h, read from the coset table {t_i h: (i, h)}.
-    The trace is the Frobenius sum of Y.trace(h) over the j with i = j."""
+    outside H). Block column j has exactly one nonzero block: the i and h
+    with g t_j = t_i h, found by sorting on a Young subgroup with no
+    transversal given (_young_cosets), else in the coset table of _cosets.
+    The trace is the Frobenius sum over the classes of H (_frobenius)."""
     if rep.domain is None:
         raise ValueError("induce needs a representation with a subgroup domain")
     if rep.n != n:
         raise ValueError("subgroup must sit inside S_n (same word degree)")
-    ts, where = _cosets(rep.domain, transversal)
-    k = len(ts)
-    d = rep.dim
+    sub = rep.domain
+    young = sub.blocks is not None and transversal is None
+    cosets = _once(lambda: _young_cosets(sub.blocks) if young else _cosets(sub, transversal))
+    if not young:
+        cosets()  # builds the coset table now, so a bad transversal raises here
+    k, d, frobenius = factorial(n) // sub.order, rep.dim, _once(lambda: _frobenius(rep))
 
     def fn(g):
         rows = [[0] * (k * d) for _ in range(k * d)]
+        ts, locate = cosets()
         for j, t in enumerate(ts):
-            i, h = where[compose(g, t)]
-            for r, block_row in enumerate(rep.matrix(h)):
+            i, h = locate(compose(g, t))
+            for r, block_row in enumerate(rep._matrix_fn(h)):  # h is in H by construction
                 rows[i * d + r][j * d:(j + 1) * d] = block_row
         return tuple(tuple(row) for row in rows)
 
-    def trace(g):
-        cells = (where[compose(g, t)] + (j,) for j, t in enumerate(ts))
-        return sum(rep.trace(h) for i, h, j in cells if i == j)
-
-    return MatrixRep(n, k * d, fn, label=f"induced({rep.label})", _trace_fn=trace)
+    return MatrixRep(n, k * d, fn, label=f"induced({rep.label})",
+                     _trace_fn=lambda g: frobenius().get(cycle_type(g), 0))
 
 
 def restrict(rep: MatrixRep, subgroup: SubgroupSpec) -> MatrixRep:

@@ -164,7 +164,7 @@ def format_partition(lam: Partition) -> str:
 
 
 def as_permutation(images) -> Permutation:
-    pi = tuple(int(i) for i in images)
+    pi = tuple(map(int, images))
     if sorted(pi) != list(range(1, len(pi) + 1)):
         raise ValueError(f"not a permutation word: {pi}")
     return pi

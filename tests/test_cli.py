@@ -589,6 +589,27 @@ def test_restrict_reads_young_classes_in_closed_form(capsys, monkeypatch):
     assert rows[0] == ["1 2 3 4 5 6 7 8 9", "1", "1"]
 
 
+@pytest.mark.parametrize("comp, kind, dim, values", [
+    ("9", "trivial", 1, {1}),
+    ("1,1,1,1,1,1,1,1,1", "sign", 362880, {0, 362880}),
+])
+def test_induce_reads_young_classes_in_closed_form(capsys, monkeypatch, comp, kind, dim, values):
+    """induce from a Young subgroup of S_9 lists no word of S_9 and no
+    element of the subgroup: the character is a Frobenius sum over its
+    classes."""
+    def no_words(n):
+        pytest.fail(f"the words of S_{n} were listed")
+
+    monkeypatch.setattr(matrixreps, "all_permutations", no_words)
+    monkeypatch.setattr(matrixreps, "_perms", no_words)
+    code, out, err = run(capsys, "induce", comp, kind)
+    assert code == 0 and err == ""
+    head, *rows = out.splitlines()
+    assert head == f"dim {dim}" and len(rows) == 30
+    assert {int(row.split("\t")[1]) for row in rows} == values
+    assert rows[0] == f"1,1,1,1,1,1,1,1,1\t{dim}"
+
+
 def test_tensor_traces_each_class_once(capsys, monkeypatch):
     """tensor prints the character and the decomposition from one set of
     class traces: 7 classes of S_5, each traced on the product and on both

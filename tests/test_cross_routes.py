@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from symfunc import hopf
+from symfunc import hopf, limits
 from symfunc.characters import (
     character_row,
     frobenius_inverse,
@@ -38,7 +38,9 @@ from symfunc.ring import (
     skew_schur,
     sym_element,
 )
-from symfunc.tableaux import kostka
+from symfunc.matrixreps import gl_character, gl_dimension
+from symfunc.partitions import partitions_of
+from symfunc.tableaux import f_lambda, kostka
 
 _spec = importlib.util.spec_from_file_location(
     "cross_route_oracles", Path(__file__).resolve().parent.parent / "perfbench" / "oracles.py"
@@ -209,3 +211,23 @@ def test_schur_rows_at_degree_20_round_trip_through_m_as_kostka_numbers():
         assert convert(m, S).terms == f.terms, lam
         for mu in rng.sample(lams, 8) + [lam, lams[-1]]:
             assert m.terms.get(mu, 0) == O.kostka(lam, mu), (lam, mu)
+
+
+def test_standard_tableau_counts_are_character_degrees_to_20():
+    """f_lambda, which counts by the hook-length formula, is chi^lam at the
+    identity, read from the character row, for every lam |- n <= 20."""
+    with limits.scoped(limits.current().raised(20)):
+        for n in range(21):
+            for lam in partitions_of(n):
+                assert f_lambda(lam) == character_row(lam)[(1,) * n], lam
+
+
+def test_gl_dimensions_are_hook_contents_and_character_values_at_ones():
+    """gl_dimension is the oracle's hook-content product and the coefficient
+    sum of gl_character, the Schur polynomial at 1, ..., 1, for every
+    lam |- n <= 8 and m <= 6 variables."""
+    for n in range(9):
+        for lam in partitions_of(n):
+            for m in range(7):
+                dim = sum(gl_character(lam, m).terms.values())
+                assert gl_dimension(lam, m) == O.hook_content(lam, m) == dim, (lam, m)

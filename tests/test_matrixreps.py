@@ -132,6 +132,35 @@ def test_regular_character_and_decomposition():
             assert decompose(reg) == {lam: f_lambda(lam) for lam in partitions_of(n)}
 
 
+def test_regular_and_induced_characters_list_no_word(monkeypatch):
+    """The regular character is n! at the identity and 0 elsewhere, and a
+    character induced from a Young subgroup a Frobenius sum over its classes:
+    neither lists a word of S_n or of the subgroup."""
+    def no_words(n):
+        pytest.fail(f"the words of S_{n} were listed")
+
+    monkeypatch.setattr(matrixreps, "all_permutations", no_words)
+    monkeypatch.setattr(matrixreps, "_perms", no_words)
+    regular = {lam: f_lambda(lam) for lam in partitions_of(6)}
+    assert decompose(classical_rep("regular", 6)) == regular
+    assert decompose(induce(sign_of(SubgroupSpec.young((1,) * 6)), 6)) == regular
+    assert decompose(induce(trivial_of(SubgroupSpec.young((3, 2, 1))), 6)) == {
+        lam: k for lam in partitions_of(6) if (k := O.kostka(lam, (3, 2, 1)))}
+
+
+def test_a_word_that_is_no_permutation_raises_at_every_module():
+    """matrix() and trace() of every kind of module reject a word with a
+    repeated letter, rather than answer or loop on it."""
+    sub = SubgroupSpec.young((2, 1))
+    reps = [classical_rep(k, 3) for k in ("trivial", "defining", "regular", "standard")]
+    reps += [young_module((2, 1)), specht_module((2, 1)), induce(sign_of(sub), 3),
+             restrict(classical_rep("defining", 3), sub)]
+    for rep in reps:
+        for call in (rep.matrix, rep.trace):
+            with pytest.raises(ValueError, match="not a permutation word"):
+                call((1, 1, 2))
+
+
 def test_regular_cap():
     with pytest.raises(DegreeCapError):
         classical_rep("regular", 7)
@@ -203,6 +232,67 @@ def test_young_rule_decomposition_to_5():
 
             for lam in mults:
                 assert dominates(lam, mu)
+
+
+def test_young_trace_rule_is_the_h_pairing_to_8(monkeypatch):
+    """young_module(mu) at a permutation of cycle type rho deals its cycles
+    into the rows of mu, <h_mu, p_rho>: the row of mu in ring's h table, for
+    every mu, rho |- n <= 8. Its character and decomposition list no
+    tabloid."""
+    from symfunc import ring
+
+    def no_tabloids(sizes):
+        pytest.fail(f"the tabloids of {sizes} were listed")
+
+    monkeypatch.setattr(matrixreps, "young_basis", no_tabloids)
+    with limits.scoped(limits.current().raised(8)):
+        for n in range(9):
+            for mu, row in zip(partitions_of(n), ring._pairing("h", n)):
+                rep = young_module(mu)
+                traces = [rep.trace(class_representative(rho)) for rho in partitions_of(n)]
+                assert traces == list(row), mu
+                assert decompose(rep) == {lam: k for lam in partitions_of(n)
+                                          if (k := O.kostka(lam, mu))}, mu
+
+
+def test_concurrent_young_matrices_list_the_tabloids_once(monkeypatch):
+    mu, n = (3, 2), 5
+    rng = random.Random(23)
+    perms = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(6)]
+    want = [young_module(mu).matrix(pi) for pi in perms]
+    built = []
+    real = matrixreps.young_basis
+
+    def listed(lam):
+        built.append(lam)
+        time.sleep(0.001)  # let the threads race for the same list
+        return real(lam)
+
+    monkeypatch.setattr(matrixreps, "young_basis", listed)
+    rep = young_module(mu)
+    start = threading.Barrier(8)
+    results, errors = [], []
+
+    def work():
+        try:
+            start.wait(timeout=60)
+            results.append([rep.matrix(pi) for pi in perms])
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors and results == [want] * len(threads)
+    assert built == [mu]
 
 
 def test_specht_polynomial_fixture_22():
@@ -624,6 +714,45 @@ def test_young_classes_match_brute_force_classes():
     assert count == 63
     with pytest.raises(ValueError):
         young_classes((2, 0))
+
+
+def coset_table_character(base, sub):
+    """The induced character at each class rho: the sum of base.trace(h) over
+    the cosets t_j with g t_j = t_j h, read from the lex scan of _cosets."""
+    ts, locate = matrixreps._cosets(sub)
+    out = {}
+    for rho in partitions_of(sub.n):
+        g = class_representative(rho)
+        cells = (locate(compose(g, t)) + (j,) for j, t in enumerate(ts))
+        out[rho] = sum(base.trace(h) for i, h, j in cells if i == j)
+    return class_function(sub.n, out)
+
+
+def test_frobenius_induced_characters_match_the_coset_table_to_6():
+    """The character induced from the trivial or sign of a Young subgroup,
+    a Frobenius sum over its classes, equals the coset-table sum, for every
+    composition of n <= 6."""
+    count = 0
+    for n in range(1, 7):
+        for comp in compositions(n):
+            sub = SubgroupSpec.young(comp)
+            for base in (trivial_of(sub), sign_of(sub)):
+                got = character_of(induce(base, n))
+                assert got == coset_table_character(base, sub), (comp, base.label)
+                count += 1
+    assert count == 126
+
+
+def test_block_sorted_cosets_are_the_lex_scan_to_6():
+    """The block-increasing words are the transversal that the lex scan of
+    _cosets finds, and sorting each block's values puts every word of S_n in
+    the same coset with the same h, for every composition of n <= 6."""
+    for n in range(1, 7):
+        for comp in compositions(n):
+            ts, locate = matrixreps._young_cosets(comp)
+            lex, where = matrixreps._cosets(SubgroupSpec.young(comp))
+            assert ts == lex, comp
+            assert all(locate(w) == where(w) for w in all_permutations(n)), comp
 
 
 def outer_tensor_on_young(mu, nu):

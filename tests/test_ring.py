@@ -3,6 +3,7 @@ import json
 import random
 import sys
 import threading
+import time
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -754,15 +755,25 @@ def test_once_cache_computes_each_key_once_and_publishes_no_failure():
     cache = ring._OnceCache()
     for key in range(50):
         assert cache.get(key, lambda key=key: key * key) == key * key
+    together = threading.Barrier(8)
+
+    def compute(i):
+        time.sleep(0.002)  # yield: without the lock the other threads compute it too
+        return -i
+
+    def read(i):
+        together.wait(timeout=30)  # the 8 threads ask for each key at once
+        return cache.get(("k", i), lambda: compute(i))
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = _concurrently(lambda: [cache.get(("k", i), lambda i=i: -i) for i in range(200)])
+        got = _concurrently(lambda: [read(i) for i in range(40)])
     finally:
         sys.setswitchinterval(interval)
-    assert got == [[-i for i in range(200)]] * 8
+    assert got == [[-i for i in range(40)]] * 8
     assert cache.compute_counts == {**dict.fromkeys(range(50), 1),
-                                    **{("k", i): 1 for i in range(200)}}
+                                    **{("k", i): 1 for i in range(40)}}
 
     def fail():
         raise ValueError("no value")
