@@ -178,7 +178,7 @@ class MatrixRep:
         return f"MatrixRep(n={self.n}, dim={self.dim}, label={self.label!r})"
 
     def _checked(self, perm) -> Permutation:
-        pi = as_permutation(perm)
+        pi = tuple(perm)
         if len(pi) != self.n:
             raise ValueError(f"permutation degree {len(pi)} != {self.n}")
         if self.domain is not None and pi not in self.domain:
@@ -540,7 +540,7 @@ def induce(rep: MatrixRep, n: int, transversal=None) -> MatrixRep:
         return tuple(tuple(row) for row in rows)
 
     return MatrixRep(n, k * d, fn, label=f"induced({rep.label})",
-                     _trace_fn=lambda g: frobenius().get(cycle_type(g), 0))
+                     _trace_fn=lambda g: frobenius().get(cycle_type(as_permutation(g)), 0))
 
 
 def restrict(rep: MatrixRep, subgroup: SubgroupSpec) -> MatrixRep:
