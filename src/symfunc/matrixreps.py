@@ -97,7 +97,7 @@ class SubgroupSpec(Record):
 
     @classmethod
     def young(cls, composition) -> "SubgroupSpec":
-        """The Young subgroup S_{n_1} x ... x S_{n_r} on consecutive blocks."""
+        """The Young subgroup S_{n_1} x ... x S_{n_r}, kept as its consecutive blocks."""
         blocks = as_composition(composition)
         sub = cls.__new__(cls)
         sub.__dict__.update(n=sum(blocks), blocks=blocks)
@@ -236,8 +236,8 @@ def _line(kind: str, n: int, label: str, domain: SubgroupSpec | None = None) -> 
 
 def classical_rep(kind: str, n: int) -> MatrixRep:
     """One of the classical representations: trivial, sign, defining
-    (dimension n), regular (n!, capped), standard (n-1, the orthogonal
-    complement of the all-ones line in the defining representation)."""
+    (dimension n), regular (n!, capped; trace n! at the identity, else 0),
+    standard (n-1, the sum-zero vectors of the defining representation)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if kind in ("trivial", "sign"):
