@@ -8,12 +8,13 @@ characters, and the GL-side character/dimension checks.
 Characters come from a closed-form trace rule where one exists. A module
 induced from H reads (z_rho/|H|) sum |c| chi(c) over the classes c of H of
 cycle type rho (Frobenius), from young_classes on a Young subgroup; a Young
-module M^lam is induced from the trivial module of S_lam, the regular module
-reads n! at the identity, the defining and standard ones count fixed points,
-tensor products multiply traces, direct sums add them, restrictions keep the
-parent's rule, and the trivial and sign modules read 1 and the sign; only
-Specht modules sum a diagonal. decompose pairs class traces with irreducible
-characters in integers, dividing by n! once.
+module M^lam is the module induced from the trivial module of S_lam,
+matrices and trace; the regular module reads n! at the identity, the
+defining and standard ones count fixed points, tensor products multiply
+traces, direct sums add them, restrictions keep the parent's rule, and the
+trivial and sign modules read 1 and the sign; only Specht modules sum a
+diagonal. decompose pairs class traces with irreducible characters in
+integers, dividing by n! once.
 
 The Specht module S^lam has the standard polytabloids e_T as its basis,
 one per standard tableau T, and works on tableaux alone. The matrix of an
@@ -26,8 +27,9 @@ reduced word of pi.
 A MatrixRep carries a rule producing the exact matrix of any permutation in
 its domain; matrix() runs the rule on each call and keeps no matrix, since a
 matrix of the regular representation of S_6 alone takes megabytes. The first
-call lists a permutation module's basis or an induced module's cosets, and a
-Specht module keeps its generator columns and straightened tableaux.
+call lists a permutation module's basis or an induced module's cosets (on a
+Young subgroup, each word located is kept), and a Specht module keeps its
+generator columns and straightened tableaux.
 matrix(pi sigma) == matrix(pi) . matrix(sigma) under the package-wide
 convention (pi sigma)(i) = pi(sigma(i)).
 """
@@ -129,11 +131,12 @@ class SubgroupSpec(Record):
     def conjugacy_classes(self) -> list[tuple[Permutation, ...]]:
         """Brute-force conjugacy classes, each sorted, smallest rep first."""
         remaining = set(self.elements)
+        pairs = [(h, inverse_perm(h)) for h in self.elements]
         classes = []
         for g in self.elements:
             if g not in remaining:
                 continue
-            orbit = {compose(h, compose(g, inverse_perm(h))) for h in self.elements}
+            orbit = {tuple([h[g[x - 1] - 1] for x in h_inv]) for h, h_inv in pairs}  # h g h^-1
             classes.append(tuple(sorted(orbit)))
             remaining -= orbit
         return classes
@@ -250,7 +253,7 @@ def classical_rep(kind: str, n: int) -> MatrixRep:
         order, e = factorial(n), identity_perm(n)
         return _permutation_module(n, order, lambda: all_permutations(n),
                                    lambda pi: lambda h: compose(pi, h), f"regular(S_{n})",
-                                   lambda pi: order if pi == e else 0)
+                                   lambda pi: order if as_permutation(pi) == e else 0)
     if kind == "standard":  # on the basis e_j - e_1, j = 2..n: pi sends it to e_pi(j) - e_pi(1)
         return MatrixRep(
             n, n - 1,
@@ -311,26 +314,14 @@ def young_basis(lam) -> list[tuple[tuple[int, ...], ...]]:
 
 
 def young_module(lam) -> MatrixRep:
-    """Permutation representation on the row-sorted injective tableaux
-    (tabloids) of shape lam, listed on the first matrix() call; dimension
-    n! / prod(lam_i!). It is induced from the trivial module of S_lam, so its
-    trace is that induced character, which lists no tabloid."""
+    """The permutation module M^lam on the tabloids of shape lam: the module
+    induced from the trivial module of S_lam, whose cosets are the tabloids
+    in lex order, of dimension n! / prod(lam_i!)."""
     lam = as_partition(lam)
-    n = sum(lam)
-    limits.check("young", n)
-    dim = factorial(n) // prod(factorial(part) for part in lam)
-
-    def tabloids():
-        basis = young_basis(lam)
-        if dim != len(basis):
-            raise InvariantViolationError("Young module dimension mismatch")
-        return basis
-
-    def act(pi):  # pi sends the rows R_1, R_2, ... of a tabloid to pi(R_1), pi(R_2), ...
-        return lambda rows: tuple(tuple(sorted(pi[v - 1] for v in row)) for row in rows)
-
-    induced = induce(trivial_of(SubgroupSpec.young(lam)), n)
-    return _permutation_module(n, dim, tabloids, act, f"young({lam})", induced._trace_fn)
+    limits.check("young", sum(lam))
+    rep = induce(trivial_of(SubgroupSpec.young(lam)), sum(lam))
+    rep.label = f"young({lam})"
+    return rep
 
 
 def _combine(cols, terms) -> tuple[int, ...]:
@@ -489,13 +480,20 @@ def _cosets(subgroup: SubgroupSpec, transversal=None) -> tuple[list[Permutation]
 def _young_cosets(blocks) -> tuple[list[Permutation], object]:
     """_cosets for a Young subgroup, without a scan: the t_i are the words
     whose values increase within each block, in lex order, and w = t_i h
-    where t_i is w with each block's values sorted and h = t_i^-1 w."""
+    where t_i is w with each block's values sorted and h = t_i^-1 w. Each
+    word located is kept, so the table fills only as far as it is read."""
     bounds = list(pairwise(accumulate(blocks, initial=0)))
     index = {sum(rows, ()): i for i, rows in enumerate(young_basis(blocks))}
+    if len(index) * prod(map(factorial, blocks)) != factorial(sum(blocks)):
+        raise InvariantViolationError("Young subgroup coset count != n!/|H|")
+    inverses, where = [*map(inverse_perm, index)], {}
 
     def locate(w):
-        t = tuple(v for a, b in bounds for v in sorted(w[a:b]))
-        return index[t], compose(inverse_perm(t), w)
+        found = where.get(w)
+        if found is None:
+            i = index[tuple(v for a, b in bounds for v in sorted(w[a:b]))]
+            found = where.setdefault(w, (i, compose(inverses[i], w)))
+        return found
 
     return list(index), locate
 
@@ -503,9 +501,11 @@ def _young_cosets(blocks) -> tuple[list[Permutation], object]:
 def _frobenius(rep: MatrixRep) -> dict[Partition, int]:
     """The character induced from rep on H at each cycle type rho, (z_rho/|H|)
     sum |c| rep.trace(c) over the classes c of H of type rho (Sagan 1.12): a
-    Young subgroup's young_classes, or else every element of H with weight 1."""
+    Young subgroup's young_classes, or else its conjugacy_classes."""
     sub, sums = rep.domain, {}
-    for c, size in young_classes(sub.blocks) if sub.blocks else ((h, 1) for h in sub.elements):
+    classes = young_classes(sub.blocks) if sub.blocks else (
+        (c[0], len(c)) for c in sub.conjugacy_classes())
+    for c, size in classes:
         rho = cycle_type(c)
         sums[rho] = sums.get(rho, 0) + size * rep.trace(c)
     return {rho: _require_integer(z_value(rho) * total, f"induced character at {rho}", sub.order)

@@ -159,6 +159,11 @@ def test_frobenius_traces_reject_a_word_that_is_no_permutation():
             rep.trace((1, 1, 2))
 
 
+def test_regular_trace_rejects_a_word_that_is_no_permutation():
+    with pytest.raises(ValueError, match="not a permutation word"):
+        classical_rep("regular", 3).trace((1, 1, 2))
+
+
 def test_regular_cap():
     with pytest.raises(DegreeCapError):
         classical_rep("regular", 7)
@@ -739,6 +744,21 @@ def test_frobenius_induced_characters_match_the_coset_table_to_6():
                 assert got == coset_table_character(base, sub), (comp, base.label)
                 count += 1
     assert count == 126
+
+
+def test_listed_subgroup_traces_one_element_per_class():
+    """Induced from a subgroup given by its elements, the Frobenius sum
+    traces one element of each of its conjugacy classes and equals the
+    coset-table character."""
+    sub = SubgroupSpec.from_elements(5, [p + (5,) for p in all_permutations(4)])
+    base = restrict(specht_module((2, 1, 1, 1)), sub)
+    traced = []
+    counting = MatrixRep(5, base.dim, base._matrix_fn, sub,
+                         _trace_fn=lambda h: traced.append(h) or base.trace(h))
+    got = character_of(induce(counting, 5))
+    assert sorted(traced) == sorted(c[0] for c in sub.conjugacy_classes())
+    assert len(traced) == 5
+    assert got == coset_table_character(base, sub)
 
 
 def test_block_sorted_cosets_are_the_lex_scan_to_6():
