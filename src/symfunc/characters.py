@@ -3,8 +3,9 @@ Littlewood-Richardson, Kronecker and Young's-rule coefficient families.
 
 Irreducible characters are rows of ring's Schur pairing table,
 chi^lam(mu) = <s_lam, p_mu> = z_mu * [p_mu] s_lam, which ring builds by the
-Murnaghan-Nakayama rule; the traces of the Specht modules in matrixreps,
-built by Garnir straightening on tableaux, stay the independent cross-check.
+Murnaghan-Nakayama rule. The Specht modules of matrixreps read their traces
+from these rows; the diagonals of their matrices, built by Garnir
+straightening on tableaux, stay the tests' independent cross-check.
 """
 
 from __future__ import annotations

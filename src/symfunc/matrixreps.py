@@ -5,16 +5,16 @@ Young permutation modules on row-sorted injective tableaux, Specht modules,
 induction and restriction along subgroups, sums/tensors, exterior-square
 characters, and the GL-side character/dimension checks.
 
-Characters come from a closed-form trace rule where one exists. A module
+Characters come from a closed-form trace rule of each module. A Specht
+module S^lam reads chi^lam, its s table row (Murnaghan-Nakayama); a module
 induced from H reads (z_rho/|H|) sum |c| chi(c) over the classes c of H of
 cycle type rho (Frobenius), from young_classes on a Young subgroup; a Young
-module M^lam is the module induced from the trivial module of S_lam,
-matrices and trace; the regular module reads n! at the identity, the
-defining and standard ones count fixed points, tensor products multiply
-traces, direct sums add them, restrictions keep the parent's rule, and the
-trivial and sign modules read 1 and the sign; only Specht modules sum a
-diagonal. decompose pairs class traces with irreducible characters in
-integers, dividing by n! once.
+module M^lam is the module induced from the trivial module of S_lam; the
+regular module reads n! at the identity, the defining and standard ones
+count fixed points, tensor products multiply traces, direct sums add them,
+restrictions keep the parent's rule, and the trivial and sign modules read 1
+and the sign. Only a MatrixRep built with no rule sums a diagonal. decompose
+is one integer dot product per lam, divided by n! once.
 
 The Specht module S^lam has the standard polytabloids e_T as its basis,
 one per standard tableau T, and works on tableaux alone. The matrix of an
@@ -27,9 +27,10 @@ reduced word of pi.
 A MatrixRep carries a rule producing the exact matrix of any permutation in
 its domain; matrix() runs the rule on each call and keeps no matrix, since a
 matrix of the regular representation of S_6 alone takes megabytes. The first
-call lists a permutation module's basis or an induced module's cosets (on a
-Young subgroup, each word located is kept), and a Specht module keeps its
-generator columns and straightened tableaux.
+call lists a permutation module's basis, an induced module's cosets (on a
+Young subgroup, each word located is kept) or a Specht module's standard
+tableaux, with its generator columns and straightened tableaux. matrix() and
+trace() check each word once, that it is a permutation in the domain.
 matrix(pi sigma) == matrix(pi) . matrix(sigma) under the package-wide
 convention (pi sigma)(i) = pi(sigma(i)).
 """
@@ -43,7 +44,7 @@ from operator import add, eq, mul
 
 from . import limits
 from ._record import Record
-from .characters import ClassFunction, character_row, class_function
+from .characters import ClassFunction, _s_row, character_row, class_function
 from .errors import InvariantViolationError
 from .linalg import Matrix, block_diag, identity, kron
 from .partitions import (
@@ -64,8 +65,8 @@ from .partitions import (
     sign as perm_sign,
     z_value,
 )
-from .ring import PolynomialValue, S, _OnceCache, _add_scaled, _require_integer, basis_element
-from .ring import evaluate
+from .ring import PolynomialValue, S, _OnceCache, _add_scaled, _class_sizes, _require_integer
+from .ring import basis_element, evaluate
 from .tableaux import f_lambda, hook_content_cells, standard_tableaux
 
 # the name under which perfbench/reps.py raises the Specht cap
@@ -117,6 +118,14 @@ class SubgroupSpec(Record):
     def order(self) -> int:
         return len(self.elements) if self.blocks is None else prod(map(factorial, self.blocks))
 
+    def __eq__(self, other):  # two Young subgroups by their blocks, listing no element
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        young = self.blocks is not None and other.blocks is not None
+        return self.blocks == other.blocks if young else super().__eq__(other)
+
+    __hash__ = Record.__hash__  # field-wise: a Young subgroup lists its elements to hash
+
     @cached_property
     def _members(self) -> frozenset:
         return frozenset(self.elements)
@@ -164,9 +173,9 @@ def young_classes(composition) -> list[tuple[Permutation, int]]:
 class MatrixRep:
     """A representation: degree n, dimension, and an exact matrix for every
     permutation in the domain (None = all of S_n), computed by a rule on
-    each call. An optional trace rule gives the character without building
-    the matrix. The Coxeter relations of the generator matrices are checked
-    by the tests, not here."""
+    each call. A trace rule gives the character without building the matrix;
+    a MatrixRep built with none sums the diagonal of matrix(). The Coxeter
+    relations of the generator matrices are checked by the tests, not here."""
 
     def __init__(self, n: int, dim: int, _matrix_fn, domain: SubgroupSpec | None = None,
                  label: str = "", _trace_fn=None):
@@ -181,7 +190,7 @@ class MatrixRep:
         return f"MatrixRep(n={self.n}, dim={self.dim}, label={self.label!r})"
 
     def _checked(self, perm) -> Permutation:
-        pi = tuple(perm)
+        pi = as_permutation(perm)
         if len(pi) != self.n:
             raise ValueError(f"permutation degree {len(pi)} != {self.n}")
         if self.domain is not None and pi not in self.domain:
@@ -192,10 +201,13 @@ class MatrixRep:
         return self._matrix_fn(self._checked(perm))
 
     def trace(self, perm) -> int:
-        pi = self._checked(perm)
+        return self._trace(self._checked(perm))
+
+    def _trace(self, pi: Permutation) -> int:
+        """trace() of a word already checked."""
         if self._trace_fn is not None:
             return self._trace_fn(pi)
-        m = self.matrix(pi)
+        m = self._matrix_fn(pi)
         return sum(m[i][i] for i in range(self.dim))
 
     def generator_matrices(self) -> dict[int, Matrix]:
@@ -253,7 +265,7 @@ def classical_rep(kind: str, n: int) -> MatrixRep:
         order, e = factorial(n), identity_perm(n)
         return _permutation_module(n, order, lambda: all_permutations(n),
                                    lambda pi: lambda h: compose(pi, h), f"regular(S_{n})",
-                                   lambda pi: order if as_permutation(pi) == e else 0)
+                                   lambda pi: order if pi == e else 0)
     if kind == "standard":  # on the basis e_j - e_1, j = 2..n: pi sends it to e_pi(j) - e_pi(1)
         return MatrixRep(
             n, n - 1,
@@ -268,7 +280,7 @@ def classical_rep(kind: str, n: int) -> MatrixRep:
 def _class_traces(rep: MatrixRep) -> dict[Partition, int]:
     if rep.domain is not None:
         raise ValueError("character_of needs a full-S_n representation")
-    return {mu: rep.trace(class_representative(mu)) for mu in partitions_of(rep.n)}
+    return {mu: rep._trace(class_representative(mu)) for mu in partitions_of(rep.n)}
 
 
 def character_of(rep: MatrixRep) -> ClassFunction:
@@ -285,12 +297,11 @@ def decompose(rep: MatrixRep) -> dict[Partition, int]:
 
 
 def _multiplicities(n: int, traces: dict[Partition, int]) -> dict[Partition, int]:
-    """decompose, from the class traces of a representation of S_n."""
-    order = factorial(n)
-    out: dict[Partition, int] = {}
-    for lam in partitions_of(n):
-        row = character_row(lam)
-        total = sum(t * row[mu] * count_of_type(mu) for mu, t in traces.items() if t)
+    """decompose, from the trace of a representation of S_n at every class."""
+    order, classes, out = factorial(n), partitions_of(n), {}
+    weighted = [traces[mu] * size for mu, size in zip(classes, _class_sizes(n, classes))]
+    for lam in classes:
+        total = sum(map(mul, _s_row(lam), weighted))
         val = _require_integer(total, f"multiplicity of {lam}", order)
         if val < 0:
             raise InvariantViolationError(f"negative multiplicity {val} at {lam}")
@@ -379,7 +390,7 @@ def _straighten(tab, index, memo) -> dict[int, int]:
     return out
 
 
-def _natural_generator(i: int, tabs, cells, index, memo, trace: int):
+def _natural_generator(i: int, tabs, cells, index, trace: int, memo):
     """Young's natural matrix of s_i as sparse columns: column k lists the
     (j, c) with s_i . e_{T_k} = sum c e_{T_j}. It is -e_{T_k} where i and
     i+1 share a column of T_k (cells[k] maps each letter to its column and
@@ -406,8 +417,9 @@ def _natural_generator(i: int, tabs, cells, index, memo, trace: int):
 
 def specht_module(lam) -> MatrixRep:
     """The irreducible module S^lam with basis the standard polytabloids e_T
-    of the standard tableaux T of shape lam; dimension = number of standard
-    tableaux.
+    of the standard tableaux T of shape lam, listed on the first matrix()
+    call; dimension f^lam, by the hook lengths. The trace at pi is chi^lam at
+    its cycle type: a character row, read once under the coefficient cap.
 
     The matrix of s_i is Young's natural one, built once per module on first
     use, and the matrix of pi is their product along the reduced word that
@@ -423,28 +435,30 @@ def specht_module(lam) -> MatrixRep:
     lam = as_partition(lam)
     n = sum(lam)
     limits.check("specht", n)
-    heights = conjugate(lam)
-    tabs = [tuple(tuple(row[c] for row in t.rows[:h]) for c, h in enumerate(heights))
-            for t in standard_tableaux(lam)]
-    dim = len(tabs)
-    if dim != f_lambda(lam):
-        raise InvariantViolationError("Specht dimension != standard tableau count")
-    index = {t: k for k, t in enumerate(tabs)}
-    cells = [{v: (c, r) for c, col in enumerate(t) for r, v in enumerate(col)} for t in tabs]
-    # chi^lam at a transposition: f^lam * (sum of the contents) / C(n, 2)
-    trace = 2 * dim * sum(c for _, c in hook_content_cells(lam)) // max(n * (n - 1), 1)
-    eye = identity(dim)
-    table, memo = _OnceCache(), {}
+    dim, chi = f_lambda(lam), _once(lambda: character_row(lam))
+
+    def tableaux():  # the basis, as columns, with each letter's cell and the generators' trace
+        heights = conjugate(lam)
+        tabs = [tuple(tuple(row[c] for row in t.rows[:h]) for c, h in enumerate(heights))
+                for t in standard_tableaux(lam)]
+        if len(tabs) != dim:
+            raise InvariantViolationError("Specht dimension != standard tableau count")
+        cells = [{v: (c, r) for c, col in enumerate(t) for r, v in enumerate(col)} for t in tabs]
+        # chi^lam at a transposition: f^lam * (sum of the contents) / C(n, 2)
+        trace = 2 * dim * sum(c for _, c in hook_content_cells(lam)) // max(n * (n - 1), 1)
+        return tabs, cells, {t: k for k, t in enumerate(tabs)}, trace
+
+    basis, eye, table, memo = _once(tableaux), _once(lambda: identity(dim)), _OnceCache(), {}
 
     def generator(i):
-        return table.get(i, lambda: _natural_generator(i, tabs, cells, index, memo, trace))
+        return table.get(i, lambda: _natural_generator(i, *basis(), memo))
 
     def fn(pi):
         # Bubble-sort the word w of pi^-1. Swapping its entries at positions
         # b and b + 1, counted from 1, turns w into w s_b, so the swaps b_1,
         # ..., b_k give pi = s_{b_1} ... s_{b_k}, a reduced word, and each
         # s_b is one sparse right factor.
-        cols, word = eye, list(inverse_perm(pi))
+        cols, word = eye(), list(inverse_perm(pi))
         for end in range(n - 1, 0, -1):
             for a in range(end):
                 if word[a] > word[a + 1]:
@@ -452,7 +466,8 @@ def specht_module(lam) -> MatrixRep:
                     cols = [_combine(cols, terms) for terms in generator(a + 1)]
         return tuple(zip(*cols))
 
-    return MatrixRep(n, dim, fn, label=f"specht({lam})")
+    return MatrixRep(n, dim, fn, label=f"specht({lam})",
+                     _trace_fn=lambda pi: chi()[cycle_type(pi)])
 
 
 # --- induction / restriction / sums / tensors ---------------------------------
@@ -507,7 +522,7 @@ def _frobenius(rep: MatrixRep) -> dict[Partition, int]:
         (c[0], len(c)) for c in sub.conjugacy_classes())
     for c, size in classes:
         rho = cycle_type(c)
-        sums[rho] = sums.get(rho, 0) + size * rep.trace(c)
+        sums[rho] = sums.get(rho, 0) + size * rep._trace(c)
     return {rho: _require_integer(z_value(rho) * total, f"induced character at {rho}", sub.order)
             for rho, total in sums.items()}
 
@@ -534,13 +549,16 @@ def induce(rep: MatrixRep, n: int, transversal=None) -> MatrixRep:
         rows = [[0] * (k * d) for _ in range(k * d)]
         ts, locate = cosets()
         for j, t in enumerate(ts):
-            i, h = locate(compose(g, t))
-            for r, block_row in enumerate(rep._matrix_fn(h)):  # h is in H by construction
+            i, h = locate(compose(g, t))  # h is in H by construction
+            if d == 1:  # a line: its trace is the scalar of h
+                rows[i][j] = rep._trace(h)
+                continue
+            for r, block_row in enumerate(rep._matrix_fn(h)):
                 rows[i * d + r][j * d:(j + 1) * d] = block_row
         return tuple(tuple(row) for row in rows)
 
     return MatrixRep(n, k * d, fn, label=f"induced({rep.label})",
-                     _trace_fn=lambda g: frobenius().get(cycle_type(as_permutation(g)), 0))
+                     _trace_fn=lambda g: frobenius().get(cycle_type(g), 0))
 
 
 def restrict(rep: MatrixRep, subgroup: SubgroupSpec) -> MatrixRep:
@@ -549,10 +567,7 @@ def restrict(rep: MatrixRep, subgroup: SubgroupSpec) -> MatrixRep:
         raise ValueError("subgroup degree differs from the representation's")
     if rep.domain is not None and not all(h in rep.domain for h in subgroup.elements):
         raise ValueError("new domain is not a subgroup of the current one")
-    return MatrixRep(
-        rep.n, rep.dim, rep.matrix, domain=subgroup, label=f"restricted({rep.label})",
-        _trace_fn=rep.trace,
-    )
+    return MatrixRep(rep.n, rep.dim, rep._matrix_fn, subgroup, f"restricted({rep.label})", rep._trace)
 
 
 def trivial_of(subgroup: SubgroupSpec) -> MatrixRep:
@@ -565,15 +580,16 @@ def sign_of(subgroup: SubgroupSpec) -> MatrixRep:
 
 def _pair(a: MatrixRep, b: MatrixRep, dim: int, join, op, symbol: str) -> MatrixRep:
     """The module on which pi acts by join(a.matrix(pi), b.matrix(pi)), with
-    trace op(a.trace(pi), b.trace(pi)); a and b share degree and domain."""
+    trace op(a.trace(pi), b.trace(pi)); a and b share degree and domain, so
+    the word is checked once, by the pair."""
     if a.n != b.n:
         raise ValueError(f"degrees differ: {a.n} != {b.n}")
     if a.domain != b.domain:
         raise ValueError("domains differ")
     return MatrixRep(
-        a.n, dim, lambda pi: join(a.matrix(pi), b.matrix(pi)), domain=a.domain,
+        a.n, dim, lambda pi: join(a._matrix_fn(pi), b._matrix_fn(pi)), domain=a.domain,
         label=f"({a.label}){symbol}({b.label})",
-        _trace_fn=lambda pi: op(a.trace(pi), b.trace(pi)),
+        _trace_fn=lambda pi: op(a._trace(pi), b._trace(pi)),
     )
 
 

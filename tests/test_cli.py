@@ -613,15 +613,16 @@ def test_induce_reads_young_classes_in_closed_form(capsys, monkeypatch, comp, ki
 def test_tensor_traces_each_class_once(capsys, monkeypatch):
     """tensor prints the character and the decomposition from one set of
     class traces: 7 classes of S_5, each traced on the product and on both
-    factors."""
+    factors. The class words are built, not read, so they are traced
+    unchecked, through _trace."""
     calls = []
-    real = matrixreps.MatrixRep.trace
+    real = matrixreps.MatrixRep._trace
 
     def counted(self, perm):
         calls.append((self.label, tuple(perm)))
         return real(self, perm)
 
-    monkeypatch.setattr(matrixreps.MatrixRep, "trace", counted)
+    monkeypatch.setattr(matrixreps.MatrixRep, "_trace", counted)
     code, out, err = run(capsys, "tensor", "specht", "3,1,1", "specht", "2,2,1")
     assert code == 0 and err == ""
     assert len(calls) == len(set(calls)) == 21

@@ -164,6 +164,23 @@ def test_regular_trace_rejects_a_word_that_is_no_permutation():
         classical_rep("regular", 3).trace((1, 1, 2))
 
 
+def test_every_module_rejects_a_word_that_is_no_permutation():
+    """matrix() and trace() of every constructor raise on a word with a
+    repeated letter, instead of answering or failing in a lookup."""
+    sub = SubgroupSpec.young((2, 1))
+    s21 = specht_module((2, 1))
+    reps = [classical_rep(k, 3) for k in ("trivial", "sign", "defining", "regular", "standard")]
+    reps += [young_module((2, 1)), s21, trivial_of(sub), sign_of(sub), induce(sign_of(sub), 3),
+             induce(trivial_of(sub), 3, transversal=[(1, 2, 3), (1, 3, 2), (2, 3, 1)]),
+             restrict(s21, sub), direct_sum(s21, young_module((2, 1))),
+             tensor_product(s21, classical_rep("regular", 3)),
+             MatrixRep(3, 1, lambda pi: ((1,),))]
+    for rep in reps:
+        for read in (rep.matrix, rep.trace):
+            with pytest.raises(ValueError, match=r"not a permutation word: \(1, 1, 2\)"):
+                read((1, 1, 2))
+
+
 def test_regular_cap():
     with pytest.raises(DegreeCapError):
         classical_rep("regular", 7)
@@ -334,15 +351,54 @@ def test_specht_one_column_is_sign():
 
 def test_specht_dimensions_and_characters_to_5():
     """Dimension and character of every Specht module to the cap n = 5 and
-    beyond it to n = 8: the trace at every class, a reduced-word product of
-    Garnir-straightened generators, against the character row."""
+    beyond it to n = 8: the diagonal sum of the matrix at every class, a
+    reduced-word product of Garnir-straightened generators, against the
+    character row, which the trace rule reads."""
     with limits.scoped(limits.current().raised(8)):
         for n in range(1, 9):
             for lam in partitions_of(n):
                 rep = specht_module(lam)
-                assert rep.dim == f_lambda(lam)
+                diagonals = []
+                for mu in partitions_of(n):
+                    m = rep.matrix(class_representative(mu))
+                    diagonals.append(sum(m[i][i] for i in range(len(m))))
+                assert len(m) == rep.dim == f_lambda(lam)
                 row = character_row(lam)
-                assert character_of(rep).values == tuple(row[mu] for mu in partitions_of(n)), lam
+                assert tuple(diagonals) == tuple(row[mu] for mu in partitions_of(n)), lam
+
+
+def test_specht_characters_list_no_tableau(monkeypatch):
+    """decompose of a Specht module, and of a tensor product of two, reads
+    the trace rule: no standard tableau is listed."""
+    listed = []
+    real = matrixreps.standard_tableaux
+    monkeypatch.setattr(matrixreps, "standard_tableaux", lambda lam: listed.append(lam) or real(lam))
+    for lam in partitions_of(5):
+        assert decompose(specht_module(lam)) == {lam: 1}
+    tp = tensor_product(specht_module((3, 1, 1)), specht_module((2, 2, 1)))
+    assert decompose(tp) == {nu: k for nu in partitions_of(5)
+                             if (k := kronecker((3, 1, 1), (2, 2, 1), nu))}
+    assert character_of(tp).value((5,)) == 0
+    assert listed == []
+    specht_module((2, 1)).matrix((2, 1, 3))  # the first matrix lists them
+    assert listed == [(2, 1)]
+
+
+def test_specht_cap_raised_above_the_coefficient_cap():
+    """Raising only the Specht cap past the coefficient cap (12) builds the
+    module and its matrices; its trace reads a character row, which stays
+    capped, and raises naming that cap."""
+    with limits.scoped(limits.Limits(specht=13)):
+        rep = specht_module((12, 1))
+        pi = (2, 3, 1) + tuple(range(4, 14))
+        m = rep.matrix(pi)
+        assert rep.dim == len(m) == 12 and sum(m[i][i] for i in range(12)) == 9
+        with pytest.raises(DegreeCapError, match="character rows and coefficients are capped at n <= 12"):
+            rep.trace(pi)
+        with pytest.raises(DegreeCapError, match="capped at n <= 12"):
+            decompose(rep)
+    with limits.scoped(limits.current().raised(13)):
+        assert rep.trace(pi) == 9
 
 
 def test_specht_irreducibility_criterion_to_5():
@@ -586,6 +642,7 @@ def character_rule_reps():
     reps += [tensor_product(s31, y22), tensor_product(def4, reg4),
              tensor_product(ind, def4), direct_sum(y22, ind),
              direct_sum(reg4, tensor_product(s31, def4))]
+    reps += [specht_module(lam) for n in range(1, 6) for lam in partitions_of(n)]
     return reps
 
 
@@ -960,6 +1017,25 @@ def test_young_basis_lists_every_tabloid_in_lex_order():
             brute = {tuple(tuple(sorted(w[a:b])) for a, b in bounds)
                      for w in all_permutations(n)}
             assert young_basis(lam) == sorted(brute), lam
+
+
+def test_young_subgroups_compare_by_blocks():
+    """Two Young subgroups are equal iff their blocks are: a tensor product
+    of modules restricted to S_8 lists none of its 40,320 words. A Young
+    subgroup equals, and hashes like, the same subgroup given by elements."""
+    subs = [SubgroupSpec.young((8,)), SubgroupSpec.young((8,))]
+    a, b = (restrict(classical_rep(k, 8), sub) for k, sub in zip(("defining", "sign"), subs))
+    tp = tensor_product(a, b)
+    assert tp.trace((2, 1) + tuple(range(3, 9))) == -6
+    assert all("elements" not in vars(sub) for sub in subs)
+    assert SubgroupSpec.young((1, 2)) != SubgroupSpec.young((2, 1))
+    assert SubgroupSpec.young((2, 1)) != SubgroupSpec.young((2, 1, 1))
+    listed = SubgroupSpec.from_elements(3, [(1, 2, 3), (2, 1, 3)])
+    young = SubgroupSpec.young((2, 1))
+    assert young == listed and listed == young and hash(young) == hash(listed)
+    assert SubgroupSpec.young((1, 2)) != listed
+    with pytest.raises(ValueError, match="domains differ"):
+        tensor_product(a, restrict(classical_rep("sign", 8), SubgroupSpec.young((4, 4))))
 
 
 def test_young_subgroup_order():
