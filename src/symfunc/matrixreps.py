@@ -550,9 +550,6 @@ def induce(rep: MatrixRep, n: int, transversal=None) -> MatrixRep:
         ts, locate = cosets()
         for j, t in enumerate(ts):
             i, h = locate(compose(g, t))  # h is in H by construction
-            if d == 1:  # a line: its trace is the scalar of h
-                rows[i][j] = rep._trace(h)
-                continue
             for r, block_row in enumerate(rep._matrix_fn(h)):
                 rows[i * d + r][j * d:(j + 1) * d] = block_row
         return tuple(tuple(row) for row in rows)

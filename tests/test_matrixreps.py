@@ -397,6 +397,9 @@ def test_specht_cap_raised_above_the_coefficient_cap():
             rep.trace(pi)
         with pytest.raises(DegreeCapError, match="capped at n <= 12"):
             decompose(rep)
+        # a module induced from a line reads its inner matrix, not its trace
+        line = induce(restrict(specht_module((13,)), SubgroupSpec.young((13,))), 13)
+        assert line.matrix(pi) == ((1,),)
     with limits.scoped(limits.current().raised(13)):
         assert rep.trace(pi) == 9
 
