@@ -27,10 +27,11 @@ reduced word of pi.
 A MatrixRep carries a rule producing the exact matrix of any permutation in
 its domain; matrix() runs the rule on each call and keeps no matrix, since a
 matrix of the regular representation of S_6 alone takes megabytes. The first
-call lists a permutation module's basis, an induced module's cosets (on a
-Young subgroup, each word located is kept) or a Specht module's standard
-tableaux, with its generator columns and straightened tableaux. matrix() and
-trace() check each word once, that it is a permutation in the domain.
+call lists a permutation module's basis or an induced module's cosets (on a
+Young subgroup, each word located is kept). A Specht module's standard
+tableaux, straightened tableaux and generator columns are built once per
+shape per process, as two families of ring._cache. matrix() and trace()
+check each word once, that it is a permutation in the domain.
 matrix(pi sigma) == matrix(pi) . matrix(sigma) under the package-wide
 convention (pi sigma)(i) = pi(sigma(i)).
 """
@@ -42,7 +43,7 @@ from itertools import accumulate, combinations, pairwise, permutations as _perms
 from math import factorial, prod
 from operator import add, eq, mul
 
-from . import limits
+from . import limits, ring
 from ._record import Record
 from .characters import ClassFunction, _s_row, character_row, class_function
 from .errors import InvariantViolationError
@@ -396,8 +397,8 @@ def _natural_generator(i: int, tabs, cells, index, trace: int, memo):
     i+1 share a column of T_k (cells[k] maps each letter to its column and
     its place in it), and otherwise e_{s_i T_k}, s_i T_k column-strict,
     straightened. Raises unless its trace is the given trace, chi^lam at a
-    transposition."""
-    cols = []
+    transposition; memo takes the forms straightened only if it does not."""
+    cols, staged = [], dict(memo)
     for k, tab in enumerate(tabs):
         (c, r), (c1, r1) = cells[k][i], cells[k][i + 1]
         if c == c1:  # a column transposition, of sign -1
@@ -406,38 +407,38 @@ def _natural_generator(i: int, tabs, cells, index, trace: int, memo):
             moved = list(tab)
             moved[c] = tab[c][:r] + (i + 1,) + tab[c][r + 1:]
             moved[c1] = tab[c1][:r1] + (i,) + tab[c1][r1 + 1:]
-            cols.append(tuple(_straighten(tuple(moved), index, memo).items()))
+            cols.append(tuple(_straighten(tuple(moved), index, staged).items()))
     got = sum(c for k, terms in enumerate(cols) for j, c in terms if j == k)
     if got != trace:
-        raise InvariantViolationError(
-            f"trace of s_{i} is {got}, not chi at a transposition, {trace}"
-        )
+        raise InvariantViolationError(f"trace of s_{i} is {got}, not chi at a transposition, {trace}")
+    memo.update(staged)
     return tuple(cols)
 
 
 def specht_module(lam) -> MatrixRep:
     """The irreducible module S^lam with basis the standard polytabloids e_T
-    of the standard tableaux T of shape lam, listed on the first matrix()
-    call; dimension f^lam, by the hook lengths. The trace at pi is chi^lam at
-    its cycle type: a character row, read once under the coefficient cap.
+    of the standard tableaux T of shape lam, listed once per shape per
+    process; dimension f^lam, by the hook lengths. The trace at pi is chi^lam
+    at its cycle type: a character row, read once under the coefficient cap.
 
-    The matrix of s_i is Young's natural one, built once per module on first
-    use, and the matrix of pi is their product along the reduced word that
-    bubble-sorts pi^-1. Where i and i+1 share a row of T, s_i T is
-    column-strict with one row descent, and e_{s_i T} is straightened by
-    Garnir relations, each of which rewrites e_t over tableaux whose column
-    tabloids dominate that of t, so the recursion ends at standard tableaux
-    (Sagan, The Symmetric Group, 2.6; James, LNM 682, 7-8). The straightened
-    forms are kept per module. Each generator's trace must equal chi^lam at a
-    transposition, f^lam * (sum of the contents) / C(n, 2), read from the hook
-    contents, or the build raises.
+    The matrix of s_i is Young's natural one, and the matrix of pi is their
+    product along the reduced word that bubble-sorts pi^-1. Where i and i+1
+    share a row of T, s_i T is column-strict with one row descent, and
+    e_{s_i T} is straightened by Garnir relations, each of which rewrites e_t
+    over tableaux whose column tabloids dominate that of t, so the recursion
+    ends at standard tableaux (Sagan, The Symmetric Group, 2.6; James, LNM
+    682, 7-8). Each generator's trace must equal chi^lam at a transposition,
+    f^lam * (sum of the contents) / C(n, 2), read from the hook contents, or
+    its build raises. Once per shape per process, ring._cache keeps the
+    tableaux, their cells and index, that trace, the straightened forms and
+    the identity as ("specht", lam), and the columns of s_i as ("specht", lam, i).
     """
     lam = as_partition(lam)
     n = sum(lam)
     limits.check("specht", n)
-    dim, chi = f_lambda(lam), _once(lambda: character_row(lam))
+    dim, chi, key = f_lambda(lam), _once(lambda: character_row(lam)), ("specht", lam)
 
-    def tableaux():  # the basis, as columns, with each letter's cell and the generators' trace
+    def tableaux():
         heights = conjugate(lam)
         tabs = [tuple(tuple(row[c] for row in t.rows[:h]) for c, h in enumerate(heights))
                 for t in standard_tableaux(lam)]
@@ -446,24 +447,23 @@ def specht_module(lam) -> MatrixRep:
         cells = [{v: (c, r) for c, col in enumerate(t) for r, v in enumerate(col)} for t in tabs]
         # chi^lam at a transposition: f^lam * (sum of the contents) / C(n, 2)
         trace = 2 * dim * sum(c for _, c in hook_content_cells(lam)) // max(n * (n - 1), 1)
-        return tabs, cells, {t: k for k, t in enumerate(tabs)}, trace
+        return tabs, cells, {t: k for k, t in enumerate(tabs)}, trace, {}, identity(dim)
 
-    basis, eye, table, memo = _once(tableaux), _once(lambda: identity(dim)), _OnceCache(), {}
-
-    def generator(i):
-        return table.get(i, lambda: _natural_generator(i, *basis(), memo))
+    def generator(cache, i):  # from the shape's tableaux, cells, index, trace and memo
+        return cache.get((*key, i), lambda: _natural_generator(i, *cache.get(key, tableaux)[:5]))
 
     def fn(pi):
         # Bubble-sort the word w of pi^-1. Swapping its entries at positions
         # b and b + 1, counted from 1, turns w into w s_b, so the swaps b_1,
         # ..., b_k give pi = s_{b_1} ... s_{b_k}, a reduced word, and each
         # s_b is one sparse right factor.
-        cols, word = eye(), list(inverse_perm(pi))
+        cache, word = ring._cache, list(inverse_perm(pi))
+        cols = cache.get(key, tableaux)[-1]
         for end in range(n - 1, 0, -1):
             for a in range(end):
                 if word[a] > word[a + 1]:
                     word[a], word[a + 1] = word[a + 1], word[a]
-                    cols = [_combine(cols, terms) for terms in generator(a + 1)]
+                    cols = [_combine(cols, terms) for terms in generator(cache, a + 1)]
         return tuple(zip(*cols))
 
     return MatrixRep(n, dim, fn, label=f"specht({lam})",

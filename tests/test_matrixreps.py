@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from symfunc import limits, matrixreps
+from symfunc import limits, matrixreps, ring
 from symfunc.characters import (
     char_inner,
     character,
@@ -259,7 +259,6 @@ def test_young_trace_rule_is_the_h_pairing_to_8(monkeypatch):
     into the rows of mu, <h_mu, p_rho>: the row of mu in ring's h table, for
     every mu, rho |- n <= 8. Its character and decomposition list no
     tabloid."""
-    from symfunc import ring
 
     def no_tabloids(sizes):
         pytest.fail(f"the tabloids of {sizes} were listed")
@@ -370,6 +369,7 @@ def test_specht_dimensions_and_characters_to_5():
 def test_specht_characters_list_no_tableau(monkeypatch):
     """decompose of a Specht module, and of a tensor product of two, reads
     the trace rule: no standard tableau is listed."""
+    monkeypatch.setattr(ring, "_cache", ring._OnceCache())
     listed = []
     real = matrixreps.standard_tableaux
     monkeypatch.setattr(matrixreps, "standard_tableaux", lambda lam: listed.append(lam) or real(lam))
@@ -465,6 +465,7 @@ def test_specht_generator_trace_check_catches_a_corrupted_straightening(monkeypa
     # straightened tableau of S^(2,1); a wrong coefficient of e_T in its
     # straightened form moves the trace of s_1 off chi^(2,1) at a
     # transposition, while s_2 straightens nothing
+    monkeypatch.setattr(ring, "_cache", ring._OnceCache())
     real = matrixreps._straighten
 
     def corrupted(tab, index, memo):
@@ -497,6 +498,7 @@ def test_concurrent_specht_matrices_build_each_generator_once(monkeypatch):
         time.sleep(0.001)  # let the threads race for the same generator
         return real_generator(i, *args)
 
+    monkeypatch.setattr(ring, "_cache", ring._OnceCache())
     monkeypatch.setattr(matrixreps, "_natural_generator", generator)
     rep = specht_module(lam)
     results, errors = [], []
@@ -522,10 +524,81 @@ def test_concurrent_specht_matrices_build_each_generator_once(monkeypatch):
     assert built == Counter(range(1, n))
 
 
-def test_specht_generators_match_the_pinned_digests():
-    """Every generator matrix of every lam |- n <= 8 hashes to the digest
-    pinned in tests/golden/specht_generators.json, which
-    tests/specht_digest.py prints."""
+def test_concurrent_specht_modules_of_one_shape_build_it_once(monkeypatch):
+    """Two modules of one shape, driven from 8 threads at once, share one
+    build of the shape and one of each generator."""
+    lam, n = (3, 2), 5
+    rng = random.Random(29)
+    perms = [adjacent_transposition(n, i) for i in range(1, n)]
+    perms += [tuple(rng.sample(range(1, n + 1), n)) for _ in range(6)]
+    want = [specht_module(lam).matrix(pi) for pi in perms]
+
+    def slow(real):
+        def call(*args):
+            time.sleep(0.001)  # let the threads race for the same key
+            return real(*args)
+        return call
+
+    fresh = ring._OnceCache()
+    monkeypatch.setattr(ring, "_cache", fresh)
+    monkeypatch.setattr(matrixreps, "standard_tableaux", slow(matrixreps.standard_tableaux))
+    monkeypatch.setattr(matrixreps, "_natural_generator", slow(matrixreps._natural_generator))
+    reps = [specht_module(lam), specht_module(lam)]
+    start = threading.Barrier(8)
+    results, errors = [], []
+
+    def work(rep):
+        try:
+            start.wait(timeout=60)
+            results.append([rep.matrix(pi) for pi in perms])
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(reps[k % 2],)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors and results == [want] * len(threads)
+    assert fresh.compute_counts == {("specht", lam): 1} | {("specht", lam, i): 1 for i in range(1, n)}
+
+
+def test_a_failed_specht_generator_build_publishes_nothing(monkeypatch):
+    # the corrupted straightening of the trace-check test, which also keeps
+    # its wrong form of s_1 T in the memo: the failed build of s_1 must
+    # publish neither the generator nor that form, so that a later module of
+    # the shape, straightening for real, answers the pinned matrix
+    fresh = ring._OnceCache()
+    monkeypatch.setattr(ring, "_cache", fresh)
+    real = matrixreps._straighten
+
+    def corrupted(tab, index, memo):
+        out = dict(real(tab, index, memo))
+        if tab == ((2, 3), (1,)):
+            out[index[((1, 3), (2,))]] += 1
+            memo[tab] = out
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(matrixreps, "_straighten", corrupted)
+        with pytest.raises(InvariantViolationError, match="trace of s_1 is 1, not chi"):
+            specht_module((2, 1)).matrix((2, 1, 3))
+    assert fresh.compute_counts == {("specht", (2, 1)): 1}
+    assert specht_module((2, 1)).matrix((2, 1, 3)) == ((1, 0), (-1, -1))
+    assert fresh.compute_counts == {("specht", (2, 1)): 1, ("specht", (2, 1), 1): 1}
+
+
+def test_specht_generators_match_the_pinned_digests(monkeypatch):
+    """Every generator matrix of every lam |- n <= 8, built on a fresh
+    cache, hashes to the digest pinned in tests/golden/specht_generators.json,
+    which tests/specht_digest.py prints."""
+    monkeypatch.setattr(ring, "_cache", ring._OnceCache())
     path = os.path.join(os.path.dirname(__file__), "golden", "specht_generators.json")
     with open(path) as fh:
         text = fh.read()
@@ -535,12 +608,13 @@ def test_specht_generators_match_the_pinned_digests():
     assert render(got) == text
 
 
-def test_rep_matrices_match_the_pinned_digests():
+def test_rep_matrices_match_the_pinned_digests(monkeypatch):
     """The generator matrices, the longest-element matrix and the character
     of every Young module of n <= 6, regular module of n <= 5 and module
     induced from the trivial or sign of a Young subgroup of S_n, n <= 5,
-    hash to the digests pinned in tests/golden/rep_matrices.json, which
-    tests/rep_digest.py prints."""
+    built on a fresh cache, hash to the digests pinned in
+    tests/golden/rep_matrices.json, which tests/rep_digest.py prints."""
+    monkeypatch.setattr(ring, "_cache", ring._OnceCache())
     path = os.path.join(os.path.dirname(__file__), "golden", "rep_matrices.json")
     with open(path) as fh:
         text = fh.read()
