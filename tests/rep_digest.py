@@ -1,14 +1,14 @@
-"""Digests of the Young, regular and induced matrix representations, pinned
-by ``tests/golden/rep_matrices.json``.
+"""Digests of the Young, regular, defining and induced matrix
+representations, pinned by ``tests/golden/rep_matrices.json``.
 
 Each module maps to the first 16 hex digits of the SHA-256 of the repr of
 its generator matrices, its matrix at the longest element n n-1 ... 1 and
 its ``character_of``. The modules are every Young module of n <= 6, the
-regular module of n <= 5, and the modules induced from the trivial and the
-sign of every Young subgroup S_c, c a composition of n <= 5. With no
-argument the script prints the whole digest file; with names such as
-``"young 3,2" "induce 2,1 sign"`` it prints only their entries, for a change
-that moves those matrices on purpose:
+regular module of n <= 5, the modules induced from the trivial and the
+sign of every Young subgroup S_c, c a composition of n <= 5, and the
+defining module of n <= 6. With no argument the script prints the whole
+digest file; with names such as ``"young 3,2" "induce 2,1 sign"`` it prints
+only their entries, for a change that moves those matrices on purpose:
 
     python tests/rep_digest.py > tests/golden/rep_matrices.json
     python tests/rep_digest.py "young 3,2" "induce 2,1 sign"
@@ -52,6 +52,7 @@ def names() -> list[str]:
     out += [f"regular {n}" for n in range(1, 6)]
     out += [f"induce {format_partition(c)} {kind}"
             for n in range(1, 6) for c in compositions(n) for kind in ("trivial", "sign")]
+    out += [f"defining {n}" for n in range(1, 7)]
     return out
 
 
@@ -59,8 +60,8 @@ def module(name: str):
     kind, arg, *rest = name.split()
     if kind == "young":
         return young_module(parse_partition(arg))
-    if kind == "regular":
-        return classical_rep("regular", int(arg))
+    if kind in ("regular", "defining"):
+        return classical_rep(kind, int(arg))
     sub = SubgroupSpec.young(tuple(int(k) for k in arg.split(",")))
     return induce((trivial_of if rest == ["trivial"] else sign_of)(sub), sub.n)
 

@@ -287,6 +287,7 @@ def test_concurrent_young_matrices_list_the_tabloids_once(monkeypatch):
         time.sleep(0.001)  # let the threads race for the same list
         return real(lam)
 
+    monkeypatch.setattr(ring, "_cache", ring._OnceCache())
     monkeypatch.setattr(matrixreps, "young_basis", listed)
     rep = young_module(mu)
     start = threading.Barrier(8)
@@ -312,6 +313,52 @@ def test_concurrent_young_matrices_list_the_tabloids_once(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert not errors and results == [want] * len(threads)
     assert built == [mu]
+
+
+def test_young_and_regular_modules_share_one_coset_family(monkeypatch):
+    """Two Young modules of one shape and two regular modules of S_5, each
+    built separately and driven from 8 threads at once, list the tabloids
+    once per composition and build each ("cosets", blocks) key once."""
+    rng = random.Random(31)
+    perms = [tuple(rng.sample(range(1, 6), 5)) for _ in range(6)]
+    kinds = [lambda: young_module((3, 2)), lambda: classical_rep("regular", 5)]
+    want = [[make().matrix(pi) for pi in perms] for make in kinds]
+    built = []
+    real = matrixreps.young_basis
+
+    def listed(lam):
+        built.append(lam)
+        time.sleep(0.001)  # let the threads race for the same family
+        return real(lam)
+
+    fresh = ring._OnceCache()
+    monkeypatch.setattr(ring, "_cache", fresh)
+    monkeypatch.setattr(matrixreps, "young_basis", listed)
+    reps = [make() for make in kinds for _ in range(2)]
+    start = threading.Barrier(8)
+    results, errors = [None] * 8, []
+
+    def work(k):
+        try:
+            start.wait(timeout=60)
+            results[k] = [reps[k % 4].matrix(pi) for pi in perms]
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors and results == [want[k % 4 // 2] for k in range(8)]
+    assert sorted(built) == [(1, 1, 1, 1, 1), (3, 2)]
+    assert fresh.compute_counts == {("cosets", (3, 2)): 1, ("cosets", (1, 1, 1, 1, 1)): 1}
 
 
 def test_specht_polynomial_fixture_22():
@@ -610,16 +657,17 @@ def test_specht_generators_match_the_pinned_digests(monkeypatch):
 
 def test_rep_matrices_match_the_pinned_digests(monkeypatch):
     """The generator matrices, the longest-element matrix and the character
-    of every Young module of n <= 6, regular module of n <= 5 and module
-    induced from the trivial or sign of a Young subgroup of S_n, n <= 5,
-    built on a fresh cache, hash to the digests pinned in
-    tests/golden/rep_matrices.json, which tests/rep_digest.py prints."""
+    of every Young module of n <= 6, regular module of n <= 5, module
+    induced from the trivial or sign of a Young subgroup of S_n, n <= 5, and
+    defining module of n <= 6, built on a fresh cache, hash to the digests
+    pinned in tests/golden/rep_matrices.json, which tests/rep_digest.py
+    prints."""
     monkeypatch.setattr(ring, "_cache", ring._OnceCache())
     path = os.path.join(os.path.dirname(__file__), "golden", "rep_matrices.json")
     with open(path) as fh:
         text = fh.read()
     got = rep_digest.digests()
-    assert len(got) == 96
+    assert len(got) == 102
     assert got == json.loads(text)
     assert rep_digest.render(got) == text
 
@@ -668,16 +716,26 @@ def test_matrix_map_is_a_homomorphism():
 
 
 def test_large_permutation_modules_act_homomorphically():
-    # regular S_5 is 120x120: check the underlying action instead of
-    # multiplying dense matrices
+    """Regular S_5 is 120x120, so its matrices are read as column maps, with
+    no dense product: column j of matrix(p) has its one 1 at the lex index
+    of p t_j, and the map of matrix(p q) is that of matrix(p) after that of
+    matrix(q)."""
     rng = random.Random(313)
     reg = classical_rep("regular", 5)
-    basis = list(all_permutations(5))
+    words = list(permutations(range(1, 6)))
+    lex = {w: i for i, w in enumerate(words)}
+
+    def column_map(m):
+        cols = list(zip(*m))
+        assert all(sorted(col) == [0] * 119 + [1] for col in cols)
+        return [col.index(1) for col in cols]
+
     for _ in range(20):
         p = tuple(rng.sample(range(1, 6), 5))
         q = tuple(rng.sample(range(1, 6), 5))
-        for h in rng.sample(basis, 8):
-            assert compose(compose(p, q), h) == compose(p, compose(q, h))
+        mp, mq = column_map(reg.matrix(p)), column_map(reg.matrix(q))
+        assert mp == [lex[compose(p, t)] for t in words]
+        assert column_map(reg.matrix(compose(p, q))) == [mp[i] for i in mq]
 
 
 # --- character rules against the dense route ----------------------------------
@@ -895,10 +953,12 @@ def test_listed_subgroup_traces_one_element_per_class():
     assert got == coset_table_character(base, sub)
 
 
-def test_block_sorted_cosets_are_the_lex_scan_to_6():
+def test_block_sorted_cosets_are_the_lex_scan_to_6(monkeypatch):
     """The block-increasing words are the transversal that the lex scan of
     _cosets finds, and sorting each block's values puts every word of S_n in
-    the same coset with the same h, for every composition of n <= 6."""
+    the same coset with the same h, for every composition of n <= 6. It
+    runs on a fresh cache, so that it leaves no coset family behind."""
+    monkeypatch.setattr(ring, "_cache", ring._OnceCache())
     for n in range(1, 7):
         for comp in compositions(n):
             ts, locate = matrixreps._young_cosets(comp)
