@@ -1,14 +1,17 @@
-"""Digests of the Young, regular, defining and induced matrix
-representations, pinned by ``tests/golden/rep_matrices.json``.
+"""Digests of the Young, regular, defining, standard, induced, tensor and
+direct-sum matrix representations, pinned by
+``tests/golden/rep_matrices.json``.
 
 Each module maps to the first 16 hex digits of the SHA-256 of the repr of
 its generator matrices, its matrix at the longest element n n-1 ... 1 and
 its ``character_of``. The modules are every Young module of n <= 6, the
 regular module of n <= 5, the modules induced from the trivial and the
-sign of every Young subgroup S_c, c a composition of n <= 5, and the
-defining module of n <= 6. With no argument the script prints the whole
-digest file; with names such as ``"young 3,2" "induce 2,1 sign"`` it prints
-only their entries, for a change that moves those matrices on purpose:
+sign of every Young subgroup S_c, c a composition of n <= 5, the defining
+and standard modules of n <= 6, two tensor products (``a x b``) and one
+direct sum (``a + b``) of small modules. With no argument the script
+prints the whole digest file; with names such as ``"young 3,2"
+"induce 2,1 sign"`` it prints only their entries, for a change that moves
+those matrices on purpose:
 
     python tests/rep_digest.py > tests/golden/rep_matrices.json
     python tests/rep_digest.py "young 3,2" "induce 2,1 sign"
@@ -32,8 +35,11 @@ from symfunc.matrixreps import (
     SubgroupSpec,
     character_of,
     classical_rep,
+    direct_sum,
     induce,
     sign_of,
+    specht_module,
+    tensor_product,
     trivial_of,
     young_module,
 )
@@ -53,14 +59,22 @@ def names() -> list[str]:
     out += [f"induce {format_partition(c)} {kind}"
             for n in range(1, 6) for c in compositions(n) for kind in ("trivial", "sign")]
     out += [f"defining {n}" for n in range(1, 7)]
+    out += [f"standard {n}" for n in range(1, 7)]
+    out += ["specht 3,1 x young 2,2", "standard 4 x induce 2,2 sign", "regular 4 + defining 4"]
     return out
 
 
 def module(name: str):
+    for symbol, pair in ((" + ", direct_sum), (" x ", tensor_product)):
+        if symbol in name:
+            a, b = name.split(symbol)
+            return pair(module(a), module(b))
     kind, arg, *rest = name.split()
     if kind == "young":
         return young_module(parse_partition(arg))
-    if kind in ("regular", "defining"):
+    if kind == "specht":
+        return specht_module(parse_partition(arg))
+    if kind in ("regular", "defining", "standard"):
         return classical_rep(kind, int(arg))
     sub = SubgroupSpec.young(tuple(int(k) for k in arg.split(",")))
     return induce((trivial_of if rest == ["trivial"] else sign_of)(sub), sub.n)
