@@ -5,16 +5,15 @@ Young permutation modules, Specht modules, induction and restriction along
 subgroups, sums/tensors, exterior-square characters, and the GL-side
 character/dimension checks.
 
-Characters come from a closed-form trace rule of each module. A Specht
-module S^lam reads chi^lam, its s table row (Murnaghan-Nakayama); a module
-induced from H reads (z_rho/|H|) sum |c| chi(c) over the classes c of H of
-cycle type rho (Frobenius), from young_classes on a Young subgroup; a Young
-module M^lam is induced from the trivial module of S_lam, and the regular
-module from the trivial subgroup S_(1^n); the defining and standard modules
-count fixed points, tensor products multiply traces, direct sums add them,
-restrictions keep the parent's rule, and the trivial and sign modules read 1
-and the sign. Only a MatrixRep built with no rule sums a diagonal. decompose
-is one integer dot product per lam, divided by n! once.
+Characters come from a trace rule of each module, read at a cycle type rho.
+A Specht module S^lam reads chi^lam(rho), its s table row; a module induced
+from H, as the Young module M^lam is from the trivial module of S_lam and
+the regular one from S_(1^n), reads (z_rho/|H|) sum |c| chi(c) over the
+classes c of H of type rho (Frobenius); the defining and standard modules
+count the fixed points of rho, and the trivial and sign modules read 1 and
+its sign. Tensors multiply rules, sums add them, restrictions keep the
+parent's. Only a module with no rule is traced at words, by the diagonal
+sum. decompose is one integer dot product per lam, divided by n! once.
 
 The Specht module S^lam has the standard polytabloids e_T as its basis,
 one per standard tableau T, and works on tableaux alone. The matrix of an
@@ -41,13 +40,13 @@ convention (pi sigma)(i) = pi(sigma(i)).
 from __future__ import annotations
 
 from functools import cached_property, partial
-from itertools import accumulate, combinations, pairwise, permutations as _perms, product as _cartesian
+from itertools import accumulate, combinations, pairwise, permutations as _perms, product as _cartesian, repeat
 from math import factorial, prod
-from operator import add, eq, mul
+from operator import add, mul, neg, sub as subtract
 
 from . import limits, ring
 from ._record import Record
-from .characters import ClassFunction, _s_row, character_row, class_function
+from .characters import ClassFunction, character_row, class_function
 from .errors import InvariantViolationError
 from .linalg import Matrix, block_diag, identity, kron
 from .partitions import (
@@ -176,9 +175,9 @@ def young_classes(composition) -> list[tuple[Permutation, int]]:
 class MatrixRep:
     """A representation: degree n, dimension, and an exact matrix for every
     permutation in the domain (None = all of S_n), computed by a rule on
-    each call. A trace rule gives the character without building the matrix;
-    a MatrixRep built with none sums the diagonal of matrix(). The Coxeter
-    relations of the generator matrices are checked by the tests, not here."""
+    each call. A trace rule, read at the cycle type, gives the character with
+    no matrix; a MatrixRep built with none sums the diagonal of matrix(). The
+    Coxeter relations of the generator matrices are checked by the tests."""
 
     def __init__(self, n: int, dim: int, _matrix_fn, domain: SubgroupSpec | None = None,
                  label: str = "", _trace_fn=None):
@@ -207,9 +206,9 @@ class MatrixRep:
         return self._trace(self._checked(perm))
 
     def _trace(self, pi: Permutation) -> int:
-        """trace() of a word already checked."""
+        """trace() of a checked word: the rule at its cycle type, or the diagonal sum."""
         if self._trace_fn is not None:
-            return self._trace_fn(pi)
+            return self._trace_fn(cycle_type(pi))
         m = self._matrix_fn(pi)
         return sum(m[i][i] for i in range(self.dim))
 
@@ -232,9 +231,10 @@ def adjacent_transposition(n: int, i: int) -> Permutation:
 
 def _line(kind: str, n: int, label: str, domain: SubgroupSpec | None = None) -> MatrixRep:
     """The trivial or sign module: pi acts on one line by the scalar 1 or
-    sign(pi), which is also its trace."""
-    scalar = perm_sign if kind == "sign" else (lambda pi: 1)
-    return MatrixRep(n, 1, lambda pi: ((scalar(pi),),), domain, label, scalar)
+    sign(pi), which is also its trace, 1 or the sign of its cycle type."""
+    if kind == "sign":
+        return MatrixRep(n, 1, lambda pi: ((perm_sign(pi),),), domain, label, ring._omega_sign)
+    return MatrixRep(n, 1, lambda pi: ((1,),), domain, label, lambda rho: 1)
 
 
 def classical_rep(kind: str, n: int) -> MatrixRep:
@@ -249,7 +249,7 @@ def classical_rep(kind: str, n: int) -> MatrixRep:
         return _line(kind, n, f"{kind}(S_{n})")
     if kind == "defining":  # e_j -> e_pi(j): entry (i, j) is pi(j) = i
         return MatrixRep(n, n, lambda pi: tuple(tuple(int(v == i) for v in pi) for i in range(1, n + 1)),
-                         label=f"defining(S_{n})", _trace_fn=lambda pi: sum(map(eq, pi, range(1, n + 1))))
+                         label=f"defining(S_{n})", _trace_fn=lambda rho: rho.count(1))
     if kind == "regular":  # induced from the trivial subgroup, whose cosets are the words
         limits.check("regular", n)
         rep = induce(trivial_of(SubgroupSpec.young((1,) * n)), n)
@@ -261,7 +261,7 @@ def classical_rep(kind: str, n: int) -> MatrixRep:
             lambda pi: tuple(tuple((pi[j - 1] == i) - (pi[0] == i) for j in range(2, n + 1))
                              for i in range(2, n + 1)),
             label=f"standard(S_{n})",
-            _trace_fn=lambda pi: sum(v == i for i, v in enumerate(pi, 1)) - 1,
+            _trace_fn=lambda rho: rho.count(1) - 1,
         )
     raise ValueError(f"unknown classical representation {kind!r}")
 
@@ -269,12 +269,13 @@ def classical_rep(kind: str, n: int) -> MatrixRep:
 def _class_traces(rep: MatrixRep) -> dict[Partition, int]:
     if rep.domain is not None:
         raise ValueError("character_of needs a full-S_n representation")
-    return {mu: rep._trace(class_representative(mu)) for mu in partitions_of(rep.n)}
+    rule = rep._trace_fn or (lambda mu: rep._trace(class_representative(mu)))
+    return {mu: rule(mu) for mu in partitions_of(rep.n)}
 
 
 def character_of(rep: MatrixRep) -> ClassFunction:
-    """Trace at one canonical representative per cycle type (full-group
-    representations; for subgroup domains use rep.trace per element)."""
+    """The trace rule at each cycle type, or with none the trace at one class
+    word per type (full-group representations; else rep.trace per element)."""
     return class_function(rep.n, _class_traces(rep))
 
 
@@ -289,8 +290,9 @@ def _multiplicities(n: int, traces: dict[Partition, int]) -> dict[Partition, int
     """decompose, from the trace of a representation of S_n at every class."""
     order, classes, out = factorial(n), partitions_of(n), {}
     weighted = [traces[mu] * size for mu, size in zip(classes, _class_sizes(n, classes))]
-    for lam in classes:
-        total = sum(map(mul, _s_row(lam), weighted))
+    limits.check("coefficient", n)
+    for lam, row in zip(classes, ring._pairing(S, n)):  # row is chi^lam, the s table's
+        total = sum(map(mul, row, weighted))
         val = _require_integer(total, f"multiplicity of {lam}", order)
         if val < 0:
             raise InvariantViolationError(f"negative multiplicity {val} at {lam}")
@@ -325,11 +327,14 @@ def young_module(lam) -> MatrixRep:
 
 
 def _combine(cols, terms) -> tuple[int, ...]:
-    """sum c * cols[j] over the sparse (j, c) terms; one (j, 1) shares cols[j]."""
+    """sum c * cols[j] over the sparse (j, c) terms in maps; one (j, 1) shares cols[j]."""
     (j, c), *rest = terms
     if not rest and c == 1:
         return cols[j]
-    return tuple(map(sum, zip(*([c * x for x in cols[j]] for j, c in terms))))
+    acc = cols[j] if c == 1 else map(neg, cols[j]) if c == -1 else map(mul, cols[j], repeat(c))
+    for j, c in rest:  # a column of c = +-1 is added or subtracted as it is
+        acc = map(subtract, acc, cols[j]) if c == -1 else map(add, acc, cols[j] if c == 1 else map(mul, cols[j], repeat(c)))
+    return tuple(acc)
 
 
 def _garnir(tab):
@@ -454,8 +459,7 @@ def specht_module(lam) -> MatrixRep:
                     cols = [_combine(cols, terms) for terms in generator(cache, a + 1)]
         return tuple(zip(*cols))
 
-    return MatrixRep(n, dim, fn, label=f"specht({lam})",
-                     _trace_fn=lambda pi: chi()[cycle_type(pi)])
+    return MatrixRep(n, dim, fn, label=f"specht({lam})", _trace_fn=lambda rho: chi()[rho])
 
 
 # --- induction / restriction / sums / tensors ---------------------------------
@@ -513,14 +517,20 @@ def _young_cosets(blocks) -> tuple[list[Permutation], object]:
 
 def _frobenius(rep: MatrixRep) -> dict[Partition, int]:
     """The character induced from rep on H at each cycle type rho, (z_rho/|H|)
-    sum |c| rep.trace(c) over the classes c of H of type rho (Sagan 1.12): a
-    Young subgroup's young_classes, or else its conjugacy_classes."""
-    sub, sums = rep.domain, {}
-    classes = young_classes(sub.blocks) if sub.blocks else (
-        (c[0], len(c)) for c in sub.conjugacy_classes())
-    for c, size in classes:
-        rho = cycle_type(c)
-        sums[rho] = sums.get(rho, 0) + size * rep._trace(c)
+    sum |c| chi(c) over the classes c of H of type rho (Sagan 1.12). A rule is
+    read at rho, on a Young subgroup the union of one type per block; a module
+    with no rule need not be a class function of S_n: it is traced at words."""
+    sub, rule, sums = rep.domain, rep._trace_fn, {}
+    if sub.blocks and rule is not None:
+        for types in _cartesian(*map(partitions_of, sub.blocks)):
+            rho = tuple(sorted(sum(types, ()), reverse=True))
+            sums[rho] = sums.get(rho, 0) + prod(map(count_of_type, types)) * rule(rho)
+    else:
+        classes = young_classes(sub.blocks) if sub.blocks else (
+            (c[0], len(c)) for c in sub.conjugacy_classes())
+        for c, size in classes:
+            rho = cycle_type(c)
+            sums[rho] = sums.get(rho, 0) + size * rep._trace(c)
     return {rho: _require_integer(z_value(rho) * total, f"induced character at {rho}", sub.order)
             for rho, total in sums.items()}
 
@@ -552,7 +562,7 @@ def induce(rep: MatrixRep, n: int, transversal=None) -> MatrixRep:
         return tuple(map(tuple, rows))
 
     return MatrixRep(n, k * d, fn, label=f"induced({rep.label})",
-                     _trace_fn=lambda g: frobenius().get(cycle_type(g), 0))
+                     _trace_fn=lambda rho: frobenius().get(rho, 0))
 
 
 def restrict(rep: MatrixRep, subgroup: SubgroupSpec) -> MatrixRep:
@@ -561,7 +571,7 @@ def restrict(rep: MatrixRep, subgroup: SubgroupSpec) -> MatrixRep:
         raise ValueError("subgroup degree differs from the representation's")
     if rep.domain is not None and not all(h in rep.domain for h in subgroup.elements):
         raise ValueError("new domain is not a subgroup of the current one")
-    return MatrixRep(rep.n, rep.dim, rep._matrix_fn, subgroup, f"restricted({rep.label})", rep._trace)
+    return MatrixRep(rep.n, rep.dim, rep._matrix_fn, subgroup, f"restricted({rep.label})", rep._trace_fn)
 
 
 def trivial_of(subgroup: SubgroupSpec) -> MatrixRep:
@@ -574,16 +584,17 @@ def sign_of(subgroup: SubgroupSpec) -> MatrixRep:
 
 def _pair(a: MatrixRep, b: MatrixRep, dim: int, join, op, symbol: str) -> MatrixRep:
     """The module on which pi acts by join(a.matrix(pi), b.matrix(pi)), with
-    trace op(a.trace(pi), b.trace(pi)); a and b share degree and domain, so
-    the word is checked once, by the pair."""
+    the class rule op(a's rule, b's rule) when both have one; a and b share
+    degree and domain, so the word is checked once, by the pair."""
     if a.n != b.n:
         raise ValueError(f"degrees differ: {a.n} != {b.n}")
     if a.domain != b.domain:
         raise ValueError("domains differ")
+    fa, fb = a._trace_fn, b._trace_fn
     return MatrixRep(
         a.n, dim, lambda pi: join(a._matrix_fn(pi), b._matrix_fn(pi)), domain=a.domain,
         label=f"({a.label}){symbol}({b.label})",
-        _trace_fn=lambda pi: op(a._trace(pi), b._trace(pi)),
+        _trace_fn=None if fa is None or fb is None else lambda rho: op(fa(rho), fb(rho)),
     )
 
 

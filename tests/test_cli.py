@@ -612,17 +612,17 @@ def test_induce_reads_young_classes_in_closed_form(capsys, monkeypatch, comp, ki
 
 def test_tensor_traces_each_class_once(capsys, monkeypatch):
     """tensor prints the character and the decomposition from one set of
-    class traces: 7 classes of S_5, each traced on the product and on both
-    factors. The class words are built, not read, so they are traced
-    unchecked, through _trace."""
+    class traces: 7 classes of S_5, each read once from the class rule of
+    the product and of both factors, at its cycle type."""
     calls = []
-    real = matrixreps.MatrixRep._trace
+    real = matrixreps.MatrixRep.__init__
 
-    def counted(self, perm):
-        calls.append((self.label, tuple(perm)))
-        return real(self, perm)
+    def counting(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        rule = self._trace_fn
+        self._trace_fn = lambda rho: calls.append((self.label, rho)) or rule(rho)
 
-    monkeypatch.setattr(matrixreps.MatrixRep, "_trace", counted)
+    monkeypatch.setattr(matrixreps.MatrixRep, "__init__", counting)
     code, out, err = run(capsys, "tensor", "specht", "3,1,1", "specht", "2,2,1")
     assert code == 0 and err == ""
     assert len(calls) == len(set(calls)) == 21

@@ -49,6 +49,7 @@ from symfunc.partitions import (
     all_permutations,
     class_representative,
     compose,
+    cycle_type,
     identity_perm,
     inverse_perm,
     partitions_of,
@@ -135,17 +136,47 @@ def test_regular_character_and_decomposition():
 def test_regular_and_induced_characters_list_no_word(monkeypatch):
     """The regular character is n! at the identity and 0 elsewhere, and a
     character induced from a Young subgroup a Frobenius sum over its classes:
-    neither lists a word of S_n or of the subgroup."""
+    neither lists a word of S_n or of the subgroup. No built-in module builds
+    a class word either: character_of and decompose of Young, induced,
+    regular, defining, standard, Specht, tensor and direct-sum modules read
+    class rules at cycle types, and equal the diagonal sums at the class
+    representatives, taken before the word builders are cut."""
     def no_words(n):
         pytest.fail(f"the words of S_{n} were listed")
 
+    def modules():
+        sub, s31 = SubgroupSpec.young((1, 2, 1)), specht_module((3, 1))
+        reps = [classical_rep(k, 4) for k in ("regular", "defining", "standard")]
+        return reps + [
+            young_module((2, 1, 1)), s31, specht_module((2, 1, 1)), induce(sign_of(sub), 4),
+            induce(restrict(specht_module((2, 2)), SubgroupSpec.young((2, 2))), 4),
+            tensor_product(s31, young_module((2, 2))), direct_sum(reps[0], reps[1])]
+
+    diagonal = []
+    for rep in modules():
+        traces = {}
+        for rho in partitions_of(4):
+            m = rep.matrix(class_representative(rho))
+            traces[rho] = sum(m[i][i] for i in range(rep.dim))
+        chi = class_function(4, traces)
+        diagonal.append((chi, {lam: m for lam in partitions_of(4)
+                               if (m := char_inner(chi, class_function(4, character_row(lam))))}))
+
+    def no_class_word(*args):
+        pytest.fail("a class word was built")
+
     monkeypatch.setattr(matrixreps, "all_permutations", no_words)
     monkeypatch.setattr(matrixreps, "_perms", no_words)
+    for name in ("class_representative", "young_classes", "cycle_type"):
+        monkeypatch.setattr(matrixreps, name, no_class_word)
     regular = {lam: f_lambda(lam) for lam in partitions_of(6)}
     assert decompose(classical_rep("regular", 6)) == regular
     assert decompose(induce(sign_of(SubgroupSpec.young((1,) * 6)), 6)) == regular
     assert decompose(induce(trivial_of(SubgroupSpec.young((3, 2, 1))), 6)) == {
         lam: k for lam in partitions_of(6) if (k := O.kostka(lam, (3, 2, 1)))}
+    for rep, (chi, mults) in zip(modules(), diagonal):
+        assert character_of(rep) == chi, rep.label
+        assert decompose(rep) == mults, rep.label
 
 
 def test_frobenius_traces_reject_a_word_that_is_no_permutation():
@@ -941,17 +972,37 @@ def test_frobenius_induced_characters_match_the_coset_table_to_6():
 
 def test_listed_subgroup_traces_one_element_per_class():
     """Induced from a subgroup given by its elements, the Frobenius sum
-    traces one element of each of its conjugacy classes and equals the
-    coset-table character."""
+    reads the class rule at the cycle type of one element of each of its
+    conjugacy classes and equals the coset-table character."""
     sub = SubgroupSpec.from_elements(5, [p + (5,) for p in all_permutations(4)])
     base = restrict(specht_module((2, 1, 1, 1)), sub)
     traced = []
     counting = MatrixRep(5, base.dim, base._matrix_fn, sub,
-                         _trace_fn=lambda h: traced.append(h) or base.trace(h))
+                         _trace_fn=lambda rho: traced.append(rho) or base._trace_fn(rho))
     got = character_of(induce(counting, 5))
-    assert sorted(traced) == sorted(c[0] for c in sub.conjugacy_classes())
+    assert sorted(traced) == sorted(cycle_type(c[0]) for c in sub.conjugacy_classes())
     assert len(traced) == 5
     assert got == coset_table_character(base, sub)
+
+
+def test_rule_less_modules_are_traced_at_their_own_words():
+    """A module built by hand with no rule need not be a class function of
+    S_n: sign on the first block and trivial on the second, on S_(2,2),
+    traces -1 at (1 2) and 1 at (3 4), which share a cycle type. Induced,
+    it is traced at the subgroup's own class words and equals the
+    coset-table character; restricted, tensored or summed, it has no rule
+    and traces to the diagonal sum at every element."""
+    sub = SubgroupSpec.young((2, 2))
+    mixed = MatrixRep(4, 1, lambda h: ((-1 if h[0] == 2 else 1,),), sub)
+    assert (mixed.trace((2, 1, 3, 4)), mixed.trace((1, 2, 4, 3))) == (-1, 1)
+    assert character_of(induce(mixed, 4)) == coset_table_character(mixed, sub)
+    s31 = restrict(specht_module((3, 1)), sub)
+    for rep in (restrict(mixed, SubgroupSpec.young((2, 1, 1))), tensor_product(mixed, s31),
+                tensor_product(s31, mixed), direct_sum(mixed, sign_of(sub))):
+        assert rep._trace_fn is None, rep.label
+        for h in rep.domain.elements:
+            m = rep.matrix(h)
+            assert rep.trace(h) == sum(m[i][i] for i in range(rep.dim)), (rep.label, h)
 
 
 def test_block_sorted_cosets_are_the_lex_scan_to_6(monkeypatch):
