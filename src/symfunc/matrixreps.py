@@ -5,14 +5,13 @@ Young permutation modules, Specht modules, induction and restriction along
 subgroups, sums/tensors, exterior-square characters, and the GL-side
 character/dimension checks.
 
-Characters come from a trace rule of each module, read at a cycle type rho.
-A Specht module S^lam reads chi^lam(rho), its s table row; a module induced
-from H, as the Young module M^lam is from the trivial module of S_lam and
-the regular one from S_(1^n), reads (z_rho/|H|) sum |c| chi(c) over the
-classes c of H of type rho (Frobenius); the defining and standard modules
-count the fixed points of rho, and the trivial and sign modules read 1 and
-its sign. Tensors multiply rules, sums add them, restrictions keep the
-parent's. Only a module with no rule is traced at words, by the diagonal
+Characters come from a trace rule of each module, read at a cycle type rho:
+chi^lam(rho) for a Specht module S^lam, its s table row; for a module
+induced from H, as the Young and regular modules are, (z_rho/|H|) sum |c|
+chi(c) over the classes c of H of type rho (Frobenius); the fixed points of
+rho for the defining and standard modules; 1 and its sign for the trivial
+and sign modules. Tensors multiply rules, sums add them, restrictions keep
+the parent's. Only a module with no rule is traced at words, by the diagonal
 sum. decompose is one integer dot product per lam, divided by n! once.
 
 The Specht module S^lam has the standard polytabloids e_T as its basis,
@@ -40,7 +39,8 @@ convention (pi sigma)(i) = pi(sigma(i)).
 from __future__ import annotations
 
 from functools import cached_property, partial
-from itertools import accumulate, combinations, pairwise, permutations as _perms, product as _cartesian, repeat
+from itertools import (accumulate, combinations, pairwise, permutations as _perms,
+                       product as _cartesian, repeat)
 from math import factorial, prod
 from operator import add, mul, neg, sub as subtract
 
@@ -230,8 +230,7 @@ def adjacent_transposition(n: int, i: int) -> Permutation:
 
 
 def _line(kind: str, n: int, label: str, domain: SubgroupSpec | None = None) -> MatrixRep:
-    """The trivial or sign module: pi acts on one line by the scalar 1 or
-    sign(pi), which is also its trace, 1 or the sign of its cycle type."""
+    """The trivial or sign module: pi acts by 1 or sign(pi), its trace, read at its type."""
     if kind == "sign":
         return MatrixRep(n, 1, lambda pi: ((perm_sign(pi),),), domain, label, ring._omega_sign)
     return MatrixRep(n, 1, lambda pi: ((1,),), domain, label, lambda rho: 1)
@@ -333,7 +332,8 @@ def _combine(cols, terms) -> tuple[int, ...]:
         return cols[j]
     acc = cols[j] if c == 1 else map(neg, cols[j]) if c == -1 else map(mul, cols[j], repeat(c))
     for j, c in rest:  # a column of c = +-1 is added or subtracted as it is
-        acc = map(subtract, acc, cols[j]) if c == -1 else map(add, acc, cols[j] if c == 1 else map(mul, cols[j], repeat(c)))
+        col = cols[j] if c == 1 or c == -1 else map(mul, cols[j], repeat(c))
+        acc = map(subtract if c == -1 else add, acc, col)
     return tuple(acc)
 
 
