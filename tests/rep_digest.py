@@ -7,8 +7,9 @@ its generator matrices, its matrix at the longest element n n-1 ... 1 and
 its ``character_of``. The modules are every Young module of n <= 6, the
 regular module of n <= 5, the modules induced from the trivial and the
 sign of every Young subgroup S_c, c a composition of n <= 5, the defining
-and standard modules of n <= 6, two tensor products (``a x b``) and one
-direct sum (``a + b``) of small modules. With no argument the script
+and standard modules of n <= 6, four tensor products (``a x b``) and four
+direct sums (``a + b``) of small modules, two of them with the
+zero-dimensional ``standard 1``. With no argument the script
 prints the whole digest file; with names such as ``"young 3,2"
 "induce 2,1 sign"`` it prints only their entries, for a change that moves
 those matrices on purpose:
@@ -60,7 +61,9 @@ def names() -> list[str]:
             for n in range(1, 6) for c in compositions(n) for kind in ("trivial", "sign")]
     out += [f"defining {n}" for n in range(1, 7)]
     out += [f"standard {n}" for n in range(1, 7)]
-    out += ["specht 3,1 x young 2,2", "standard 4 x induce 2,2 sign", "regular 4 + defining 4"]
+    out += ["specht 3,1 x young 2,2", "standard 4 x induce 2,2 sign", "regular 4 + defining 4",
+            "regular 3 x specht 2,1", "specht 2,1 + induce 3 sign",
+            "standard 1 x defining 1", "standard 1 + defining 1"]  # standard 1 has dim 0
     return out
 
 

@@ -690,8 +690,8 @@ def test_rep_matrices_match_the_pinned_digests(monkeypatch):
     """The generator matrices, the longest-element matrix and the character
     of every Young module of n <= 6, regular module of n <= 5, module
     induced from the trivial or sign of a Young subgroup of S_n, n <= 5,
-    defining and standard module of n <= 6, and the two tensor products and
-    the direct sum of rep_digest.names(), built on a fresh cache, hash to the
+    defining and standard module of n <= 6, and the four tensor products and
+    four direct sums of rep_digest.names(), built on a fresh cache, hash to the
     digests pinned in tests/golden/rep_matrices.json, which
     tests/rep_digest.py prints."""
     monkeypatch.setattr(ring, "_cache", ring._OnceCache())
@@ -699,7 +699,7 @@ def test_rep_matrices_match_the_pinned_digests(monkeypatch):
     with open(path) as fh:
         text = fh.read()
     got = rep_digest.digests()
-    assert len(got) == 111
+    assert len(got) == 115
     assert got == json.loads(text)
     assert rep_digest.render(got) == text
 
