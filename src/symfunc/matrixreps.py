@@ -11,8 +11,9 @@ induced from H, as the Young and regular modules are, (z_rho/|H|) sum |c|
 chi(c) over the classes c of H of type rho (Frobenius); the fixed points of
 rho for the defining and standard modules; 1 and its sign for the trivial
 and sign modules. Tensors multiply rules, sums add them, restrictions keep
-the parent's. Only a module with no rule is traced at words, by the diagonal
-sum. decompose is one integer dot product per lam, divided by n! once.
+the parent's. A sum or tensor with a rule-less factor multiplies or adds
+its factors' traces at the word; only a MatrixRep built with no rule sums
+its diagonal. decompose is one integer dot product per lam, divided by n! once.
 
 The Specht module S^lam has the standard polytabloids e_T as its basis,
 one per standard tableau T, and works on tableaux alone. The matrix of an
@@ -22,18 +23,17 @@ share neither a row nor a column, and otherwise e_{s_i T} straightened in
 integers by Garnir relations. The matrix of pi is their product along a
 reduced word of pi.
 
-A MatrixRep carries a rule producing the exact matrix of any permutation in
-its domain; matrix() runs the rule on each call and keeps no matrix, since a
-matrix of the regular representation of S_6 alone takes megabytes. The
-cosets of a Young subgroup, with each word located, are built once per
+A MatrixRep carries a rule producing the exact matrix, a tuple of integer
+rows, of any permutation in its domain; matrix() runs the rule on each call
+and keeps none: a matrix of the regular module of S_6 alone takes megabytes.
+The cosets of a Young subgroup, with each word located, are built once per
 composition per process, as the ring._cache family ("cosets", blocks); an
 induced module on any other subgroup lists its cosets when it is built. A
 Specht module's standard tableaux, straightened tableaux and generator
 columns are built once per shape per process, as two families of
 ring._cache. matrix() and trace() check each word once, that it is a
-permutation in the domain.
-matrix(pi sigma) == matrix(pi) . matrix(sigma) under the package-wide
-convention (pi sigma)(i) = pi(sigma(i)).
+permutation in the domain. matrix(pi sigma) == matrix(pi) . matrix(sigma)
+under the package-wide convention (pi sigma)(i) = pi(sigma(i)).
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from . import limits, ring
 from ._record import Record
 from .characters import ClassFunction, character_row, class_function
 from .errors import InvariantViolationError
-from .linalg import Matrix, block_diag, identity, kron
 from .partitions import (
     Partition,
     Permutation,
@@ -70,6 +69,8 @@ from .partitions import (
 from .ring import PolynomialValue, S, _OnceCache, _add_scaled, _class_sizes, _require_integer
 from .ring import basis_element, evaluate
 from .tableaux import f_lambda, hook_content_cells, standard_tableaux
+
+Matrix = tuple[tuple, ...]
 
 # the name under which perfbench/reps.py raises the Specht cap
 set_rep_caps = limits.set_default
@@ -176,7 +177,8 @@ class MatrixRep:
     """A representation: degree n, dimension, and an exact matrix for every
     permutation in the domain (None = all of S_n), computed by a rule on
     each call. A trace rule, read at the cycle type, gives the character with
-    no matrix; a MatrixRep built with none sums the diagonal of matrix(). The
+    no matrix; a MatrixRep built with none sums the diagonal of matrix(),
+    and a sum or tensor with none is traced through its factors. The
     Coxeter relations of the generator matrices are checked by the tests."""
 
     def __init__(self, n: int, dim: int, _matrix_fn, domain: SubgroupSpec | None = None,
@@ -274,7 +276,7 @@ def _class_traces(rep: MatrixRep) -> dict[Partition, int]:
 
 def character_of(rep: MatrixRep) -> ClassFunction:
     """The trace rule at each cycle type, or with none the trace at one class
-    word per type (full-group representations; else rep.trace per element)."""
+    word per type; a module on a subgroup raises ValueError."""
     return class_function(rep.n, _class_traces(rep))
 
 
@@ -440,7 +442,8 @@ def specht_module(lam) -> MatrixRep:
         cells = [{v: (c, r) for c, col in enumerate(t) for r, v in enumerate(col)} for t in tabs]
         # chi^lam at a transposition: f^lam * (sum of the contents) / C(n, 2)
         trace = 2 * dim * sum(c for _, c in hook_content_cells(lam)) // max(n * (n - 1), 1)
-        return tabs, cells, {t: k for k, t in enumerate(tabs)}, trace, {}, identity(dim)
+        identity = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+        return tabs, cells, {t: k for k, t in enumerate(tabs)}, trace, {}, identity
 
     def generator(cache, i):  # from the shape's tableaux, cells, index, trace and memo
         return cache.get((*key, i), lambda: _natural_generator(i, *cache.get(key, tableaux)[:5]))
@@ -566,12 +569,14 @@ def induce(rep: MatrixRep, n: int, transversal=None) -> MatrixRep:
 
 
 def restrict(rep: MatrixRep, subgroup: SubgroupSpec) -> MatrixRep:
-    """Same matrices, domain cut down to the subgroup."""
+    """Same matrices and trace route, domain cut down to the subgroup."""
     if rep.n != subgroup.n:
         raise ValueError("subgroup degree differs from the representation's")
     if rep.domain is not None and not all(h in rep.domain for h in subgroup.elements):
         raise ValueError("new domain is not a subgroup of the current one")
-    return MatrixRep(rep.n, rep.dim, rep._matrix_fn, subgroup, f"restricted({rep.label})", rep._trace_fn)
+    out = MatrixRep(rep.n, rep.dim, rep._matrix_fn, subgroup, f"restricted({rep.label})", rep._trace_fn)
+    out._trace = rep._trace
+    return out
 
 
 def trivial_of(subgroup: SubgroupSpec) -> MatrixRep:
@@ -584,28 +589,41 @@ def sign_of(subgroup: SubgroupSpec) -> MatrixRep:
 
 def _pair(a: MatrixRep, b: MatrixRep, dim: int, join, op, symbol: str) -> MatrixRep:
     """The module on which pi acts by join(a.matrix(pi), b.matrix(pi)), with
-    the class rule op(a's rule, b's rule) when both have one; a and b share
-    degree and domain, so the word is checked once, by the pair."""
+    the class rule op(a's rule, b's rule) when both have one, and otherwise
+    the trace op(a's trace, b's trace) at the word, with no joined matrix; a
+    and b share degree and domain, so the word is checked once, by the pair."""
     if a.n != b.n:
         raise ValueError(f"degrees differ: {a.n} != {b.n}")
     if a.domain != b.domain:
         raise ValueError("domains differ")
     fa, fb = a._trace_fn, b._trace_fn
-    return MatrixRep(
+    rep = MatrixRep(
         a.n, dim, lambda pi: join(a._matrix_fn(pi), b._matrix_fn(pi)), domain=a.domain,
         label=f"({a.label}){symbol}({b.label})",
         _trace_fn=None if fa is None or fb is None else lambda rho: op(fa(rho), fb(rho)),
     )
+    if rep._trace_fn is None:  # shadows MatrixRep._trace, the diagonal sum
+        rep._trace = lambda pi: op(a._trace(pi), b._trace(pi))
+    return rep
+
+
+def _block_sum(a: Matrix, b: Matrix) -> Matrix:
+    left, right = (0,) * len(a), (0,) * len(b)
+    return tuple((*row, *right) for row in a) + tuple((*left, *row) for row in b)
 
 
 def direct_sum(a: MatrixRep, b: MatrixRep) -> MatrixRep:
-    return _pair(a, b, a.dim + b.dim, block_diag, add, "+")
+    return _pair(a, b, a.dim + b.dim, _block_sum, add, "+")
+
+
+def _kron(a: Matrix, b: Matrix) -> Matrix:
+    return tuple(tuple(x * y for x in ra for y in rb) for ra in a for rb in b)
 
 
 def tensor_product(a: MatrixRep, b: MatrixRep) -> MatrixRep:
     """Inner tensor product: the diagonal action, Kronecker-product
     matrices; characters multiply pointwise."""
-    return _pair(a, b, a.dim * b.dim, kron, mul, "x")
+    return _pair(a, b, a.dim * b.dim, _kron, mul, "x")
 
 
 def square_class(mu) -> Partition:

@@ -1005,6 +1005,34 @@ def test_rule_less_modules_are_traced_at_their_own_words():
             assert rep.trace(h) == sum(m[i][i] for i in range(rep.dim)), (rep.label, h)
 
 
+def test_rule_less_pairs_are_traced_through_their_factors():
+    """A sum or tensor of the regular module of S_5 with a line module that
+    has no rule is traced at each word as the sum or product of its
+    factors' traces, and so is its restriction to S_(3,2): the regular
+    factor's matrix is never built, and each character and each trace is
+    the diagonal sum of the joined matrix."""
+    def raising(pi):
+        raise AssertionError("the regular module's matrix was built")
+
+    def diagonal_sum(m):
+        return sum(m[i][i] for i in range(len(m)))
+
+    line = MatrixRep(5, 1, lambda pi: ((perm_sign(pi),),), label="line")
+    sub = SubgroupSpec.young((3, 2))
+    for pair in (tensor_product, direct_sum):
+        real = pair(classical_rep("regular", 5), line)
+        blind = classical_rep("regular", 5)
+        blind._matrix_fn = raising
+        rep = pair(blind, line)
+        assert rep._trace_fn is None, rep.label
+        diagonal = {mu: diagonal_sum(real.matrix(class_representative(mu)))
+                    for mu in partitions_of(5)}
+        assert character_of(rep) == class_function(5, diagonal), rep.label
+        restricted = restrict(rep, sub)
+        for h in sub.elements:
+            assert restricted.trace(h) == diagonal_sum(real.matrix(h)), (rep.label, h)
+
+
 def test_block_sorted_cosets_are_the_lex_scan_to_6(monkeypatch):
     """The block-increasing words are the transversal that the lex scan of
     _cosets finds, and sorting each block's values puts every word of S_n in
@@ -1026,12 +1054,11 @@ def outer_tensor_on_young(mu, nu):
     sub = SubgroupSpec.young((a, b))
     left_rep = specht_module(mu)
     right_rep = specht_module(nu)
-    from symfunc.linalg import kron as _kron
 
     def fn(h):
-        left = tuple(h[i] for i in range(a))
-        right = tuple(h[i] - a for i in range(a, a + b))
-        return _kron(left_rep.matrix(left), right_rep.matrix(right))
+        left = left_rep.matrix(tuple(h[i] for i in range(a)))
+        right = right_rep.matrix(tuple(h[i] - a for i in range(a, a + b)))
+        return tuple(tuple(x * y for x in ra for y in rb) for ra in left for rb in right)
 
     return MatrixRep(a + b, left_rep.dim * right_rep.dim, fn, domain=sub)
 
