@@ -702,13 +702,6 @@ def sym_to_json(f: SymElement) -> dict:
     }
 
 
-def sym_from_json(obj: dict) -> SymElement:
-    terms = {
-        tuple(t["partition"]): parse_coeff(t["coeff"]) for t in obj["terms"]
-    }
-    return sym_element(obj["basis"], terms)
-
-
 def parse_sym_element(text: str) -> SymElement:
     """Parse the CLI literal ``basis:coeff*partition+...``, e.g.
     ``s:1*2,1`` or ``p:1/2*2+-1/2*1,1``. A missing ``coeff*`` means 1;

@@ -28,11 +28,11 @@ from symfunc.ring import (
     multiply,
     omega,
     one,
+    parse_coeff,
     parse_sym_element,
     perp,
     skew_schur,
     sym_element,
-    sym_from_json,
     sym_to_json,
     zero,
 )
@@ -570,6 +570,12 @@ def test_no_zero_terms_are_stored():
     assert (3,) in f.terms and (2, 1) not in f.terms
     g = f - basis_element(S, (3,))
     assert g.is_zero()
+
+
+def sym_from_json(obj: dict):
+    """The inverse of ``sym_to_json``, to check that its output round-trips."""
+    terms = {tuple(t["partition"]): parse_coeff(t["coeff"]) for t in obj["terms"]}
+    return sym_element(obj["basis"], terms)
 
 
 def test_json_roundtrip():
