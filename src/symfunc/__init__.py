@@ -12,8 +12,6 @@ process pays its imports before ``main`` runs and a timing of ``main`` holds
 no module compile.
 """
 
-import sys as _sys
-
 _NAMES = {  # home module -> the public names the package lends from it
     "errors": "DegreeCapError InvariantViolationError SizeMismatchError",
     "partitions": ("Partition Permutation as_partition conjugate count_of_type cycle_type"
@@ -42,8 +40,8 @@ def __getattr__(name: str):
     home = _HOME.get(name, name)
     if home not in _NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    __import__(f"{__name__}.{home}")
-    module = _sys.modules[f"{__name__}.{home}"]
+    __import__(f"{__name__}.{home}")  # binds the submodule in globals()
+    module = globals()[home]
     value = module if home == name else getattr(module, name)
     globals()[name] = value
     return value

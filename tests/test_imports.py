@@ -1,7 +1,8 @@
 """The import footprint and the namespace of the ``symfunc`` package.
 
 The package resolves its public names on first use, so what a process loads
-depends on what it read before: every check here runs in a fresh interpreter.
+depends on what it read before: every check that reads the footprint, or
+reads a name first, runs in a fresh interpreter.
 """
 
 import json
