@@ -1,11 +1,12 @@
 """Symmetric-group characters via the Frobenius characteristic, and the
 Littlewood-Richardson, Kronecker and Young's-rule coefficient families.
 
-Irreducible characters are rows of ring's Schur pairing table,
-chi^lam(mu) = <s_lam, p_mu> = z_mu * [p_mu] s_lam, which ring builds by the
-Murnaghan-Nakayama rule. The Specht modules of matrixreps read their traces
-from these rows; the diagonals of their matrices, built by Garnir
-straightening on tableaux, stay the tests' independent cross-check.
+An irreducible character is one cached s row of ring, chi^lam(mu) =
+<s_lam, p_mu>, built by Murnaghan-Nakayama from only the rows it reaches.
+The Specht modules of matrixreps read their traces from these rows; the
+diagonals of their matrices, built by Garnir straightening on tableaux,
+stay the tests' independent cross-check. LR coefficients count LR tableaux
+(tableaux._lr_fillings), and Young's rule is the Pieri rule (tableaux._h_in_s).
 """
 
 from __future__ import annotations
@@ -17,21 +18,17 @@ from operator import mul
 from . import limits
 from ._record import Record
 from .errors import InvariantViolationError, SizeMismatchError
-from .partitions import Partition, as_partition, partition_ranks, partitions_of, z_value
+from .partitions import Partition, as_partition, contains, partition_ranks, partitions_of, z_value
 from .ring import (
-    H,
     P,
-    S,
     SymElement,
     _class_sizes,
     _p_ints,
-    _pairing,
     _require_integer,
-    _skew_p,
-    basis_element,
-    convert,
+    _schur_row,
     sym_element,
 )
+from .tableaux import _h_in_s, _lr_fillings
 
 class ClassFunction(Record):
     """A rational-valued function on the conjugacy classes of S_n, keyed by
@@ -60,17 +57,17 @@ def class_function(n: int, values) -> ClassFunction:
     )
 
 
-def _s_row(lam: Partition) -> tuple[int, ...]:
-    """chi^lam on the classes in partitions_of(n) order: its s table row."""
-    n = sum(lam)
+def _capped(n: int) -> None:
+    """The caps of a coefficient of degree n: its own, then the s table's."""
     limits.check("coefficient", n)
-    return _pairing(S, n)[partition_ranks(n)[lam]]
+    limits.check("ring", n)
 
 
 def character_row(lam) -> dict[Partition, int]:
     """All values of the irreducible character chi^lam, keyed by class."""
     lam = as_partition(lam)
-    return dict(zip(partitions_of(sum(lam)), _s_row(lam)))
+    _capped(sum(lam))
+    return dict(zip(partitions_of(sum(lam)), _schur_row(lam)))
 
 
 def character(lam, mu) -> int:
@@ -115,23 +112,13 @@ def frobenius_inverse(f: SymElement, n: int) -> ClassFunction:
 
 
 def littlewood_richardson(lam, mu, nu) -> int:
-    """c^lam_{mu,nu} = <s_mu^perp s_lam, s_nu>, the power-sum coefficients
-    of the skew function paired with the character row of nu; zero unless
-    |lam|=|mu|+|nu|."""
+    """c^lam_{mu,nu} = <s_mu^perp s_lam, s_nu>, the number of LR tableaux of
+    shape lam/mu and content nu; zero unless |lam|=|mu|+|nu|."""
     lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
     if sum(lam) != sum(mu) + sum(nu):
         return 0
-    limits.check("coefficient", sum(lam))
-    den, nums = _p_ints(basis_element(S, lam))
-    row, ranks = _s_row(nu), partition_ranks(sum(nu))
-    val = _require_integer(
-        sum(v * row[ranks[beta]] for beta, v in _skew_p(mu, nums).items()),
-        f"LR coefficient c^{lam}_({mu},{nu})",
-        den,
-    )
-    if val < 0:
-        raise InvariantViolationError(f"negative LR coefficient {val}")
-    return val
+    _capped(sum(lam))
+    return _lr_fillings(lam, mu, nu).get(nu, 0) if contains(mu, lam) else 0
 
 
 def kronecker(lam, mu, nu) -> int:
@@ -142,9 +129,10 @@ def kronecker(lam, mu, nu) -> int:
     n = sum(lam)
     if sum(mu) != n or sum(nu) != n:
         return 0
-    limits.check("coefficient", n)
+    _capped(n)
     sizes = _class_sizes(n, partitions_of(n))
-    total = sum(map(mul, map(mul, _s_row(lam), _s_row(mu)), map(mul, _s_row(nu), sizes)))
+    a, b, c = map(_schur_row, (lam, mu, nu))
+    total = sum(map(mul, map(mul, a, b), map(mul, c, sizes)))
     val = _require_integer(total, f"Kronecker coefficient gamma^{lam}_({mu},{nu})", factorial(n))
     if val < 0:
         raise InvariantViolationError(f"negative Kronecker coefficient {val}")
@@ -163,14 +151,10 @@ def kronecker_product(f: SymElement, g: SymElement) -> SymElement:
 def youngs_rule(mu) -> dict[Partition, int]:
     """Multiplicities of the irreducibles inside the Young permutation
     module indexed by mu; equals the Schur expansion of h_mu, i.e. the
-    Kostka numbers K_{lam,mu}."""
+    Kostka numbers K_{lam,mu}, by the Pieri rule."""
     mu = as_partition(mu)
-    limits.check("coefficient", sum(mu))
-    expansion = convert(basis_element(H, mu), S)
-    return {
-        lam: _require_integer(c, f"Young's-rule multiplicity of {lam} in H^{mu}")
-        for lam, c in sorted(expansion.terms.items(), reverse=True)
-    }
+    _capped(sum(mu))
+    return dict(sorted(_h_in_s(mu).items(), reverse=True))
 
 
 def char_inner(f: ClassFunction, g: ClassFunction) -> Fraction:

@@ -15,9 +15,10 @@ of dense rows of ints, both axes in partitions_of(degree) order:
     <h_a f, p_mu> = sum over alpha |- a with alpha + beta = mu of
     z_mu / (z_alpha z_beta) <f, p_beta>;
   * s: Murnaghan-Nakayama, <s_lam, p_rho> = sum over the border strips xi
-    of length rho_1 of (-1)^ht(xi) <s_(lam - xi), p_(rho_2, rho_3, ...)>,
-    which reads only smaller s tables, for the shape of each conjugate pair
-    with fewer rows; the other is its eps twist;
+    of length rho_1 of (-1)^ht(xi) <s_(lam - xi), p_(rho_2, ...)>: one cached
+    row per shape, which reads only the rows of the shapes lam - xi, and the
+    table is the tuple of its rows; a shape with more rows than columns is
+    the eps twist of its conjugate;
   * m: <m_lam, p_mu> = [h_lam] p_mu, the product over the parts k of mu of
     Newton's p_k = sum over lam |- k of (-1)^(len-1) k (len-1)! /
     prod m_i(lam)! h_lam, multiplied in h by part concatenation.
@@ -34,13 +35,14 @@ meets a table is enumerated, after its cap check), multiply them by the
 table rows they touch in C-level sum(map(mul, ..)) dots, and build one
 Fraction per output coefficient, at the public return.
 Every memo in this module is one family of keys in _cache, built within
-the ring cap: the pairing tables, the merge and insertion maps below, and
-the sum coproduct of each p_lam. The cache is compute-then-publish under
-one reentrant lock: readers never see a partial value and each key is
-computed at most once, provided no compute waits on another thread that
-reads the cache.
-_skew_p applies s_mu^perp to those power sums; perp is its one public route,
-skew_schur is perp(mu, s_lam), and LR dots its s_lam image with s_nu's row.
+the ring cap: the pairing tables, the s rows and their classes, the merge
+and insertion maps below, and the sum coproduct of each p_lam. The cache is
+compute-then-publish under one reentrant lock: readers never see a partial
+value and each key is computed at most once, provided no compute waits on
+another thread that reads the cache.
+_skew_p applies s_mu^perp to those power sums; perp is its one public route.
+skew_schur reads no table: s_(lam/mu) = sum of c^lam_(mu nu) s_nu, and
+tableaux._lr_fillings counts the LR tableaux of shape lam/mu by content nu.
 
 Every union of partitions (products, the h rows and m columns, _skew_p) is
 read from the cached merge map, in rank space: that lists partitions_of(a + b),
@@ -81,7 +83,7 @@ PairingTable = tuple[tuple[int, ...], ...]
 class _OnceCache:
     """Thread-safe memo: each key computed at most once, and readers see only
     fully built values, read without a lock. A missing value is computed under
-    the cache's one reentrant lock, so a build may read other keys (an s table
+    the cache's one reentrant lock, so a build may read other keys (an s row
     reads smaller ones); no compute may wait on another thread that reads
     this cache. A failed compute publishes nothing."""
 
@@ -90,14 +92,14 @@ class _OnceCache:
         self._lock = threading.RLock()
         self.compute_counts: dict = {}
 
-    def get(self, key, compute):
+    def get(self, key, compute, *args):
         try:
             return self._data[key]
         except KeyError:
             pass
         with self._lock:
             if key not in self._data:
-                value = compute()
+                value = compute(*args)
                 self.compute_counts[key] = self.compute_counts.get(key, 0) + 1
                 self._data[key] = value
             return self._data[key]
@@ -293,7 +295,6 @@ def _pairing_table(basis: str, degree: int) -> PairingTable:
     if not degree:
         return ((1,),)
     lams = partitions_of(degree)
-    ranks = partition_ranks(degree)
     if basis == H:
         table = []
         for lam in lams:
@@ -305,29 +306,7 @@ def _pairing_table(basis: str, degree: int) -> PairingTable:
             table.append(tuple(row))
         return tuple(table)
     if basis == S:
-        # s_lam = omega(s_lam'): expand the shape with fewer rows, which
-        # comes first in canonical order, and twist it for its conjugate.
-        # The rho with rho_1 = k are one block of the row, and their rests
-        # rho[1:] are the partitions of degree - k with parts <= k: the
-        # last ``blocks[k]`` of partitions_of(degree - k), in order.
-        blocks = Counter(rho[0] for rho in lams)
-        eps = _eps(degree)
-        table = []
-        for lam in lams:
-            conj = conjugate(lam)
-            if len(conj) < len(lam):
-                table.append(tuple(map(mul, eps, table[ranks[conj]])))
-                continue
-            row: list[int] = []
-            for k, size in blocks.items():
-                lower = _pairing(S, degree - k)
-                block = [0] * size
-                for nu, sign in _border_strips(lam, k):
-                    r = lower[partition_ranks(degree - k)[nu]]
-                    block = list(map(add if sign > 0 else sub, block, r[len(r) - size:]))
-                row += block
-            table.append(tuple(row))
-        return tuple(table)
+        return tuple(map(_schur_row, lams))
     if basis != M:
         raise ValueError(f"no pairing table is stored for basis {basis!r}")
     # column mu is p_mu = p_(mu_1) p_(mu_2) ... in the h basis, a dense vector
@@ -349,9 +328,38 @@ def _pairing_table(basis: str, degree: int) -> PairingTable:
 
 
 def _pairing(basis: str, degree: int) -> PairingTable:
-    """The cached pairing table of ``basis`` (h, s or m) at one degree."""
+    """The cached pairing table of ``basis`` (h, s or m) at one degree; an s
+    table is the tuple of its cached rows."""
     limits.check("ring", degree)
-    return _cache.get(("pairing", basis, degree), lambda: _pairing_table(basis, degree))
+    return _cache.get(("pairing", basis, degree), _pairing_table, basis, degree)
+
+
+def _schur_row(lam: Partition) -> tuple[int, ...]:
+    """The cached s row of lam, chi^lam; uncapped: callers check the cap."""
+    return _cache.get(("row", S, lam), _mn_row, lam)
+
+
+def _mn_row(lam: Partition) -> tuple[int, ...]:
+    """The rho with rho_1 = k are one block of the row, their rests the last
+    ``size`` of partitions_of(d - k): the block sums (-1)^ht(xi) times that
+    tail of the row of lam - xi over the strips xi of length k. A shape with
+    more rows than columns is the eps twist of its conjugate."""
+    d = sum(lam)
+    if not d:
+        return (1,)
+    # (k, #{rho |- d : rho_1 = k}) in partitions_of(d) order, and eps
+    blocks, eps = _cache.get(("classes", d), lambda: (
+        tuple(Counter(rho[0] for rho in partitions_of(d)).items()), _eps(d)))
+    conj = conjugate(lam)
+    if len(conj) < len(lam):
+        return tuple(map(mul, eps, _schur_row(conj)))
+    row: list[int] = []
+    for k, size in blocks:
+        block = [0] * size
+        for nu, sign in _border_strips(lam, k):
+            block = list(map(add if sign > 0 else sub, block, _schur_row(nu)[-size:]))
+        row += block
+    return tuple(row)
 
 
 # The Hall dual of each basis other than p; that of e is omega(m), whose
@@ -553,17 +561,14 @@ def _skew_p(mu: Partition, nums: dict[Partition, int]) -> dict[Partition, int]:
 
 def skew_schur(lam, mu) -> SymElement:
     """The skew Schur function s_(lam/mu) = s_mu^perp s_lam as a Schur
-    expansion, sum over nu of <s_lam, s_mu s_nu> s_nu; zero if mu is not
-    inside lam."""
-    lam = as_partition(lam)
-    mu = as_partition(mu)
-    out = perp(mu, basis_element(S, lam))
-    for nu, c in out.terms.items():
-        if c.denominator != 1 or c < 0:
-            raise InvariantViolationError(
-                f"skew Schur coefficient ({lam}/{mu}, {nu}) is not a nonnegative integer: {c}"
-            )
-    return out
+    expansion, sum over nu of c^lam_(mu nu) s_nu, read off the LR tableaux
+    of shape lam/mu; zero if mu is not inside lam."""
+    lam, mu = as_partition(lam), as_partition(mu)
+    if not contains(mu, lam):
+        return SymElement(S, {})
+    limits.check("ring", sum(lam))  # capped as perp(mu, s_lam) is
+    from .tableaux import _lr_fillings  # so that importing ring compiles no tableaux
+    return SymElement(S, {nu: Fraction(c) for nu, c in _lr_fillings(lam, mu).items()})
 
 
 def perp(mu, f: SymElement) -> SymElement:

@@ -1,13 +1,14 @@
 """(Skew) semistandard and standard Young tableaux, Kostka numbers and RSK.
 
-Enumeration is backtracking in row-major cell order, pruning with the
-row-weak / column-strict constraints, so fillings stream out in row-major
-lexicographic order and counting builds no tableau at all.
+Enumeration backtracks in row-major cell order, pruning with the row-weak /
+column-strict constraints: fillings stream out in row-major lex order, and
+count_ssyt builds no tableau. kostka enumerates none: it reads the Pieri rule.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from math import factorial, prod
 
 from ._record import Record
@@ -169,18 +170,68 @@ def count_ssyt(shape, max_entry: int, content: tuple[int, ...] | None = None) ->
 
 
 def kostka(lam: Partition, mu: Partition) -> int:
-    """Number of semistandard tableaux of shape ``lam`` and content ``mu``.
-
-    Returns 0 when the sizes differ. Invariant under reordering of mu's
-    parts, so mu may be any composition.
-    """
+    """K_(lam, mu), the number of semistandard tableaux of shape ``lam`` and
+    content ``mu``: the coefficient of s_lam in h_mu, read off the Pieri
+    expansion kept inside lam (_h_in_s). 0 when the sizes differ; mu may be
+    any composition, zeros included."""
     lam = as_partition(lam)
     mu = tuple(int(m) for m in mu)
     if any(m < 0 for m in mu):
         raise ValueError("content entries must be >= 0")
-    if sum(lam) != sum(mu):
-        return 0
-    return count_ssyt(lam, len(mu), mu)
+    return _h_in_s(mu, lam).get(lam, 0)
+
+
+def _h_in_s(mu, within: Partition | None = None) -> dict[Partition, int]:
+    """h_(mu_1) h_(mu_2) ... in the s basis, {lam: K_(lam, mu)}, by the Pieri
+    rule (Macdonald I.5): each h_m adds a horizontal strip of m cells, so row
+    i grows to at most the old length of row i - 1. mu is any composition of
+    ints >= 0; with ``within``, only the shapes inside it are kept."""
+    shapes: dict[Partition, int] = {(): 1}
+    for m in mu:
+        grown: Counter = Counter()
+        for shape, count in shapes.items():
+            rows = shape + (0,)
+            tops = (rows[0] + m,) + shape
+            if within is not None:
+                rows, tops = rows[:len(within)], tuple(map(min, tops, within))
+            new = [((), m)]
+            for r, top in zip(rows, tops):
+                new = [(pre + (r + x,), left - x) for pre, left in new
+                       for x in range(min(left, top - r) + 1)]
+            for lam, left in new:
+                if not left:
+                    grown[tuple(filter(None, lam))] += count
+        shapes = dict(grown)
+    return shapes
+
+
+def _lr_fillings(lam: Partition, mu: Partition, nu: Partition | None = None) -> dict[Partition, int]:
+    """The LR tableaux of shape lam/mu (mu inside lam) counted by content, or
+    only those of content nu: rows weakly increase, columns strictly increase,
+    and the reverse reading word is a lattice word (Fulton, Young Tableaux,
+    section 5). Row by row, a state is the content c so far and the row's
+    ends, e_i the column past its last entry <= i: row r holds at most
+    c_(i-1) - c_i entries i (read after its i + 1's), and e_i is at most the
+    previous row's e_(i-1) (the cell above is smaller or inner)."""
+    states: dict = {((), ()): 1}
+    for end, start in zip(lam, mu + (0,) * (len(lam) - len(mu))):
+        grown: Counter = Counter()
+        for (c, above), count in states.items():
+            tops, rows = c + (0,), [(start,)]
+            for i, t in enumerate(tops):
+                room = min(c[i - 1] - t if i else end, end if nu is None else
+                           (nu[i] if i < len(nu) else 0) - t)
+                top = min(end, above[i]) if above else end
+                rows = [es + (e,) for es in rows for e in range(es[-1], min(top, es[-1] + room) + 1)]
+            for es in rows:
+                if es[-1] == end:
+                    new = tuple(t + b - a for t, a, b in zip(tops, es, es[1:]))
+                    grown[(new if new[-1] else new[:-1]), es] += count
+        states = grown
+    out: Counter = Counter()
+    for (c, _), count in states.items():
+        out[c] += count
+    return dict(out)
 
 
 def hook_content_cells(lam: Partition) -> list[tuple[int, int]]:

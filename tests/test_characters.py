@@ -286,6 +286,15 @@ def test_youngs_rule_is_kostka():
                 assert table.get(lam, 0) == kostka(lam, mu)
 
 
+def test_youngs_rule_is_the_h_to_s_conversion_to_8():
+    """The Pieri rule against the table route, h_mu converted to s."""
+    from symfunc.ring import H, convert
+
+    for n in range(9):
+        for mu in partitions_of(n):
+            assert youngs_rule(mu) == convert(basis_element(H, mu), S).terms, mu
+
+
 def test_char_inner_degree_mismatch():
     with pytest.raises(SizeMismatchError):
         char_inner(

@@ -36,6 +36,13 @@ def test_kostka_fixture(capsys):
     assert code == 0 and out == "2\n" and err == ""
 
 
+@pytest.mark.parametrize("lam, n, count", [("5,4,3,2,1", 15, "292864"),
+                                           ("6,5,4,3,2", 20, "141892608")])
+def test_kostka_of_a_standard_content_past_ssyt_counting(capsys, lam, n, count):
+    code, out, err = run(capsys, "kostka", lam, ",".join(["1"] * n))
+    assert (code, out, err) == (0, count + "\n", "")
+
+
 def test_kostka_tableaux_with_no_tableau_prints_only_the_count(capsys):
     code, out, err = run(capsys, "kostka", "--tableaux", "3", "1,1")
     assert code == 0 and out == "0\n" and err == ""

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from symfunc import hopf, limits
+from symfunc import hopf, limits, ring
 from symfunc.characters import (
     character_row,
     frobenius_inverse,
@@ -38,9 +38,9 @@ from symfunc.ring import (
     skew_schur,
     sym_element,
 )
-from symfunc.matrixreps import gl_character, gl_dimension
-from symfunc.partitions import partitions_of
-from symfunc.tableaux import f_lambda, kostka
+from symfunc.matrixreps import gl_character, gl_dimension, specht_module
+from symfunc.partitions import class_representative, partitions_of, z_value
+from symfunc.tableaux import count_ssyt, f_lambda, kostka
 
 _spec = importlib.util.spec_from_file_location(
     "cross_route_oracles", Path(__file__).resolve().parent.parent / "perfbench" / "oracles.py"
@@ -49,6 +49,7 @@ O = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(O)
 
 N = 12  # the coefficient cap, and the degree of every ring check below
+TOP = 20  # the ring cap: single coefficients against a route with no shared kernel
 SEED = 20260418
 COORDS = random.Random(SEED).sample(range(2, 60), 2 * N)
 DUAL = {"s": "s", "h": "m", "m": "h", "p": "p"}
@@ -231,3 +232,71 @@ def test_gl_dimensions_are_hook_contents_and_character_values_at_ones():
             for m in range(7):
                 dim = sum(gl_character(lam, m).terms.values())
                 assert gl_dimension(lam, m) == O.hook_content(lam, m) == dim, (lam, m)
+
+
+# The oracles above count LR tableaux, add horizontal strips and run MN on
+# beta numbers, as src/ now does. So each single-coefficient route is also
+# checked at degree 20 against a route that shares no algorithm with it: the
+# p route (perp, the Hall pairing through the tables), SSYT enumeration, and
+# the orthogonality of the character rows and the Specht matrices.
+
+
+def test_lr_and_skew_schur_at_degree_20_are_the_perp_route():
+    rng = random.Random(SEED + 20)
+    with limits.scoped(limits.current().raised(TOP)):
+        for m in (4, 7):
+            lam = rng.choice([p for p in partitions_of(TOP) if len(p) > 2])
+            mu = rng.choice([q for q in partitions_of(m) if O.contains(q, lam)])
+            skew = perp(mu, basis_element(S, lam))
+            assert skew_schur(lam, mu).terms == skew.terms, (lam, mu)
+            for nu in rng.sample(partitions_of(TOP - m), 5) + rng.sample(sorted(skew.terms), 3):
+                want = hall_inner(skew, basis_element(S, nu))
+                assert littlewood_richardson(lam, mu, nu) == want, (lam, mu, nu)
+        lam, mu = (6, 5, 4, 3, 2), (4, 3, 2, 1)
+        assert littlewood_richardson(lam, mu, mu) == perp(mu, basis_element(S, lam)).coefficient(mu) == 16
+
+
+def test_kostka_numbers_are_ssyt_counts_and_hall_pairings_at_degree_20():
+    """The Pieri route against SSYT enumeration for every pair to n = 7, a
+    sample to n = 10 and compositions with zeros, and against <s_lam, h_mu>
+    at degree 20."""
+    rng = random.Random(SEED + 21)
+    for n in range(11):
+        lams = partitions_of(n)
+        pairs = [(a, b) for a in lams for b in lams] if n <= 7 else [
+            (rng.choice(lams), rng.choice(lams)) for _ in range(12)]
+        for lam, mu in pairs:
+            comp = list(mu) + [0] * rng.randint(0, 2)
+            rng.shuffle(comp)
+            want = count_ssyt(lam, len(mu), mu)
+            assert kostka(lam, mu) == kostka(lam, comp) == want == count_ssyt(lam, len(comp), comp)
+    lams = partitions_of(TOP)
+    for lam, mu in list(zip(rng.sample(lams, 5), rng.sample(lams, 5))) + [(lams[300], (1,) * TOP)]:
+        assert kostka(lam, mu) == hall_inner(basis_element(S, lam), basis_element("h", mu)), (lam, mu)
+
+
+def test_character_rows_at_degree_20_are_orthonormal(monkeypatch):
+    """Rows built one shape at a time, on a fresh cache, satisfy
+    sum over rho of chi^lam(rho) chi^mu(rho) / z_rho = delta."""
+    monkeypatch.setattr(ring, "_cache", ring._OnceCache())
+    rng = random.Random(SEED + 22)
+    with limits.scoped(limits.current().raised(TOP)):
+        lams = rng.sample(partitions_of(TOP), 3) + [(6, 5, 4, 3, 2), (5, 5, 4, 3, 2, 1)]
+        rows = [character_row(lam) for lam in lams]
+    for i, a in enumerate(rows):
+        for j, b in enumerate(rows):
+            dot = sum(Fraction(a[rho] * b[rho], z_value(rho)) for rho in partitions_of(TOP))
+            assert dot == (i == j), (lams[i], lams[j])
+
+
+def test_character_rows_are_specht_matrix_diagonals_to_6(monkeypatch):
+    """chi^lam(rho), built one shape at a time on a fresh cache, is the trace
+    of the Garnir-straightened Specht matrix at a permutation of type rho."""
+    monkeypatch.setattr(ring, "_cache", ring._OnceCache())
+    with limits.scoped(limits.current().raised(6)):
+        for n in range(1, 7):
+            for lam in partitions_of(n):
+                row, rep = character_row(lam), specht_module(lam)
+                for rho in partitions_of(n):
+                    m = rep.matrix(class_representative(rho))
+                    assert sum(m[i][i] for i in range(len(m))) == row[rho], (lam, rho)

@@ -483,6 +483,17 @@ def test_perp_fixtures_and_adjointness():
         assert hall_inner(multiply(smu, g), f) == hall_inner(g, perp(mu, f))
 
 
+def test_skew_schur_is_perp_of_s_lam_to_9():
+    """The LR-tableau count against the p route, s_mu^perp s_lam through the
+    power sums, for every mu of every degree and every lam |- n <= 9."""
+    for n in range(10):
+        for lam in partitions_of(n):
+            s_lam = basis_element(S, lam)
+            for m in range(n + 1):
+                for mu in partitions_of(m):
+                    assert skew_schur(lam, mu).terms == perp(mu, s_lam).terms, (lam, mu)
+
+
 def test_perp_by_a_shape_above_every_degree_is_zero_and_reads_no_table(monkeypatch):
     """s_mu^perp kills every degree below |mu|, so it needs no s table of
     degree |mu|, even one above the ring cap."""
@@ -731,10 +742,37 @@ def _concurrently(fn):
     return results
 
 
+def _s_row_keys(shapes) -> dict:
+    """{key: 1} for the cache keys that building the s rows of ``shapes``
+    computes: the row of every shape it reads, these included, and one
+    ("classes", d) per degree d >= 1 read. A shape with more rows than
+    columns reads its conjugate's row; any other reads lam minus each rim
+    hook. The hook of cell (i, j), of leg l, leaves rows i .. i + l - 1 at
+    lam_(r+1) - 1 and row i + l at j."""
+    seen, todo = set(), list(shapes)
+    while todo:
+        lam = todo.pop()
+        if lam in seen:
+            continue
+        seen.add(lam)
+        cols = conjugate(lam)
+        if len(cols) < len(lam):
+            todo.append(cols)
+            continue
+        for i, row in enumerate(lam):
+            for j in range(row):
+                leg = cols[j] - i - 1
+                nu = lam[:i] + tuple(p - 1 for p in lam[i + 1:i + leg + 1]) + (j,) + lam[i + leg + 1:]
+                todo.append(tuple(p for p in nu if p))
+    return {**{("row", S, lam): 1 for lam in seen},
+            **{("classes", d): 1 for d in {sum(lam) for lam in seen} - {0}}}
+
+
 def test_transition_cache_concurrent_and_once(monkeypatch):
     """Concurrent conversions at a fresh degree agree and compute the
-    per-degree table exactly once; the Schur tables read only smaller Schur
-    tables, each computed once, and no h, e or m table."""
+    per-degree table exactly once; the Schur table is the tuple of its rows,
+    which read only smaller Schur rows, each computed once, and no h, e or m
+    table."""
     from symfunc import ring
 
     # degree 11 in the monomial basis is unlikely to be warmed by other tests
@@ -749,8 +787,33 @@ def test_transition_cache_concurrent_and_once(monkeypatch):
     monkeypatch.setattr(ring, "_cache", fresh)
     tables = _concurrently(lambda: ring._pairing(S, 11))
     assert len(tables) == 8 and all(t is tables[0] for t in tables)
-    # every s table up to 11 exactly once, and no h, e or m table
-    assert fresh.compute_counts == {("pairing", S, d): 1 for d in range(12)}
+    # the s table of degree 11 and every row it reads exactly once, and no
+    # other s table, nor any h, e or m table
+    assert fresh.compute_counts == {("pairing", S, 11): 1, **_s_row_keys(partitions_of(11))}
+    assert all(row is fresh._data[("row", S, lam)]
+               for lam, row in zip(partitions_of(11), tables[0], strict=True))
+
+
+def test_schur_rows_concurrent_and_once(monkeypatch):
+    """Concurrent character rows at a fresh cache agree with Murnaghan-Nakayama,
+    compute each s row they read exactly once, and build no s table."""
+    from symfunc import ring
+    from symfunc.characters import character_row
+
+    fresh = ring._OnceCache()
+    monkeypatch.setattr(ring, "_cache", fresh)
+    shapes = [(5, 3, 2, 1), (3, 3, 2, 1, 1, 1)]  # expanded, and an eps twist
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = _concurrently(lambda: [character_row(lam) for lam in shapes])
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r == results[0] for r in results)
+    for lam, row in zip(shapes, results[0]):
+        assert row == {mu: _murnaghan_nakayama(lam, mu) for mu in partitions_of(11)}, lam
+    assert fresh.compute_counts == _s_row_keys(shapes)
+    assert [key for key in fresh._data if key[0] == "pairing"] == []
 
 
 def test_once_cache_computes_each_key_once_and_publishes_no_failure():
@@ -823,15 +886,15 @@ def test_sum_coproducts_concurrent_and_once(monkeypatch):
     assert all(r.terms == results[0].terms for r in results)
     lams = ring._p_ints(f)[1]
     assert len(lams) == len(partitions_of(8))
-    assert fresh.compute_counts == {**{("pairing", S, d): 1 for d in range(9)},
+    assert fresh.compute_counts == {("pairing", S, 8): 1, **_s_row_keys(partitions_of(8)),
                                     **{("coproduct", lam): 1 for lam in lams}}
 
 
 def test_every_cache_key_is_a_ring_family_within_the_cap(monkeypatch):
     """convert, multiply, plethysm, perp and the sum coproduct at the default
-    cap leave only pairing, merge, insertion and coproduct keys in ring's
-    cache, each of a degree within the ring cap; input above the cap adds
-    no key."""
+    cap leave only pairing, s row, classes, merge, insertion and coproduct
+    keys in ring's cache, each of a degree within the ring cap; input above
+    the cap adds no key."""
     from symfunc import hopf, ring
 
     fresh = ring._OnceCache()
@@ -845,7 +908,8 @@ def test_every_cache_key_is_a_ring_family_within_the_cap(monkeypatch):
     hopf.plethysm(basis_element(H, (2,)), g)
     perp((2, 1), f)
     hopf.coproduct_sum(f)
-    degree = {"pairing": lambda key: key[2], "merge": lambda key: key[1] + key[2],
+    degree = {"pairing": lambda key: key[2], "row": lambda key: sum(key[2]),
+              "classes": lambda key: key[1], "merge": lambda key: key[1] + key[2],
               "insert": lambda key: key[1] + key[2], "coproduct": lambda key: sum(key[1])}
     cap = limits.current().ring
     assert cap == limits.Limits().ring
