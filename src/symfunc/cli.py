@@ -9,7 +9,9 @@ The subcommands are one table, COMMANDS. A well-formed call is read
 straight from it and builds no parser. argparse words usage errors and help
 texts and reads unusual spellings (an abbreviated or "=" option, "--"); it
 then builds the top-level parser and the subcommand's parser, each once per
-process.
+process. A handler's result is rendered once, in the format asked for: it
+comes back with its text and JSON renderers, and main calls only one, so a
+JSON answer builds no text and a text answer no JSON object.
 
 Partition syntax: "3,2,1" (descending) or "()" for the empty partition.
 Permutation words: "2 3 1". Element literals: basis:coeff*partition+...,
@@ -125,12 +127,11 @@ def _elem(text: str) -> ring.SymElement:
 
 
 def _sym_out(f: ring.SymElement, basis: str):
-    out = ring.convert(f, basis)
-    return str(out), ring.sym_to_json(out)
+    return ring.convert(f, basis), str, ring.sym_to_json
 
 
-def _poly_out(poly: ring.PolynomialValue):
-    return str(poly), {
+def _poly_json(poly: ring.PolynomialValue):
+    return {
         "variables": poly.nvars,
         "terms": [
             {"exponents": list(k), "coeff": ring.format_coeff(c)}
@@ -139,39 +140,45 @@ def _poly_out(poly: ring.PolynomialValue):
     }
 
 
-def _emit(args, text: str, obj) -> None:
-    if args.format == "json":
-        print(json.dumps(obj))
-    else:
-        print(text)
+def _itself(value):
+    return value
+
+
+def _bool_text(value: bool) -> str:
+    return "true" if value else "false"
 
 
 # --- handlers -----------------------------------------------------------------
+# Each returns (value, text, json): its result, and the two functions that
+# render it as the text output and as the JSON object; main calls only one.
 
 
 def _cmd_partitions(args):
-    parts = partitions_of(args.n)
-    return "\n".join(format_partition(p) for p in parts), [list(p) for p in parts]
+    return (partitions_of(args.n), lambda parts: "\n".join(map(format_partition, parts)),
+            lambda parts: list(map(list, parts)))
 
 
 def _cmd_conjugate(args):
-    lam = conjugate(parse_partition(args.partition))
-    return format_partition(lam), list(lam)
+    return conjugate(parse_partition(args.partition)), format_partition, list
 
 
 def _cmd_dominates(args):
-    res = dominates(parse_partition(args.lam), parse_partition(args.mu))
-    return ("true" if res else "false"), res
+    return dominates(parse_partition(args.lam), parse_partition(args.mu)), _bool_text, _itself
 
 
 def _cmd_ztable(args):
     rows = [(p, z_value(p), count_of_type(p)) for p in partitions_of(args.n)]
-    text = "\n".join(
+    return rows, lambda rows: "\n".join(
         f"{format_partition(p)}\t{z}\t{c}" for p, z, c in rows
+    ), lambda rows: [{"partition": list(p), "z": z, "count": c} for p, z, c in rows]
+
+
+def _tableaux_text(tabs) -> str:
+    text = "\n\n".join(
+        _tableau_text(t) + f"\nweight: {ring.format_monomial(t.content()) or '1'}"
+        for t in tabs
     )
-    return text, [
-        {"partition": list(p), "z": z, "count": c} for p, z, c in rows
-    ]
+    return f"{len(tabs)}\n{text}" if tabs else "0"
 
 
 def _cmd_kostka(args):
@@ -179,19 +186,13 @@ def _cmd_kostka(args):
     mu = parse_partition(args.mu)
     if args.tableaux:
         tabs = list(tableaux.enumerate_ssyt(lam, len(mu), mu))
-        text = "\n\n".join(
-            _tableau_text(t) + f"\nweight: {ring.format_monomial(t.content()) or '1'}"
-            for t in tabs
-        )
-        text = f"{len(tabs)}\n{text}" if tabs else "0"
-        return text, {"count": len(tabs), "tableaux": [t.to_lists() for t in tabs]}
-    k = tableaux.kostka(lam, mu)
-    return str(k), k
+        return tabs, _tableaux_text, lambda tabs: {
+            "count": len(tabs), "tableaux": [t.to_lists() for t in tabs]}
+    return tableaux.kostka(lam, mu), str, _itself
 
 
 def _cmd_flambda(args):
-    k = tableaux.f_lambda(parse_partition(args.partition))
-    return str(k), k
+    return tableaux.f_lambda(parse_partition(args.partition)), str, _itself
 
 
 def _cmd_rsk(args):
@@ -200,12 +201,10 @@ def _cmd_rsk(args):
             raise ValueError("rsk --inverse expects two JSON tableaux")
         p = _tableau_from_json(args.word[0])
         q = _tableau_from_json(args.word[1])
-        word = tableaux.rsk_inverse(p, q)
-        return " ".join(str(x) for x in word), list(word)
+        return tableaux.rsk_inverse(p, q), lambda word: " ".join(map(str, word)), list
     letters = [int(x) for x in args.word]
-    p, q = tableaux.rsk(letters)
-    text = "P:\n" + _tableau_text(p) + "\nQ:\n" + _tableau_text(q)
-    return text, {"P": p.to_lists(), "Q": q.to_lists()}
+    return tableaux.rsk(letters), lambda pq: "P:\n" + "\nQ:\n".join(map(_tableau_text, pq)), (
+        lambda pq: {"P": pq[0].to_lists(), "Q": pq[1].to_lists()})
 
 
 def _tableau_from_json(text: str) -> tableaux.Tableau:
@@ -226,8 +225,7 @@ def _cmd_multiply(args):
 
 
 def _cmd_inner(args):
-    v = ring.hall_inner(_elem(args.f), _elem(args.g))
-    return ring.format_coeff(v), ring.format_coeff(v)
+    return ring.hall_inner(_elem(args.f), _elem(args.g)), ring.format_coeff, ring.format_coeff
 
 
 def _cmd_omega(args):
@@ -245,28 +243,25 @@ def _cmd_perp(args):
 
 
 def _cmd_evaluate(args):
-    return _poly_out(ring.evaluate(_elem(args.element), args.nvars))
+    return ring.evaluate(_elem(args.element), args.nvars), str, _poly_json
 
 
 def _cmd_char(args):
-    v = characters.character(parse_partition(args.lam), parse_partition(args.mu))
-    return str(v), v
+    return characters.character(parse_partition(args.lam), parse_partition(args.mu)), str, _itself
 
 
 def _cmd_chartable(args):
     table = characters.character_table(args.n)
     rows = partitions_of(args.n)
     cols = characters.table_columns(args.n)
-    cells = [("chi", *map(format_partition, cols))] + [
+    return table, lambda table: _grid([("chi", *map(format_partition, cols))] + [
         (format_partition(lam), *map(str, row)) for lam, row in zip(rows, table)
-    ]
-    obj = {
+    ], "  ", 1), lambda table: {
         "n": args.n,
         "rows": [list(r) for r in rows],
         "columns": [list(c) for c in cols],
         "table": table,
     }
-    return _grid(cells, "  ", 1), obj
 
 
 def _cmd_ch(args):
@@ -285,12 +280,11 @@ def _cmd_ch(args):
 
 def _cmd_ch_inverse(args):
     cf = characters.frobenius_inverse(_elem(args.element), args.n)
-    return _classfn_text(cf), _classfn_json(cf)
+    return cf, _classfn_text, _classfn_json
 
 
 def _coefficient(fn, args):
-    v = fn(*(parse_partition(x) for x in (args.lam, args.mu, args.nu)))
-    return str(v), v
+    return fn(*(parse_partition(x) for x in (args.lam, args.mu, args.nu))), str, _itself
 
 
 def _cmd_lr(args):
@@ -307,17 +301,14 @@ def _cmd_kron_product(args):
 
 
 def _cmd_youngs_rule(args):
-    mults = characters.youngs_rule(parse_partition(args.mu))
-    return _mults_text(mults), _mults_json(mults)
+    return characters.youngs_rule(parse_partition(args.mu)), _mults_text, _mults_json
 
 
 def _coproduct(coproduct, counit, args):
     f = _elem(args.element)
     if args.counit:
-        v = counit(f)
-        return ring.format_coeff(v), ring.format_coeff(v)
-    t = hopf.tensor_convert(coproduct(f), tuple(args.bases.split(",")))
-    return str(t), hopf.tensor_to_json(t)
+        return counit(f), ring.format_coeff, ring.format_coeff
+    return hopf.tensor_convert(coproduct(f), tuple(args.bases.split(","))), str, hopf.tensor_to_json
 
 
 def _cmd_coproduct(args):
@@ -334,8 +325,7 @@ def _cmd_antipode(args):
 
 def _cmd_cauchy(args):
     pair = tuple(args.pair.split(","))
-    t = hopf.cauchy_kernel(args.n, pair)
-    return str(t), hopf.tensor_to_json(t)
+    return hopf.cauchy_kernel(args.n, pair), str, hopf.tensor_to_json
 
 
 def _cmd_plethysm(args):
@@ -346,28 +336,22 @@ def _cmd_plethysm(args):
 def _cmd_rep(args):
     rep = _rep_from_spec(args.kind, args.arg)
     if args.at is not None:
-        m = rep.matrix(parse_permutation(args.at))
-        return _fmt_matrix_text(m), {
+        return rep.matrix(parse_permutation(args.at)), _fmt_matrix_text, lambda m: {
             "n": rep.n,
             "dim": rep.dim,
             "matrix": _matrix_json(m),
         }
-    gens = rep.generator_matrices()
-    text_parts = [f"dim {rep.dim}"]
-    for i in sorted(gens):
-        text_parts.append(f"s{i}:\n{_fmt_matrix_text(gens[i])}")
-    obj = {
+    return dict(sorted(rep.generator_matrices().items())), lambda gens: "\n".join(
+        [f"dim {rep.dim}"] + [f"s{i}:\n{_fmt_matrix_text(m)}" for i, m in gens.items()]
+    ), lambda gens: {
         "n": rep.n,
         "dim": rep.dim,
-        "generators": {f"s{i}": _matrix_json(m) for i, m in sorted(gens.items())},
+        "generators": {f"s{i}": _matrix_json(m) for i, m in gens.items()},
     }
-    return "\n".join(text_parts), obj
 
 
 def _cmd_decompose(args):
-    rep = _rep_from_spec(args.kind, args.arg)
-    mults = matrixreps.decompose(rep)
-    return _mults_text(mults), _mults_json(mults)
+    return matrixreps.decompose(_rep_from_spec(args.kind, args.arg)), _mults_text, _mults_json
 
 
 def _cmd_induce(args):
@@ -379,13 +363,10 @@ def _cmd_induce(args):
     )
     rep = matrixreps.induce(base, sub.n)
     if args.at is not None:
-        m = rep.matrix(parse_permutation(args.at))
-        return _fmt_matrix_text(m), {"dim": rep.dim, "matrix": _matrix_json(m)}
-    cf = matrixreps.character_of(rep)
-    return (
-        f"dim {rep.dim}\n" + _classfn_text(cf),
-        {"dim": rep.dim, "character": _classfn_json(cf)},
-    )
+        return rep.matrix(parse_permutation(args.at)), _fmt_matrix_text, lambda m: {
+            "dim": rep.dim, "matrix": _matrix_json(m)}
+    return matrixreps.character_of(rep), lambda cf: f"dim {rep.dim}\n" + _classfn_text(cf), (
+        lambda cf: {"dim": rep.dim, "character": _classfn_json(cf)})
 
 
 def _cmd_restrict(args):
@@ -397,14 +378,12 @@ def _cmd_restrict(args):
     rows = [
         (w, size, chi[cycle_type(w)]) for w, size in matrixreps.young_classes(comp)
     ]
-    text = "\n".join(
+    return rows, lambda rows: "\n".join(
         f"{' '.join(str(i) for i in w)}\t{size}\t{v}" for w, size, v in rows
-    )
-    obj = [
+    ), lambda rows: [
         {"representative": list(w), "class_size": size, "value": v}
         for w, size, v in rows
     ]
-    return text, obj
 
 
 def _cmd_tensor(args):
@@ -414,32 +393,31 @@ def _cmd_tensor(args):
     traces = matrixreps._class_traces(rep)
     cf = characters.class_function(rep.n, traces)
     mults = matrixreps._multiplicities(rep.n, traces)
-    text = f"dim {rep.dim}\n" + _classfn_text(cf) + "\n" + _mults_text(mults)
-    return text, {
+    return (cf, mults), lambda out: (
+        f"dim {rep.dim}\n" + _classfn_text(out[0]) + "\n" + _mults_text(out[1])
+    ), lambda out: {
         "dim": rep.dim,
-        "character": _classfn_json(cf),
-        "decomposition": _mults_json(mults),
+        "character": _classfn_json(out[0]),
+        "decomposition": _mults_json(out[1]),
     }
 
 
 def _cmd_ext2(args):
     rep = _rep_from_spec(args.kind, args.arg)
     cf = matrixreps.exterior_square_character(matrixreps.character_of(rep))
-    return _classfn_text(cf), _classfn_json(cf)
+    return cf, _classfn_text, _classfn_json
 
 
 def _cmd_gl_char(args):
-    return _poly_out(matrixreps.gl_character(parse_partition(args.lam), args.nvars))
+    return matrixreps.gl_character(parse_partition(args.lam), args.nvars), str, _poly_json
 
 
 def _cmd_gl_dim(args):
-    v = matrixreps.gl_dimension(parse_partition(args.lam), args.nvars)
-    return str(v), v
+    return matrixreps.gl_dimension(parse_partition(args.lam), args.nvars), str, _itself
 
 
 def _cmd_schur_weyl(args):
-    res = matrixreps.schur_weyl_check(args.n, args.m)
-    return ("true" if res else "false"), res
+    return matrixreps.schur_weyl_check(args.n, args.m), _bool_text, _itself
 
 
 # --- commands -----------------------------------------------------------------
@@ -636,12 +614,13 @@ def main(argv=None) -> int:
             return int(exc.code or 0)
     try:
         with limits.scoped(limits.current().raised(args.max_degree)):
-            text, obj = COMMANDS[args.command[0]][0](args)
+            value, text, obj = COMMANDS[args.command[0]][0](args)
+            out = obj(value) if args.format == "json" else text(value)
     except (ValueError, InvariantViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        _emit(args, text, obj)
+        print(json.dumps(out) if args.format == "json" else out)
         sys.stdout.flush()
     except BrokenPipeError:
         # the pipe's reader closed early; send what is still buffered to

@@ -12,7 +12,6 @@ so transition matrices, tables and golden files are reproducible.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from itertools import permutations as _itertools_permutations
 from math import factorial
@@ -76,19 +75,22 @@ def as_composition(parts) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple[Partition, ...]:
-    """All partitions of ``n`` in descending lexicographic order."""
+    """All partitions of ``n`` in descending lexicographic order: each is
+    the last with its trailing 1s dropped and its last part v + 1 lowered
+    to v, the freed cells refilled greedily by parts <= v."""
     if n < 0:
         raise ValueError("n must be >= 0")
-
-    def gen(remaining: int, cap: int):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    return tuple(gen(n, n))
+    lam, out = [n] if n else [], []
+    while True:
+        out.append(tuple(lam))
+        k = len(lam)
+        while k and lam[k - 1] == 1:
+            k -= 1
+        if not k:
+            return tuple(out)
+        v = lam[k - 1] - 1
+        q, r = divmod(len(lam) - k + v + 1, v)
+        lam[k - 1:] = [v] * q + [r] * (r > 0)
 
 
 @lru_cache(maxsize=None)
@@ -125,10 +127,13 @@ def dominates(lam: Partition, mu: Partition) -> bool:
 
 @lru_cache(maxsize=4096)
 def z_value(lam: Partition) -> int:
-    """prod_i i^{m_i} m_i! over the part multiplicities m_i; 1 for ()."""
-    z = 1
-    for part, mult in Counter(lam).items():
-        z *= part**mult * factorial(mult)
+    """prod_i i^{m_i} m_i! over the part multiplicities m_i; 1 for (). In
+    sorted order each part multiplies in itself times its place in its run
+    of equal parts, so the parts may come in any order."""
+    z, run, last = 1, 0, None
+    for part in sorted(lam):
+        run = run + 1 if part == last else 1
+        z, last = z * part * run, part
     return z
 
 

@@ -11,20 +11,21 @@ since they are integral bases and p_mu is integral), stored once as a tuple
 of dense rows of ints, both axes in partitions_of(degree) order:
 
   * h: <h_lam, p_mu> counts the ways to deal mu's parts into rows of lengths
-    lam; row lam extends row lam[1:] one degree lower, because
-    <h_a f, p_mu> = sum over alpha |- a with alpha + beta = mu of
-    z_mu / (z_alpha z_beta) <f, p_beta>;
+    lam; one cached row per shape, which extends the row of lam[1:] one
+    degree lower, because <h_a f, p_mu> = sum over alpha |- a with
+    alpha + beta = mu of z_mu / (z_alpha z_beta) <f, p_beta>;
   * s: Murnaghan-Nakayama, <s_lam, p_rho> = sum over the border strips xi
     of length rho_1 of (-1)^ht(xi) <s_(lam - xi), p_(rho_2, ...)>: one cached
-    row per shape, which reads only the rows of the shapes lam - xi, and the
-    table is the tuple of its rows; a shape with more rows than columns is
-    the eps twist of its conjugate;
+    row per shape, which reads only the rows of the shapes lam - xi; a shape
+    with more rows than columns is the eps twist of its conjugate;
   * m: <m_lam, p_mu> = [h_lam] p_mu, the product over the parts k of mu of
     Newton's p_k = sum over lam |- k of (-1)^(len-1) k (len-1)! /
     prod m_i(lam)! h_lam, multiplied in h by part concatenation.
 
-e has no table: e_lam = omega(h_lam), so its power sums are the h-row sum
-twisted by eps_mu = (-1)^(|mu| - len(mu)).
+An h or s table is the tuple of its rows. e has no table: e_lam =
+omega(h_lam), so its power sums are the h-row sum twisted by eps_mu =
+(-1)^(|mu| - len(mu)). Mapping h, e or s to p (_p_ints) reads only the rows
+of the element's own keys; m, and every map out of p, read whole tables.
 
 No table is inverted: [p_mu] b_lam = A_b[lam][mu] / z_mu, and [b_lam] f is
 <f, b*_lam>, a row of the table of the Hall dual basis b* (s for s, h for
@@ -35,7 +36,7 @@ meets a table is enumerated, after its cap check), multiply them by the
 table rows they touch in C-level sum(map(mul, ..)) dots, and build one
 Fraction per output coefficient, at the public return.
 Every memo in this module is one family of keys in _cache, built within
-the ring cap: the pairing tables, the s rows and their classes, the merge
+the ring cap: the pairing tables, the h and s rows, the classes, the merge
 and insertion maps below, and the sum coproduct of each p_lam. The cache is
 compute-then-publish under one reentrant lock: readers never see a partial
 value and each key is computed at most once, provided no compute waits on
@@ -56,7 +57,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import compress, product, repeat
 from math import comb, factorial, lcm, prod
-from operator import add, floordiv, itemgetter, mul, sub
+from operator import add, floordiv, itemgetter, mul, neg, sub
 
 from . import limits
 from ._record import Record
@@ -246,9 +247,12 @@ def _omega_sign(mu: Partition) -> int:
     return -1 if (sum(mu) - len(mu)) % 2 else 1
 
 
-def _eps(d: int) -> list[int]:
-    """_omega_sign over partitions_of(d), in that order."""
-    return list(map(_omega_sign, partitions_of(d)))
+def _classes(d: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """Built once per degree: the blocks (k, #{rho |- d : rho_1 = k}) in
+    partitions_of(d) order, and eps, _omega_sign over partitions_of(d)."""
+    return _cache.get(("classes", d), lambda: (
+        tuple(Counter(rho[0] for rho in partitions_of(d) if rho).items()),
+        tuple(map(_omega_sign, partitions_of(d)))))
 
 
 def _class_sizes(t: int, mus) -> list[int]:
@@ -261,21 +265,23 @@ def _class_sizes(t: int, mus) -> list[int]:
 # --- the pairing tables ------------------------------------------------------
 
 
-def _border_strips(lam: Partition, k: int):
-    """(lam minus xi, (-1)^ht(xi)) for each border strip xi of length k, on
-    beta numbers: a bead moves from b to the free position b - k, and the
-    height of xi is the number of beads it passes."""
-    ell = len(lam)
+def _strips(lam: Partition) -> dict[int, list[tuple[Partition, int]]]:
+    """{k: [(lam minus xi, (-1)^ht(xi)), ...]} over the border strips xi of
+    lam, by length k, in one pass over beta numbers: the bead at b moves to
+    each free t < b, k = b - t, and ht(xi) counts the beads it passes."""
+    ell, out = len(lam), {}
     beta = [p + ell - 1 - i for i, p in enumerate(lam)]
     for i, b in enumerate(beta):
-        if b - k < 0 or b - k in beta:
-            continue
-        j = i + 1  # the bead lands just above beta[j]
-        while j < ell and beta[j] > b - k:
-            j += 1
-        moved = beta[:i] + beta[i + 1:j] + [b - k] + beta[j:]
-        nu = tuple(p for p in (c - (ell - 1 - t) for t, c in enumerate(moved)) if p)
-        yield nu, (-1) ** (j - i - 1)
+        j = i + 1  # the beads passed are beta[i + 1:j]
+        for t in range(b - 1, -1, -1):
+            if j < ell and beta[j] == t:
+                j += 1
+                continue
+            nu = lam[:i] + tuple(p - 1 for p in lam[i + 1:j]) + (t + j - ell,) + lam[j:]
+            while nu and not nu[-1]:  # each passed row of length 1 leaves a zero
+                nu = nu[:-1]
+            out.setdefault(b - t, []).append((nu, (-1) ** (j - i - 1)))
+    return out
 
 
 def _newton_in_h(k: int) -> dict[Partition, int]:
@@ -283,9 +289,8 @@ def _newton_in_h(k: int) -> dict[Partition, int]:
     h_lam, where prod m_i(lam)! = z_lam / prod(lam)."""
     return {
         lam: (-1) ** (len(lam) - 1) * _require_integer(
-            Fraction(k * factorial(len(lam) - 1) * prod(lam), z_value(lam)),
-            f"Newton coefficient of h_{lam} in p_{k}",
-        )
+            k * factorial(len(lam) - 1) * prod(lam), f"Newton coefficient of h_{lam} in p_{k}",
+            z_value(lam))
         for lam in partitions_of(k)
     }
 
@@ -295,18 +300,8 @@ def _pairing_table(basis: str, degree: int) -> PairingTable:
     if not degree:
         return ((1,),)
     lams = partitions_of(degree)
-    if basis == H:
-        table = []
-        for lam in lams:
-            row, d = [0] * len(lams), degree - lam[0]
-            lower = _pairing(H, d)[partition_ranks(d)[lam[1:]]]
-            for rs, ws in zip(*_merge_map(lam[0], d)):  # one row per alpha |- lam_1
-                for j, c in compress(enumerate(lower), lower):
-                    row[rs[j]] += c * ws[j]
-            table.append(tuple(row))
-        return tuple(table)
-    if basis == S:
-        return tuple(map(_schur_row, lams))
+    if basis in _ROWS:
+        return tuple(map(_ROWS[basis], lams))
     if basis != M:
         raise ValueError(f"no pairing table is stored for basis {basis!r}")
     # column mu is p_mu = p_(mu_1) p_(mu_2) ... in the h basis, a dense vector
@@ -328,10 +323,28 @@ def _pairing_table(basis: str, degree: int) -> PairingTable:
 
 
 def _pairing(basis: str, degree: int) -> PairingTable:
-    """The cached pairing table of ``basis`` (h, s or m) at one degree; an s
-    table is the tuple of its cached rows."""
+    """The cached pairing table of ``basis`` (h, s or m) at one degree; an h
+    or s table is the tuple of its cached rows."""
     limits.check("ring", degree)
     return _cache.get(("pairing", basis, degree), _pairing_table, basis, degree)
+
+
+def _h_row(lam: Partition) -> tuple[int, ...]:
+    """The cached h row of lam; callers check the cap."""
+    return _cache.get(("row", H, lam), _merged_row, lam)
+
+
+def _merged_row(lam: Partition) -> tuple[int, ...]:
+    """The row of lam[1:] carried through the merge map (lam_1, |lam| - lam_1),
+    one pass per alpha |- lam_1."""
+    d = sum(lam)
+    if not d:
+        return (1,)
+    row, lower = [0] * len(partitions_of(d)), _h_row(lam[1:])
+    for rs, ws in zip(*_merge_map(lam[0], d - lam[0])):
+        for j, c in compress(enumerate(lower), lower):
+            row[rs[j]] += c * ws[j]
+    return tuple(row)
 
 
 def _schur_row(lam: Partition) -> tuple[int, ...]:
@@ -342,24 +355,32 @@ def _schur_row(lam: Partition) -> tuple[int, ...]:
 def _mn_row(lam: Partition) -> tuple[int, ...]:
     """The rho with rho_1 = k are one block of the row, their rests the last
     ``size`` of partitions_of(d - k): the block sums (-1)^ht(xi) times that
-    tail of the row of lam - xi over the strips xi of length k. A shape with
-    more rows than columns is the eps twist of its conjugate."""
+    tail of the row of lam - xi over the strips xi of length k, starting
+    from the first strip's tail. A shape with more rows than columns is the
+    eps twist of its conjugate."""
     d = sum(lam)
     if not d:
         return (1,)
-    # (k, #{rho |- d : rho_1 = k}) in partitions_of(d) order, and eps
-    blocks, eps = _cache.get(("classes", d), lambda: (
-        tuple(Counter(rho[0] for rho in partitions_of(d)).items()), _eps(d)))
+    blocks, eps = _classes(d)
     conj = conjugate(lam)
     if len(conj) < len(lam):
         return tuple(map(mul, eps, _schur_row(conj)))
     row: list[int] = []
+    strips = _strips(lam)
     for k, size in blocks:
-        block = [0] * size
-        for nu, sign in _border_strips(lam, k):
-            block = list(map(add if sign > 0 else sub, block, _schur_row(nu)[-size:]))
-        row += block
+        block = None
+        for nu, sign in strips.get(k, ()):
+            tail = _schur_row(nu)[-size:]
+            if block is None:
+                block = list(tail) if sign > 0 else list(map(neg, tail))
+            else:
+                block = list(map(add if sign > 0 else sub, block, tail))
+        row += [0] * size if block is None else block
     return tuple(row)
+
+
+# The bases whose table is the tuple of its rows, each cached per shape
+_ROWS = {H: _h_row, S: _schur_row}
 
 
 # The Hall dual of each basis other than p; that of e is omega(m), whose
@@ -370,16 +391,22 @@ _DUAL = {S: S, H: M, M: H, E: M}
 def _transition(basis: str, d: int, keys: list, to_p: bool, vecs: list) -> tuple[list, list]:
     """(images, [T v for v in vecs]), each v over ``keys`` (partitions of d)
     and each T v over ``images``. T maps ``basis`` to p at degree d by A_b
-    transposed (z for p; the 1 / z is left to the caller), or from p by A_b*,
-    since [b_lam] f is <f, b*_lam>; e twists the p side of A_h or A_m. A p
-    map is diagonal and lists no partition."""
+    transposed (z for p; the 1 / z is left to the caller), reading for h, e
+    and s only the rows of ``keys``, or from p by A_b*, since [b_lam] f is
+    <f, b*_lam>; e twists the p side of A_h or A_m. A p map is diagonal and
+    lists no partition."""
     if basis == P:
         return keys, [list(map(mul, v, map(z_value, keys))) for v in vecs] if to_p else vecs
-    table = _pairing((H if basis == E else basis) if to_p else _DUAL[basis], d)
-    at = list(map(partition_ranks(d).__getitem__, keys))
-    trows = zip(*map(table.__getitem__, at)) if to_p else map(_gather(at), table)
+    limits.check("ring", d)
+    rows = _ROWS.get(H if basis == E else basis) if to_p else None
+    if rows:
+        trows = zip(*map(rows, keys))
+    else:
+        table = _pairing(basis if to_p else _DUAL[basis], d)
+        at = list(map(partition_ranks(d).__getitem__, keys))
+        trows = zip(*map(table.__getitem__, at)) if to_p else map(_gather(at), table)
     trows = list(trows) if len(vecs) > 1 else trows  # read once per vector
-    eps = _eps(d) if basis == E else None
+    eps = _classes(d)[1] if basis == E else None
     if eps and not to_p:
         signs = _gather(at)(eps)
         vecs = [list(map(mul, v, signs)) for v in vecs]
@@ -663,7 +690,8 @@ def evaluate(f: SymElement, nvars: int) -> PolynomialValue:
 def format_coeff(c) -> str:
     if type(c) is int:
         return str(c)
-    c = Fraction(c)
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
@@ -680,9 +708,10 @@ def _format_terms(terms) -> str:
     coefficient is left out, an empty monomial (a constant) shows it."""
     pieces = []
     for c, mono in terms:
-        mag = format_coeff(abs(c))
+        num, den = c.numerator, c.denominator
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
         body = mag if not mono else mono if mag == "1" else f"{mag}*{mono}"
-        sign = ("" if c > 0 else "-") if not pieces else ("+ " if c > 0 else "- ")
+        sign = ("" if num > 0 else "-") if not pieces else ("+ " if num > 0 else "- ")
         pieces.append(sign + body)
     return " ".join(pieces) or "0"
 

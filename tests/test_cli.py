@@ -243,6 +243,31 @@ def test_every_subcommand_smoke(capsys):
         assert code_json2 == 0 and out_json2 == out_json  # deterministic JSON
 
 
+def test_each_format_is_rendered_alone(capsys, monkeypatch):
+    """main renders only the format asked for: under --format json no text
+    renderer runs, and under text no JSON object is built; each answer is
+    the one printed with every renderer in place."""
+    from symfunc import hopf
+
+    want = {(fmt, argv): run(capsys, *fmt, *argv) for fmt in ((), ("--format", "json"))
+            for argv in SMOKE_ARGV}
+
+    def unused(*args, **kwargs):
+        raise AssertionError("rendered a format that was not asked for")
+
+    text_renderers = [(ring.SymElement, "__str__"), (ring.PolynomialValue, "__str__"),
+                      (hopf.TensorElement, "__str__"), (cli, "_grid"), (cli, "_fmt_matrix_text"),
+                      (cli, "_classfn_text"), (cli, "_mults_text"), (cli, "_tableau_text")]
+    json_renderers = [(ring, "sym_to_json"), (hopf, "tensor_to_json"), (cli, "_poly_json"),
+                      (cli, "_classfn_json"), (cli, "_mults_json")]
+    for fmt, renderers in ((("--format", "json"), text_renderers), ((), json_renderers)):
+        with monkeypatch.context() as patch:
+            for owner, name in renderers:
+                patch.setattr(owner, name, unused)
+            for argv in SMOKE_ARGV:
+                assert run(capsys, *fmt, *argv) == want[fmt, argv], (fmt, argv)
+
+
 def test_readme_lists_every_subcommand():
     """The README's ``Subcommands:`` list names exactly the command table's
     subcommands, in the table's order."""

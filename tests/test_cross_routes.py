@@ -154,12 +154,13 @@ def test_hall_inner_of_dual_bases_and_kostka_numbers():
         assert got == O.kostka(lam, mu), (lam, mu)
 
 
-def test_ssyt_kostka_numbers_are_horizontal_strip_counts():
-    """tableaux.kostka counts semistandard tableaux; the oracle peels the
-    largest entry off as a horizontal strip."""
+def test_kostka_numbers_are_horizontal_strip_and_ssyt_counts():
+    """tableaux.kostka reads the Pieri expansion of h_mu; the oracle peels
+    the largest entry off as a horizontal strip, and count_ssyt enumerates
+    the semistandard tableaux themselves."""
     for lam in O.partitions(8):
         for mu in O.partitions(8):
-            assert kostka(lam, mu) == O.kostka(lam, mu), (lam, mu)
+            assert kostka(lam, mu) == O.kostka(lam, mu) == count_ssyt(lam, len(mu), mu), (lam, mu)
     assert kostka((4, 3, 2, 1, 1, 1), (1,) * 12) == 5632
 
 

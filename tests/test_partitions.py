@@ -1,4 +1,6 @@
+import random
 from itertools import permutations, product
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -114,6 +116,32 @@ def test_z_value_fixtures():
     assert z_value((1, 1, 1)) == 6
     assert z_value((5, 2, 1)) == 10
     assert z_value(()) == 1
+
+
+def test_z_value_takes_the_parts_in_any_order():
+    """z is prod i^m_i m_i! over the multiplicities m_i, so any order of the
+    same parts has the same z."""
+    rng = random.Random(7)
+    for n in range(10):
+        for lam in partitions_of(n):
+            want = prod(p ** lam.count(p) * factorial(lam.count(p)) for p in set(lam))
+            for _ in range(3):
+                shuffled = tuple(rng.sample(lam, len(lam)))
+                assert z_value(shuffled) == want, shuffled
+    assert z_value((1, 2, 1)) == z_value((2, 1, 1)) == 4
+    assert z_value((3, 1, 3, 1, 3)) == 3 ** 3 * 6 * 2
+
+
+def test_partitions_of_is_descending_lex_to_twenty():
+    """The iterative listing is in descending lex order, with no repeat, and
+    has p(n) entries."""
+    counts = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231, 297,
+              385, 490, 627]
+    for n, count in enumerate(counts):
+        parts = partitions_of(n)
+        assert list(parts) == sorted(set(parts), reverse=True) and len(parts) == count
+        assert all(sum(lam) == n and lam == tuple(sorted(lam, reverse=True)) for lam in parts)
+        assert all(lam[-1:] != (0,) for lam in parts)
 
 
 def test_count_of_type_small_brute_force():

@@ -504,7 +504,11 @@ def test_perp_by_a_shape_above_every_degree_is_zero_and_reads_no_table(monkeypat
     assert perp((25,), basis_element(S, (2,))).is_zero()
     assert perp((10, 10), basis_element(H, (3, 1))).is_zero()
     assert skew_schur((3,), (21,)).is_zero()
-    assert [key for key in fresh.compute_counts if key[2] > 4] == []
+    # only the h rows of (3, 1) and what they read, all of degree <= 4
+    assert fresh.compute_counts == {
+        **{("row", H, lam): 1 for lam in ((3, 1), (1,), ())},
+        **{("merge", a, b): 1 for a, b in ((3, 1), (1, 3), (0, 3), (1, 0), (0, 1))},
+        ("insert", 1, 3): 1}
 
 
 def test_evaluate_fixtures():
@@ -816,6 +820,67 @@ def test_schur_rows_concurrent_and_once(monkeypatch):
     assert [key for key in fresh._data if key[0] == "pairing"] == []
 
 
+def test_h_rows_concurrent_and_once(monkeypatch):
+    """Concurrent conversions of short h and e elements to p at a fresh cache
+    agree with the product of the h_k = sum of p_mu / z_mu, compute the h
+    row of each key and of each of its tails exactly once, with the merge
+    maps they read and the classes of each e degree for eps, and build no
+    h table."""
+    from symfunc import ring
+
+    fresh = ring._OnceCache()
+    monkeypatch.setattr(ring, "_cache", fresh)
+    h = sym_element(H, {(4, 3, 2, 1): 2, (6, 4): Fraction(-1, 3), (10,): 1, (2, 2): 5})
+    e = sym_element(E, {(5, 3, 1): 1, (3, 3, 2, 1): -4})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = _concurrently(lambda: (convert(h, P), convert(e, P)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r == results[0] for r in results)
+    rows = {lam[i:] for f in (h, e) for lam in f.terms for i in range(len(lam) + 1)}
+    assert {key for key in fresh.compute_counts if key[0] == "row"} == {
+        ("row", H, lam) for lam in rows}
+    assert {key[0] for key in fresh.compute_counts} == {"row", "merge", "insert", "classes"}
+    assert {key for key in fresh.compute_counts if key[0] == "classes"} == {("classes", 9)}
+    assert set(fresh.compute_counts.values()) == {1}
+
+    def h_in_p(lam):
+        f = one()
+        for k in lam:
+            f = multiply(f, sym_element(P, {mu: Fraction(1, z_value(mu)) for mu in partitions_of(k)}))
+        return f
+
+    want_h, want_e = (sum((c * h_in_p(lam) for lam, c in f.terms.items()), zero()) for f in (h, e))
+    assert results[0] == (want_h, omega(want_e))
+    assert [key for key in fresh._data if key[0] == "pairing"] == []
+    # the h table is the tuple of the same cached row objects
+    assert all(row is fresh._data[("row", H, lam)]
+               for lam, row in zip(partitions_of(10), ring._pairing(H, 10), strict=True))
+
+
+def test_strips_are_the_rim_hooks_of_every_cell():
+    """The one pass over beta numbers lists, by length, the rim hook of each
+    cell (i, j) once: of length arm + leg + 1 and sign (-1)^leg, leaving
+    rows i .. i + leg - 1 at lam_(r+1) - 1 and row i + leg at j, with no
+    trailing zero part."""
+    from symfunc import ring
+
+    for n in range(11):
+        for lam in partitions_of(n):
+            cols, want = conjugate(lam), {}
+            for i, row in enumerate(lam):
+                for j in range(row):
+                    arm, leg = row - j - 1, cols[j] - i - 1
+                    nu = lam[:i] + tuple(p - 1 for p in lam[i + 1:i + leg + 1]) + (j,) + lam[i + leg + 1:]
+                    want.setdefault(arm + leg + 1, []).append(
+                        (tuple(p for p in nu if p), (-1) ** leg))
+            got = ring._strips(lam)
+            assert {k: sorted(v) for k, v in got.items()} == {k: sorted(v) for k, v in want.items()}, lam
+            assert all(nu[-1:] != (0,) for v in got.values() for nu, _ in v)
+
+
 def test_once_cache_computes_each_key_once_and_publishes_no_failure():
     """Each key is computed once, also under concurrent first reads; a failed
     compute publishes and counts nothing, and the retry computes once."""
@@ -870,8 +935,9 @@ def test_merge_maps_concurrent_and_once(monkeypatch):
 
 def test_sum_coproducts_concurrent_and_once(monkeypatch):
     """Concurrent sum coproducts of one dense degree-8 element at a fresh
-    cache agree and compute each s table and each ("coproduct", lam) key
-    they read exactly once."""
+    cache agree and compute each s row and each ("coproduct", lam) key
+    they read exactly once; mapping s to p reads the rows of f's keys and
+    builds no s table."""
     from symfunc import hopf, ring
 
     fresh = ring._OnceCache()
@@ -886,7 +952,7 @@ def test_sum_coproducts_concurrent_and_once(monkeypatch):
     assert all(r.terms == results[0].terms for r in results)
     lams = ring._p_ints(f)[1]
     assert len(lams) == len(partitions_of(8))
-    assert fresh.compute_counts == {("pairing", S, 8): 1, **_s_row_keys(partitions_of(8)),
+    assert fresh.compute_counts == {**_s_row_keys(partitions_of(8)),
                                     **{("coproduct", lam): 1 for lam in lams}}
 
 
