@@ -22,7 +22,7 @@ from .partitions import Partition, as_partition, contains, partition_ranks, part
 from .ring import (
     P,
     SymElement,
-    _class_sizes,
+    _classes,
     _p_ints,
     _require_integer,
     _schur_row,
@@ -130,10 +130,9 @@ def kronecker(lam, mu, nu) -> int:
     if sum(mu) != n or sum(nu) != n:
         return 0
     _capped(n)
-    sizes = _class_sizes(n, partitions_of(n))
     a, b, c = map(_schur_row, (lam, mu, nu))
-    total = sum(map(mul, map(mul, a, b), map(mul, c, sizes)))
-    val = _require_integer(total, f"Kronecker coefficient gamma^{lam}_({mu},{nu})", factorial(n))
+    total = sum(map(mul, map(mul, a, b), map(mul, c, _classes(n)[2])))
+    val = _require_integer(total, "Kronecker coefficient gamma^{}_({},{})", factorial(n), lam, mu, nu)
     if val < 0:
         raise InvariantViolationError(f"negative Kronecker coefficient {val}")
     return val

@@ -11,8 +11,10 @@ as the coproducts and the Cauchy kernel need.
 Every operation reads power sums in ring's integer handoff, (D, nums)
 over one denominator: _p_ints for an element, _pp_ints for a tensor, whose
 legs are mapped one (left degree, right degree) block at a time, as a dense
-matrix; plethysm multiplies by ring's merge map within the ring cap, and
-sparse above it. One Fraction is built per output coefficient.
+matrix by ring's _transition, which also puts each leg over its top degree's
+factorial (so _pp_ints keeps no normalisation); plethysm multiplies by ring's
+merge map within the ring cap, and sparse above it. One Fraction is built per
+output coefficient.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from itertools import chain, compress, repeat
 from math import factorial
 
 from ._record import Record
-from .partitions import Partition, as_partition, format_partition, z_value
+from .partitions import Partition, as_partition, format_partition
 from .ring import (
     BASES,
     H,
@@ -109,9 +111,10 @@ def tensor_element(bases, terms) -> TensorElement:
     return TensorElement(bases, out)
 
 
-def _map_legs(nums: dict[PairKey, int], bases, to_p: bool) -> dict[PairKey, int]:
-    """Both legs of an integer tensor mapped by _transition, left then right, one
-    (left degree, right degree) block at a time, as a dense matrix. Zeros are left out."""
+def _map_legs(nums: dict[PairKey, int], bases, tops: tuple) -> dict[PairKey, int]:
+    """Both legs of an integer tensor mapped by _transition, left then right, each
+    with its top in ``tops`` (None: from p), one (left degree, right degree) block
+    at a time, as a dense matrix. Zeros are left out."""
     blocks: dict[tuple[int, int], dict] = {}  # per block, the row over the lefts of each right
     for (lam, mu), n in nums.items():
         blocks.setdefault((sum(lam), sum(mu)), {}).setdefault(mu, {})[lam] = n
@@ -119,8 +122,8 @@ def _map_legs(nums: dict[PairKey, int], bases, to_p: bool) -> dict[PairKey, int]
     for (a, b), block in blocks.items():
         keys = list(dict.fromkeys(chain.from_iterable(block.values())))
         vecs = [list(map(row.get, keys, repeat(0))) for row in block.values()]
-        lefts, cols = _transition(bases[0], a, keys, to_p, vecs)
-        rights, rows = _transition(bases[1], b, list(block), to_p, list(zip(*cols)))
+        lefts, cols = _transition(bases[0], a, keys, tops[0], vecs)
+        rights, rows = _transition(bases[1], b, list(block), tops[1], list(zip(*cols)))
         for lam, row in zip(lefts, rows):
             out.update(compress(zip(zip(repeat(lam), rights), row), row))
     return out
@@ -128,17 +131,14 @@ def _map_legs(nums: dict[PairKey, int], bases, to_p: bool) -> dict[PairKey, int]
 
 def _pp_ints(t: TensorElement) -> tuple[int, dict[PairKey, int]]:
     """The (p, p) expansion of a tensor in integers, (D, nums) with
-    [p_alpha x p_beta] t = nums[(alpha, beta)] / D: the 1 / z_alpha z_beta
-    that the legs leave is a! / z_alpha b! / z_beta over a! b!, for a and b
-    the top degrees of the legs."""
+    [p_alpha x p_beta] t = nums[(alpha, beta)] / D: each leg is mapped to p
+    over a! and b!, for a and b the top degrees of the legs."""
     den, nums = _clear(t.terms)
     if t.bases == (P, P):
         return den, nums
     a = max((sum(lam) for lam, _ in nums), default=0)
     b = max((sum(mu) for _, mu in nums), default=0)
-    fa, fb = factorial(a), factorial(b)
-    return den * fa * fb, {(alpha, beta): n * (fa // z_value(alpha)) * (fb // z_value(beta))
-                           for (alpha, beta), n in _map_legs(nums, t.bases, True).items()}
+    return den * factorial(a) * factorial(b), _map_legs(nums, t.bases, (a, b))
 
 
 def tensor_convert(t: TensorElement, bases) -> TensorElement:
@@ -147,7 +147,7 @@ def tensor_convert(t: TensorElement, bases) -> TensorElement:
     if t.bases == bases:
         return t
     den, nums = _pp_ints(t)
-    out = _map_legs(nums, bases, False)
+    out = _map_legs(nums, bases, (None, None))
     return TensorElement(bases, {key: Fraction(n, den) for key, n in out.items()})
 
 

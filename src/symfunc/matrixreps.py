@@ -46,7 +46,7 @@ from operator import add, mul, neg, sub as subtract
 
 from . import limits, ring
 from ._record import Record
-from .characters import ClassFunction, character_row, class_function
+from .characters import ClassFunction, _capped, character_row, class_function
 from .errors import InvariantViolationError
 from .partitions import (
     Partition,
@@ -66,7 +66,7 @@ from .partitions import (
     sign as perm_sign,
     z_value,
 )
-from .ring import PolynomialValue, S, _OnceCache, _add_scaled, _class_sizes, _require_integer
+from .ring import PolynomialValue, S, _OnceCache, _add_scaled, _require_integer
 from .ring import basis_element, evaluate
 from .tableaux import f_lambda, hook_content_cells, standard_tableaux
 
@@ -289,12 +289,12 @@ def decompose(rep: MatrixRep) -> dict[Partition, int]:
 
 def _multiplicities(n: int, traces: dict[Partition, int]) -> dict[Partition, int]:
     """decompose, from the trace of a representation of S_n at every class."""
+    _capped(n)  # before the classes of degree n are read
     order, classes, out = factorial(n), partitions_of(n), {}
-    weighted = [traces[mu] * size for mu, size in zip(classes, _class_sizes(n, classes))]
-    limits.check("coefficient", n)
+    weighted = list(map(mul, map(traces.__getitem__, classes), ring._classes(n)[2]))
     for lam, row in zip(classes, ring._pairing(S, n)):  # row is chi^lam, the s table's
         total = sum(map(mul, row, weighted))
-        val = _require_integer(total, f"multiplicity of {lam}", order)
+        val = _require_integer(total, "multiplicity of {}", order, lam)
         if val < 0:
             raise InvariantViolationError(f"negative multiplicity {val} at {lam}")
         if val:
@@ -534,7 +534,7 @@ def _frobenius(rep: MatrixRep) -> dict[Partition, int]:
         for c, size in classes:
             rho = cycle_type(c)
             sums[rho] = sums.get(rho, 0) + size * rep._trace(c)
-    return {rho: _require_integer(z_value(rho) * total, f"induced character at {rho}", sub.order)
+    return {rho: _require_integer(z_value(rho) * total, "induced character at {}", sub.order, rho)
             for rho, total in sums.items()}
 
 

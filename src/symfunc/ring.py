@@ -29,12 +29,14 @@ of the element's own keys; m, and every map out of p, read whole tables.
 
 No table is inverted: [p_mu] b_lam = A_b[lam][mu] / z_mu, and [b_lam] f is
 <f, b*_lam>, a row of the table of the Hall dual basis b* (s for s, h for
-m, m for h, and omega(m), the eps twist of the m table, for e). Kernels hand
-each other power sums as ints over one denominator (_p_ints: a dict of the
-nonzero p_mu, so p input of any degree stays sparse and only a degree that
-meets a table is enumerated, after its cap check), multiply them by the
-table rows they touch in C-level sum(map(mul, ..)) dots, and build one
-Fraction per output coefficient, at the public return.
+m, m for h, and omega(m), the eps twist of the m table, for e). The 1 / z_mu
+is applied in one place, _transition's map to p, over t! for the caller's
+top degree t, as the class sizes d! / z_mu of S_d kept in ("classes", d).
+Kernels hand each other power sums as ints over one denominator (_p_ints:
+a dict of the nonzero p_mu, so p input of any degree stays sparse and only
+a degree that meets a table is enumerated, after its cap check), multiply
+them by the table rows they touch in C-level sum(map(mul, ..)) dots, and
+build one Fraction per output coefficient, at the public return.
 Every memo in this module is one family of keys in _cache, built within
 the ring cap: the pairing tables, the h and s rows, the classes, the merge
 and insertion maps below, and the sum coproduct of each p_lam. The cache is
@@ -115,11 +117,11 @@ def _validate_basis(b: str) -> str:
     return b
 
 
-def _require_integer(c, what: str, den: int = 1) -> int:
-    """c / den as an int (c an int or a Fraction), or raise."""
+def _require_integer(c, what: str, den: int, *args) -> int:
+    """c / den as an int (c an int or a Fraction), or raise, named by what.format(*args)."""
     q, r = divmod(c.numerator, c.denominator * den)
     if r:
-        raise InvariantViolationError(f"{what} is non-integral: {Fraction(c, den)}")
+        raise InvariantViolationError(f"{what.format(*args)} is non-integral: {Fraction(c, den)}")
     return q
 
 
@@ -247,19 +249,13 @@ def _omega_sign(mu: Partition) -> int:
     return -1 if (sum(mu) - len(mu)) % 2 else 1
 
 
-def _classes(d: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
-    """Built once per degree: the blocks (k, #{rho |- d : rho_1 = k}) in
-    partitions_of(d) order, and eps, _omega_sign over partitions_of(d)."""
+def _classes(d: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...]]:
+    """Built once per degree, over partitions_of(d): the blocks (k, #{rho |- d :
+    rho_1 = k}) in that order, eps (_omega_sign) and the class sizes d! / z_rho."""
     return _cache.get(("classes", d), lambda: (
         tuple(Counter(rho[0] for rho in partitions_of(d) if rho).items()),
-        tuple(map(_omega_sign, partitions_of(d)))))
-
-
-def _class_sizes(t: int, mus) -> list[int]:
-    """t! / z_mu for each mu in ``mus`` of degree <= t: class sizes scaled to
-    put <f, p_mu> / z_mu of every degree up to t over the one denominator t!."""
-    top = factorial(t)
-    return [top // z_value(mu) for mu in mus]
+        tuple(map(_omega_sign, partitions_of(d))),
+        tuple(factorial(d) // z_value(rho) for rho in partitions_of(d))))
 
 
 # --- the pairing tables ------------------------------------------------------
@@ -289,8 +285,8 @@ def _newton_in_h(k: int) -> dict[Partition, int]:
     h_lam, where prod m_i(lam)! = z_lam / prod(lam)."""
     return {
         lam: (-1) ** (len(lam) - 1) * _require_integer(
-            k * factorial(len(lam) - 1) * prod(lam), f"Newton coefficient of h_{lam} in p_{k}",
-            z_value(lam))
+            k * factorial(len(lam) - 1) * prod(lam), "Newton coefficient of h_{} in p_{}",
+            z_value(lam), lam, k)
         for lam in partitions_of(k)
     }
 
@@ -361,7 +357,7 @@ def _mn_row(lam: Partition) -> tuple[int, ...]:
     d = sum(lam)
     if not d:
         return (1,)
-    blocks, eps = _classes(d)
+    blocks, eps, _ = _classes(d)
     conj = conjugate(lam)
     if len(conj) < len(lam):
         return tuple(map(mul, eps, _schur_row(conj)))
@@ -388,30 +384,35 @@ _ROWS = {H: _h_row, S: _schur_row}
 _DUAL = {S: S, H: M, M: H, E: M}
 
 
-def _transition(basis: str, d: int, keys: list, to_p: bool, vecs: list) -> tuple[list, list]:
+def _transition(basis: str, d: int, keys: list, top: int | None, vecs: list) -> tuple[list, list]:
     """(images, [T v for v in vecs]), each v over ``keys`` (partitions of d)
-    and each T v over ``images``. T maps ``basis`` to p at degree d by A_b
-    transposed (z for p; the 1 / z is left to the caller), reading for h, e
-    and s only the rows of ``keys``, or from p by A_b*, since [b_lam] f is
-    <f, b*_lam>; e twists the p side of A_h or A_m. A p map is diagonal and
-    lists no partition."""
+    and each T v over ``images``. Given the caller's top degree, T maps
+    ``basis`` to p over top!, [p_mu] b_lam = <b_lam, p_mu> / z_mu: A_b
+    transposed times the class size d! / z_mu scaled by top! / d! (and by eps
+    for e), reading for h, e and s only the rows of ``keys``; a p map is
+    top! alone and lists no partition. With top None, T maps from p by A_b*,
+    since [b_lam] f is <f, b*_lam>, and e twists the p side of A_m."""
     if basis == P:
-        return keys, [list(map(mul, v, map(z_value, keys))) for v in vecs] if to_p else vecs
+        return keys, vecs if top is None else [list(map(mul, v, repeat(factorial(top)))) for v in vecs]
     limits.check("ring", d)
-    rows = _ROWS.get(H if basis == E else basis) if to_p else None
+    rows = _ROWS.get(H if basis == E else basis) if top is not None else None
     if rows:
         trows = zip(*map(rows, keys))
     else:
-        table = _pairing(basis if to_p else _DUAL[basis], d)
+        table = _pairing(basis if top is not None else _DUAL[basis], d)
         at = list(map(partition_ranks(d).__getitem__, keys))
-        trows = zip(*map(table.__getitem__, at)) if to_p else map(_gather(at), table)
+        trows = zip(*map(table.__getitem__, at)) if top is not None else map(_gather(at), table)
     trows = list(trows) if len(vecs) > 1 else trows  # read once per vector
-    eps = _classes(d)[1] if basis == E else None
-    if eps and not to_p:
-        signs = _gather(at)(eps)
+    if top is None and basis == E:
+        signs = _gather(at)(_classes(d)[1])
         vecs = [list(map(mul, v, signs)) for v in vecs]
     outs = [[sum(map(mul, trow, v)) for trow in trows] for v in vecs]
-    return partitions_of(d), [list(map(mul, t, eps)) for t in outs] if eps and to_p else outs
+    if top is None:
+        return partitions_of(d), outs
+    _, eps, sizes = _classes(d)
+    scale = factorial(top) // factorial(d)
+    weights = [w * scale for w in (map(mul, sizes, eps) if basis == E else sizes)]
+    return partitions_of(d), [list(map(mul, t, weights)) for t in outs]
 
 
 # --- elements ----------------------------------------------------------------
@@ -509,9 +510,9 @@ def one(basis: str = P) -> SymElement:
 
 def _p_ints(f: SymElement) -> tuple[int, dict[Partition, int]]:
     """The power sums of ``f`` in integers, (D, nums) with [p_mu] f =
-    nums[mu] / D, nonzero entries only. Outside p, [p_mu] f is the sum over
-    lam of f_lam A_b[lam][mu] / z_mu: f's coefficients mapped to p by
-    _transition, times t! / z_mu, over t! (t the top degree)."""
+    nums[mu] / D, nonzero entries only. Outside p, each degree of f's
+    coefficients is mapped to p by _transition over t! (t the top degree),
+    which applies the 1 / z_mu as the class sizes."""
     den, nums = _clear(f.terms)
     if f.basis == P:
         return den, nums
@@ -519,8 +520,7 @@ def _p_ints(f: SymElement) -> tuple[int, dict[Partition, int]]:
     top = max(chunks, default=0)
     out: dict[Partition, int] = {}
     for d, chunk in chunks.items():
-        lams, (acc,) = _transition(f.basis, d, list(chunk), True, [list(chunk.values())])
-        vals = list(map(mul, acc, _class_sizes(top, lams)))
+        lams, (vals,) = _transition(f.basis, d, list(chunk), top, [list(chunk.values())])
         out.update(compress(zip(lams, vals), vals))
     return den * factorial(top), out
 
@@ -533,7 +533,7 @@ def _from_p_ints(basis: str, den: int, nums: dict[Partition, int]) -> SymElement
         return SymElement(P, {mu: Fraction(n, den) for mu, n in nums.items()})
     out: dict[Partition, Fraction] = {}
     for d, chunk in _by_degree(nums).items():
-        lams, (vals,) = _transition(basis, d, list(chunk), False, [list(chunk.values())])
+        lams, (vals,) = _transition(basis, d, list(chunk), None, [list(chunk.values())])
         out.update((lam, Fraction(v, den)) for lam, v in compress(zip(lams, vals), vals))
     return SymElement(basis, out)
 
@@ -576,7 +576,7 @@ def _skew_p(mu: Partition, nums: dict[Partition, int]) -> dict[Partition, int]:
     m = sum(mu)
     out: dict[Partition, int] = {}
     for d in {d for d in map(sum, nums) if d >= m}:
-        row = _pairing(S, m)[partition_ranks(m)[mu]]
+        row = _schur_row(mu)
         merged = zip(row, *_merge_map(m, d - m))
         vec, acc = list(map(nums.get, partitions_of(d), repeat(0))), [0] * len(partitions_of(d - m))
         # one pass per alpha gathers [p_(alpha u beta)] f for every beta

@@ -1294,3 +1294,47 @@ def test_concurrent_matrix_calls_agree_and_each_runs_the_rule_once():
     assert not errors and len(results) == len(threads)
     assert all(r == results[0] for r in results)
     assert calls == Counter({pi: len(threads) for pi in perms})
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: SubgroupSpec.from_elements(3, [(1, 2, 3), (1, 2)]), "is not a word of length 3"),
+    (lambda: SubgroupSpec.from_elements(3, [(1, 2, 3), (2, 3, 1)]),
+     "not closed under inverse at (2, 3, 1)"),
+    (lambda: trivial_of(SubgroupSpec.young((2, 1))).generator_matrices(),
+     "generator matrices only defined on full S_n"),
+    (lambda: adjacent_transposition(3, 3), "s_3 is not a generator of S_3"),
+    (lambda: adjacent_transposition(3, 0), "s_0 is not a generator of S_3"),
+    (lambda: classical_rep("bogus", 3), "unknown classical representation 'bogus'"),
+    (lambda: character_of(trivial_of(SubgroupSpec.young((2, 1)))),
+     "character_of needs a full-S_n representation"),
+    (lambda: induce(classical_rep("trivial", 3), 3),
+     "induce needs a representation with a subgroup domain"),
+    (lambda: induce(trivial_of(SubgroupSpec.young((2, 1))), 4), "same word degree"),
+    (lambda: restrict(classical_rep("trivial", 3), SubgroupSpec.young((2, 2))),
+     "subgroup degree differs from the representation's"),
+    (lambda: restrict(trivial_of(SubgroupSpec.young((2, 1))), SubgroupSpec.young((1, 2))),
+     "new domain is not a subgroup of the current one"),
+], ids=["word-length", "inverse", "generators-on-subgroup", "generator-high", "generator-low",
+        "classical-kind", "character-on-subgroup", "induce-full", "induce-degree",
+        "restrict-degree", "restrict-not-subgroup"])
+def test_outside_input_is_rejected_with_its_reason(call, fragment):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert fragment in str(err.value)
+
+
+def test_no_multiplicity_above_the_ring_cap_reads_its_classes(monkeypatch):
+    """decompose and kronecker check the coefficient and ring caps before
+    reading the class sizes of their degree, so no ("classes", n) key lands
+    above the ring cap."""
+    fresh = ring._OnceCache()
+    monkeypatch.setattr(ring, "_cache", fresh)
+    rep = young_module((3, 2, 1))
+    with limits.scoped(limits.Limits(ring=5)):
+        with pytest.raises(DegreeCapError, match="transition tables are capped at n <= 5, got 6"):
+            decompose(rep)
+        with pytest.raises(DegreeCapError, match="transition tables are capped at n <= 5, got 6"):
+            kronecker((3, 2, 1), (4, 2), (6,))
+    assert [key for key in fresh._data if key[0] == "classes" and key[1] > 5] == []
+    assert decompose(rep)[(3, 2, 1)] == 1
+    assert ("classes", 6) in fresh._data

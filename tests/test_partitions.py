@@ -207,3 +207,10 @@ def test_parse_and_format_roundtrip():
         parse_partition("1,2")
     with pytest.raises(ValueError):
         parse_partition("a,b")
+
+
+@pytest.mark.parametrize("p, q", [((2, 1), (1, 2, 3)), ((1, 2, 3), (2, 1)), ((), (1,))],
+                         ids=["shorter-left", "shorter-right", "empty"])
+def test_compose_rejects_words_of_different_degree(p, q):
+    with pytest.raises(ValueError, match="permutations of different degree"):
+        compose(p, q)

@@ -12,8 +12,8 @@ import pairing_digest
 import pytest
 
 from symfunc import limits
-from symfunc.errors import DegreeCapError
-from symfunc.partitions import conjugate, partition_ranks, partitions_of, z_value
+from symfunc.errors import DegreeCapError, InvariantViolationError
+from symfunc.partitions import conjugate, count_of_type, partition_ranks, partitions_of, z_value
 from symfunc.ring import (
     BASES,
     E,
@@ -504,11 +504,28 @@ def test_perp_by_a_shape_above_every_degree_is_zero_and_reads_no_table(monkeypat
     assert perp((25,), basis_element(S, (2,))).is_zero()
     assert perp((10, 10), basis_element(H, (3, 1))).is_zero()
     assert skew_schur((3,), (21,)).is_zero()
-    # only the h rows of (3, 1) and what they read, all of degree <= 4
+    # only the h rows of (3, 1) and what they read, and the class sizes that
+    # put them over 4!, all of degree <= 4
     assert fresh.compute_counts == {
         **{("row", H, lam): 1 for lam in ((3, 1), (1,), ())},
         **{("merge", a, b): 1 for a, b in ((3, 1), (1, 3), (0, 3), (1, 0), (0, 1))},
-        ("insert", 1, 3): 1}
+        ("insert", 1, 3): 1, ("classes", 4): 1}
+
+
+def test_perp_reads_the_s_row_of_mu_not_its_table(monkeypatch):
+    """s_mu^perp reads the one s row of mu, and no s table of degree |mu|."""
+    from symfunc import ring
+
+    fresh = ring._OnceCache()
+    monkeypatch.setattr(ring, "_cache", fresh)
+    f = sym_element(H, {(3, 2): 1, (4, 1): Fraction(-2, 3), (2, 2, 1): 5})
+    got = perp((2, 1), f)
+    assert ("row", S, (2, 1)) in fresh._data
+    assert ("pairing", S, 3) not in fresh._data
+    want = zero(S)
+    for lam, c in convert(f, S).terms.items():
+        want = want + c * skew_schur(lam, (2, 1))
+    assert got == want
 
 
 def test_evaluate_fixtures():
@@ -824,8 +841,8 @@ def test_h_rows_concurrent_and_once(monkeypatch):
     """Concurrent conversions of short h and e elements to p at a fresh cache
     agree with the product of the h_k = sum of p_mu / z_mu, compute the h
     row of each key and of each of its tails exactly once, with the merge
-    maps they read and the classes of each e degree for eps, and build no
-    h table."""
+    maps they read and the classes of each degree for the class sizes (and
+    eps, for e), and build no h table."""
     from symfunc import ring
 
     fresh = ring._OnceCache()
@@ -843,7 +860,8 @@ def test_h_rows_concurrent_and_once(monkeypatch):
     assert {key for key in fresh.compute_counts if key[0] == "row"} == {
         ("row", H, lam) for lam in rows}
     assert {key[0] for key in fresh.compute_counts} == {"row", "merge", "insert", "classes"}
-    assert {key for key in fresh.compute_counts if key[0] == "classes"} == {("classes", 9)}
+    assert {key for key in fresh.compute_counts if key[0] == "classes"} == {
+        ("classes", 4), ("classes", 9), ("classes", 10)}
     assert set(fresh.compute_counts.values()) == {1}
 
     def h_in_p(lam):
@@ -954,6 +972,44 @@ def test_sum_coproducts_concurrent_and_once(monkeypatch):
     assert len(lams) == len(partitions_of(8))
     assert fresh.compute_counts == {**_s_row_keys(partitions_of(8)),
                                     **{("coproduct", lam): 1 for lam in lams}}
+
+
+def test_class_sizes_are_the_counts_of_each_type_to_twenty(monkeypatch):
+    """The sizes in ("classes", d) are the class sizes d! / z_rho over
+    partitions_of(d), and they sum to d!."""
+    from math import factorial
+
+    from symfunc import ring
+
+    monkeypatch.setattr(ring, "_cache", ring._OnceCache())
+    for d in range(21):
+        sizes = ring._classes(d)[2]
+        assert sizes == tuple(map(count_of_type, partitions_of(d))), d
+        assert sum(sizes) == factorial(d)
+
+
+def test_require_integer_formats_its_message_only_when_it_raises():
+    """The message names the value by the format string and its arguments,
+    a partition printed as a tuple; a whole value formats nothing."""
+    from symfunc import ring
+
+    class Unformatted(str):
+        def format(self, *args):
+            raise AssertionError("formatted a message that was not raised")
+
+    assert ring._require_integer(12, Unformatted("multiplicity of {}"), 4, (2, 1)) == 3
+    with pytest.raises(InvariantViolationError) as err:
+        ring._require_integer(Fraction(7, 2), "multiplicity of {} in p_{}", 3, (2, 1, 1), 4)
+    assert str(err.value) == "multiplicity of (2, 1, 1) in p_4 is non-integral: 7/6"
+
+
+@pytest.mark.parametrize("op", ["__add__", "__mul__"])
+def test_polynomials_in_different_variable_counts_do_not_combine(op):
+    from symfunc.ring import PolynomialValue
+
+    a, b = PolynomialValue(2, {(1, 0): Fraction(1)}), PolynomialValue(3, {(0, 0, 1): Fraction(2)})
+    with pytest.raises(ValueError, match="variable counts differ"):
+        getattr(a, op)(b)
 
 
 def test_every_cache_key_is_a_ring_family_within_the_cap(monkeypatch):

@@ -231,3 +231,15 @@ def test_enumeration_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("p_rows, q_rows, fragment", [
+    (((2, 1),), ((1, 2),), "P is not semistandard"),
+    (((1, 2), (1,)), ((1, 3), (2,)), "P is not semistandard"),
+    (((1, 2),), ((2, 1),), "Q is not standard"),
+    (((1, 1),), ((1, 3),), "Q is not standard"),
+], ids=["P-row", "P-column", "Q-row", "Q-entries"])
+def test_rsk_inverse_rejects_tableaux_outside_its_domain(p_rows, q_rows, fragment):
+    shape = tuple(map(len, p_rows))
+    with pytest.raises(ValueError, match=fragment):
+        rsk_inverse(Tableau(shape, p_rows), Tableau(shape, q_rows))
