@@ -18,14 +18,16 @@ of dense rows of ints, both axes in partitions_of(degree) order:
     of length rho_1 of (-1)^ht(xi) <s_(lam - xi), p_(rho_2, ...)>: one cached
     row per shape, which reads only the rows of the shapes lam - xi; a shape
     with more rows than columns is the eps twist of its conjugate;
-  * m: <m_lam, p_mu> = [h_lam] p_mu, the product over the parts k of mu of
-    Newton's p_k = sum over lam |- k of (-1)^(len-1) k (len-1)! /
-    prod m_i(lam)! h_lam, multiplied in h by part concatenation.
+  * m: with k = lam_1 and nu = lam[1:], p_k m_nu is m_k(lam) m_lam plus one
+    m of each shape nu with a part q raised to q + k, and pairs with p_mu
+    as k m_k(mu) <m_nu, p_(mu less k)>: one cached row per shape, from the
+    row of nu and rows with fewer parts, divided by m_k(lam), where a
+    remainder raises.
 
-An h or s table is the tuple of its rows. e has no table: e_lam =
-omega(h_lam), so its power sums are the h-row sum twisted by eps_mu =
-(-1)^(|mu| - len(mu)). Mapping h, e or s to p (_p_ints) reads only the rows
-of the element's own keys; m, and every map out of p, read whole tables.
+Each table is the tuple of its rows. e has no table: e_lam = omega(h_lam),
+so its power sums are the h-row sum twisted by eps_mu = (-1)^(|mu| -
+len(mu)). Every map to p (_p_ints) reads only the rows of the element's own
+keys; every map out of p reads a whole table.
 
 No table is inverted: [p_mu] b_lam = A_b[lam][mu] / z_mu, and [b_lam] f is
 <f, b*_lam>, a row of the table of the Hall dual basis b* (s for s, h for
@@ -38,7 +40,7 @@ a degree that meets a table is enumerated, after its cap check), multiply
 them by the table rows they touch in C-level sum(map(mul, ..)) dots, and
 build one Fraction per output coefficient, at the public return.
 Every memo in this module is one family of keys in _cache, built within
-the ring cap: the pairing tables, the h and s rows, the classes, the merge
+the ring cap: the pairing tables, the h, s and m rows, the classes, the merge
 and insertion maps below, and the sum coproduct of each p_lam. The cache is
 compute-then-publish under one reentrant lock: readers never see a partial
 value and each key is computed at most once, provided no compute waits on
@@ -47,19 +49,21 @@ _skew_p applies s_mu^perp to those power sums; perp is its one public route.
 skew_schur reads no table: s_(lam/mu) = sum of c^lam_(mu nu) s_nu, and
 tableaux._lr_fillings counts the LR tableaux of shape lam/mu by content nu.
 
-Every union of partitions (products, the h rows and m columns, _skew_p) is
-read from the cached merge map, in rank space: that lists partitions_of(a + b),
-so only within the ring cap; above it a product stays sparse and sorts parts.
+Every union of partitions (products, the h and m rows, _skew_p) is read
+from a cached merge or insertion map, in rank space: those list
+partitions_of(a + b), so only within the ring cap; above it a product stays
+sparse and sorts parts.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import compress, product, repeat
 from math import comb, factorial, lcm, prod
-from operator import add, floordiv, itemgetter, mul, neg, sub
+from operator import add, floordiv, itemgetter, mod, mul, neg, sub
 
 from . import limits
 from ._record import Record
@@ -172,7 +176,7 @@ def _gather(at: list[int]):
 def _insertions(k: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """For each nu |- m by rank: the rank of nu u (k) in partitions_of(m + k), and m_k(nu) + 1."""
     ranks, nus = partition_ranks(m + k), partitions_of(m)
-    new = (ranks[nu[:i] + (k,) + nu[i:]] for nu in nus for i in [sum(p >= k for p in nu)])
+    new = (ranks[nu[:i] + (k,) + nu[i:]] for nu in nus for i in [bisect_right(nu, -k, key=neg)])
     return tuple(new), tuple(nu.count(k) + 1 for nu in nus)
 
 
@@ -187,7 +191,7 @@ def _merges(a: int, b: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
         return (tuple(range(len(partitions_of(b)))),), ((1,) * len(partitions_of(b)),)
     alphas, ranks, weights = partitions_of(a), [], []
     for k, size in Counter(alpha[0] for alpha in alphas).items():
-        new, mult = _cache.get(("insert", k, a - k + b), lambda: _insertions(k, a - k + b))
+        new, mult = _cache.get(("insert", k, a - k + b), _insertions, k, a - k + b)
         for alpha, rs, ws in zip(alphas[len(ranks):], *(half[-size:] for half in _merge_map(a - k, b))):
             ranks.append(tuple(map(new.__getitem__, rs)))
             gained = map(mul, ws, map(mult.__getitem__, rs))
@@ -280,49 +284,13 @@ def _strips(lam: Partition) -> dict[int, list[tuple[Partition, int]]]:
     return out
 
 
-def _newton_in_h(k: int) -> dict[Partition, int]:
-    """p_k in the h basis: (-1)^(len - 1) k (len - 1)! / prod m_i(lam)! at
-    h_lam, where prod m_i(lam)! = z_lam / prod(lam)."""
-    return {
-        lam: (-1) ** (len(lam) - 1) * _require_integer(
-            k * factorial(len(lam) - 1) * prod(lam), "Newton coefficient of h_{} in p_{}",
-            z_value(lam), lam, k)
-        for lam in partitions_of(k)
-    }
-
-
-def _pairing_table(basis: str, degree: int) -> PairingTable:
-    """A_b[lam][mu] = <b_lam, p_mu> for every lam, mu |- ``degree``."""
-    if not degree:
-        return ((1,),)
-    lams = partitions_of(degree)
-    if basis in _ROWS:
-        return tuple(map(_ROWS[basis], lams))
-    if basis != M:
-        raise ValueError(f"no pairing table is stored for basis {basis!r}")
-    # column mu is p_mu = p_(mu_1) p_(mu_2) ... in the h basis, a dense vector
-    newton = {k: list(_newton_in_h(k).values()) for k in range(1, degree + 1)}
-    cols: dict[Partition, list[int]] = {(): [1]}
-
-    def column(mu: Partition) -> list[int]:
-        if mu not in cols:
-            lower, d = column(mu[1:]), sum(mu)
-            cols[mu] = col = [0] * len(partitions_of(d))
-            for n, rs in zip(newton[mu[0]], _merge_map(mu[0], d - mu[0])[0]):
-                for r, c in compress(zip(rs, lower), lower):
-                    col[r] += n * c
-        return cols[mu]
-
-    table = tuple(zip(*map(column, lams)))
-    cols.clear()
-    return table
-
-
 def _pairing(basis: str, degree: int) -> PairingTable:
-    """The cached pairing table of ``basis`` (h, s or m) at one degree; an h
-    or s table is the tuple of its cached rows."""
+    """The cached pairing table of ``basis`` (h, s or m) at one degree, the
+    tuple of its cached rows."""
     limits.check("ring", degree)
-    return _cache.get(("pairing", basis, degree), _pairing_table, basis, degree)
+    if basis not in _ROWS:
+        raise ValueError(f"no pairing table is stored for basis {basis!r}")
+    return _cache.get(("pairing", basis, degree), lambda: tuple(map(_ROWS[basis], partitions_of(degree))))
 
 
 def _h_row(lam: Partition) -> tuple[int, ...]:
@@ -375,8 +343,39 @@ def _mn_row(lam: Partition) -> tuple[int, ...]:
     return tuple(row)
 
 
+def _m_row(lam: Partition) -> tuple[int, ...]:
+    """The cached m row of lam; callers check the cap."""
+    return _cache.get(("row", M, lam), _monomial_row, lam)
+
+
+def _monomial_row(lam: Partition) -> tuple[int, ...]:
+    """With k = lam_1 and nu = lam[1:], p_k m_nu = m_k(lam) m_lam plus m_(nu_q)
+    for each distinct part q of nu, nu_q = (q + k,) + nu less one q; and
+    <p_k m_nu, p_mu> = k m_k(mu) <m_nu, p_(mu less k)>, as p_k^perp = k d/dp_k.
+    So the row is that of nu scattered by the insertion map (k, |nu|) with
+    weight k m_k(mu), less the rows of the nu_q (same degree, fewer parts),
+    over m_k(lam)."""
+    d = sum(lam)
+    if not d:
+        return (1,)
+    k, nu = lam[0], lam[1:]
+    new, mult = _cache.get(("insert", k, d - k), _insertions, k, d - k)
+    row, lower = [0] * len(partitions_of(d)), _m_row(nu)
+    for r, w, c in compress(zip(new, mult, lower), lower):
+        row[r] = k * w * c
+    for q in dict.fromkeys(nu):
+        i = nu.index(q)
+        row = list(map(sub, row, _m_row((q + k,) + nu[:i] + nu[i + 1:])))
+    n = lam.count(k)
+    if n == 1:
+        return tuple(row)
+    for c in compress(row, map(mod, row, repeat(n))):
+        _require_integer(c, "an entry of the m row of {}", n, lam)
+    return tuple(map(floordiv, row, repeat(n)))
+
+
 # The bases whose table is the tuple of its rows, each cached per shape
-_ROWS = {H: _h_row, S: _schur_row}
+_ROWS = {H: _h_row, S: _schur_row, M: _m_row}
 
 
 # The Hall dual of each basis other than p; that of e is omega(m), whose
@@ -389,19 +388,17 @@ def _transition(basis: str, d: int, keys: list, top: int | None, vecs: list) -> 
     and each T v over ``images``. Given the caller's top degree, T maps
     ``basis`` to p over top!, [p_mu] b_lam = <b_lam, p_mu> / z_mu: A_b
     transposed times the class size d! / z_mu scaled by top! / d! (and by eps
-    for e), reading for h, e and s only the rows of ``keys``; a p map is
+    for e), reading only the rows of ``keys``; a p map is
     top! alone and lists no partition. With top None, T maps from p by A_b*,
     since [b_lam] f is <f, b*_lam>, and e twists the p side of A_m."""
     if basis == P:
         return keys, vecs if top is None else [list(map(mul, v, repeat(factorial(top)))) for v in vecs]
     limits.check("ring", d)
-    rows = _ROWS.get(H if basis == E else basis) if top is not None else None
-    if rows:
-        trows = zip(*map(rows, keys))
+    if top is not None:
+        trows = zip(*map(_ROWS[H if basis == E else basis], keys))
     else:
-        table = _pairing(basis if top is not None else _DUAL[basis], d)
         at = list(map(partition_ranks(d).__getitem__, keys))
-        trows = zip(*map(table.__getitem__, at)) if top is not None else map(_gather(at), table)
+        trows = map(_gather(at), _pairing(_DUAL[basis], d))
     trows = list(trows) if len(vecs) > 1 else trows  # read once per vector
     if top is None and basis == E:
         signs = _gather(at)(_classes(d)[1])

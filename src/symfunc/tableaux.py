@@ -316,9 +316,7 @@ def rsk_inverse(p_tab: Tableau, q_tab: Tableau) -> tuple[int, ...]:
             position[v] = (r, c)
     word: list[int] = []
     for k in range(n, 0, -1):
-        r, c = position[k]
-        if c != len(p_rows[r]) - 1:
-            raise ValueError("Q is not a recording tableau")
+        r, _ = position[k]  # k, Q's largest entry left, ends its row
         x = p_rows[r].pop()
         if not p_rows[r]:
             p_rows.pop(r)

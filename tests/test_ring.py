@@ -791,16 +791,16 @@ def _s_row_keys(shapes) -> dict:
 
 def test_transition_cache_concurrent_and_once(monkeypatch):
     """Concurrent conversions at a fresh degree agree and compute the
-    per-degree table exactly once; the Schur table is the tuple of its rows,
-    which read only smaller Schur rows, each computed once, and no h, e or m
-    table."""
+    per-degree table exactly once (p to h reads the m table, h's Hall dual);
+    the Schur table is the tuple of its rows, which read only smaller Schur
+    rows, each computed once, and no h, e or m table."""
     from symfunc import ring
 
     # degree 11 in the monomial basis is unlikely to be warmed by other tests
     key = ("pairing", M, 11)
     ring._cache.compute_counts.pop(key, None)
     ring._cache._data.pop(key, None)
-    results = _concurrently(lambda: convert(basis_element(M, (6, 3, 2)), P))
+    results = _concurrently(lambda: convert(basis_element(P, (6, 3, 2)), H))
     assert all(r == results[0] for r in results)
     assert ring._cache.compute_counts.get(key) == 1
 
@@ -876,6 +876,71 @@ def test_h_rows_concurrent_and_once(monkeypatch):
     # the h table is the tuple of the same cached row objects
     assert all(row is fresh._data[("row", H, lam)]
                for lam, row in zip(partitions_of(10), ring._pairing(H, 10), strict=True))
+
+
+def _m_row_keys(shapes) -> dict:
+    """{key: 1} for the cache keys that building the m rows of ``shapes``
+    computes: the row of every shape it reads, these included, where lam
+    reads its tail nu = lam[1:] and, for each distinct part q of nu, the
+    shape (q + lam_1,) + nu less one q; and the insertion map (lam_1, |nu|)
+    of each nonempty lam."""
+    seen, todo = set(), list(shapes)
+    while todo:
+        lam = todo.pop()
+        if lam in seen:
+            continue
+        seen.add(lam)
+        if lam:
+            k, nu = lam[0], lam[1:]
+            todo.append(nu)
+            for q in set(nu):
+                rest = list(nu)
+                rest.remove(q)
+                todo.append((q + k,) + tuple(rest))
+    return {**{("row", M, lam): 1 for lam in seen},
+            **{("insert", lam[0], sum(lam) - lam[0]): 1 for lam in seen if lam}}
+
+
+def test_m_rows_concurrent_and_once(monkeypatch):
+    """Concurrent conversions of short m elements to p at a fresh cache agree,
+    compute the m row of each key and of every shape it reads exactly once,
+    with the insertion maps they scatter through and the classes of each
+    degree for the class sizes, and build no table; the h table, which no m
+    row reads, maps each answer back to its input."""
+    from symfunc import ring
+
+    fresh = ring._OnceCache()
+    monkeypatch.setattr(ring, "_cache", fresh)
+    f = sym_element(M, {(4, 3, 2, 1): 2, (3, 3, 1, 1): Fraction(-1, 3), (2, 2, 2): 5, (1,) * 6: 1})
+    g = basis_element(M, (6, 5, 4, 3, 2))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with limits.scoped(limits.current().raised(20)):
+            results = _concurrently(lambda: (convert(f, P), convert(g, P)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r == results[0] for r in results)
+    assert fresh.compute_counts == {
+        **_m_row_keys([*f.terms, *g.terms]), **{("classes", d): 1 for d in (*f.degrees(), 20)}}
+    assert [key for key in fresh._data if key[0] == "pairing"] == []
+    with limits.scoped(limits.current().raised(20)):
+        assert [convert(r, M) for r in results[0]] == [f, g]
+    assert ("pairing", H, 20) in fresh._data
+
+
+def test_an_m_row_with_a_remainder_raises_and_publishes_nothing(monkeypatch):
+    """The division by m_k(lam) in an m row is checked: a wrong tail row
+    that leaves a remainder raises InvariantViolationError, and the row of
+    lam is not cached."""
+    from symfunc import ring
+
+    fresh = ring._OnceCache()
+    monkeypatch.setattr(ring, "_cache", fresh)
+    fresh._data[("row", M, (1, 1))] = (0, 1)  # <m_(1,1), p_mu> is (-1, 1)
+    with pytest.raises(InvariantViolationError, match=r"m row of \(1, 1, 1\) is non-integral"):
+        ring._m_row((1, 1, 1))
+    assert ("row", M, (1, 1, 1)) not in fresh._data
 
 
 def test_strips_are_the_rim_hooks_of_every_cell():

@@ -174,6 +174,13 @@ def test_rsk_properties_and_bijectivity_exhaustive():
                 assert key not in seen
                 seen.add(key)
             assert len(seen) == m**n
+            # every pair of a semistandard P and a standard Q of one shape is reached
+            pairs = set()
+            for lam in partitions_of(n):
+                for p, q in product(enumerate_ssyt(lam, m), standard_tableaux(lam)):
+                    assert rsk(rsk_inverse(p, q)) == (p, q)
+                    pairs.add((tuple(p.rows), tuple(q.rows)))
+            assert pairs == seen
 
 
 def test_rsk_counting_identity():
@@ -204,7 +211,7 @@ def test_content_fixtures():
 def test_rsk_inverse_validates_input():
     p, q = rsk((2, 1, 2))
     bad_q = Tableau(p.shape, tuple(tuple(v + 1 for v in row) for row in q.rows))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="Q is not standard"):
         rsk_inverse(p, bad_q)
     with pytest.raises(ValueError):
         rsk_inverse(p, Tableau((3,), ((1, 2, 3),)))
