@@ -22,7 +22,7 @@ from .partitions import Partition, as_partition, contains, partition_ranks, part
 from .ring import (
     P,
     SymElement,
-    _classes,
+    _class_sizes,
     _p_ints,
     _require_integer,
     _schur_row,
@@ -131,7 +131,7 @@ def kronecker(lam, mu, nu) -> int:
         return 0
     _capped(n)
     a, b, c = map(_schur_row, (lam, mu, nu))
-    total = sum(map(mul, map(mul, a, b), map(mul, c, _classes(n)[2])))
+    total = sum(map(mul, map(mul, a, b), map(mul, c, _class_sizes(n))))
     val = _require_integer(total, "Kronecker coefficient gamma^{}_({},{})", factorial(n), lam, mu, nu)
     if val < 0:
         raise InvariantViolationError(f"negative Kronecker coefficient {val}")

@@ -289,9 +289,9 @@ def decompose(rep: MatrixRep) -> dict[Partition, int]:
 
 def _multiplicities(n: int, traces: dict[Partition, int]) -> dict[Partition, int]:
     """decompose, from the trace of a representation of S_n at every class."""
-    _capped(n)  # before the classes of degree n are read
+    _capped(n)  # before the class sizes of degree n are read
     order, classes, out = factorial(n), partitions_of(n), {}
-    weighted = list(map(mul, map(traces.__getitem__, classes), ring._classes(n)[2]))
+    weighted = list(map(mul, map(traces.__getitem__, classes), ring._class_sizes(n)))
     for lam, row in zip(classes, ring._pairing(S, n)):  # row is chi^lam, the s table's
         total = sum(map(mul, row, weighted))
         val = _require_integer(total, "multiplicity of {}", order, lam)

@@ -33,18 +33,19 @@ No table is inverted: [p_mu] b_lam = A_b[lam][mu] / z_mu, and [b_lam] f is
 <f, b*_lam>, a row of the table of the Hall dual basis b* (s for s, h for
 m, m for h, and omega(m), the eps twist of the m table, for e). The 1 / z_mu
 is applied in one place, _transition's map to p, over t! for the caller's
-top degree t, as the class sizes d! / z_mu of S_d kept in ("classes", d).
+top degree t, as the class sizes d! / z_mu of S_d in ("sizes", d), computed
+on first read by a map to p, kronecker or decompose; s rows read none.
 Kernels hand each other power sums as ints over one denominator (_p_ints:
 a dict of the nonzero p_mu, so p input of any degree stays sparse and only
 a degree that meets a table is enumerated, after its cap check), multiply
 them by the table rows they touch in C-level sum(map(mul, ..)) dots, and
 build one Fraction per output coefficient, at the public return.
 Every memo in this module is one family of keys in _cache, built within
-the ring cap: the pairing tables, the h, s and m rows, the classes, the merge
-and insertion maps below, and the sum coproduct of each p_lam. The cache is
-compute-then-publish under one reentrant lock: readers never see a partial
-value and each key is computed at most once, provided no compute waits on
-another thread that reads the cache.
+the ring cap: the pairing tables, the h, s and m rows, the classes, the
+class sizes, the merge and insertion maps below, and the sum coproduct of
+each p_lam. The cache is compute-then-publish under one reentrant lock:
+readers never see a partial value and each key is computed at most once,
+provided no compute waits on another thread that reads the cache.
 _skew_p applies s_mu^perp to those power sums; perp is its one public route.
 skew_schur reads no table: s_(lam/mu) = sum of c^lam_(mu nu) s_nu, and
 tableaux._lr_fillings counts the LR tableaux of shape lam/mu by content nu.
@@ -253,13 +254,18 @@ def _omega_sign(mu: Partition) -> int:
     return -1 if (sum(mu) - len(mu)) % 2 else 1
 
 
-def _classes(d: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...]]:
+def _classes(d: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
     """Built once per degree, over partitions_of(d): the blocks (k, #{rho |- d :
-    rho_1 = k}) in that order, eps (_omega_sign) and the class sizes d! / z_rho."""
+    rho_1 = k}) in that order, which every s row reads, and eps (_omega_sign)."""
     return _cache.get(("classes", d), lambda: (
         tuple(Counter(rho[0] for rho in partitions_of(d) if rho).items()),
-        tuple(map(_omega_sign, partitions_of(d))),
-        tuple(factorial(d) // z_value(rho) for rho in partitions_of(d))))
+        tuple(map(_omega_sign, partitions_of(d)))))
+
+
+def _class_sizes(d: int) -> tuple[int, ...]:
+    """The class sizes d! / z_rho of S_d over partitions_of(d), built once per
+    degree when first read (by a map to p, kronecker or decompose)."""
+    return _cache.get(("sizes", d), lambda: tuple(factorial(d) // z_value(rho) for rho in partitions_of(d)))
 
 
 # --- the pairing tables ------------------------------------------------------
@@ -271,16 +277,18 @@ def _strips(lam: Partition) -> dict[int, list[tuple[Partition, int]]]:
     each free t < b, k = b - t, and ht(xi) counts the beads it passes."""
     ell, out = len(lam), {}
     beta = [p + ell - 1 - i for i, p in enumerate(lam)]
+    less = tuple(p - 1 for p in lam)  # the row of each passed bead loses one cell
     for i, b in enumerate(beta):
-        j = i + 1  # the beads passed are beta[i + 1:j]
+        j, sign = i + 1, 1  # the beads passed are beta[i + 1:j]
         for t in range(b - 1, -1, -1):
             if j < ell and beta[j] == t:
-                j += 1
+                j, sign = j + 1, -sign
                 continue
-            nu = lam[:i] + tuple(p - 1 for p in lam[i + 1:j]) + (t + j - ell,) + lam[j:]
-            while nu and not nu[-1]:  # each passed row of length 1 leaves a zero
-                nu = nu[:-1]
-            out.setdefault(b - t, []).append((nu, (-1) ** (j - i - 1)))
+            nu = lam[:i] + less[i + 1:j] + (t + j - ell,) + lam[j:]
+            if j == ell:  # the strip ends in the last row: drop the rows it empties
+                while nu and not nu[-1]:
+                    nu = nu[:-1]
+            out.setdefault(b - t, []).append((nu, sign))
     return out
 
 
@@ -320,18 +328,16 @@ def _mn_row(lam: Partition) -> tuple[int, ...]:
     """The rho with rho_1 = k are one block of the row, their rests the last
     ``size`` of partitions_of(d - k): the block sums (-1)^ht(xi) times that
     tail of the row of lam - xi over the strips xi of length k, starting
-    from the first strip's tail. A shape with more rows than columns is the
-    eps twist of its conjugate."""
+    from the first strip's tail; no row reads the class sizes. Only a shape
+    with lam_1 < len(lam) is conjugated: its row is its conjugate's, eps twisted."""
     d = sum(lam)
     if not d:
         return (1,)
-    blocks, eps, _ = _classes(d)
-    conj = conjugate(lam)
-    if len(conj) < len(lam):
-        return tuple(map(mul, eps, _schur_row(conj)))
+    if lam[0] < len(lam):
+        return tuple(map(mul, _classes(d)[1], _schur_row(conjugate(lam))))
     row: list[int] = []
     strips = _strips(lam)
-    for k, size in blocks:
+    for k, size in _classes(d)[0]:
         block = None
         for nu, sign in strips.get(k, ()):
             tail = _schur_row(nu)[-size:]
@@ -406,9 +412,8 @@ def _transition(basis: str, d: int, keys: list, top: int | None, vecs: list) -> 
     outs = [[sum(map(mul, trow, v)) for trow in trows] for v in vecs]
     if top is None:
         return partitions_of(d), outs
-    _, eps, sizes = _classes(d)
-    scale = factorial(top) // factorial(d)
-    weights = [w * scale for w in (map(mul, sizes, eps) if basis == E else sizes)]
+    sizes, scale = _class_sizes(d), factorial(top) // factorial(d)
+    weights = [w * scale for w in (map(mul, sizes, _classes(d)[1]) if basis == E else sizes)]
     return partitions_of(d), [list(map(mul, t, weights)) for t in outs]
 
 
@@ -736,7 +741,8 @@ def sym_to_json(f: SymElement) -> dict:
 def parse_sym_element(text: str) -> SymElement:
     """Parse the CLI literal ``basis:coeff*partition+...``, e.g.
     ``s:1*2,1`` or ``p:1/2*2+-1/2*1,1``. A missing ``coeff*`` means 1;
-    the empty partition is ``()``."""
+    the empty partition is ``()``. One Fraction per term, a sum only where a
+    partition repeats, and zero sums dropped."""
     basis, sep, rest = text.partition(":")
     if not sep:
         raise ValueError(f"element literal must look like 'basis:terms': {text!r}")
@@ -752,5 +758,5 @@ def parse_sym_element(text: str) -> SymElement:
         else:
             coeff, part_s = Fraction(1), tok
         lam = parse_partition(part_s.strip())
-        terms[lam] = terms.get(lam, Fraction(0)) + coeff
-    return sym_element(basis, terms)
+        terms[lam] = terms[lam] + coeff if lam in terms else coeff
+    return SymElement(basis, _nonzero(terms))

@@ -4,6 +4,7 @@ import random
 import sys
 import threading
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -505,11 +506,11 @@ def test_perp_by_a_shape_above_every_degree_is_zero_and_reads_no_table(monkeypat
     assert perp((10, 10), basis_element(H, (3, 1))).is_zero()
     assert skew_schur((3,), (21,)).is_zero()
     # only the h rows of (3, 1) and what they read, and the class sizes that
-    # put them over 4!, all of degree <= 4
+    # put them over 4!, all of degree <= 4; an h map reads no eps
     assert fresh.compute_counts == {
         **{("row", H, lam): 1 for lam in ((3, 1), (1,), ())},
         **{("merge", a, b): 1 for a, b in ((3, 1), (1, 3), (0, 3), (1, 0), (0, 1))},
-        ("insert", 1, 3): 1, ("classes", 4): 1}
+        ("insert", 1, 3): 1, ("sizes", 4): 1}
 
 
 def test_perp_reads_the_s_row_of_mu_not_its_table(monkeypatch):
@@ -632,6 +633,23 @@ def test_parse_sym_element():
         parse_sym_element("x:1*2")
     with pytest.raises(ValueError):
         parse_sym_element("s")
+    # terms of one partition add up, and a sum that cancels is no term
+    assert parse_sym_element("s:2*2,1+-2*2,1").is_zero()
+    assert parse_sym_element("m:3+1/2*2,1+-1*3+2,1,0+1e2*()").terms == {
+        (2, 1): Fraction(3, 2), (): Fraction(100)}
+
+
+def test_parse_sym_element_makes_one_fraction_per_term(monkeypatch):
+    """Each term builds its coefficient once: no zero default for a new
+    partition and no second pass over the terms."""
+    from symfunc import ring
+
+    calls = []
+    monkeypatch.setattr(ring, "Fraction", lambda *args: calls.append(args) or Fraction(*args))
+    f = parse_sym_element("p:1*3+2*2,1+-1/2*1,1,1+1_000*2,1+4+3*()")
+    assert len(calls) <= 6
+    assert f.terms == {(3,): 1, (2, 1): 1002, (1, 1, 1): Fraction(-1, 2), (4,): 1, (): 3}
+    assert all(type(c) is Fraction for c in f.terms.values())
 
 
 def test_same_basis_equality_compares_terms_and_builds_no_table(monkeypatch):
@@ -766,7 +784,8 @@ def _concurrently(fn):
 def _s_row_keys(shapes) -> dict:
     """{key: 1} for the cache keys that building the s rows of ``shapes``
     computes: the row of every shape it reads, these included, and one
-    ("classes", d) per degree d >= 1 read. A shape with more rows than
+    ("classes", d) per degree d >= 1 read, for its blocks and eps; no s row
+    reads the class sizes ("sizes", d). A shape with more rows than
     columns reads its conjugate's row; any other reads lam minus each rim
     hook. The hook of cell (i, j), of leg l, leaves rows i .. i + l - 1 at
     lam_(r+1) - 1 and row i + l at j."""
@@ -841,8 +860,8 @@ def test_h_rows_concurrent_and_once(monkeypatch):
     """Concurrent conversions of short h and e elements to p at a fresh cache
     agree with the product of the h_k = sum of p_mu / z_mu, compute the h
     row of each key and of each of its tails exactly once, with the merge
-    maps they read and the classes of each degree for the class sizes (and
-    eps, for e), and build no h table."""
+    maps they read, the class sizes of each degree and, for e only, the
+    classes for eps, and build no h table."""
     from symfunc import ring
 
     fresh = ring._OnceCache()
@@ -859,9 +878,9 @@ def test_h_rows_concurrent_and_once(monkeypatch):
     rows = {lam[i:] for f in (h, e) for lam in f.terms for i in range(len(lam) + 1)}
     assert {key for key in fresh.compute_counts if key[0] == "row"} == {
         ("row", H, lam) for lam in rows}
-    assert {key[0] for key in fresh.compute_counts} == {"row", "merge", "insert", "classes"}
-    assert {key for key in fresh.compute_counts if key[0] == "classes"} == {
-        ("classes", 4), ("classes", 9), ("classes", 10)}
+    assert {key[0] for key in fresh.compute_counts} == {"row", "merge", "insert", "sizes", "classes"}
+    assert {key for key in fresh.compute_counts if key[0] in ("sizes", "classes")} == {
+        ("sizes", 4), ("sizes", 9), ("sizes", 10), ("classes", 9)}
     assert set(fresh.compute_counts.values()) == {1}
 
     def h_in_p(lam):
@@ -904,8 +923,8 @@ def _m_row_keys(shapes) -> dict:
 def test_m_rows_concurrent_and_once(monkeypatch):
     """Concurrent conversions of short m elements to p at a fresh cache agree,
     compute the m row of each key and of every shape it reads exactly once,
-    with the insertion maps they scatter through and the classes of each
-    degree for the class sizes, and build no table; the h table, which no m
+    with the insertion maps they scatter through and the class sizes of each
+    degree, and build no table; the h table, which no m
     row reads, maps each answer back to its input."""
     from symfunc import ring
 
@@ -922,7 +941,7 @@ def test_m_rows_concurrent_and_once(monkeypatch):
         sys.setswitchinterval(interval)
     assert all(r == results[0] for r in results)
     assert fresh.compute_counts == {
-        **_m_row_keys([*f.terms, *g.terms]), **{("classes", d): 1 for d in (*f.degrees(), 20)}}
+        **_m_row_keys([*f.terms, *g.terms]), **{("sizes", d): 1 for d in (*f.degrees(), 20)}}
     assert [key for key in fresh._data if key[0] == "pairing"] == []
     with limits.scoped(limits.current().raised(20)):
         assert [convert(r, M) for r in results[0]] == [f, g]
@@ -1020,7 +1039,7 @@ def test_sum_coproducts_concurrent_and_once(monkeypatch):
     """Concurrent sum coproducts of one dense degree-8 element at a fresh
     cache agree and compute each s row and each ("coproduct", lam) key
     they read exactly once; mapping s to p reads the rows of f's keys and
-    builds no s table."""
+    the class sizes of degree 8, and builds no s table."""
     from symfunc import hopf, ring
 
     fresh = ring._OnceCache()
@@ -1035,12 +1054,12 @@ def test_sum_coproducts_concurrent_and_once(monkeypatch):
     assert all(r.terms == results[0].terms for r in results)
     lams = ring._p_ints(f)[1]
     assert len(lams) == len(partitions_of(8))
-    assert fresh.compute_counts == {**_s_row_keys(partitions_of(8)),
+    assert fresh.compute_counts == {**_s_row_keys(partitions_of(8)), ("sizes", 8): 1,
                                     **{("coproduct", lam): 1 for lam in lams}}
 
 
 def test_class_sizes_are_the_counts_of_each_type_to_twenty(monkeypatch):
-    """The sizes in ("classes", d) are the class sizes d! / z_rho over
+    """The sizes in ("sizes", d) are the class sizes d! / z_rho over
     partitions_of(d), and they sum to d!."""
     from math import factorial
 
@@ -1048,9 +1067,75 @@ def test_class_sizes_are_the_counts_of_each_type_to_twenty(monkeypatch):
 
     monkeypatch.setattr(ring, "_cache", ring._OnceCache())
     for d in range(21):
-        sizes = ring._classes(d)[2]
+        sizes = ring._class_sizes(d)
         assert sizes == tuple(map(count_of_type, partitions_of(d))), d
         assert sum(sizes) == factorial(d)
+
+
+def _size_degrees(monkeypatch) -> Counter:
+    """A fresh ring cache, and the degree of every z_rho that ring computes
+    from now on: each class size d! / z_rho reads one, and no s row reads
+    any."""
+    from symfunc import ring
+
+    monkeypatch.setattr(ring, "_cache", ring._OnceCache())
+    degrees: Counter = Counter()
+    monkeypatch.setattr(ring, "z_value", lambda rho: degrees.update([sum(rho)]) or z_value(rho))
+    return degrees
+
+
+def test_s_tables_compute_no_class_sizes(monkeypatch):
+    """Every s table through degree 12 reads the blocks and eps of its
+    classes, and computes no class size d! / z_rho."""
+    from symfunc import ring
+
+    degrees = _size_degrees(monkeypatch)
+    for d in range(13):
+        ring._pairing(S, d)
+    assert degrees == Counter()
+    assert {key[0] for key in ring._cache._data} == {"pairing", "row", "classes"}
+
+
+def test_a_map_to_p_computes_the_class_sizes_of_its_degree_only(monkeypatch):
+    """convert(s_lam, P) computes the class sizes of |lam| once, and of no
+    degree below, though it reads the s rows of every degree below."""
+    from symfunc import ring
+
+    want = convert(basis_element(S, (4, 3, 2, 1)), P)
+    degrees = _size_degrees(monkeypatch)
+    assert convert(basis_element(S, (4, 3, 2, 1)), P) == want
+    assert degrees == Counter({10: len(partitions_of(10))})
+    assert [key for key in ring._cache._data if key[0] == "sizes"] == [("sizes", 10)]
+    assert ("row", S, (1,)) in ring._cache._data
+
+
+def test_kronecker_and_decompose_compute_the_class_sizes_of_their_n_only(monkeypatch):
+    """kronecker and decompose weight the classes of S_n by their sizes,
+    computed for n alone, while the s rows they read span every degree."""
+    from symfunc import matrixreps, ring
+    from symfunc.characters import kronecker
+
+    degrees = _size_degrees(monkeypatch)
+    assert kronecker((3, 2, 1), (3, 2, 1), (4, 2)) == 3
+    assert degrees == Counter({6: len(partitions_of(6))})
+    degrees = _size_degrees(monkeypatch)
+    assert matrixreps.decompose(matrixreps.classical_rep("defining", 7)) == {(7,): 1, (6, 1): 1}
+    assert degrees == Counter({7: len(partitions_of(7))})
+    assert [key for key in ring._cache._data if key[0] == "sizes"] == [("sizes", 7)]
+
+
+def test_an_s_table_conjugates_only_the_shapes_it_twists(monkeypatch):
+    """Building the s table of degree 10 calls conjugate once for each shape
+    it reads with lam_1 < len(lam), the eps twists, and for no other."""
+    from symfunc import ring
+
+    monkeypatch.setattr(ring, "_cache", ring._OnceCache())
+    calls: Counter = Counter()
+    monkeypatch.setattr(ring, "conjugate", lambda lam: calls.update([lam]) or conjugate(lam))
+    ring._pairing(S, 10)
+    shapes = [key[2] for key in _s_row_keys(partitions_of(10)) if key[0] == "row"]
+    twisted = [lam for lam in shapes if lam and lam[0] < len(lam)]
+    assert twisted and calls == Counter(twisted)
 
 
 def test_require_integer_formats_its_message_only_when_it_raises():
@@ -1079,8 +1164,8 @@ def test_polynomials_in_different_variable_counts_do_not_combine(op):
 
 def test_every_cache_key_is_a_ring_family_within_the_cap(monkeypatch):
     """convert, multiply, plethysm, perp and the sum coproduct at the default
-    cap leave only pairing, s row, classes, merge, insertion and coproduct
-    keys in ring's cache, each of a degree within the ring cap; input above
+    cap leave only pairing, row, classes, class sizes, merge, insertion and
+    coproduct keys in ring's cache, each of a degree within the ring cap; input above
     the cap adds no key."""
     from symfunc import hopf, ring
 
@@ -1096,8 +1181,9 @@ def test_every_cache_key_is_a_ring_family_within_the_cap(monkeypatch):
     perp((2, 1), f)
     hopf.coproduct_sum(f)
     degree = {"pairing": lambda key: key[2], "row": lambda key: sum(key[2]),
-              "classes": lambda key: key[1], "merge": lambda key: key[1] + key[2],
-              "insert": lambda key: key[1] + key[2], "coproduct": lambda key: sum(key[1])}
+              "classes": lambda key: key[1], "sizes": lambda key: key[1],
+              "merge": lambda key: key[1] + key[2], "insert": lambda key: key[1] + key[2],
+              "coproduct": lambda key: sum(key[1])}
     cap = limits.current().ring
     assert cap == limits.Limits().ring
     assert {key[0] for key in fresh._data} == set(degree)
