@@ -81,6 +81,10 @@ FIXED = [
     "ext2 defining 3", "ext2 young 3,2", "ext2 regular 3", "gl-char 2 2",
     "gl-char 2,1 3", "gl-char 3,1 1", "gl-dim 2 2", "gl-dim 4,2,1 5",
     "gl-dim 3,3 2", "schur-weyl 4 3", "schur-weyl 3 1",
+    # above-cap input whose cap message names the first degree in term order
+    "omega s:1*22+1*21 --basis s", "antipode h:1*22+1*21 --basis e",
+    "inner s:1 s:1*22+1*21", "inner s:1*22+1*21 s:21",
+    "coproduct s:1*22+1*21 --counit", "coproduct-star e:1*1+1*21 --counit",
 ]
 
 # above-cap p input that is never listed, and the caps themselves
