@@ -103,12 +103,11 @@ def frobenius_ch(f: ClassFunction) -> SymElement:
 
 def frobenius_inverse(f: SymElement, n: int) -> ClassFunction:
     """The class function g with frobenius_ch(g) = f, for f homogeneous of
-    degree n: g(mu) = z_mu * [p_mu] f."""
-    den, nums = _p_ints(f)
-    if any(sum(mu) != n for mu in nums):
+    degree n: g(mu) = <f, p_mu>, read off the rows of f's keys."""
+    den, vals = _p_ints(f, pairing=True)
+    if any(sum(mu) != n for mu in vals):
         raise ValueError(f"input is not homogeneous of degree {n}")
-    return ClassFunction(n, tuple(
-        Fraction(nums.get(mu, 0) * z_value(mu), den) for mu in partitions_of(n)))
+    return ClassFunction(n, tuple(Fraction(vals.get(mu, 0), den) for mu in partitions_of(n)))
 
 
 def littlewood_richardson(lam, mu, nu) -> int:
@@ -140,11 +139,12 @@ def kronecker(lam, mu, nu) -> int:
 
 def kronecker_product(f: SymElement, g: SymElement) -> SymElement:
     """The internal (Kronecker) product, diagonal on power sums:
-    p_lam * p_mu = delta z_lam p_lam. Degree-preserving; distinct degrees
-    annihilate."""
-    (df, fn), (dg, gn) = _p_ints(f), _p_ints(g)
-    return SymElement(P, {mu: Fraction(a * gn[mu] * z_value(mu), df * dg)
-                          for mu, a in fn.items() if mu in gn})
+    p_lam * p_mu = delta z_lam p_lam, so [p_mu](f * g) = <f, p_mu> <g, p_mu>
+    / z_mu, each pairing read off the rows of its element's keys.
+    Degree-preserving; distinct degrees annihilate. Reported in p."""
+    (df, fv), (dg, gv) = _p_ints(f, pairing=True), _p_ints(g, pairing=True)
+    return SymElement(P, {mu: Fraction(a * gv[mu], z_value(mu) * df * dg)
+                          for mu, a in fv.items() if mu in gv})
 
 
 def youngs_rule(mu) -> dict[Partition, int]:

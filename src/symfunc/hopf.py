@@ -8,13 +8,13 @@ sends p_n to p_n x p_n. Tensors are stored as (partition, partition) ->
 rational in a chosen basis pair, with arithmetic implemented only as far
 as the coproducts and the Cauchy kernel need.
 
-Every operation reads power sums in ring's integer handoff, (D, nums)
-over one denominator: _p_ints for an element, _pp_ints for a tensor, whose
-legs are mapped one (left degree, right degree) block at a time, as a dense
-matrix by ring's _transition, which also puts each leg over its top degree's
+The counits read the element's own terms, the antipode is omega with signs.
+All else reads power sums in ring's integer handoff, (D, nums) over one
+denominator: _p_ints for an element, _pp_ints for a tensor, whose legs are
+mapped one (left degree, right degree) block at a time, as a dense matrix
+by ring's _transition, which also puts each leg over its top degree's
 factorial (so _pp_ints keeps no normalisation); plethysm multiplies by ring's
-merge map within the ring cap, and sparse above it. One Fraction is built per
-output coefficient.
+merge map within the ring cap, and sparse above it. One Fraction per output.
 """
 
 from __future__ import annotations
@@ -27,12 +27,15 @@ from ._record import Record
 from .partitions import Partition, as_partition, format_partition
 from .ring import (
     BASES,
+    E,
     H,
     M,
     P,
     S,
     SymElement,
+    _DUAL_PAIRS,
     _add_scaled,
+    _checked,
     _clear,
     _concat_mul,
     _format_terms,
@@ -42,6 +45,7 @@ from .ring import (
     _transition,
     basis_element,
     format_coeff,
+    omega,
 )
 
 PairKey = tuple[Partition, Partition]
@@ -170,27 +174,24 @@ def coproduct_prod(f: SymElement) -> TensorElement:
 
 
 def counit(f: SymElement) -> Fraction:
-    """Evaluation at the empty alphabet: the degree-0 coefficient."""
-    den, nums = _p_ints(f)
-    return Fraction(nums.get((), 0), den)
+    """Evaluation at the empty alphabet: the coefficient of b_() = 1."""
+    return Fraction(_checked(f).get((), 0))
 
 
 def counit_star(f: SymElement) -> Fraction:
-    """Evaluation at the one-letter alphabet (1, 0, 0, ...): every p_lam
-    contributes its coefficient."""
-    den, nums = _p_ints(f)
-    return Fraction(sum(nums.values()), den)
+    """Evaluation at (1, 0, 0, ...): b_lam(1) is 1 for every h_lam and p_lam,
+    s_lam and m_lam with one part at most and e_lam with parts 1 only, else 0."""
+    b = f.basis
+    return Fraction(sum(c for lam, c in _checked(f).items()
+                        if (len(lam) <= 1 if b in (S, M) else b != E or lam[:1] <= (1,))))
 
 
 def antipode(f: SymElement) -> SymElement:
     """The antipode of the sum-coproduct Hopf structure: the algebra
-    morphism h_i -> (-1)^i e_i; on p_lam it is the sign (-1)^len(lam), and
-    on a homogeneous degree-k element it equals (-1)^k omega."""
-    den, nums = _p_ints(f)
-    return SymElement(P, {lam: Fraction(-n if len(lam) % 2 else n, den) for lam, n in nums.items()})
-
-
-_DUAL_PAIRS = {(S, S), (H, M), (M, H), (P, P)}
+    morphism h_i -> (-1)^i e_i, which is (-1)^k omega on degree k, so it is
+    returned in omega's basis; on p_lam it is the sign (-1)^len(lam)."""
+    g = omega(f)
+    return SymElement(g.basis, {lam: -c if sum(lam) % 2 else c for lam, c in g.terms.items()})
 
 
 def cauchy_kernel(n: int, pair) -> TensorElement:

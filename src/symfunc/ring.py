@@ -1,9 +1,9 @@
 """The graded ring of symmetric functions over exact rationals.
 
 Five classical bases (monomial m, elementary e, complete homogeneous h,
-power sum p, Schur s). Internally everything is routed through the power-sum
-basis, where multiplication is part concatenation, the Hall product is
-diagonal with weights z_lambda, and the omega involution is a sign twist.
+power sum p, Schur s). A dual pair's Hall pairing sums over common keys and
+omega relabels terms, with no table; all else goes through p, where products
+concatenate parts and the Hall product is diagonal with weights z_lambda.
 
 The bases h, s and m are each carried by one integer table per degree, their
 Hall pairing with the power sums, A_b[lam][mu] = <b_lam, p_mu> (integral,
@@ -26,8 +26,8 @@ of dense rows of ints, both axes in partitions_of(degree) order:
 
 Each table is the tuple of its rows. e has no table: e_lam = omega(h_lam),
 so its power sums are the h-row sum twisted by eps_mu = (-1)^(|mu| -
-len(mu)). Every map to p (_p_ints) reads only the rows of the element's own
-keys; every map out of p reads a whole table.
+len(mu)). The pairings <f, p_mu> (_pair_p) and every map to p read only
+the rows of the element's own keys; every map out of p reads a whole table.
 
 No table is inverted: [p_mu] b_lam = A_b[lam][mu] / z_mu, and [b_lam] f is
 <f, b*_lam>, a row of the table of the Hall dual basis b* (s for s, h for
@@ -385,36 +385,44 @@ _ROWS = {H: _h_row, S: _schur_row, M: _m_row}
 
 
 # The Hall dual of each basis other than p; that of e is omega(m), whose
-# table is the eps twist of the m table.
+# table is the eps twist of the m table. The dual pairs, up to z_lam in p:
 _DUAL = {S: S, H: M, M: H, E: M}
+_DUAL_PAIRS = {(S, S), (H, M), (M, H), (P, P)}
+
+
+def _dots(trows, vecs: list) -> list[list[int]]:
+    """[[trow . v for trow in trows] for v in vecs], each a C-level sum(map(mul, ..))."""
+    trows = list(trows) if len(vecs) > 1 else trows  # read once per vector
+    return [[sum(map(mul, trow, v)) for trow in trows] for v in vecs]
+
+
+def _pair_p(basis: str, d: int, keys: list, vecs: list) -> list[list[int]]:
+    """For each v over ``keys`` (partitions of d), <f, p_mu> over partitions_of(d)
+    for f = sum v_lam b_lam: A_b^T v from the rows of ``keys`` (e: h's, eps twisted)."""
+    limits.check("ring", d)
+    outs = _dots(zip(*map(_ROWS[H if basis == E else basis], keys)), vecs)
+    return [list(map(mul, t, _classes(d)[1])) for t in outs] if basis == E else outs
 
 
 def _transition(basis: str, d: int, keys: list, top: int | None, vecs: list) -> tuple[list, list]:
     """(images, [T v for v in vecs]), each v over ``keys`` (partitions of d)
     and each T v over ``images``. Given the caller's top degree, T maps
-    ``basis`` to p over top!, [p_mu] b_lam = <b_lam, p_mu> / z_mu: A_b
-    transposed times the class size d! / z_mu scaled by top! / d! (and by eps
-    for e), reading only the rows of ``keys``; a p map is
+    ``basis`` to p over top!, [p_mu] b_lam = <b_lam, p_mu> / z_mu: the
+    pairings times the class sizes d! / z_mu scaled by top! / d!; a p map is
     top! alone and lists no partition. With top None, T maps from p by A_b*,
     since [b_lam] f is <f, b*_lam>, and e twists the p side of A_m."""
     if basis == P:
         return keys, vecs if top is None else [list(map(mul, v, repeat(factorial(top)))) for v in vecs]
-    limits.check("ring", d)
     if top is not None:
-        trows = zip(*map(_ROWS[H if basis == E else basis], keys))
-    else:
-        at = list(map(partition_ranks(d).__getitem__, keys))
-        trows = map(_gather(at), _pairing(_DUAL[basis], d))
-    trows = list(trows) if len(vecs) > 1 else trows  # read once per vector
-    if top is None and basis == E:
+        outs, scale = _pair_p(basis, d, keys, vecs), factorial(top) // factorial(d)
+        weights = [w * scale for w in _class_sizes(d)]
+        return partitions_of(d), [list(map(mul, t, weights)) for t in outs]
+    limits.check("ring", d)
+    at = list(map(partition_ranks(d).__getitem__, keys))
+    if basis == E:
         signs = _gather(at)(_classes(d)[1])
         vecs = [list(map(mul, v, signs)) for v in vecs]
-    outs = [[sum(map(mul, trow, v)) for trow in trows] for v in vecs]
-    if top is None:
-        return partitions_of(d), outs
-    sizes, scale = _class_sizes(d), factorial(top) // factorial(d)
-    weights = [w * scale for w in (map(mul, sizes, _classes(d)[1]) if basis == E else sizes)]
-    return partitions_of(d), [list(map(mul, t, weights)) for t in outs]
+    return partitions_of(d), _dots(map(_gather(at), _pairing(_DUAL[basis], d)), vecs)
 
 
 # --- elements ----------------------------------------------------------------
@@ -510,21 +518,30 @@ def one(basis: str = P) -> SymElement:
     return basis_element(basis, ())
 
 
-def _p_ints(f: SymElement) -> tuple[int, dict[Partition, int]]:
+def _p_ints(f: SymElement, pairing: bool = False) -> tuple[int, dict[Partition, int]]:
     """The power sums of ``f`` in integers, (D, nums) with [p_mu] f =
-    nums[mu] / D, nonzero entries only. Outside p, each degree of f's
-    coefficients is mapped to p by _transition over t! (t the top degree),
-    which applies the 1 / z_mu as the class sizes."""
+    nums[mu] / D, nonzero entries only, or with ``pairing`` <f, p_mu> by
+    _pair_p. Outside p, each degree of f's coefficients is mapped to p by
+    _transition over t! (t the top degree), which adds the class sizes."""
     den, nums = _clear(f.terms)
     if f.basis == P:
-        return den, nums
+        return den, {mu: n * z_value(mu) for mu, n in nums.items()} if pairing else nums
     chunks = _by_degree(nums)
     top = max(chunks, default=0)
     out: dict[Partition, int] = {}
     for d, chunk in chunks.items():
-        lams, (vals,) = _transition(f.basis, d, list(chunk), top, [list(chunk.values())])
-        out.update(compress(zip(lams, vals), vals))
-    return den * factorial(top), out
+        keys, vecs = list(chunk), [list(chunk.values())]
+        (vals,) = _pair_p(f.basis, d, keys, vecs) if pairing else _transition(f.basis, d, keys, top, vecs)[1]
+        out.update(compress(zip(partitions_of(d), vals), vals))
+    return (den, out) if pairing else (den * factorial(top), out)
+
+
+def _checked(f: SymElement) -> dict:
+    """The terms of ``f``, after the ring cap check a map to p makes of each degree, in term order."""
+    if f.basis != P:
+        for d in dict.fromkeys(sum(lam) for lam, c in f.terms.items() if c):
+            limits.check("ring", d)
+    return f.terms
 
 
 def _from_p_ints(basis: str, den: int, nums: dict[Partition, int]) -> SymElement:
@@ -555,8 +572,10 @@ def multiply(f: SymElement, g: SymElement) -> SymElement:
 
 def hall_inner(f: SymElement, g: SymElement) -> Fraction:
     """Hall scalar product: diagonal in p with <p_lam, p_lam> = z_lam."""
-    (df, fn), (dg, gn) = _p_ints(f), _p_ints(g)
-    return Fraction(sum(a * gn[mu] * z_value(mu) for mu, a in fn.items() if mu in gn), df * dg)
+    dual = f.basis != P and (f.basis, g.basis) in _DUAL_PAIRS  # then over common keys, no z
+    (df, fn), (dg, gn) = map(_clear, (_checked(f), _checked(g))) if dual else map(_p_ints, (f, g))
+    total = sum(a * gn[mu] * (1 if dual else z_value(mu)) for mu, a in fn.items() if mu in gn)
+    return Fraction(total, df * dg)
 
 
 def omega(f: SymElement) -> SymElement:
@@ -564,9 +583,13 @@ def omega(f: SymElement) -> SymElement:
 
     On power sums it multiplies p_n by (-1)^(n-1), extended
     multiplicatively; the sign rule is forced by the two identities above.
+    It relabels terms, returned in s for s, e for h, h for e and p for p
+    input; m input goes to p, as it has no such closed form.
     """
-    den, nums = _p_ints(f)
-    return SymElement(P, {mu: Fraction(n * _omega_sign(mu), den) for mu, n in nums.items()})
+    f = convert(f, P) if f.basis == M else f
+    return SymElement({H: E, E: H}.get(f.basis, f.basis), {
+        conjugate(lam) if f.basis == S else lam: -c if f.basis == P and _omega_sign(lam) < 0 else c
+        for lam, c in _nonzero(_checked(f)).items()})
 
 
 def _skew_p(mu: Partition, nums: dict[Partition, int]) -> dict[Partition, int]:
@@ -747,8 +770,14 @@ def parse_sym_element(text: str) -> SymElement:
     if not sep:
         raise ValueError(f"element literal must look like 'basis:terms': {text!r}")
     basis = _validate_basis(basis.strip())
+    toks: list[str] = []
+    for tok in rest.split("+"):  # no term begins at the + of an exponent, as in 1e+2*
+        if toks and toks[-1][-1:] in ("e", "E") and "*" not in toks[-1] and "*" in tok:
+            toks[-1] += "+" + tok
+        else:
+            toks.append(tok)
     terms: dict[Partition, Fraction] = {}
-    for tok in rest.split("+"):
+    for tok in toks:
         tok = tok.strip()
         if not tok:
             raise ValueError(f"empty term in element literal {text!r}")

@@ -172,12 +172,17 @@ def test_domain_error_exit_1(capsys):
     assert code == 1 and "weakly decreasing" in err
     code, out, err = run(capsys, "chartable", "99")
     assert code == 1 and "capped" in err
-    # The counits read their input's power sums, so they stop on the ring cap.
+    # The counits read their input's own terms, but keep the ring cap that
+    # a map to power sums applies, so they stop on it.
     for command in ("coproduct", "coproduct-star"):
         code, out, err = run(capsys, command, "s:21", "--counit")
         assert (code, out) == (1, "")
         assert err == ("error: transition tables are capped at n <= 20, got 21; "
                        "raise the cap with --max-degree or symfunc.limits\n")
+
+
+def test_an_exponent_sign_in_a_coefficient_splits_no_term(capsys):
+    assert run(capsys, "convert", "s:1e+2*2", "m") == (0, "100*m[2] + 100*m[1,1]\n", "")
 
 
 # a well-formed call of every subcommand and of every option but rsk --inverse

@@ -639,6 +639,18 @@ def test_parse_sym_element():
         (2, 1): Fraction(3, 2), (): Fraction(100)}
 
 
+def test_parse_sym_element_splits_only_where_a_term_begins():
+    """A + in a coefficient's exponent, as in 1e+2, is no term boundary;
+    a + before a bare partition, or an empty term, still is."""
+    assert parse_sym_element("s:1e+2*2").terms == {(2,): Fraction(100)}
+    assert parse_sym_element("s:1E+2*2+1e-1*1,1+3e+0*2").terms == {
+        (2,): Fraction(103), (1, 1): Fraction(1, 10)}
+    with pytest.raises(ValueError, match="malformed partition '3e'"):
+        parse_sym_element("s:3e+2")
+    with pytest.raises(ValueError, match="empty term"):
+        parse_sym_element("s:2++1*3")
+
+
 def test_parse_sym_element_makes_one_fraction_per_term(monkeypatch):
     """Each term builds its coefficient once: no zero default for a new
     partition and no second pass over the terms."""
