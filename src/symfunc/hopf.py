@@ -181,9 +181,8 @@ def counit(f: SymElement) -> Fraction:
 def counit_star(f: SymElement) -> Fraction:
     """Evaluation at (1, 0, 0, ...): b_lam(1) is 1 for every h_lam and p_lam,
     s_lam and m_lam with one part at most and e_lam with parts 1 only, else 0."""
-    b = f.basis
     return Fraction(sum(c for lam, c in _checked(f).items()
-                        if (len(lam) <= 1 if b in (S, M) else b != E or lam[:1] <= (1,))))
+                        if (len(lam) <= 1 if f.basis in (S, M) else f.basis != E or lam[:1] <= (1,))))
 
 
 def antipode(f: SymElement) -> SymElement:

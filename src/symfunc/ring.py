@@ -538,9 +538,8 @@ def _p_ints(f: SymElement, pairing: bool = False) -> tuple[int, dict[Partition, 
 
 def _checked(f: SymElement) -> dict:
     """The terms of ``f``, after the ring cap check a map to p makes of each degree, in term order."""
-    if f.basis != P:
-        for d in dict.fromkeys(sum(lam) for lam, c in f.terms.items() if c):
-            limits.check("ring", d)
+    for d in () if f.basis == P else dict.fromkeys(sum(lam) for lam, c in f.terms.items() if c):
+        limits.check("ring", d)
     return f.terms
 
 
@@ -586,7 +585,9 @@ def omega(f: SymElement) -> SymElement:
     It relabels terms, returned in s for s, e for h, h for e and p for p
     input; m input goes to p, as it has no such closed form.
     """
-    f = convert(f, P) if f.basis == M else f
+    if f.basis == M:
+        den, nums = _p_ints(f)
+        return SymElement(P, {mu: Fraction(n * _omega_sign(mu), den) for mu, n in nums.items()})
     return SymElement({H: E, E: H}.get(f.basis, f.basis), {
         conjugate(lam) if f.basis == S else lam: -c if f.basis == P and _omega_sign(lam) < 0 else c
         for lam, c in _nonzero(_checked(f)).items()})
