@@ -186,9 +186,9 @@ def counit_star(f: SymElement) -> Fraction:
 
 
 def antipode(f: SymElement) -> SymElement:
-    """The antipode of the sum-coproduct Hopf structure: the algebra
-    morphism h_i -> (-1)^i e_i, which is (-1)^k omega on degree k, so it is
-    returned in omega's basis; on p_lam it is the sign (-1)^len(lam)."""
+    """The antipode of the sum-coproduct Hopf structure: the algebra morphism
+    h_i -> (-1)^i e_i, (-1)^k omega on degree k, so it is returned as omega's
+    is: s for s, e for h, h for e, p for p and m; on p_lam it is (-1)^len(lam)."""
     g = omega(f)
     return SymElement(g.basis, {lam: -c if sum(lam) % 2 else c for lam, c in g.terms.items()})
 
