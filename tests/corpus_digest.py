@@ -85,6 +85,7 @@ FIXED = [
     "omega s:1*22+1*21 --basis s", "antipode h:1*22+1*21 --basis e",
     "inner s:1 s:1*22+1*21", "inner s:1*22+1*21 s:21",
     "coproduct s:1*22+1*21 --counit", "coproduct-star e:1*1+1*21 --counit",
+    "perp 1 s:1*22+1*21", "perp 1 h:1*22+1*21",
 ]
 
 # above-cap p input that is never listed, and the caps themselves
