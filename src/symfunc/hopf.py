@@ -14,7 +14,9 @@ denominator: _p_ints for an element, _pp_ints for a tensor, whose legs are
 mapped one (left degree, right degree) block at a time, as a dense matrix
 by ring's _transition, which also puts each leg over its top degree's
 factorial (so _pp_ints keeps no normalisation); plethysm multiplies by ring's
-merge map within the ring cap, and sparse above it. One Fraction per output.
+merge map within the ring cap, and sparse above it. One Fraction per output
+coefficient, except where a coproduct's values repeat: the sum coproduct
+builds one per p_lam and multiplicity, tensor_convert one per distinct value.
 """
 
 from __future__ import annotations
@@ -152,7 +154,8 @@ def tensor_convert(t: TensorElement, bases) -> TensorElement:
         return t
     den, nums = _pp_ints(t)
     out = _map_legs(nums, bases, (None, None))
-    return TensorElement(bases, {key: Fraction(n, den) for key, n in out.items()})
+    coeffs = {n: Fraction(n, den) for n in set(out.values())}  # one per distinct value: few in a coproduct
+    return TensorElement(bases, dict(zip(out, map(coeffs.__getitem__, out.values()))))
 
 
 # --- the two coproducts -------------------------------------------------------
@@ -160,10 +163,14 @@ def tensor_convert(t: TensorElement, bases) -> TensorElement:
 
 def coproduct_sum(f: SymElement) -> TensorElement:
     """Delta f = f evaluated on the sum of two alphabets. Each pair
-    (alpha, beta) comes from p_(alpha + beta) alone, so nothing cancels."""
+    (alpha, beta) comes from p_(alpha + beta) alone, so nothing cancels, and
+    the pairs of one p_lam with equal ways share one coefficient."""
     den, nums = _p_ints(f)
-    return TensorElement((P, P), {key: Fraction(n * ways, den) for lam, n in nums.items()
-                                  for key, ways in _sum_coproduct_of_p(lam).items()})
+    out: dict[PairKey, Fraction] = {}
+    for lam, n in nums.items():
+        for ways, pairs in _sum_coproduct_of_p(lam):
+            out.update(zip(pairs, repeat(Fraction(n * ways, den))))
+    return TensorElement((P, P), out)
 
 
 def coproduct_prod(f: SymElement) -> TensorElement:

@@ -39,13 +39,16 @@ Kernels hand each other power sums as ints over one denominator (_p_ints:
 a dict of the nonzero p_mu, so p input of any degree stays sparse and only
 a degree that meets a table is enumerated, after its cap check), multiply
 them by the table rows they touch in C-level sum(map(mul, ..)) dots, and
-build one Fraction per output coefficient, at the public return.
+build the Fractions at the public return: one per output coefficient, or,
+where values repeat, one per distinct value (hopf's tensor maps) or per
+group of equal ways (the sum coproduct).
 Every memo in this module is one family of keys in _cache, built within
 the ring cap: the pairing tables, the h, s and m rows, the classes, the
 class sizes, the merge and insertion maps below, and the sum coproduct of
-each p_lam. The cache is compute-then-publish under one reentrant lock:
-readers never see a partial value and each key is computed at most once,
-provided no compute waits on another thread that reads the cache.
+each p_lam, its splits grouped by multiplicity. The cache is
+compute-then-publish under one reentrant lock: readers never see a partial
+value and each key is computed at most once, provided no compute waits on
+another thread that reads the cache.
 _skew_p applies s_mu^perp to those power sums; perp is its one public route.
 skew_schur reads no table: s_(lam/mu) = sum of c^lam_(mu nu) s_nu, and
 tableaux._lr_fillings counts the LR tableaux of shape lam/mu by content nu.
@@ -149,12 +152,10 @@ def _nonzero(terms: dict) -> dict:
 
 def _clear(terms: dict) -> tuple[int, dict]:
     """(D, D * terms) for D the lcm of the denominators of the values, so
-    that every value of the second is an int."""
-    den = 1
-    for c in terms.values():
-        if den % c.denominator:
-            den = lcm(den, c.denominator)
-    return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
+    that every value of the second is an int; each value is read once."""
+    ratios = [c.as_integer_ratio() for c in terms.values()]
+    den = lcm(*{d for _, d in ratios})
+    return den, {k: n * (den // d) for k, (n, d) in zip(terms, ratios)}
 
 
 def _by_degree(terms: dict) -> dict[int, dict]:
@@ -229,24 +230,25 @@ def _concat_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def _sum_coproduct_of_p(lam: Partition) -> dict[tuple[Partition, Partition], int]:
+def _sum_coproduct_of_p(lam: Partition) -> tuple[tuple[int, tuple], ...]:
     """_split_p(lam), memoized per partition up to the ring cap."""
     if sum(lam) > limits.current().ring:
         return _split_p(lam)
     return _cache.get(("coproduct", lam), lambda: _split_p(lam))
 
 
-def _split_p(lam: Partition) -> dict[tuple[Partition, Partition], int]:
+def _split_p(lam: Partition) -> tuple[tuple[int, tuple], ...]:
     """Coproduct of p_lam under p_n -> p_n x 1 + 1 x p_n: each sub-multiset
     alpha of the parts goes left, the rest beta right, with multiplicity
-    z_lam / (z_alpha z_beta), a product of binomials."""
+    z_lam / (z_alpha z_beta), a product of binomials. Grouped by that
+    multiplicity, as (ways, pairs (alpha, beta)), since few values repeat."""
     mult = Counter(lam)  # keys in decreasing order, as the parts of lam
-    out: dict[tuple[Partition, Partition], int] = {}
+    out: dict[int, list] = {}
     for ks in product(*(range(m + 1) for m in mult.values())):
         alpha = tuple(v for v, k in zip(mult, ks) for _ in range(k))
         beta = tuple(v for (v, m), k in zip(mult.items(), ks) for _ in range(m - k))
-        out[(alpha, beta)] = prod(comb(m, k) for m, k in zip(mult.values(), ks))
-    return out
+        out.setdefault(prod(comb(m, k) for m, k in zip(mult.values(), ks)), []).append((alpha, beta))
+    return tuple((ways, tuple(pairs)) for ways, pairs in out.items())
 
 
 def _omega_sign(mu: Partition) -> int:
@@ -410,7 +412,9 @@ def _transition(basis: str, d: int, keys: list, top: int | None, vecs: list) -> 
     ``basis`` to p over top!, [p_mu] b_lam = <b_lam, p_mu> / z_mu: the
     pairings times the class sizes d! / z_mu scaled by top! / d!; a p map is
     top! alone and lists no partition. With top None, T maps from p by A_b*,
-    since [b_lam] f is <f, b*_lam>, and e twists the p side of A_m."""
+    since [b_lam] f is <f, b*_lam>, and e twists the p side of A_m; its rows
+    are read as they are when ``keys`` is every partition of d in rank order,
+    else at the positions of ``keys``."""
     if basis == P:
         return keys, vecs if top is None else [list(map(mul, v, repeat(factorial(top)))) for v in vecs]
     if top is not None:
@@ -418,11 +422,12 @@ def _transition(basis: str, d: int, keys: list, top: int | None, vecs: list) -> 
         weights = [w * scale for w in _class_sizes(d)]
         return partitions_of(d), [list(map(mul, t, weights)) for t in outs]
     limits.check("ring", d)
-    at = list(map(partition_ranks(d).__getitem__, keys))
+    table = _pairing(_DUAL[basis], d)
+    get = None if tuple(keys) == partitions_of(d) else _gather(list(map(partition_ranks(d).__getitem__, keys)))
     if basis == E:
-        signs = _gather(at)(_classes(d)[1])
-        vecs = [list(map(mul, v, signs)) for v in vecs]
-    return partitions_of(d), _dots(map(_gather(at), _pairing(_DUAL[basis], d)), vecs)
+        signs = _classes(d)[1]
+        vecs = [list(map(mul, v, get(signs) if get else signs)) for v in vecs]
+    return partitions_of(d), _dots(map(get, table) if get else table, vecs)
 
 
 # --- elements ----------------------------------------------------------------
@@ -631,7 +636,7 @@ def perp(mu, f: SymElement) -> SymElement:
     if f.basis == S:
         # s_mu^perp s_lam is zero unless mu is inside lam
         f = SymElement(S, {lam: c for lam, c in f.terms.items() if contains(mu, lam)})
-    for d in f.degrees():  # capped as a conversion of f is, whatever its basis
+    for d in dict.fromkeys(map(sum, f.terms)):  # capped as a conversion of f is, in term order, p too
         limits.check("ring", d)
     den, nums = _p_ints(f)
     return _from_p_ints(S, den, _skew_p(mu, nums))

@@ -131,14 +131,24 @@ def test_kronecker_product_and_frobenius_inverse_match_class_values():
 
 @pytest.mark.parametrize("src", BASES)
 def test_convert_between_every_basis_pair_at_integer_points(src, points):
+    """Dense p input is also listed in reverse rank order and with one
+    partition missing: the map out of p reads the dual table's rows as they
+    are only when its keys are every partition in rank order."""
     rng = random.Random(SEED + 5 + BASES.index(src))
     terms = dense(rng, N)
-    want = value(points, src, terms)
-    f = sym_element(src, terms)
-    for dst in BASES:
-        out = convert(f, dst)
-        assert out.basis == dst
-        assert value(points, dst, out.terms) == want, (src, dst)
+    inputs = [terms]
+    if src == P:
+        missing = rng.choice(list(terms))
+        inputs += [dict(reversed(terms.items())), {lam: c for lam, c in terms.items() if lam != missing}]
+    for terms in inputs:
+        want = value(points, src, terms)
+        f = sym_element(src, terms)
+        for dst in BASES:
+            out = convert(f, dst)
+            assert out.basis == dst
+            assert value(points, dst, out.terms) == want, (src, dst, len(terms))
+            if terms is not inputs[0] and len(terms) == len(inputs[0]):
+                assert out.terms == convert(sym_element(P, inputs[0]), dst).terms
 
 
 def test_hall_inner_of_dual_bases_and_kostka_numbers():

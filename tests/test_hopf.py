@@ -59,6 +59,66 @@ def test_sum_coproduct_on_power_sums():
         assert cp.terms == {((n,), ()): Fraction(1), ((), (n,)): Fraction(1)}
 
 
+def test_split_p_groups_the_sub_multiset_splits_by_their_ways_to_12():
+    """For every lam |- d <= 12, the pairs of _split_p(lam) are distinct and
+    are the splits of lam's parts into a left and a right sub-multiset, each
+    under ways = z_lam / (z_alpha z_beta), the number of index subsets that
+    give it; so the ways of all pairs sum to 2^len(lam). No ways repeats."""
+    from itertools import combinations
+
+    from symfunc.partitions import z_value
+    from symfunc.ring import _split_p
+
+    for d in range(13):
+        for lam in partitions_of(d):
+            groups = _split_p(lam)
+            pairs = [pair for _, ps in groups for pair in ps]
+            assert len(pairs) == len(set(pairs))
+            assert len({ways for ways, _ in groups}) == len(groups)
+            subsets = {}
+            for k in range(len(lam) + 1):
+                for left in combinations(range(len(lam)), k):
+                    alpha = tuple(lam[i] for i in left)
+                    beta = tuple(p for i, p in enumerate(lam) if i not in left)
+                    subsets[(alpha, beta)] = subsets.get((alpha, beta), 0) + 1
+            assert {pair: ways for ways, ps in groups for pair in ps} == subsets, lam
+            for ways, ps in groups:
+                assert all(ways * z_value(a) * z_value(b) == z_value(lam) for a, b in ps)
+            assert sum(ways * len(ps) for ways, ps in groups) == 2 ** len(lam)
+
+
+def test_sum_coproduct_and_its_tensor_convert_build_one_fraction_per_distinct_value(monkeypatch):
+    """coproduct_sum of a dense degree-8 p element builds one Fraction per
+    distinct (lam, ways), 53 against one per term, 185; its map to (s, s)
+    builds one per distinct value of the answer."""
+    from symfunc import hopf
+    from symfunc.partitions import z_value
+    from symfunc.ring import _split_p
+
+    rng = random.Random(39)
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    f = sym_element(P, {lam: Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 7]))
+                        for lam in partitions_of(8)})
+    delta = coproduct_sum(f)
+    out = tensor_convert(delta, (S, S))
+    distinct = sum(len({z_value(lam) // (z_value(a) * z_value(b)) for _, ps in _split_p(lam) for a, b in ps})
+                   for lam in partitions_of(8))
+    assert (distinct, len(delta.terms)) == (53, 185)
+    with monkeypatch.context() as m:
+        m.setattr(hopf, "Fraction", counted)
+        assert coproduct_sum(f).terms == delta.terms
+        assert len(built) == distinct
+        built.clear()
+        assert tensor_convert(delta, (S, S)).terms == out.terms
+        assert len(built) == len(set(out.terms.values())) < len(out.terms)
+    assert all(type(c) is Fraction for c in (*delta.terms.values(), *out.terms.values()))
+
+
 def test_sum_coproduct_on_h_to_8():
     for n in range(1, 9):
         cp = tensor_convert(coproduct_sum(basis_element(H, (n,))), (H, H))

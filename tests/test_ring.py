@@ -285,6 +285,31 @@ def test_convert_builds_one_fraction_per_output_coefficient(monkeypatch):
         assert len(built) == len(out.terms), (src, dst)
 
 
+def test_clear_reads_each_value_once_and_equals_the_three_read_form():
+    """_clear takes one integer ratio per value; the same (D, nums) as reading
+    the denominator for the lcm, then the numerator and denominator again."""
+    from math import lcm
+
+    from symfunc import ring
+
+    def three_reads(terms):
+        den = 1
+        for c in terms.values():
+            if den % c.denominator:
+                den = lcm(den, c.denominator)
+        return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
+
+    rng = random.Random(39)
+    cases = [{}, {(): Fraction(-4)}, {(1,): 3, (2,): Fraction(-5, 6)}]
+    for _ in range(200):
+        cases.append({lam: Fraction(rng.randint(-30, 30) or 1, rng.choice([1, 1, 2, 6, 9, 10007]))
+                      for lam in rng.sample(partitions_of(6), rng.randint(1, 11))})
+    for terms in cases:
+        den, nums = ring._clear(terms)
+        assert (den, nums) == three_reads(terms)
+        assert list(nums) == list(terms) and all(type(n) is int for n in nums.values())
+
+
 def test_convert_roundtrips_mixed_degrees_and_large_denominators():
     terms = {
         (): Fraction(1, 10007),
@@ -511,6 +536,16 @@ def test_perp_by_a_shape_above_every_degree_is_zero_and_reads_no_table(monkeypat
         **{("row", H, lam): 1 for lam in ((3, 1), (1,), ())},
         **{("merge", a, b): 1 for a, b in ((3, 1), (1, 3), (0, 3), (1, 0), (0, 1))},
         ("insert", 1, 3): 1, ("sizes", 4): 1}
+
+
+@pytest.mark.parametrize("b", BASES)
+def test_perp_stops_on_the_first_above_cap_degree_in_term_order(b):
+    """perp is capped as a conversion of its input is, p input included, and
+    names the first degree above the cap in the order of the terms."""
+    with limits.scoped(limits.Limits(ring=5)):
+        for terms, first in (({(7,): 1, (6,): 1, (1,): 1}, 7), ({(6,): 1, (7,): 1}, 6)):
+            with pytest.raises(DegreeCapError, match=f"got {first};"):
+                perp((1,), sym_element(b, terms))
 
 
 def test_perp_reads_the_s_row_of_mu_not_its_table(monkeypatch):
