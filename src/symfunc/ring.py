@@ -231,7 +231,7 @@ def _concat_mul(a: dict, b: dict) -> dict:
 
 
 def _sum_coproduct_of_p(lam: Partition) -> tuple[tuple[int, tuple], ...]:
-    """_split_p(lam), memoized per partition up to the ring cap."""
+    """_split_p(lam), its (ways, pairs) groups, memoized per partition up to the ring cap."""
     if sum(lam) > limits.current().ring:
         return _split_p(lam)
     return _cache.get(("coproduct", lam), lambda: _split_p(lam))
@@ -422,8 +422,9 @@ def _transition(basis: str, d: int, keys: list, top: int | None, vecs: list) -> 
         weights = [w * scale for w in _class_sizes(d)]
         return partitions_of(d), [list(map(mul, t, weights)) for t in outs]
     limits.check("ring", d)
-    table = _pairing(_DUAL[basis], d)
-    get = None if tuple(keys) == partitions_of(d) else _gather(list(map(partition_ranks(d).__getitem__, keys)))
+    table, get = _pairing(_DUAL[basis], d), None  # None: the rows as they are
+    if tuple(keys) != partitions_of(d):
+        get = _gather(list(map(partition_ranks(d).__getitem__, keys)))
     if basis == E:
         signs = _classes(d)[1]
         vecs = [list(map(mul, v, get(signs) if get else signs)) for v in vecs]

@@ -146,9 +146,7 @@ def test_convert_between_every_basis_pair_at_integer_points(src, points):
         for dst in BASES:
             out = convert(f, dst)
             assert out.basis == dst
-            assert value(points, dst, out.terms) == want, (src, dst, len(terms))
-            if terms is not inputs[0] and len(terms) == len(inputs[0]):
-                assert out.terms == convert(sym_element(P, inputs[0]), dst).terms
+            assert value(points, dst, out.terms) == want, (src, dst, list(terms)[0], len(terms))
 
 
 def test_hall_inner_of_dual_bases_and_kostka_numbers():

@@ -285,9 +285,10 @@ def test_convert_builds_one_fraction_per_output_coefficient(monkeypatch):
         assert len(built) == len(out.terms), (src, dst)
 
 
-def test_clear_reads_each_value_once_and_equals_the_three_read_form():
-    """_clear takes one integer ratio per value; the same (D, nums) as reading
-    the denominator for the lcm, then the numerator and denominator again."""
+def test_clear_equals_the_three_read_form():
+    """_clear, which takes one integer ratio per value, gives the same
+    (D, nums) as reading the denominator for the lcm, then the numerator and
+    the denominator again, on Fractions and ints of either sign."""
     from math import lcm
 
     from symfunc import ring
