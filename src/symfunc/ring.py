@@ -40,8 +40,8 @@ a dict of the nonzero p_mu, so p input of any degree stays sparse and only
 a degree that meets a table is enumerated, after its cap check), multiply
 them by the table rows they touch in C-level sum(map(mul, ..)) dots, and
 build the Fractions at the public return: one per output coefficient, or,
-where values repeat, one per distinct value (hopf's tensor maps) or per
-group of equal ways (the sum coproduct).
+where values repeat, one per distinct value (hopf.tensor_convert) or per
+group of equal ways (hopf.coproduct_sum).
 Every memo in this module is one family of keys in _cache, built within
 the ring cap: the pairing tables, the h, s and m rows, the classes, the
 class sizes, the merge and insertion maps below, and the sum coproduct of
