@@ -6,14 +6,15 @@ subgroups, sums/tensors, exterior-square characters, and the GL-side
 character/dimension checks.
 
 Characters come from a trace rule of each module, read at a cycle type rho:
-chi^lam(rho) for a Specht module S^lam, its s table row; for a module
-induced from H, as the Young and regular modules are, (z_rho/|H|) sum |c|
-chi(c) over the classes c of H of type rho (Frobenius); the fixed points of
-rho for the defining and standard modules; 1 and its sign for the trivial
-and sign modules. Tensors multiply rules, sums add them, restrictions keep
-the parent's. A sum or tensor with a rule-less factor multiplies or adds
-its factors' traces at the word; only a MatrixRep built with no rule sums
-its diagonal. decompose is one integer dot product per lam, divided by n! once.
+chi^lam(rho) for a Specht module S^lam, its s table row; chi(rho) <h_c, p_rho>,
+ring's h row of c, for a module induced from a Young subgroup S_c with a rule
+chi, as the Young and regular modules are, and else (z_rho/|H|) sum |c| chi(c)
+over the classes c of H of type rho (Frobenius); the fixed points of rho for
+the defining and standard modules; 1 and its sign for the trivial and sign
+modules. Tensors multiply rules, sums add them, restrictions keep the
+parent's. A sum or tensor with a rule-less factor multiplies or adds its
+factors' traces at the word; only a MatrixRep built with no rule sums its
+diagonal. decompose is one integer dot product per lam, divided by n! once.
 
 The Specht module S^lam has the standard polytabloids e_T as its basis,
 one per standard tableau T, and works on tableaux alone. The matrix of an
@@ -141,16 +142,22 @@ class SubgroupSpec(Record):
         return len(pi) == self.n and all(sorted(pi[a:b]) == [*range(a + 1, b + 1)] for a, b in cuts)
 
     def conjugacy_classes(self) -> list[tuple[Permutation, ...]]:
-        """Brute-force conjugacy classes, each sorted, smallest rep first."""
-        remaining = set(self.elements)
-        pairs = [(h, inverse_perm(h)) for h in self.elements]
-        classes = []
+        """The conjugacy classes, each sorted, smallest element first: a Young subgroup's
+        are products of its blocks' words grouped by cycle type; else conjugation orbits."""
+        if self.blocks is not None:
+            groups = []
+            for a, b in pairwise(accumulate(self.blocks, initial=0)):
+                types: dict = {}  # the words on a+1..b by the cycle type of the same word on 1..b-a
+                for w, word in zip(_perms(range(1, b - a + 1)), _perms(range(a + 1, b + 1))):
+                    types.setdefault(cycle_type(w), []).append(word)
+                groups.append(types.values())
+            return sorted(tuple(sum(ws, ()) for ws in _cartesian(*cls)) for cls in _cartesian(*groups))
+        pairs, classes, seen = [(h, inverse_perm(h)) for h in self.elements], [], set()
         for g in self.elements:
-            if g not in remaining:
-                continue
-            orbit = {tuple([h[g[x - 1] - 1] for x in h_inv]) for h, h_inv in pairs}  # h g h^-1
-            classes.append(tuple(sorted(orbit)))
-            remaining -= orbit
+            if g not in seen:
+                orbit = {tuple([h[g[x - 1] - 1] for x in h_inv]) for h, h_inv in pairs}  # h g h^-1
+                classes.append(tuple(sorted(orbit)))
+                seen |= orbit
         return classes
 
 
@@ -293,9 +300,9 @@ def _multiplicities(n: int, traces: dict[Partition, int]) -> dict[Partition, int
     order, classes, out = factorial(n), partitions_of(n), {}
     weighted = list(map(mul, map(traces.__getitem__, classes), ring._class_sizes(n)))
     for lam, row in zip(classes, ring._pairing(S, n)):  # row is chi^lam, the s table's
-        total = sum(map(mul, row, weighted))
-        val = _require_integer(total, "multiplicity of {}", order, lam)
-        if val < 0:
+        val, rem = divmod(sum(map(mul, row, weighted)), order)
+        if rem or val < 0:
+            _require_integer(val * order + rem, "multiplicity of {}", order, lam)  # raises if rem
             raise InvariantViolationError(f"negative multiplicity {val} at {lam}")
         if val:
             out[lam] = val
@@ -431,7 +438,8 @@ def specht_module(lam) -> MatrixRep:
     lam = as_partition(lam)
     n = sum(lam)
     limits.check("specht", n)
-    dim, chi, key = f_lambda(lam), _once(lambda: character_row(lam)), ("specht", lam)
+    hooks, chi, key = hook_content_cells(lam), _once(lambda: character_row(lam)), ("specht", lam)
+    dim = factorial(n) // prod(h for h, _ in hooks)
 
     def tableaux():
         heights = conjugate(lam)
@@ -441,7 +449,7 @@ def specht_module(lam) -> MatrixRep:
             raise InvariantViolationError("Specht dimension != standard tableau count")
         cells = [{v: (c, r) for c, col in enumerate(t) for r, v in enumerate(col)} for t in tabs]
         # chi^lam at a transposition: f^lam * (sum of the contents) / C(n, 2)
-        trace = 2 * dim * sum(c for _, c in hook_content_cells(lam)) // max(n * (n - 1), 1)
+        trace = 2 * dim * sum(c for _, c in hooks) // max(n * (n - 1), 1)
         identity = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
         return tabs, cells, {t: k for k, t in enumerate(tabs)}, trace, {}, identity
 
@@ -519,23 +527,26 @@ def _young_cosets(blocks) -> tuple[list[Permutation], object]:
 
 
 def _frobenius(rep: MatrixRep) -> dict[Partition, int]:
-    """The character induced from rep on H at each cycle type rho, (z_rho/|H|)
-    sum |c| chi(c) over the classes c of H of type rho (Sagan 1.12). A rule is
-    read at rho, on a Young subgroup the union of one type per block; a module
-    with no rule need not be a class function of S_n: it is traced at words."""
-    sub, rule, sums = rep.domain, rep._trace_fn, {}
-    if sub.blocks and rule is not None:
-        for types in _cartesian(*map(partitions_of, sub.blocks)):
-            rho = tuple(sorted(sum(types, ()), reverse=True))
-            sums[rho] = sums.get(rho, 0) + prod(map(count_of_type, types)) * rule(rho)
+    """The character induced from rep on H at each cycle type rho: on a Young
+    subgroup S_c, within the ring cap, rule(rho) <h_c, p_rho> (the h row of c sorted),
+    as Ind(Res chi) = chi Ind(1) and Ind(1) = M^c (Young's rule); else (z_rho/|H|)
+    sum |c| chi(c) over the classes c of H of type rho (Sagan 1.12), a rule-less module,
+    not always a class function, traced at class words. Raises unless (1^n) reads dim."""
+    sub, rule, n, sums = rep.domain, rep._trace_fn, rep.n, {}
+    if sub.blocks is not None and rule is not None and n <= limits.current().ring:
+        row = ring._h_row(tuple(sorted(sub.blocks, reverse=True)))
+        out = {rho: rule(rho) * c for rho, c in zip(partitions_of(n), row) if c}
     else:
-        classes = young_classes(sub.blocks) if sub.blocks else (
+        classes = young_classes(sub.blocks) if sub.blocks is not None else (
             (c[0], len(c)) for c in sub.conjugacy_classes())
         for c, size in classes:
             rho = cycle_type(c)
-            sums[rho] = sums.get(rho, 0) + size * rep._trace(c)
-    return {rho: _require_integer(z_value(rho) * total, "induced character at {}", sub.order, rho)
-            for rho, total in sums.items()}
+            sums[rho] = sums.get(rho, 0) + size * (rule(rho) if rule else rep._trace(c))
+        out = {rho: _require_integer(z_value(rho) * total, "induced character at {}", sub.order, rho)
+               for rho, total in sums.items()}
+    if out.get((1,) * n) != rep.dim * factorial(n) // sub.order:
+        raise InvariantViolationError("the induced character at the identity is not its dimension")
+    return out
 
 
 def induce(rep: MatrixRep, n: int, transversal=None) -> MatrixRep:
@@ -544,8 +555,8 @@ def induce(rep: MatrixRep, n: int, transversal=None) -> MatrixRep:
     outside H). Block column j has exactly one nonzero block: the i and h
     with g t_j = t_i h, found by sorting on a Young subgroup with no
     transversal given (_young_cosets, shared by every module on it), else in
-    the coset table of _cosets, built with the module. The trace is the
-    Frobenius sum over the classes of H (_frobenius)."""
+    the coset table of _cosets, built with the module; with rep of dimension 1
+    it is one entry. The trace is the induced character (_frobenius)."""
     if rep.domain is None:
         raise ValueError("induce needs a representation with a subgroup domain")
     if rep.n != n:
@@ -559,7 +570,10 @@ def induce(rep: MatrixRep, n: int, transversal=None) -> MatrixRep:
         rows = [[0] * (k * d) for _ in range(k * d)]
         ts, locate = table or _young_cosets(sub.blocks)
         for j, t in enumerate(ts):
-            i, h = locate(compose(g, t))  # h is in H by construction
+            i, h = locate(tuple([g[x - 1] for x in t]))  # g t, of g's checked degree; h is in H
+            if d == 1:
+                rows[i][j] = rep._matrix_fn(h)[0][0]
+                continue
             for r, block_row in enumerate(rep._matrix_fn(h)):
                 rows[i * d + r][j * d:(j + 1) * d] = block_row
         return tuple(map(tuple, rows))

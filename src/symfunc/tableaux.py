@@ -246,8 +246,8 @@ def hook_content_cells(lam: Partition) -> list[tuple[int, int]]:
 def f_lambda(lam: Partition) -> int:
     """Number of standard tableaux of shape ``lam``, by the hook-length
     formula n! / prod of the hook lengths."""
-    lam = as_partition(lam)
-    return factorial(sum(lam)) // prod(h for h, _ in hook_content_cells(lam))
+    cells = hook_content_cells(lam)  # validates lam; one cell per letter
+    return factorial(len(cells)) // prod(h for h, _ in cells)
 
 
 def standard_tableaux(lam: Partition) -> list[Tableau]:

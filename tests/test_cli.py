@@ -632,8 +632,8 @@ def test_restrict_reads_young_classes_in_closed_form(capsys, monkeypatch):
 ])
 def test_induce_reads_young_classes_in_closed_form(capsys, monkeypatch, comp, kind, dim, values):
     """induce from a Young subgroup of S_9 lists no word of S_9 and no
-    element of the subgroup: the character is a Frobenius sum over its
-    classes."""
+    element of the subgroup: the character is the inner rule times the h
+    row of its blocks."""
     def no_words(n):
         pytest.fail(f"the words of S_{n} were listed")
 

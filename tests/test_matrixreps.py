@@ -6,8 +6,9 @@ import sys
 import threading
 import time
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import comb, factorial
+from math import comb, factorial, prod
 from pathlib import Path
 
 import pytest
@@ -54,6 +55,7 @@ from symfunc.partitions import (
     inverse_perm,
     partitions_of,
     sign as perm_sign,
+    z_value,
 )
 from symfunc.ring import basis_element, evaluate, multiply
 from symfunc.tableaux import count_ssyt, f_lambda, standard_tableaux
@@ -135,12 +137,12 @@ def test_regular_character_and_decomposition():
 
 def test_regular_and_induced_characters_list_no_word(monkeypatch):
     """The regular character is n! at the identity and 0 elsewhere, and a
-    character induced from a Young subgroup a Frobenius sum over its classes:
-    neither lists a word of S_n or of the subgroup. No built-in module builds
-    a class word either: character_of and decompose of Young, induced,
-    regular, defining, standard, Specht, tensor and direct-sum modules read
-    class rules at cycle types, and equal the diagonal sums at the class
-    representatives, taken before the word builders are cut."""
+    character induced from a Young subgroup S_c the inner rule times ring's h
+    row of c: neither lists a word of S_n or of the subgroup. No built-in
+    module builds a class word either: character_of and decompose of Young,
+    induced, regular, defining, standard, Specht, tensor and direct-sum
+    modules read class rules at cycle types, and equal the diagonal sums at
+    the class representatives, taken before the word builders are cut."""
     def no_words(n):
         pytest.fail(f"the words of S_{n} were listed")
 
@@ -928,14 +930,16 @@ def test_restrict_basics():
 def test_young_classes_match_brute_force_classes():
     """The closed-form classes of a Young subgroup equal the conjugation
     orbits of its listed elements, for every composition with n <= 7 and at
-    most 3 parts."""
+    most 3 parts. The elements are given as a subgroup with no blocks, whose
+    classes are found by conjugation."""
     count = 0
     for n in range(1, 8):
         for r in (1, 2, 3):
             for comp in product(range(1, n + 1), repeat=r):
                 if sum(comp) != n:
                     continue
-                brute = [(cls[0], len(cls)) for cls in SubgroupSpec.young(comp).conjugacy_classes()]
+                listed = SubgroupSpec(n, SubgroupSpec.young(comp).elements)
+                brute = [(cls[0], len(cls)) for cls in listed.conjugacy_classes()]
                 assert young_classes(comp) == brute, comp
                 count += 1
     assert count == 63
@@ -957,7 +961,7 @@ def coset_table_character(base, sub):
 
 def test_frobenius_induced_characters_match_the_coset_table_to_6():
     """The character induced from the trivial or sign of a Young subgroup,
-    a Frobenius sum over its classes, equals the coset-table sum, for every
+    read from the h row of its blocks, equals the coset-table sum, for every
     composition of n <= 6."""
     count = 0
     for n in range(1, 7):
@@ -968,6 +972,118 @@ def test_frobenius_induced_characters_match_the_coset_table_to_6():
                 assert got == coset_table_character(base, sub), (comp, base.label)
                 count += 1
     assert count == 126
+
+
+def young_classes_character(base, comp):
+    """The induced character as the Frobenius sum (z_rho/|H|) sum |c| chi(c)
+    over young_classes(comp), base traced at each class word."""
+    n, sums = sum(comp), {}
+    for word, size in young_classes(comp):
+        rho = cycle_type(word)
+        sums[rho] = sums.get(rho, 0) + size * base.trace(word)
+    order = prod(map(factorial, comp))
+    return class_function(n, {rho: Fraction(z_value(rho) * sums.get(rho, 0), order)
+                              for rho in partitions_of(n)})
+
+
+def test_induced_characters_from_the_h_row_equal_the_class_sums_to_7():
+    """Induced from a Young subgroup S_c, a module with a rule chi has
+    character chi(rho) <h_c, p_rho>, read from ring's h row of c sorted; it
+    equals the Frobenius sum over young_classes(c), for every composition c
+    of n <= 7, unsorted and with repeated parts, and four inner modules:
+    trivial, sign, a restricted Specht module and that tensored with sign.
+    With the ring cap at n - 1, the class sum answers, with the same values."""
+    count = 0
+    with limits.scoped(limits.current().raised(7)):
+        for n in range(1, 8):
+            shapes = partitions_of(n)
+            for k, comp in enumerate(compositions(n)):
+                sub = SubgroupSpec.young(comp)
+                res = restrict(specht_module(shapes[k % len(shapes)]), sub)
+                for base in (trivial_of(sub), sign_of(sub), res, tensor_product(res, sign_of(sub))):
+                    want = young_classes_character(base, comp)  # reads the Specht row here
+                    assert character_of(induce(base, n)) == want, (comp, base.label)
+                    with limits.scoped(limits.Limits(ring=n - 1, specht=7)):
+                        assert character_of(induce(base, n)) == want, (comp, base.label)
+                    count += 1
+    assert count == 4 * 127
+
+
+def test_induced_characters_read_only_the_h_row_family(monkeypatch):
+    """Within the ring cap, the character induced from the trivial module of
+    S_(2,3) computes exactly the h rows of (3, 2), (2) and () and the merge
+    and insertion maps they read, and lists no class of the subgroup. Above
+    the cap it sums over young_classes and computes no ring key."""
+    sub = SubgroupSpec.young((2, 3))
+    want = young_classes_character(trivial_of(sub), (2, 3))
+    listed, real = [], matrixreps.young_classes
+    monkeypatch.setattr(matrixreps, "young_classes", lambda comp: listed.append(comp) or real(comp))
+    fresh = ring._OnceCache()
+    monkeypatch.setattr(ring, "_cache", fresh)
+    assert character_of(induce(trivial_of(sub), 5)) == want
+    assert set(fresh.compute_counts) == {
+        ("row", "h", (3, 2)), ("row", "h", (2,)), ("row", "h", ()),
+        ("merge", 3, 2), ("merge", 2, 3), ("merge", 2, 0), ("merge", 0, 2), ("merge", 0, 3),
+        ("merge", 1, 3), ("insert", 2, 3), ("insert", 1, 4), ("insert", 1, 3)}
+    assert listed == []
+    fresh = ring._OnceCache()
+    monkeypatch.setattr(ring, "_cache", fresh)
+    with limits.scoped(limits.Limits(ring=4)):
+        assert character_of(induce(trivial_of(sub), 5)) == want
+    assert fresh.compute_counts == {} and listed == [(2, 3)]
+
+
+def test_induced_matrices_of_lines_are_the_block_definition():
+    """Induced from a one-dimensional module on a Young subgroup H, entry
+    (i, j) of matrix(g) is Y(t_i^-1 g t_j) when that falls in H and 0
+    otherwise, at every g of S_4 and S_5, for the trivial and sign modules
+    and the rule-less sign of the first block; and matrix(g) matrix(h) =
+    matrix(gh)."""
+    rng = random.Random(43)
+    cases = [(4, comp) for comp in compositions(4)]
+    cases += [(5, comp) for comp in [(5,), (2, 3), (4, 1), (3, 1, 1), (1, 2, 2)]]
+    for n, comp in cases:
+        sub = SubgroupSpec.young(comp)
+        ts = matrixreps._young_cosets(comp)[0]
+        inverses = list(map(inverse_perm, ts))
+        first = MatrixRep(n, 1, lambda h: ((perm_sign(h[:comp[0]]),),), sub, "sign of block 1")
+        for base in (trivial_of(sub), sign_of(sub), first):
+            rep = induce(base, n)
+            for g in all_permutations(n):
+                cells = ((compose(compose(ti, g), t) for t in ts) for ti in inverses)
+                want = tuple(tuple(base.matrix(h)[0][0] if h in sub else 0 for h in row) for row in cells)
+                assert rep.matrix(g) == want, (comp, base.label, g)
+            for _ in range(3):
+                g, h = (tuple(rng.sample(range(1, n + 1), n)) for _ in range(2))
+                assert O.same_matrix(O.mat_mul(rep.matrix(g), rep.matrix(h)), rep.matrix(compose(g, h)))
+
+
+def test_young_conjugacy_classes_are_the_products_of_block_classes_to_6():
+    """A Young subgroup's classes, products of its blocks' cycle-type
+    groups, are the conjugation orbits of the same elements given as a
+    listed subgroup, in the same order, for every composition of n <= 6."""
+    count = 0
+    for n in range(1, 7):
+        for comp in compositions(n):
+            young = SubgroupSpec.young(comp)
+            listed = SubgroupSpec.from_elements(n, young.elements)
+            assert young.conjugacy_classes() == listed.conjugacy_classes(), comp
+            count += 1
+    assert count == 63
+
+
+def test_young_conjugacy_classes_conjugate_nothing(monkeypatch):
+    """S_(4,4) lists its 25 classes, 5 cycle types per block, without
+    composing or inverting a permutation."""
+    def refuse(*args):
+        pytest.fail("a permutation was composed or inverted")
+
+    monkeypatch.setattr(matrixreps, "compose", refuse)
+    monkeypatch.setattr(matrixreps, "inverse_perm", refuse)
+    classes = SubgroupSpec.young((4, 4)).conjugacy_classes()
+    assert len(classes) == 25 and sum(map(len, classes)) == 576
+    assert classes[0] == (tuple(range(1, 9)),)
+    assert [cls[0] for cls in classes] == sorted(cls[0] for cls in classes)
 
 
 def test_listed_subgroup_traces_one_element_per_class():
