@@ -541,7 +541,7 @@ def _frobenius(rep: MatrixRep) -> dict[Partition, int]:
             (c[0], len(c)) for c in sub.conjugacy_classes())
         for c, size in classes:
             rho = cycle_type(c)
-            sums[rho] = sums.get(rho, 0) + size * (rule(rho) if rule else rep._trace(c))
+            sums[rho] = sums.get(rho, 0) + size * rep._trace(c)
         out = {rho: _require_integer(z_value(rho) * total, "induced character at {}", sub.order, rho)
                for rho, total in sums.items()}
     if out.get((1,) * n) != rep.dim * factorial(n) // sub.order:
