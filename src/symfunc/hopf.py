@@ -5,11 +5,11 @@ Cauchy kernel, and plethysm.
 Both coproducts are algebra morphisms determined on power sums:
 the sum coproduct sends p_n to p_n x 1 + 1 x p_n, the product coproduct
 sends p_n to p_n x p_n. Tensors are stored as (partition, partition) ->
-rational in a chosen basis pair, with arithmetic implemented only as far
-as the coproducts and the Cauchy kernel need.
+rational in a chosen basis pair, with arithmetic only as the coproducts need.
 
-The counits read the element's own terms, the antipode is omega with signs.
-All else reads power sums in ring's integer handoff, (D, nums) over one
+The counits read the element's own terms, the antipode is omega with signs,
+the Cauchy kernel is the diagonal of a dual pair. The coproducts, the tensor
+maps and plethysm read power sums in ring's integer handoff, (D, nums) over one
 denominator: _p_ints for an element, _pp_ints for a tensor, whose legs are
 mapped one (left degree, right degree) block at a time, as a dense matrix
 by ring's _transition, which also puts each leg over its top degree's
@@ -25,12 +25,12 @@ from fractions import Fraction
 from itertools import chain, compress, repeat
 from math import factorial
 
+from . import limits
 from ._record import Record
-from .partitions import Partition, as_partition, format_partition
+from .partitions import Partition, as_partition, format_partition, partitions_of, z_value
 from .ring import (
     BASES,
     E,
-    H,
     M,
     P,
     S,
@@ -45,7 +45,6 @@ from .ring import (
     _p_ints,
     _sum_coproduct_of_p,
     _transition,
-    basis_element,
     format_coeff,
     omega,
 )
@@ -201,17 +200,17 @@ def antipode(f: SymElement) -> SymElement:
 
 
 def cauchy_kernel(n: int, pair) -> TensorElement:
-    """The degree-n Cauchy kernel: the product-coproduct of h_n, expanded
-    in a dual basis pair, where it is diagonal. Supported pairs: (s, s)
-    with unit coefficients, (h, m) / (m, h), and (p, p) where the dual
-    weight 1/z_lam appears in the coefficients."""
+    """The degree-n Cauchy kernel, Delta* h_n = sum_lam b_lam(x) b*_lam(y) over a
+    dual pair <b_lam, b*_mu> = delta (Macdonald I.4): unit coefficients for (s, s),
+    (h, m) and (m, h), 1/z_lam for (p, p). n is held to the ring cap, as h_n to p is."""
     pair = tuple(pair)
     if pair not in _DUAL_PAIRS:
         raise ValueError(f"{pair!r} is not a supported dual basis pair")
     if n < 0:
         raise ValueError("degree must be >= 0")
-    kernel = coproduct_prod(basis_element(H, (n,) if n else ()))
-    return tensor_convert(kernel, pair)
+    limits.check("ring", n)
+    return TensorElement(pair, {(lam, lam): Fraction(1, z_value(lam) if pair == (P, P) else 1)
+                                for lam in partitions_of(n)})
 
 
 # --- plethysm -----------------------------------------------------------------

@@ -421,7 +421,6 @@ def _transition(basis: str, d: int, keys: list, top: int | None, vecs: list) -> 
         outs, scale = _pair_p(basis, d, keys, vecs), factorial(top) // factorial(d)
         weights = [w * scale for w in _class_sizes(d)]
         return partitions_of(d), [list(map(mul, t, weights)) for t in outs]
-    limits.check("ring", d)
     table, get = _pairing(_DUAL[basis], d), None  # None: the rows as they are
     if tuple(keys) != partitions_of(d):
         get = _gather(list(map(partition_ranks(d).__getitem__, keys)))

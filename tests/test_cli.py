@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from symfunc import matrixreps, ring
 from symfunc import cli
 from symfunc.cli import COMMANDS, main
+from symfunc.partitions import partitions_of
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -179,6 +180,21 @@ def test_domain_error_exit_1(capsys):
         assert (code, out) == (1, "")
         assert err == ("error: transition tables are capped at n <= 20, got 21; "
                        "raise the cap with --max-degree or symfunc.limits\n")
+
+
+def test_cauchy_at_the_ring_cap_is_the_diagonal_and_above_it_exits_1(capsys):
+    """At the default cap, the degree-20 kernel is its p(20) = 627 diagonal
+    unit terms; one degree above it, every dual pair stops on the cap."""
+    code, out, err = run(capsys, "--format", "json", "cauchy", "20", "h,m")
+    assert (code, err) == (0, "")
+    terms = json.loads(out)
+    assert len(terms) == 627
+    assert all(t["left"] == t["right"] and t["coeff"] == "1" for t in terms)
+    assert [tuple(t["left"]) for t in terms] == sorted(partitions_of(20))
+    for pair in ("s,s", "p,p"):
+        assert run(capsys, "cauchy", "21", pair) == (1, "", (
+            "error: transition tables are capped at n <= 20, got 21; "
+            "raise the cap with --max-degree or symfunc.limits\n"))
 
 
 def test_an_exponent_sign_in_a_coefficient_splits_no_term(capsys):

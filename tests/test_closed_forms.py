@@ -3,7 +3,8 @@ power sums, which stays their oracle: the Hall pairing of a dual pair, omega,
 the antipode, both counits, and the class functions read off the rows
 (frobenius_inverse, kronecker_product). Each is checked for every basis it
 serves at every degree up to 8, on degree 0, empty and mixed-degree elements
-too, all drawn from a fixed seed."""
+too, all drawn from a fixed seed. The Cauchy kernel, the diagonal of a dual
+pair, is checked against the product coproduct of h_n mapped through p."""
 
 import random
 from fractions import Fraction
@@ -13,9 +14,9 @@ import pytest
 from symfunc import limits, ring
 from symfunc.characters import frobenius_inverse, kronecker_product
 from symfunc.errors import DegreeCapError
-from symfunc.hopf import antipode, counit, counit_star
+from symfunc.hopf import antipode, cauchy_kernel, coproduct_prod, counit, counit_star, tensor_convert
 from symfunc.partitions import partitions_of, z_value
-from symfunc.ring import BASES, E, H, M, P, S, convert, hall_inner, omega, sym_element
+from symfunc.ring import BASES, E, H, M, P, S, basis_element, convert, hall_inner, omega, sym_element
 
 SEED = 20261020
 TOP = 8
@@ -96,10 +97,20 @@ def test_the_class_functions_match_the_p_route(b, degrees, f):
             mu: c * gp[mu] * z_value(mu) for mu, c in want.items() if mu in gp}
 
 
+@pytest.mark.parametrize("pair", list(DUAL.items()))
+@pytest.mark.parametrize("n", range(11))
+def test_the_cauchy_kernel_is_the_product_coproduct_of_h_n(pair, n):
+    want = tensor_convert(coproduct_prod(basis_element(H, (n,) if n else ())), pair)
+    got = cauchy_kernel(n, pair)
+    assert got.bases == want.bases == pair
+    assert got.terms == want.terms
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
 def test_the_closed_forms_read_no_table(monkeypatch):
-    """A dual-pair pairing, omega and the antipode of s, h, e or p input, and
-    both counits of any input touch no cache key: no row, pairing table,
-    classes or class sizes."""
+    """A dual-pair pairing, omega and the antipode of s, h, e or p input,
+    both counits of any input and the Cauchy kernel of every dual pair touch
+    no cache key: no row, pairing table, classes or class sizes."""
     fresh = ring._OnceCache()
     monkeypatch.setattr(ring, "_cache", fresh)
     rng = random.Random(SEED)
@@ -110,18 +121,22 @@ def test_the_closed_forms_read_no_table(monkeypatch):
         if b != M:
             omega(f), antipode(f)
         counit(f), counit_star(f)
+    for pair in DUAL.items():
+        cauchy_kernel(6, pair)
     assert fresh.compute_counts == {}
 
 
 @pytest.mark.parametrize("b", [S, H, E, M])
 def test_the_closed_forms_keep_the_cap_of_the_p_route_in_term_order(b):
     """Each stops on the first degree of its input, in term order, that is
-    above the ring cap, as the map to p did; p input is not capped."""
+    above the ring cap, as the map to p did; p input is not capped. The
+    Cauchy kernel of every dual pair stops on its degree, as h_n's map did."""
     f = sym_element(b, {(7,): 1, (6,): 1, (1,): 1})
     dual = sym_element(DUAL.get(b, b), {(1,): 1})
     calls = [lambda: counit(f), lambda: counit_star(f), lambda: omega(f), lambda: antipode(f),
              lambda: frobenius_inverse(f, 7), lambda: kronecker_product(dual, f),
-             lambda: hall_inner(dual, f), lambda: hall_inner(f, dual)]
+             lambda: hall_inner(dual, f), lambda: hall_inner(f, dual),
+             *(lambda pair=pair: cauchy_kernel(7, pair) for pair in DUAL.items())]
     with limits.scoped(limits.Limits(ring=5)):
         for call in calls:
             with pytest.raises(DegreeCapError, match="got 7;"):
