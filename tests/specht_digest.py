@@ -1,11 +1,12 @@
-"""Digests of the Specht generator matrices, pinned by
+"""Digests of the Specht generator and longest-element matrices, pinned by
 ``tests/golden/specht_generators.json``.
 
 Each partition lam of n, 1 <= n <= 8, maps to the first 16 hex digits of
-the SHA-256 of ``repr(specht_module(lam).generator_matrices())``. With no
-argument the script prints the whole digest file; with shapes such as
-``3,2 2,2,1`` it prints only their entries, for a change that moves those
-matrices on purpose:
+the SHA-256 of the repr of the pair (its generator matrices, its matrix at
+the longest element n n-1 ... 1), so the file pins the product along a
+reduced word as well as the generators. With no argument the script
+prints the whole digest file; with shapes such as ``3,2 2,2,1`` it prints
+only their entries, for a change that moves those matrices on purpose:
 
     python tests/specht_digest.py > tests/golden/specht_generators.json
     python tests/specht_digest.py 3,2 2,2,1
@@ -34,7 +35,8 @@ MAX_N = 8
 
 def digest(lam) -> str:
     with limits.scoped(limits.current().raised(MAX_N)):
-        text = repr(specht_module(lam).generator_matrices())
+        rep = specht_module(lam)
+        text = repr((rep.generator_matrices(), rep.matrix(tuple(range(rep.n, 0, -1)))))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 

@@ -675,9 +675,10 @@ def test_a_failed_specht_generator_build_publishes_nothing(monkeypatch):
 
 
 def test_specht_generators_match_the_pinned_digests(monkeypatch):
-    """Every generator matrix of every lam |- n <= 8, built on a fresh
-    cache, hashes to the digest pinned in tests/golden/specht_generators.json,
-    which tests/specht_digest.py prints."""
+    """The generator matrices and the longest-element matrix of every
+    lam |- n <= 8, built on a fresh cache, hash to the digest pinned in
+    tests/golden/specht_generators.json, which tests/specht_digest.py
+    prints."""
     monkeypatch.setattr(ring, "_cache", ring._OnceCache())
     path = os.path.join(os.path.dirname(__file__), "golden", "specht_generators.json")
     with open(path) as fh:
