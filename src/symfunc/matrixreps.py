@@ -21,8 +21,8 @@ one per standard tableau T, and works on tableaux alone. The matrix of an
 adjacent transposition s_i is Young's natural one (Sagan, The Symmetric
 Group, 2.6-2.7): -e_T when i and i+1 share a column of T, e_{s_i T} when they
 share neither a row nor a column, and otherwise e_{s_i T} straightened in
-integers by Garnir relations. The matrix of pi is their product along a
-reduced word of pi.
+integers by Garnir relations, kept as sparse rows. The matrix of pi is their
+product along a reduced word of pi, each factor's rows sparse on the left.
 
 A MatrixRep carries a rule producing the exact matrix, a tuple of integer
 rows, of any permutation in its domain; matrix() runs the rule on each call
@@ -31,7 +31,7 @@ The cosets of a Young subgroup, with each word located, are built once per
 composition per process, as the ring._cache family ("cosets", blocks); an
 induced module on any other subgroup lists its cosets when it is built. A
 Specht module's standard tableaux, straightened tableaux and generator
-columns are built once per shape per process, as two families of
+rows are built once per shape per process, as two families of
 ring._cache. matrix() and trace() check each word once, that it is a
 permutation in the domain. matrix(pi sigma) == matrix(pi) . matrix(sigma)
 under the package-wide convention (pi sigma)(i) = pi(sigma(i)).
@@ -69,7 +69,7 @@ from .partitions import (
 )
 from .ring import PolynomialValue, S, _OnceCache, _add_scaled, _require_integer
 from .ring import basis_element, evaluate
-from .tableaux import f_lambda, hook_content_cells, standard_tableaux
+from .tableaux import _hook_contents, f_lambda, hook_content_cells, standard_tableaux
 
 Matrix = tuple[tuple, ...]
 
@@ -88,18 +88,23 @@ class SubgroupSpec(Record):
 
     @classmethod
     def from_elements(cls, n: int, elements) -> "SubgroupSpec":
-        elems = tuple(sorted({tuple(e) for e in elements}))
-        eset = set(elems)
-        if identity_perm(n) not in eset:
+        elems, one = tuple(sorted({tuple(e) for e in elements})), identity_perm(n)
+        eset, members, closure, gens = set(elems), [one], {one}, []
+        if one not in eset:
             raise ValueError("subgroup must contain the identity")
         for a in elems:
             if len(a) != n:
                 raise ValueError(f"element {a} is not a word of length {n}")
             if inverse_perm(a) not in eset:
                 raise ValueError(f"subgroup not closed under inverse at {a}")
-            for b in elems:
-                if compose(a, b) not in eset:
-                    raise ValueError("subgroup not closed under composition")
+            if a not in closure:  # a new generator, which at least doubles the closure
+                gens.append(a)
+                for x in members:  # every member, the new ones included, times every generator
+                    new = set(map(compose, repeat(x), gens)) - closure
+                    if not new <= eset:
+                        raise ValueError("subgroup not closed under composition")
+                    closure |= new
+                    members += new
         return cls(n, elems)
 
     @classmethod
@@ -334,15 +339,15 @@ def young_module(lam) -> MatrixRep:
     return rep
 
 
-def _combine(cols, terms) -> tuple[int, ...]:
-    """sum c * cols[j] over the sparse (j, c) terms in maps; one (j, 1) shares cols[j]."""
+def _combine(rows, terms) -> tuple[int, ...]:
+    """sum c * rows[j] over the sparse (j, c) terms; one (j, 1) shares rows[j]."""
     (j, c), *rest = terms
     if not rest and c == 1:
-        return cols[j]
-    acc = cols[j] if c == 1 else map(neg, cols[j]) if c == -1 else map(mul, cols[j], repeat(c))
-    for j, c in rest:  # a column of c = +-1 is added or subtracted as it is
-        col = cols[j] if c == 1 or c == -1 else map(mul, cols[j], repeat(c))
-        acc = map(subtract if c == -1 else add, acc, col)
+        return rows[j]
+    acc = rows[j] if c == 1 else map(neg, rows[j]) if c == -1 else map(mul, rows[j], repeat(c))
+    for j, c in rest:  # a row of c = +-1 is added or subtracted as it is
+        row = rows[j] if c == 1 or c == -1 else map(mul, rows[j], repeat(c))
+        acc = map(subtract if c == -1 else add, acc, row)
     return tuple(acc)
 
 
@@ -394,27 +399,29 @@ def _straighten(tab, index, memo) -> dict[int, int]:
 
 
 def _natural_generator(i: int, tabs, cells, index, trace: int, memo):
-    """Young's natural matrix of s_i as sparse columns: column k lists the
-    (j, c) with s_i . e_{T_k} = sum c e_{T_j}. It is -e_{T_k} where i and
-    i+1 share a column of T_k (cells[k] maps each letter to its column and
-    its place in it), and otherwise e_{s_i T_k}, s_i T_k column-strict,
-    straightened. Raises unless its trace is the given trace, chi^lam at a
-    transposition; memo takes the forms straightened only if it does not."""
-    cols, staged = [], dict(memo)
+    """Young's natural matrix of s_i as sparse rows: row j lists the (k, c),
+    k increasing, with s_i . e_{T_k} = ... + c e_{T_j} + .... That column is
+    -e_{T_k} where i and i+1 share a column of T_k (cells[k] maps each letter
+    to its column and its place in it), and otherwise e_{s_i T_k}, s_i T_k
+    column-strict, straightened. Raises unless its trace is the given trace,
+    chi^lam at a transposition; memo takes the forms straightened only if not."""
+    rows, staged, got = [[] for _ in tabs], dict(memo), 0
     for k, tab in enumerate(tabs):
         (c, r), (c1, r1) = cells[k][i], cells[k][i + 1]
         if c == c1:  # a column transposition, of sign -1
-            cols.append(((k, -1),))
+            column = {k: -1}
         else:
             moved = list(tab)
             moved[c] = tab[c][:r] + (i + 1,) + tab[c][r + 1:]
             moved[c1] = tab[c1][:r1] + (i,) + tab[c1][r1 + 1:]
-            cols.append(tuple(_straighten(tuple(moved), index, staged).items()))
-    got = sum(c for k, terms in enumerate(cols) for j, c in terms if j == k)
+            column = _straighten(tuple(moved), index, staged)
+        got += column.get(k, 0)
+        for j, v in column.items():
+            rows[j].append((k, v))
     if got != trace:
         raise InvariantViolationError(f"trace of s_{i} is {got}, not chi at a transposition, {trace}")
     memo.update(staged)
-    return tuple(cols)
+    return tuple(map(tuple, rows))
 
 
 def specht_module(lam) -> MatrixRep:
@@ -424,21 +431,22 @@ def specht_module(lam) -> MatrixRep:
     at its cycle type: a character row, read once under the coefficient cap.
 
     The matrix of s_i is Young's natural one, and the matrix of pi is their
-    product along the reduced word that bubble-sorts pi^-1. Where i and i+1
+    product along the reduced word that bubble-sorts pi: the dense rows of the
+    first swap's s_b, each later s_b a sparse left factor. Where i and i+1
     share a row of T, s_i T is column-strict with one row descent, and
     e_{s_i T} is straightened by Garnir relations, each of which rewrites e_t
     over tableaux whose column tabloids dominate that of t, so the recursion
     ends at standard tableaux (Sagan, The Symmetric Group, 2.6; James, LNM
     682, 7-8). Each generator's trace must equal chi^lam at a transposition,
-    f^lam * (sum of the contents) / C(n, 2), read from the hook contents, or
-    its build raises. Once per shape per process, ring._cache keeps the
-    tableaux, their cells and index, that trace, the straightened forms and
-    the identity as ("specht", lam), and the columns of s_i as ("specht", lam, i).
+    f^lam * (sum of the contents) / C(n, 2), read with f^lam from one hook
+    pass, or its build raises. Once per shape per process, ring._cache keeps
+    the tableaux, their cells and index, that trace, the straightened forms
+    and the identity as ("specht", lam), and s_i's sparse rows as ("specht", lam, i).
     """
     lam = as_partition(lam)
     n = sum(lam)
     limits.check("specht", n)
-    hooks, chi, key = hook_content_cells(lam), _once(lambda: character_row(lam)), ("specht", lam)
+    hooks, chi, key = _hook_contents(lam), _once(lambda: character_row(lam)), ("specht", lam)
     dim = factorial(n) // prod(h for h, _ in hooks)
 
     def tableaux():
@@ -457,18 +465,22 @@ def specht_module(lam) -> MatrixRep:
         return cache.get((*key, i), lambda: _natural_generator(i, *cache.get(key, tableaux)[:5]))
 
     def fn(pi):
-        # Bubble-sort the word w of pi^-1. Swapping its entries at positions
-        # b and b + 1, counted from 1, turns w into w s_b, so the swaps b_1,
-        # ..., b_k give pi = s_{b_1} ... s_{b_k}, a reduced word, and each
-        # s_b is one sparse right factor.
-        cache, word = ring._cache, list(inverse_perm(pi))
-        cols = cache.get(key, tableaux)[-1]
+        # Bubble-sort the word w of pi. Swapping its entries at positions b and
+        # b + 1, counted from 1, turns w into w s_b, so the swaps b_1, ..., b_k
+        # give pi = s_{b_k} ... s_{b_1}, a reduced word, read from its right end.
+        cache, word, rows = ring._cache, list(pi), None
         for end in range(n - 1, 0, -1):
             for a in range(end):
                 if word[a] > word[a + 1]:
                     word[a], word[a + 1] = word[a + 1], word[a]
-                    cols = [_combine(cols, terms) for terms in generator(cache, a + 1)]
-        return tuple(zip(*cols))
+                    if rows is None:  # s_{b_1}, written dense
+                        rows = [[0] * dim for _ in range(dim)]
+                        for row, terms in zip(rows, generator(cache, a + 1)):
+                            for k, c in terms:
+                                row[k] = c
+                    else:
+                        rows = [_combine(rows, terms) for terms in generator(cache, a + 1)]
+        return cache.get(key, tableaux)[-1] if rows is None else tuple(map(tuple, rows))
 
     return MatrixRep(n, dim, fn, label=f"specht({lam})", _trace_fn=lambda rho: chi()[rho])
 

@@ -211,12 +211,25 @@ def cycles(p: Permutation) -> list[tuple[int, ...]]:
     return out
 
 
+def _cycle_lengths(p: Permutation) -> list[int]:
+    """The length of each cycle of p, in no order, with no cycle built."""
+    left, out = set(p), []  # the letters on no cycle counted yet
+    while left:
+        start = left.pop()
+        length, j = 1, p[start - 1]
+        while j != start:
+            left.remove(j)
+            length, j = length + 1, p[j - 1]
+        out.append(length)
+    return out
+
+
 def cycle_type(p: Permutation) -> Partition:
-    return tuple(sorted((len(c) for c in cycles(p)), reverse=True))
+    return tuple(sorted(_cycle_lengths(p), reverse=True))
 
 
 def sign(p: Permutation) -> int:
-    return -1 if (len(p) - len(cycles(p))) % 2 else 1
+    return -1 if (len(p) - len(_cycle_lengths(p))) % 2 else 1
 
 
 def all_permutations(n: int):

@@ -237,7 +237,11 @@ def _lr_fillings(lam: Partition, mu: Partition, nu: Partition | None = None) -> 
 def hook_content_cells(lam: Partition) -> list[tuple[int, int]]:
     """(hook length, content) of every cell of ``lam``, row by row; the
     content of the cell in row r and column c is c - r."""
-    lam = as_partition(lam)
+    return _hook_contents(as_partition(lam))
+
+
+def _hook_contents(lam: Partition) -> list[tuple[int, int]]:
+    """hook_content_cells of a partition already checked."""
     lam_t = conjugate(lam)
     return [(lam[r] - c + lam_t[c] - r - 1, c - r)
             for r in range(len(lam)) for c in range(lam[r])]

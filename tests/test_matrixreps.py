@@ -51,6 +51,7 @@ from symfunc.partitions import (
     class_representative,
     compose,
     cycle_type,
+    cycles,
     identity_perm,
     inverse_perm,
     partitions_of,
@@ -687,6 +688,99 @@ def test_specht_generators_match_the_pinned_digests(monkeypatch):
     assert len(got) == 66
     assert got == json.loads(text)
     assert render(got) == text
+
+
+def test_specht_matrices_are_generator_products_along_a_reduced_word():
+    """For every lam |- n <= 7, matrix(pi) is the product of the generator
+    matrices along the oracle's bubble-sort word of pi, a route independent
+    of the module's own, at the identity, each s_i, the longest element and
+    seeded words; and for n <= 6, matrix(pi sigma) = matrix(pi) matrix(sigma)."""
+    rng = random.Random(4242)
+    with limits.scoped(limits.current().raised(7)):
+        for n in range(1, 8):
+            words = [identity_perm(n), tuple(range(n, 0, -1))]
+            words += [adjacent_transposition(n, i) for i in range(1, n)]
+            words += [tuple(rng.sample(range(1, n + 1), n)) for _ in range(3)]
+            for lam in partitions_of(n):
+                rep = specht_module(lam)
+                gens = rep.generator_matrices()
+                for pi in words:
+                    want = O.matrix_from_generators(gens, pi, rep.dim)
+                    assert O.same_matrix(rep.matrix(pi), want), (lam, pi)
+                if n > 6:
+                    continue
+                for _ in range(4):
+                    p, q = (tuple(rng.sample(range(1, n + 1), n)) for _ in range(2))
+                    want = O.mat_mul(rep.matrix(p), rep.matrix(q))
+                    assert O.same_matrix(rep.matrix(compose(p, q)), want), (lam, p, q)
+
+
+def test_a_specht_generator_entry_holds_its_sparse_rows(monkeypatch):
+    """("specht", lam, i) holds s_i's nonzero entries as rows of (k, c), k
+    increasing: written dense, they are matrix(s_i)."""
+    fresh = ring._OnceCache()
+    monkeypatch.setattr(ring, "_cache", fresh)
+    for n in range(2, 6):
+        for lam in partitions_of(n):
+            rep = specht_module(lam)
+            for i in range(1, n):
+                want = rep.matrix(adjacent_transposition(n, i))
+                rows = fresh._data[("specht", lam, i)]
+                assert len(rows) == rep.dim
+                dense = []
+                for terms in rows:
+                    assert [k for k, _ in terms] == sorted({k for k, _ in terms})
+                    assert all(c for _, c in terms)
+                    row = [0] * rep.dim
+                    for k, c in terms:
+                        row[k] = c
+                    dense.append(tuple(row))
+                assert tuple(dense) == want, (lam, i)
+
+
+def test_cycle_type_and_sign_match_the_cycles_to_7():
+    for n in range(8):
+        for pi in all_permutations(n):
+            lengths = [len(c) for c in cycles(pi)]
+            assert cycle_type(pi) == tuple(sorted(lengths, reverse=True)), pi
+            assert perm_sign(pi) == (-1) ** (n - len(lengths)), pi
+
+
+def test_from_elements_accepts_every_listed_young_subgroup_and_rejects_a_missing_product():
+    """Every Young subgroup of S_n, n <= 6, listed as its elements, is
+    accepted with the same elements; with one element and its inverse left
+    out (for |H| > 2, no subgroup remains) it fails closure under composition."""
+    rng = random.Random(77)
+    for n in range(1, 7):
+        for comp in compositions(n):
+            elements = list(SubgroupSpec.young(comp).elements)
+            rng.shuffle(elements)
+            listed = SubgroupSpec.from_elements(n, elements)
+            assert listed.elements == tuple(sorted(elements)), comp
+            if len(elements) <= 2:
+                continue
+            x = rng.choice([w for w in elements if w != identity_perm(n)])
+            kept = [w for w in elements if w not in (x, inverse_perm(x))]
+            with pytest.raises(ValueError, match="^subgroup not closed under composition$"):
+                SubgroupSpec.from_elements(n, kept)
+    with pytest.raises(ValueError, match="^subgroup must contain the identity$"):
+        SubgroupSpec.from_elements(3, [(2, 1, 3)])
+
+
+def test_from_elements_closes_s6_from_few_generators(monkeypatch):
+    """The closure of S_6 composes fewer than 720 x 10 pairs; the scan over
+    every ordered pair took 720^2."""
+    calls = Counter()
+    real = matrixreps.compose
+
+    def counted(a, b):
+        calls["compose"] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(matrixreps, "compose", counted)
+    sub = SubgroupSpec.from_elements(6, all_permutations(6))
+    assert sub.order == 720
+    assert 0 < calls["compose"] < 720 * 10
 
 
 def test_rep_matrices_match_the_pinned_digests(monkeypatch):
