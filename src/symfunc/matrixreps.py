@@ -399,12 +399,11 @@ def _straighten(tab, index, memo) -> dict[int, int]:
 
 
 def _natural_generator(i: int, tabs, cells, index, trace: int, memo):
-    """Young's natural matrix of s_i as sparse rows: row j lists the (k, c),
-    k increasing, with s_i . e_{T_k} = ... + c e_{T_j} + .... That column is
-    -e_{T_k} where i and i+1 share a column of T_k (cells[k] maps each letter
-    to its column and its place in it), and otherwise e_{s_i T_k}, s_i T_k
-    column-strict, straightened. Raises unless its trace is the given trace,
-    chi^lam at a transposition; memo takes the forms straightened only if not."""
+    """Young's natural matrix of s_i as sparse rows: row j lists the (k, c), k
+    increasing, where s_i . e_{T_k} has the term c e_{T_j}. That is -e_{T_k} where
+    i and i+1 share a column of T_k (cells[k] maps each letter to its column and
+    its place in it), else e_{s_i T_k} straightened. Raises unless the trace is
+    the given one, chi^lam at a transposition; memo takes the new forms only if it is."""
     rows, staged, got = [[] for _ in tabs], dict(memo), 0
     for k, tab in enumerate(tabs):
         (c, r), (c1, r1) = cells[k][i], cells[k][i + 1]
@@ -431,18 +430,17 @@ def specht_module(lam) -> MatrixRep:
     at its cycle type: a character row, read once under the coefficient cap.
 
     The matrix of s_i is Young's natural one, and the matrix of pi is their
-    product along the reduced word that bubble-sorts pi: the dense rows of the
-    first swap's s_b, each later s_b a sparse left factor. Where i and i+1
-    share a row of T, s_i T is column-strict with one row descent, and
+    product along the reduced word that bubble-sorts pi: the dense rows of its
+    last factor, then each earlier factor's sparse rows on the left. Where i
+    and i+1 share a row of T, s_i T is column-strict with one row descent, and
     e_{s_i T} is straightened by Garnir relations, each of which rewrites e_t
     over tableaux whose column tabloids dominate that of t, so the recursion
     ends at standard tableaux (Sagan, The Symmetric Group, 2.6; James, LNM
     682, 7-8). Each generator's trace must equal chi^lam at a transposition,
     f^lam * (sum of the contents) / C(n, 2), read with f^lam from one hook
     pass, or its build raises. Once per shape per process, ring._cache keeps
-    the tableaux, their cells and index, that trace, the straightened forms
-    and the identity as ("specht", lam), and s_i's sparse rows as ("specht", lam, i).
-    """
+    the tableaux, their cells and index, that trace, the straightened forms and
+    the identity as ("specht", lam), and s_i's sparse rows as ("specht", lam, i)."""
     lam = as_partition(lam)
     n = sum(lam)
     limits.check("specht", n)
@@ -465,22 +463,22 @@ def specht_module(lam) -> MatrixRep:
         return cache.get((*key, i), lambda: _natural_generator(i, *cache.get(key, tableaux)[:5]))
 
     def fn(pi):
-        # Bubble-sort the word w of pi. Swapping its entries at positions b and
-        # b + 1, counted from 1, turns w into w s_b, so the swaps b_1, ..., b_k
-        # give pi = s_{b_k} ... s_{b_1}, a reduced word, read from its right end.
-        cache, word, rows = ring._cache, list(pi), None
+        # Bubble-sort the word w of pi: swapping its entries b and b + 1, counted from 1,
+        # turns w into w s_b, so the swaps b_1, ..., b_k give pi = s_{b_k} ... s_{b_1}.
+        cache, word, rows = ring._cache, list(pi), []
         for end in range(n - 1, 0, -1):
             for a in range(end):
                 if word[a] > word[a + 1]:
                     word[a], word[a + 1] = word[a + 1], word[a]
-                    if rows is None:  # s_{b_1}, written dense
-                        rows = [[0] * dim for _ in range(dim)]
-                        for row, terms in zip(rows, generator(cache, a + 1)):
+                    if not rows:  # s_{b_1}, the right end, written dense
+                        for terms in generator(cache, a + 1):
+                            row = [0] * dim
                             for k, c in terms:
                                 row[k] = c
-                    else:
+                            rows.append(tuple(row))
+                    else:  # s_b on the left
                         rows = [_combine(rows, terms) for terms in generator(cache, a + 1)]
-        return cache.get(key, tableaux)[-1] if rows is None else tuple(map(tuple, rows))
+        return tuple(rows) if rows else cache.get(key, tableaux)[-1]
 
     return MatrixRep(n, dim, fn, label=f"specht({lam})", _trace_fn=lambda rho: chi()[rho])
 
